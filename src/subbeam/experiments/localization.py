@@ -149,18 +149,44 @@ def run_localization(
 
     Distance task: reflector broadside on a 1..8 m grid. Angle task:
     reflector at a fixed distance across +/-15 degrees. Returns medians of
-    absolute test errors plus the calibrated weights.
+    absolute test errors plus the calibrated weights. Raises ValueError
+    before any simulation when a task has fewer training rows than
+    regression columns, or a distance's round-trip delay falls outside the
+    delay search (it would land on the last candidate).
     """
     distances_m = np.round(np.arange(1.0, 8.0 + 1e-9, 0.1), 3) if distances_m is None else np.asarray(distances_m)
     angles_deg = np.arange(-15.0, 15.0 + 1e-9, 1.0) if angles_deg is None else np.asarray(angles_deg)
     sweep_deg = np.linspace(-15.0, 15.0, 31) if sweep_deg is None else np.asarray(sweep_deg)
+
+    def round_trip_delay(distance_m: float) -> int:
+        return round(numerology.sample_rate * 2.0 * distance_m / SPEED_OF_LIGHT)
+
+    # Fail before simulating anything. Each task calibrates on half of every
+    # position's captures, and its design matrix has 3 features per beam
+    # plus a bias column.
+    columns = 3 * len(sweep_deg) + 1
+    captures = slots_per_position * len(numerology.dmrs_positions())
+    for task, positions in (("distance", distances_m), ("angle", angles_deg)):
+        rows = len(positions) * (captures // 2)
+        if rows < columns:
+            raise ValueError(
+                f"rank-deficient design matrix for the {task} task: "
+                f"{rows} training rows < {columns} columns (3*beams+1)"
+            )
+    for distance_m in (*distances_m, angle_task_distance_m):
+        delay = round_trip_delay(distance_m)
+        if delay >= cfg_search.num_candidates:
+            raise ValueError(
+                f"distance {float(distance_m)} m has round-trip delay {delay} samples, "
+                f"beyond the {cfg_search.num_candidates} delay candidates"
+            )
 
     beams = [conjugate_beam(geometry, math.radians(a)) for a in sweep_deg]
     schedule = SubSymbolSchedule.for_numerology(numerology, len(beams))
     rng = np.random.default_rng(seed)
 
     def scene_for(distance_m: float, angle_deg: float) -> Scene:
-        delay = round(numerology.sample_rate * 2.0 * distance_m / SPEED_OF_LIGHT)
+        delay = round_trip_delay(distance_m)
         return Scene(
             reflectors=(
                 Reflector(

@@ -4,7 +4,15 @@ For each beam window the propagation delay is unknown; candidate delays are
 enumerated and the one whose CSI phase profile is most nearly linear
 (weighted least squares across subcarriers) wins. Advancing the candidate
 window by one sample updates its spectrum in O(N') via the sliding DFT
-instead of recomputing an O(N' log N') FFT.
+(Jacobsen & Lyons, "The sliding DFT", IEEE SP Magazine 2003) instead of
+recomputing an O(N' log N') FFT.
+
+One kernel runs the search for any set of beams as (candidate x beam x bin)
+arrays: the spectra of all beams advance together, each beam's usable bins
+are compacted to the front and padded to the widest beam by repeating its
+last usable bin at zero weight, and a single unwrap plus array reductions
+fit every candidate of every beam. ``estimate_symbol_csi`` (all beams) and
+``estimate_beam_csi`` (one beam) both call it.
 
 DFT convention: forward transform uses exp(-j*2*pi*k*n/N), so advancing the
 window one sample multiplies each bin by exp(+j*2*pi*k/N).
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +35,6 @@ __all__ = [
     "CsiFeatures",
     "OpCounter",
     "sliding_dft_step",
-    "sub_symbol_csi",
     "estimate_beam_csi",
     "estimate_symbol_csi",
     "extract_features",
@@ -61,9 +69,11 @@ class DelaySearchConfig:
             raise ValueError("min_tx_fraction must be >= 0")
 
     def valid_bins(self, tx_spectrum: np.ndarray) -> np.ndarray:
-        rms = math.sqrt(float(np.mean(np.abs(tx_spectrum) ** 2)))
-        floor = max(TX_MAGNITUDE_FLOOR, self.min_tx_fraction * rms)
-        return np.abs(tx_spectrum) > floor
+        """Usable-bin mask of one window's transmit spectrum, or of a stack
+        of them along the last axis (the RMS is taken per window)."""
+        mag = np.abs(tx_spectrum)
+        rms = np.sqrt(np.mean(mag**2, axis=-1, keepdims=True))
+        return mag > np.maximum(TX_MAGNITUDE_FLOOR, self.min_tx_fraction * rms)
 
 
 @dataclass(frozen=True)
@@ -117,94 +127,122 @@ class OpCounter:
         return self.fft_ops + self.slide_ops
 
 
-def sliding_dft_step(spectrum: np.ndarray, y_in: complex, y_out: complex) -> np.ndarray:
+def sliding_dft_step(spectrum: np.ndarray, y_in, y_out) -> np.ndarray:
     """Spectrum of the window advanced by one sample.
 
-    ``spectrum`` is the DFT of the previous window, ``y_out`` the sample
-    leaving at the front, ``y_in`` the sample entering at the back.
+    ``spectrum`` is the DFT of the previous window along its last axis,
+    ``y_out`` the sample leaving at the front, ``y_in`` the sample entering
+    at the back. A stack of windows (``spectrum`` of shape (..., L)) takes
+    one entering and one leaving sample per window.
     """
-    n = len(spectrum)
+    n = spectrum.shape[-1]
     twiddle = np.exp(2j * np.pi * np.arange(n) / n)
-    return (spectrum + (y_in - y_out)) * twiddle
+    return (spectrum + np.asarray(y_in - y_out)[..., None]) * twiddle
 
 
-def _padded_window(rx: np.ndarray, start: int, length: int) -> np.ndarray:
-    """Window [start, start+length) of rx; out-of-range samples are zero."""
-    out = np.zeros(length, dtype=complex)
-    lo = max(start, 0)
-    hi = min(start + length, len(rx))
-    if hi > lo:
-        out[lo - start : hi - start] = rx[lo:hi]
-    return out
+class _CandidateFits(NamedTuple):
+    """Phase-line fits of every (candidate delay, beam) pair of one search."""
+
+    beams: np.ndarray  # (B,) beam indices
+    csi: np.ndarray  # (C, B, L), zero on invalid bins
+    valid: np.ndarray  # (B, L) per-bin usability mask
+    slope: np.ndarray  # (C, B)
+    intercept: np.ndarray  # (C, B)
+    mse: np.ndarray  # (C, B)
+
+    def best(self) -> list[SensingCsi]:
+        """Per beam, the least-MSE candidate; argmin ties go to the smaller delay."""
+        cols = np.arange(len(self.beams))
+        picks = np.argmin(self.mse, axis=0)
+        csi = self.csi[picks, cols]
+        fits = zip(*(a[picks, cols].tolist() for a in (self.slope, self.intercept, self.mse)))
+        return [
+            SensingCsi(int(m), csi[b], int(dn), LineFit(*fit), self.valid[b])
+            for b, (m, dn, fit) in enumerate(zip(self.beams, picks, fits))
+        ]
 
 
-def _sample_or_zero(rx: np.ndarray, idx: int) -> complex:
-    return rx[idx] if 0 <= idx < len(rx) else 0.0
-
-
-def sub_symbol_csi(
+def _delay_search(
     rx_symbol: np.ndarray,
     tx_symbol: np.ndarray,
     schedule: SubSymbolSchedule,
-    beam_index: int,
-    delay: int,
-    plan: PredistortionPlan | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSI of one beam window under an assumed delay.
+    beams: np.ndarray,
+    cfg: DelaySearchConfig,
+    plan: PredistortionPlan | None,
+    counter: OpCounter | None,
+    accelerated: bool = True,
+) -> _CandidateFits:
+    """The (candidate x beam x bin) delay-search kernel.
 
-    Divides the spectrum of the delayed receive window by the transmitted
-    window's spectrum and removes the pre-distortion factor, so the result
-    reflects the physical round-trip response only. Returns (csi, valid);
-    bins whose transmit magnitude is at the numerical floor are invalid
-    (csi forced to zero there) and excluded from downstream fits.
+    Receive windows running past the end of the buffer are zero-filled.
+    Each beam's usable bins (valid and of positive weight) are compacted to
+    the front and padded to the widest beam by repeating the last usable
+    bin at zero weight: the pad adds no phase jump to the unwrap and
+    nothing to the least-squares sums, so one unwrap and one set of
+    reductions fit every candidate of every beam.
     """
-    if delay < 0:
-        raise ValueError("delay must be >= 0")
     length = schedule.sub_len
-    start = beam_index * length
-    x_win = tx_symbol[schedule.window(beam_index)]
-    y_win = _padded_window(rx_symbol, start + delay, length)
-    x_f = np.fft.fft(x_win)
-    y_f = np.fft.fft(y_win)
-    factor = plan.factors[beam_index] if plan is not None else 1.0
-    valid = np.abs(x_f) > TX_MAGNITUDE_FLOOR
-    csi = np.zeros(length, dtype=complex)
-    csi[valid] = y_f[valid] / (factor * x_f[valid])
-    return csi, valid
-
-
-def _weighted_line_fit(k: np.ndarray, y: np.ndarray, weights: np.ndarray) -> LineFit:
-    """Closed-form weighted least squares of y = slope*k + intercept.
-
-    ``weights`` multiply the residuals inside the squared norm, so the
-    effective least-squares weights are weights**2; the reported MSE is the
-    weight-normalized mean of the squared weighted residuals.
-    """
-    w2 = weights**2
-    s_w = float(np.sum(w2))
-    s_k = float(np.sum(w2 * k))
-    s_kk = float(np.sum(w2 * k * k))
-    s_y = float(np.sum(w2 * y))
-    s_ky = float(np.sum(w2 * k * y))
-    denom = s_w * s_kk - s_k * s_k
-    if denom <= 1e-30 * max(s_w * s_kk, 1e-300):
-        slope = 0.0
-        intercept = s_y / s_w if s_w > 0 else 0.0
+    n_cand = cfg.num_candidates
+    n_beams = len(beams)
+    offsets = np.arange(length)
+    starts = beams * length
+    x_f = np.fft.fft(tx_symbol[starts[:, None] + offsets], axis=1)
+    factors = plan.factors[beams] if plan is not None else np.ones(n_beams, dtype=complex)
+    if cfg.weights is None:
+        weights = np.abs(factors[:, None] * x_f)
     else:
-        slope = (s_w * s_ky - s_k * s_y) / denom
-        intercept = (s_y - slope * s_k) / s_w
-    resid = y - (slope * k + intercept)
-    mse = float(np.sum(w2 * resid**2) / s_w) if s_w > 0 else 0.0
-    return LineFit(slope=slope, intercept=intercept, mse=mse)
-
-
-def _fit_csi_phase(csi: np.ndarray, valid: np.ndarray, weights: np.ndarray) -> LineFit:
+        weights = np.broadcast_to(np.asarray(cfg.weights, float), x_f.shape)
+    valid = cfg.valid_bins(x_f)
     usable = valid & (weights > 0)
-    k = np.flatnonzero(usable)
-    if len(k) == 0:
+    counts = usable.sum(axis=1)
+    if np.any(counts == 0):
         raise ValueError("no usable subcarriers")
-    phases = np.unwrap(np.angle(csi[k]))
-    return _weighted_line_fit(k.astype(float), phases, weights[k])
+
+    rxp = np.zeros(int(starts.max()) + n_cand + length, dtype=complex)
+    rxp[: min(len(rx_symbol), len(rxp))] = rx_symbol[: len(rxp)]
+    if accelerated:
+        y_f = np.empty((n_cand, n_beams, length), dtype=complex)
+        y_f[0] = np.fft.fft(rxp[starts[:, None] + offsets], axis=1)
+        for dn in range(1, n_cand):
+            y_f[dn] = sliding_dft_step(
+                y_f[dn - 1], rxp[starts + dn - 1 + length], rxp[starts + dn - 1]
+            )
+        if counter is not None:
+            counter.count_fft(length, times=n_beams)
+            counter.count_slide(length, times=n_beams * (n_cand - 1))
+    else:
+        windows = starts[None, :, None] + np.arange(n_cand)[:, None, None] + offsets
+        y_f = np.fft.fft(rxp[windows], axis=-1)
+        if counter is not None:
+            counter.count_fft(length, times=n_beams * n_cand)
+    csi = np.zeros_like(y_f)
+    np.divide(y_f, factors[:, None] * x_f, out=csi, where=valid)
+
+    rows = np.arange(n_beams)[:, None]
+    width = int(counts.max())
+    packed = np.argsort(~usable, axis=1, kind="stable")[:, :width]
+    pad = np.arange(width) >= counts[:, None]
+    bins = np.where(pad, np.take_along_axis(packed, counts[:, None] - 1, axis=1), packed)
+    w2 = np.where(pad, 0.0, weights[rows, bins]) ** 2
+    k = bins.astype(float)
+    phases = np.unwrap(np.angle(csi[:, rows, bins]), axis=-1)
+
+    # Closed-form weighted least squares of phase = slope*k + intercept; the
+    # weights multiply the residuals, so w2 are the least-squares weights.
+    s_w = np.sum(w2, axis=-1)
+    s_k = np.sum(w2 * k, axis=-1)
+    s_kk = np.sum(w2 * k * k, axis=-1)
+    s_y = np.sum(w2 * phases, axis=-1)
+    s_ky = np.sum(w2 * k * phases, axis=-1)
+    denom = s_w * s_kk - s_k * s_k
+    flat = denom <= 1e-30 * np.maximum(s_w * s_kk, 1e-300)
+    slope = np.where(flat, 0.0, (s_w * s_ky - s_k * s_y) / np.where(flat, 1.0, denom))
+    # All-zero weights (underflowed squares) fit 0 with zero loss.
+    norm = np.where(s_w > 0, s_w, np.inf)
+    intercept = (s_y - slope * s_k) / norm
+    resid = phases - (slope[..., None] * k + intercept[..., None])
+    mse = np.sum(w2 * resid**2, axis=-1) / norm
+    return _CandidateFits(beams, csi, valid, slope, intercept, mse)
 
 
 def estimate_beam_csi(
@@ -225,41 +263,10 @@ def estimate_beam_csi(
     candidate; useful for benchmarking). Ties break toward smaller delay.
     Receive windows running past the end of the buffer are zero-filled.
     """
-    length = schedule.sub_len
-    start = beam_index * length
-    x_f = np.fft.fft(tx_symbol[schedule.window(beam_index)])
-    factor = plan.factors[beam_index] if plan is not None else 1.0
-    weights = np.abs(factor * x_f) if cfg.weights is None else np.asarray(cfg.weights, float)
-    valid = cfg.valid_bins(x_f)
-    if not np.any(valid & (weights > 0)):
-        raise ValueError("no usable subcarriers")
-
-    twiddle = np.exp(2j * np.pi * np.arange(length) / length)
-    best = None
-    y_f = None
-    for dn in range(cfg.num_candidates):
-        if dn == 0 or not accelerated:
-            y_f = np.fft.fft(_padded_window(rx_symbol, start + dn, length))
-            if counter is not None:
-                counter.count_fft(length)
-        else:
-            y_out = _sample_or_zero(rx_symbol, start + dn - 1)
-            y_in = _sample_or_zero(rx_symbol, start + dn - 1 + length)
-            y_f = (y_f + (y_in - y_out)) * twiddle
-            if counter is not None:
-                counter.count_slide(length)
-        csi = np.zeros(length, dtype=complex)
-        csi[valid] = y_f[valid] / (factor * x_f[valid])
-        fit = _fit_csi_phase(csi, valid, weights)
-        if best is None or fit.mse < best.fit.mse:
-            best = SensingCsi(
-                beam_index=beam_index,
-                csi=csi,
-                best_delay=dn,
-                fit=fit,
-                valid=valid.copy(),
-            )
-    return best
+    schedule.window(beam_index)  # IndexError for a beam outside the schedule
+    return _delay_search(
+        rx_symbol, tx_symbol, schedule, np.array([beam_index]), cfg, plan, counter, accelerated
+    ).best()[0]
 
 
 def estimate_symbol_csi(
@@ -272,56 +279,13 @@ def estimate_symbol_csi(
 ) -> list[SensingCsi]:
     """Delay search for every beam window of one DMRS symbol.
 
-    Equivalent to running ``estimate_beam_csi`` per beam (the per-beam
-    searches are independent), but batched across beams for speed.
+    The same search as ``estimate_beam_csi`` per beam (the per-beam
+    searches are independent), run for all beams at once.
     """
     if plan is not None and len(plan) != schedule.num_beams:
         raise ValueError("plan length does not match the schedule")
-    m_beams = schedule.num_beams
-    length = schedule.sub_len
-    factors = plan.factors if plan is not None else np.ones(m_beams, dtype=complex)
-
-    x_wins = tx_symbol[: m_beams * length].reshape(m_beams, length)
-    x_f = np.fft.fft(x_wins, axis=1)
-    valid = np.array([cfg.valid_bins(x_f[m]) for m in range(m_beams)])
-    if cfg.weights is None:
-        weights = np.abs(factors[:, None] * x_f)
-    else:
-        weights = np.broadcast_to(np.asarray(cfg.weights, float), x_f.shape)
-
-    starts = np.arange(m_beams) * length
-    offsets = np.arange(length)
-    rxp = np.zeros(m_beams * length + cfg.num_candidates + length, dtype=complex)
-    rxp[: min(len(rx_symbol), len(rxp))] = rx_symbol[: len(rxp)]
-
-    twiddle = np.exp(2j * np.pi * offsets / length)
-    results: list[SensingCsi | None] = [None] * m_beams
-    y_f = None
-    for dn in range(cfg.num_candidates):
-        if dn == 0:
-            y_f = np.fft.fft(rxp[starts[:, None] + offsets[None, :]], axis=1)
-            if counter is not None:
-                counter.count_fft(length, times=m_beams)
-        else:
-            y_out = rxp[starts + dn - 1]
-            y_in = rxp[starts + dn - 1 + length]
-            y_f = (y_f + (y_in - y_out)[:, None]) * twiddle[None, :]
-            if counter is not None:
-                counter.count_slide(length, times=m_beams)
-        denom = factors[:, None] * x_f
-        for m in range(m_beams):
-            csi = np.zeros(length, dtype=complex)
-            csi[valid[m]] = y_f[m, valid[m]] / denom[m, valid[m]]
-            fit = _fit_csi_phase(csi, valid[m], weights[m])
-            if results[m] is None or fit.mse < results[m].fit.mse:
-                results[m] = SensingCsi(
-                    beam_index=m,
-                    csi=csi,
-                    best_delay=dn,
-                    fit=fit,
-                    valid=valid[m].copy(),
-                )
-    return results
+    beams = np.arange(schedule.num_beams)
+    return _delay_search(rx_symbol, tx_symbol, schedule, beams, cfg, plan, counter).best()
 
 
 def extract_features(csi: SensingCsi) -> CsiFeatures:

@@ -157,6 +157,51 @@ class TestLocalization:
         assert res["median_distance_error_m"] < 0.5
         assert res["median_angle_error_deg"] < 2.0
 
+    @staticmethod
+    def _no_simulation(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a capture was simulated before the input check")
+
+        monkeypatch.setattr("subbeam.experiments.localization.apply_monostatic", fail)
+
+    def test_rank_checked_before_simulating(self, monkeypatch):
+        self._no_simulation(monkeypatch)
+        # 15 beams -> 46 columns; 5 positions * (2 slots * 4 DMRS // 2) = 20 rows
+        with pytest.raises(ValueError, match="rank-deficient.*distance task: 20 training rows < 46"):
+            run_localization(
+                ArrayGeometry.ula(16), NUM, SEARCH, seed=1,
+                distances_m=[1.0, 2.0, 3.0, 4.0, 5.0],
+                angles_deg=np.arange(-15.0, 15.1, 1.0),
+                slots_per_position=2,
+                sweep_deg=np.linspace(-14, 14, 15),
+            )
+        with pytest.raises(ValueError, match="rank-deficient.*angle task"):
+            run_localization(
+                ArrayGeometry.ula(16), NUM, SEARCH, seed=1,
+                distances_m=np.arange(1.0, 8.01, 0.5),
+                angles_deg=[-5.0, 0.0, 5.0],
+                slots_per_position=2,
+                sweep_deg=np.linspace(-14, 14, 15),
+            )
+
+    @pytest.mark.parametrize(
+        "distances, angle_task_distance", [([1.0, 4.0, 8.0, 12.0], 3.0), ([1.0, 3.0, 5.0, 8.0], 12.0)]
+    )
+    def test_out_of_range_delay_checked_before_simulating(
+        self, monkeypatch, distances, angle_task_distance
+    ):
+        self._no_simulation(monkeypatch)
+        # 12 m is a 10-sample round trip at 122.88 MHz: past candidates 0..9
+        with pytest.raises(ValueError, match="12.0 m has round-trip delay 10 samples"):
+            run_localization(
+                ArrayGeometry.ula(16), NUM, SEARCH, seed=1,
+                distances_m=distances,
+                angles_deg=np.arange(-15.0, 15.1, 3.0),
+                angle_task_distance_m=angle_task_distance,
+                slots_per_position=4,
+                sweep_deg=np.linspace(-12, 12, 9),
+            )
+
 
 class TestMobility:
     GEO = ArrayGeometry.ula(32)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from subbeam.sensing import (
+    TX_MAGNITUDE_FLOOR,
     DelaySearchConfig,
+    LineFit,
     OpCounter,
+    _delay_search,
     estimate_beam_csi,
     estimate_symbol_csi,
     extract_features,
     sliding_dft_step,
-    sub_symbol_csi,
 )
 from subbeam.waveform import Numerology, PredistortionPlan, SubSymbolSchedule, generate_slot
 
@@ -24,6 +26,17 @@ NUM = Numerology()
 def random_window_signal(length, extra, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(length + extra) + 1j * rng.standard_normal(length + extra)
+
+
+def candidate_csi(rx, tx, sched, beam, delay, plan=None):
+    """CSI and validity of one beam window under one assumed delay.
+
+    Read from the search kernel's per-candidate output. ``min_tx_fraction=0``
+    leaves only the numerical floor, so every bin with transmit energy is valid.
+    """
+    cfg = DelaySearchConfig(delay + 1, min_tx_fraction=0.0)
+    fits = _delay_search(rx, tx, sched, np.array([beam]), cfg, plan, None)
+    return fits.csi[delay, 0], fits.valid[0]
 
 
 class TestSlidingDft:
@@ -52,6 +65,15 @@ class TestSlidingDft:
             worst = max(worst, np.max(np.abs(spec - direct)) / np.max(np.abs(direct)))
         assert worst < 1e-7
 
+    def test_stack_of_windows_steps_each_window(self):
+        buf = random_window_signal(30, 40, seed=2)
+        starts = np.array([0, 7, 19])
+        spec = np.fft.fft(buf[starts[:, None] + np.arange(30)], axis=1)
+        stepped = sliding_dft_step(spec, buf[starts + 30], buf[starts])
+        for row, start in zip(stepped, starts):
+            single = np.fft.fft(buf[start : start + 30])
+            assert np.array_equal(row, sliding_dft_step(single, buf[start + 30], buf[start]))
+
 
 class TestSubSymbolCsi:
     SCHED = SubSymbolSchedule(num_beams=4, sub_len=30, fft_size=1024)
@@ -61,23 +83,30 @@ class TestSubSymbolCsi:
 
     def test_identity(self):
         tx = self._tx()
-        csi, valid = sub_symbol_csi(tx, tx, self.SCHED, 1, 0)
+        csi, valid = candidate_csi(tx, tx, self.SCHED, 1, 0)
+        assert np.array_equal(valid, np.abs(np.fft.fft(tx[30:60])) > TX_MAGNITUDE_FLOOR)
         assert np.allclose(csi[valid], 1.0, atol=1e-9)
+        res = estimate_beam_csi(tx, tx, self.SCHED, 1, DelaySearchConfig(10))
+        assert res.best_delay == 0
+        assert np.allclose(res.csi[res.valid], 1.0, atol=1e-9)
 
     def test_scaled_shift_recovered_flat(self):
         tx = self._tx(1)
         c = 0.5 * np.exp(0.9j)
         rx = np.zeros(len(tx) + 16, dtype=complex)
         rx[7 : 7 + len(tx)] = c * tx
-        csi, valid = sub_symbol_csi(rx, tx, self.SCHED, 2, 7)
+        csi, valid = candidate_csi(rx, tx, self.SCHED, 2, 7)
         assert np.allclose(csi[valid], c, atol=1e-9)
+        res = estimate_beam_csi(rx, tx, self.SCHED, 2, DelaySearchConfig(10))
+        assert res.best_delay == 7
+        assert np.allclose(res.csi[res.valid], c, atol=1e-9)
 
     def test_misaligned_by_one_has_ramp(self):
         tx = self._tx(2)
         d = 5
         rx = np.zeros(len(tx) + 16, dtype=complex)
         rx[d : d + len(tx)] = tx
-        csi, valid = sub_symbol_csi(rx, tx, self.SCHED, 1, d - 1)
+        csi, valid = candidate_csi(rx, tx, self.SCHED, 1, d - 1)
         # dominant component is exp(-j*2*pi*k/L) plus an edge residual
         k = np.flatnonzero(valid)
         ramp = np.exp(-2j * np.pi * k / 30)
@@ -90,8 +119,10 @@ class TestSubSymbolCsi:
         rx = np.zeros_like(tx)
         sl = self.SCHED.window(1)
         rx[sl] = 2.0 * tx[sl]  # the transmitter scaled this window by 2
-        csi, valid = sub_symbol_csi(rx, tx, self.SCHED, 1, 0, plan)
+        csi, valid = candidate_csi(rx, tx, self.SCHED, 1, 0, plan)
         assert np.allclose(csi[valid], 1.0, atol=1e-9)
+        res = estimate_beam_csi(rx, tx, self.SCHED, 1, DelaySearchConfig(10), plan)
+        assert np.allclose(res.csi[res.valid], 1.0, atol=1e-9)
 
 
 class TestDelaySearch:
@@ -123,20 +154,13 @@ class TestDelaySearch:
         d = 4
         rx = np.zeros(len(tx) + 32, dtype=complex)
         rx[d : d + len(tx)] = tx
-        cfg = DelaySearchConfig(10)
-        sl = self.SCHED.window(3)
-        losses = []
-        for dn in range(10):
-            csi, valid = sub_symbol_csi(rx, tx, self.SCHED, 3, dn)
-            x_f = np.fft.fft(tx[sl])
-            from subbeam.sensing import _fit_csi_phase
-
-            usable = valid & cfg.valid_bins(x_f)
-            fit = _fit_csi_phase(csi, usable, np.abs(x_f))
-            losses.append(fit.mse)
+        fits = _delay_search(rx, tx, self.SCHED, np.array([3]), DelaySearchConfig(10), None, None)
+        losses = fits.mse[:, 0]
         assert int(np.argmin(losses)) == d
         # loss grows monotonically-ish away from the minimum
         assert losses[d] < min(losses[d - 1], losses[d + 1]) / 10
+        res = estimate_beam_csi(rx, tx, self.SCHED, 3, DelaySearchConfig(10))
+        assert res.fit.mse == losses[d]
 
     def test_matches_brute_force_oracle(self):
         tx = self._symbol(7)
@@ -176,10 +200,9 @@ class TestDelaySearch:
         cfg = DelaySearchConfig(10, weights=weights)
         res = estimate_beam_csi(rx, tx, self.SCHED, 1, cfg)
         # closed-form weighted fit on the clean bins only
-        csi, valid = sub_symbol_csi(rx, tx, self.SCHED, 1, res.best_delay)
-        keep = valid & (weights > 0)
+        keep = res.valid & (weights > 0)
         k = np.flatnonzero(keep)
-        phases = np.unwrap(np.angle(csi[k]))
+        phases = np.unwrap(np.angle(res.csi[k]))
         w2 = weights[k] ** 2
         a = np.vstack([k, np.ones_like(k)]).T
         wls = np.linalg.solve(a.T @ (w2[:, None] * a), a.T @ (w2 * phases))
@@ -279,3 +302,166 @@ class TestOpCounting:
         counter = OpCounter()
         estimate_symbol_csi(rx, tx, sched, DelaySearchConfig(10), counter=counter)
         assert counter.total == 34 * (30 * 5 + 9 * 60)
+
+
+# The per-beam search as it stood before the batched kernel, copied verbatim
+# (validity rule, recurrence, fit and tie rule included) as the reference the
+# kernel must reproduce.
+
+
+def _seed_valid_bins(cfg, tx_spectrum):
+    rms = math.sqrt(float(np.mean(np.abs(tx_spectrum) ** 2)))
+    floor = max(TX_MAGNITUDE_FLOOR, cfg.min_tx_fraction * rms)
+    return np.abs(tx_spectrum) > floor
+
+
+def _seed_padded_window(rx, start, length):
+    out = np.zeros(length, dtype=complex)
+    lo = max(start, 0)
+    hi = min(start + length, len(rx))
+    if hi > lo:
+        out[lo - start : hi - start] = rx[lo:hi]
+    return out
+
+
+def _seed_sample_or_zero(rx, idx):
+    return rx[idx] if 0 <= idx < len(rx) else 0.0
+
+
+def _seed_weighted_line_fit(k, y, weights):
+    w2 = weights**2
+    s_w = float(np.sum(w2))
+    s_k = float(np.sum(w2 * k))
+    s_kk = float(np.sum(w2 * k * k))
+    s_y = float(np.sum(w2 * y))
+    s_ky = float(np.sum(w2 * k * y))
+    denom = s_w * s_kk - s_k * s_k
+    if denom <= 1e-30 * max(s_w * s_kk, 1e-300):
+        slope = 0.0
+        intercept = s_y / s_w if s_w > 0 else 0.0
+    else:
+        slope = (s_w * s_ky - s_k * s_y) / denom
+        intercept = (s_y - slope * s_k) / s_w
+    resid = y - (slope * k + intercept)
+    mse = float(np.sum(w2 * resid**2) / s_w) if s_w > 0 else 0.0
+    return LineFit(slope=slope, intercept=intercept, mse=mse)
+
+
+def _seed_fit_csi_phase(csi, valid, weights):
+    usable = valid & (weights > 0)
+    k = np.flatnonzero(usable)
+    if len(k) == 0:
+        raise ValueError("no usable subcarriers")
+    phases = np.unwrap(np.angle(csi[k]))
+    return _seed_weighted_line_fit(k.astype(float), phases, weights[k])
+
+
+def _seed_beam_search(rx_symbol, tx_symbol, schedule, beam_index, cfg, plan=None,
+                      accelerated=True):
+    """(best_delay, fit, csi, valid) of the seed's per-beam candidate loop."""
+    length = schedule.sub_len
+    start = beam_index * length
+    x_f = np.fft.fft(tx_symbol[schedule.window(beam_index)])
+    factor = plan.factors[beam_index] if plan is not None else 1.0
+    weights = np.abs(factor * x_f) if cfg.weights is None else np.asarray(cfg.weights, float)
+    valid = _seed_valid_bins(cfg, x_f)
+    if not np.any(valid & (weights > 0)):
+        raise ValueError("no usable subcarriers")
+
+    twiddle = np.exp(2j * np.pi * np.arange(length) / length)
+    best = None
+    y_f = None
+    for dn in range(cfg.num_candidates):
+        if dn == 0 or not accelerated:
+            y_f = np.fft.fft(_seed_padded_window(rx_symbol, start + dn, length))
+        else:
+            y_out = _seed_sample_or_zero(rx_symbol, start + dn - 1)
+            y_in = _seed_sample_or_zero(rx_symbol, start + dn - 1 + length)
+            y_f = (y_f + (y_in - y_out)) * twiddle
+        csi = np.zeros(length, dtype=complex)
+        csi[valid] = y_f[valid] / (factor * x_f[valid])
+        fit = _seed_fit_csi_phase(csi, valid, weights)
+        if best is None or fit.mse < best[1].mse:
+            best = (dn, fit, csi, valid.copy())
+    return best
+
+
+class TestKernelEquivalence:
+    """The batched kernel against the seed's per-beam loop and the oracle."""
+
+    def _capture(self, num_beams, variant, seed):
+        rng = np.random.default_rng([num_beams, seed])
+        sched = SubSymbolSchedule.for_numerology(NUM, num_beams)
+        tx = generate_slot(NUM, "QPSK", seed=20 + seed).symbol_body(NUM.dmrs_positions()[0])
+        d = int(rng.integers(0, 10))
+        rx = np.zeros(len(tx) + 32, dtype=complex)
+        rx[d : d + len(tx)] = 0.6 * np.exp(1j * rng.uniform(-np.pi, np.pi)) * tx
+        rx += 0.1 * (rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
+        plan = None
+        weights = None
+        if variant == "plan":
+            plan = PredistortionPlan(
+                amplitude=rng.uniform(0.5, 2.0, num_beams),
+                phase=rng.uniform(-np.pi, np.pi, num_beams),
+            )
+        elif variant == "weights":
+            weights = rng.uniform(0.5, 2.0, sched.sub_len)
+            weights[rng.choice(sched.sub_len, sched.sub_len // 4, replace=False)] = 0.0
+        return rx, tx, sched, plan, DelaySearchConfig(10, weights=weights)
+
+    @staticmethod
+    def _assert_same(res, ref):
+        ref_delay, ref_fit, ref_csi, ref_valid = ref
+        assert res.best_delay == ref_delay
+        assert res.fit.slope == pytest.approx(ref_fit.slope, rel=1e-9)
+        assert res.fit.intercept == pytest.approx(ref_fit.intercept, rel=1e-9)
+        assert res.fit.mse == pytest.approx(ref_fit.mse, rel=1e-9)
+        assert np.allclose(res.csi, ref_csi, rtol=0, atol=1e-12)
+        assert np.array_equal(res.valid, ref_valid)
+
+    @pytest.mark.parametrize("variant", ["plain", "plan", "weights"])
+    @pytest.mark.parametrize("num_beams", [1, 8, 15, 34])
+    def test_symbol_matches_seed_loop_and_oracle(self, num_beams, variant):
+        for seed in range(3):
+            rx, tx, sched, plan, cfg = self._capture(num_beams, variant, seed)
+            batch = estimate_symbol_csi(rx, tx, sched, cfg, plan)
+            assert [r.beam_index for r in batch] == list(range(num_beams))
+            for m, res in enumerate(batch):
+                self._assert_same(res, _seed_beam_search(rx, tx, sched, m, cfg, plan))
+                if variant == "weights":
+                    continue  # the oracle weights bins by transmit magnitude only
+                factor = plan.factors[m] if plan is not None else 1.0
+                ref_dn, ref_mse, _ = brute_force_delay_search(
+                    {"rx": rx, "tx": tx}, m * sched.sub_len, sched.sub_len, 10, factor
+                )
+                assert res.best_delay == ref_dn
+                assert res.fit.mse == pytest.approx(ref_mse, rel=1e-6, abs=1e-12)
+
+    def test_weight_override_pads_unequal_beams(self):
+        rx, tx, sched, plan, cfg = self._capture(15, "weights", 0)
+        fits = _delay_search(rx, tx, sched, np.arange(15), cfg, plan, None)
+        usable = (fits.valid & (cfg.weights > 0)).sum(axis=1)
+        assert usable.min() < usable.max()  # the narrower beams are padded
+
+    @pytest.mark.parametrize("accelerated", [True, False])
+    @pytest.mark.parametrize("variant", ["plain", "plan", "weights"])
+    @pytest.mark.parametrize("num_beams", [1, 8, 15, 34])
+    def test_beam_matches_seed_loop(self, num_beams, variant, accelerated):
+        rx, tx, sched, plan, cfg = self._capture(num_beams, variant, 7)
+        for m in sorted({0, num_beams // 2, num_beams - 1}):
+            res = estimate_beam_csi(rx, tx, sched, m, cfg, plan, accelerated=accelerated)
+            assert res.beam_index == m
+            self._assert_same(
+                res, _seed_beam_search(rx, tx, sched, m, cfg, plan, accelerated=accelerated)
+            )
+
+    def test_single_usable_bin_takes_the_flat_fit(self):
+        rx, tx, sched, _, _ = self._capture(8, "plain", 1)
+        x_f = np.fft.fft(tx[sched.window(2)])
+        weights = np.zeros(sched.sub_len)
+        weights[int(np.argmax(np.abs(x_f)))] = 1.0
+        cfg = DelaySearchConfig(10, weights=weights)
+        res = estimate_beam_csi(rx, tx, sched, 2, cfg)
+        ref = _seed_beam_search(rx, tx, sched, 2, cfg)
+        self._assert_same(res, ref)
+        assert res.fit.slope == 0.0 and res.fit.mse == 0.0 and res.best_delay == 0
