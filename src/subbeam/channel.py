@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Beamformer, beamforming_gain, conjugate_beam
+from .arrays import (
+    FIELD_OF_VIEW_DEG,
+    ArrayGeometry,
+    Beamformer,
+    beamforming_gain,
+    conjugate_beam,
+)
 from .codebook import UserLink
 from .waveform import Numerology, SlotWaveform, SubSymbolSchedule
 
@@ -33,7 +39,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0
-FIELD_OF_VIEW = math.radians(60.0)
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,10 @@ class Reflector:
     label: str = ""
 
     def __post_init__(self):
-        if abs(self.azimuth) > FIELD_OF_VIEW + 1e-12:
+        fov = math.radians(FIELD_OF_VIEW_DEG)
+        if abs(self.azimuth) > fov + 1e-12:
             raise ValueError("reflector azimuth outside the field of view")
-        if abs(self.elevation) > FIELD_OF_VIEW + 1e-12:
+        if abs(self.elevation) > fov + 1e-12:
             raise ValueError("reflector elevation outside the field of view")
 
 
@@ -123,19 +129,25 @@ class SlotBeamPlan:
 
     def tx_amplitude(self, geometry: ArrayGeometry, azimuth: float,
                      elevation: float | None = None) -> np.ndarray:
-        """sqrt(tx gain) toward one direction for every slot sample."""
+        """sqrt(tx gain) toward one direction for every slot sample.
+
+        Each distinct beam object's gain is computed once per call; the rows
+        of a uniform plan share their beams.
+        """
+        by_beam = {}
+
+        def beam_amp(beam):
+            if id(beam) not in by_beam:
+                by_beam[id(beam)] = math.sqrt(beamforming_gain(beam, geometry, azimuth, elevation))
+            return by_beam[id(beam)]
+
         num = self.numerology
         amp = np.empty(num.slot_len)
-        data_amp = math.sqrt(beamforming_gain(self.data_beam, geometry, azimuth, elevation))
-        amp[:] = data_amp
+        amp[:] = beam_amp(self.data_beam)
         dmrs_positions = num.dmrs_positions()
         body_amp = np.empty(num.fft_size)
         for row, pos in enumerate(dmrs_positions):
-            beams = self.dmrs_beams[row]
-            gains = [
-                math.sqrt(beamforming_gain(b, geometry, azimuth, elevation))
-                for b in beams
-            ]
+            gains = [beam_amp(b) for b in self.dmrs_beams[row]]
             for m in range(self.schedule.num_beams):
                 body_amp[self.schedule.window(m)] = gains[m]
             if self.schedule.unused_tail:

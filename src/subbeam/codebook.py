@@ -8,10 +8,23 @@ Two solvers are provided:
   weight within a per-element radius ``epsilon`` of the conjugate beamformer
   for the sensing angle, so each codebook entry keeps a strong sensing beam.
 
-Both use monotone projected gradient ascent with deterministic backtracking
-(halving from 0.1). The max-min objective is smoothed by a softmin whose
+Both run on one engine, ``_ascend``: monotone projected gradient ascent
+with deterministic backtracking (halving from 0.1, or from twice the last
+accepted step). The max-min objective is smoothed by a softmin whose
 temperature anneals toward zero, which makes the kinked objective
-differentiable during early iterations and exact at convergence.
+differentiable during early iterations and exact at convergence. Each
+objective evaluation hands back the inner products ``s @ w`` and SNRs it
+computed, and the next gradient and probe directions reuse them, so every
+trial point is evaluated once. The weighted-sum solver and
+``design_data_beam`` also run ``_fair_point``, fixed-temperature softmin
+rounds without step memory, to find balanced starting allocations.
+
+At the final temperature an ascent stops when the projected gradient is
+below ``grad_tol`` (``grad``), when no step along the gradient or any probe
+improves (``stationary``), or when 50 consecutive iterations each gain less
+than 1e-4 relative (about 0.0004 dB) over the stall mark (``stalled``);
+otherwise it runs to ``max_iters``. Codebook entries record the winning
+start's iteration count and stop reason (``anchor`` when no ascent ran).
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Beamformer, conjugate_beam, steering_vector
+from .arrays import FIELD_OF_VIEW_DEG, ArrayGeometry, Beamformer, steering_vector
 
 __all__ = [
     "UserLink",
@@ -42,14 +55,16 @@ __all__ = [
     "load_codebook",
 ]
 
-FIELD_OF_VIEW = math.radians(60.0)
-
 # Solver constants (deterministic; see module docstring).
 _STEP_INIT = 0.1
 _STEP_MIN = 1e-7
 _TAU_INIT = 0.5
 _TAU_DECAY = 0.9
 _TAU_MIN = 1e-3
+# Stall stop at the final temperature: this many consecutive iterations,
+# each gaining less than this fraction over the stall mark (~0.0004 dB).
+_STALL_ITERS = 50
+_STALL_REL = 1e-4
 _DB_FLOOR = -400.0  # serialization floor for a zero linear SNR
 
 
@@ -63,7 +78,7 @@ class UserLink:
     def __post_init__(self):
         if self.base_snr <= 0:
             raise ValueError("base_snr must be > 0")
-        if abs(self.angle) > FIELD_OF_VIEW + 1e-12:
+        if abs(self.angle) > math.radians(FIELD_OF_VIEW_DEG) + 1e-12:
             raise ValueError("user angle outside the array field of view")
 
 
@@ -100,12 +115,19 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class CodebookEntry:
-    """One optimized beamformer: sensing angle, weights, achieved min user SNR."""
+    """One optimized beamformer: sensing angle, weights, achieved min user SNR.
+
+    ``iterations`` and ``stop_reason`` describe the solver's winning start
+    (see ``_ascend``; ``anchor`` when no ascent ran). They are None for
+    entries loaded from files written before they were recorded.
+    """
 
     sensing_angle: float
     weights: Beamformer
     min_snr: float  # +inf sentinel when there are no users
     converged: bool
+    iterations: int | None = None
+    stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -146,17 +168,39 @@ def _snrs(w, s, gamma):
     return gamma * np.abs(s @ w) ** 2
 
 
-def _grad(w, s, gamma, coef):
-    # d/dw* of sum_u coef_u * gamma_u * |s_u^T w|^2
-    inner = s @ w
-    return (coef * gamma * inner) @ np.conj(s)
+def _evaluator(s, gamma, score):
+    """``evaluate(w) -> (score(x), (inner, x))`` with ``inner = s @ w``, ``x`` the SNRs.
+
+    The inner products and SNRs of an evaluated point are handed back so the
+    gradient and probe directions at that point reuse them.
+    """
+
+    def evaluate(w):
+        inner = s @ w
+        x = gamma * np.abs(inner) ** 2
+        return score(x), (inner, x)
+
+    return evaluate
+
+
+def _softmin_ascent(ev, t, gamma, s_conj):
+    """Gradient of the temperature-``t`` softmin of the SNRs, from cached ``ev``."""
+    inner, x = ev
+    lam = np.exp(-(x - x.min()) / t)
+    lam /= lam.sum()
+    return (lam * gamma * inner) @ s_conj
+
+
+def _single_target_directions(ev, gamma, s_conj):
+    """Each target's own gradient direction, weakest target first."""
+    inner, x = ev
+    return [gamma[u] * inner[u] * s_conj[u] for u in np.argsort(x)]
 
 
 def _project_polydisk(w):
     amp = np.abs(w)
-    over = amp > 1.0
-    if np.any(over):
-        w = np.where(over, w / np.maximum(amp, 1e-300), w)
+    if amp.max() > 1.0:
+        w = np.where(amp > 1.0, w / np.maximum(amp, 1e-300), w)
     return w
 
 
@@ -168,13 +212,10 @@ def _project_ball_then_disk(w, anchor, eps):
     exactly (disk projection is non-expansive toward the ball center), so
     re-alternating would change nothing.
     """
-    if eps == 0.0:
-        return anchor.copy()
     d = w - anchor
     dabs = np.abs(d)
-    over = dabs > eps
-    if np.any(over):
-        w = np.where(over, anchor + d * (eps / np.maximum(dabs, 1e-300)), w)
+    if dabs.max() > eps:
+        w = np.where(dabs > eps, anchor + d * (eps / np.maximum(dabs, 1e-300)), w)
     return _project_polydisk(w)
 
 
@@ -192,26 +233,39 @@ def _warn_close_angles(users, geometry):
 
 
 def _normalized_direction(g):
-    peak = np.max(np.abs(g))
+    peak = np.abs(g).max()
     if peak <= 0:
         return None
     return g / peak
 
 
-def _line_search(w, f, d, objective, project, step0=_STEP_INIT):
+def _line_search(w, f, d, evaluate, project, step0=_STEP_INIT):
     """Halving backtracking along direction d; accept strict improvement.
 
-    Returns (w, f, accepted, step_used). ``step0`` carries the last accepted
-    step across iterations so the search rarely has to halve far.
+    Returns ``(w, f, ev, step)`` at the first improving step (``ev`` is the
+    new point's evaluation cache), or None when no step down to
+    ``_STEP_MIN`` improves. ``step0`` carries the last accepted step across
+    iterations so the search rarely has to halve far.
     """
     step = min(step0, _STEP_INIT)
     while step >= _STEP_MIN:
         w_try = project(w + step * d)
-        f_try = objective(w_try)
+        f_try, ev_try = evaluate(w_try)
         if f_try > f * (1.0 + 1e-12) + 1e-15:
-            return w_try, f_try, True, step
+            return w_try, f_try, ev_try, step
         step *= 0.5
-    return w, f, False, _STEP_INIT
+    return None
+
+
+def _first_improving(w, f, directions, evaluate, project):
+    """Line-search each direction in turn from the full step; first hit or None."""
+    for g in directions:
+        d = _normalized_direction(g)
+        if d is not None:
+            hit = _line_search(w, f, d, evaluate, project)
+            if hit is not None:
+                return hit
+    return None
 
 
 def _dither(w0, scale):
@@ -236,110 +290,93 @@ def _fair_point(s_all, gamma_all, w0, cfg):
 
     def softmin(x, t):
         z = -x / t
-        zmax = np.max(z)
-        return -t * (zmax + math.log(np.sum(np.exp(z - zmax))))
+        zmax = z.max()
+        return -t * (zmax + math.log(np.exp(z - zmax).sum()))
 
+    s_conj = np.conj(s_all)
     w = _project_polydisk(w0)
-    best_w = w
-    best_min = float(np.min(_snrs(w, s_all, gamma_all)))
+    x = _snrs(w, s_all, gamma_all)
+    best_w, best_min = w, float(x.min())
     tau = _TAU_INIT
     for _ in range(14):
-        x = _snrs(w, s_all, gamma_all)
-        t = tau * max(float(np.mean(x)), 1e-30)
-
-        def objective(wc):
-            return softmin(_snrs(wc, s_all, gamma_all), t)
-
-        f = objective(w)
+        t = tau * max(float(x.sum() / len(x)), 1e-30)
+        evaluate = _evaluator(s_all, gamma_all, lambda x, t=t: softmin(x, t))
+        f, ev = evaluate(w)
         for _ in range(max(cfg.max_iters // 10, 50)):
-            x = _snrs(w, s_all, gamma_all)
-            lam = np.exp(-(x - np.min(x)) / t)
-            lam /= np.sum(lam)
-            inner = s_all @ w
-            dirs = [(lam * gamma_all * inner) @ np.conj(s_all)]
-            dirs += [gamma_all[i] * inner[i] * np.conj(s_all[i]) for i in np.argsort(x)]
-            accepted = False
-            for g in dirs:
-                d = _normalized_direction(g)
-                if d is None:
-                    continue
-                w, f, accepted, _ = _line_search(w, f, d, objective, _project_polydisk)
-                if accepted:
-                    break
-            if not accepted:
+            dirs = [_softmin_ascent(ev, t, gamma_all, s_conj)]
+            dirs += _single_target_directions(ev, gamma_all, s_conj)
+            hit = _first_improving(w, f, dirs, evaluate, _project_polydisk)
+            if hit is None:
                 break
-        cur_min = float(np.min(_snrs(w, s_all, gamma_all)))
+            w, f, ev, _ = hit
+        x = ev[1]
+        cur_min = float(x.min())
         if cur_min > best_min:
             best_w, best_min = w, cur_min
         tau = max(tau * 0.5, _TAU_MIN)
     return best_w
 
 
-def _ascend(w0, objective, gradient, project, cfg, trace=None, probes=None,
+def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None,
             tau0=_TAU_INIT):
     """Monotone projected gradient ascent with halving backtracking.
 
-    ``gradient`` may depend on an annealed temperature; it is re-queried each
-    iteration. When the combined direction yields no improving step,
-    ``probes(w)`` directions are tried before annealing further; kinked or
-    symmetric objectives need these because the combined (sub)gradient can
-    vanish at saddle points that single-target directions escape.
-    Returns (w, converged).
+    ``evaluate(w)`` returns ``(f, ev)`` as built by ``_evaluator``;
+    ``gradient(ev, tau)`` and ``probes(ev)`` read the cache ``ev`` of the
+    current iterate, so every point is evaluated once. ``gradient`` may
+    depend on an annealed temperature. When the combined direction yields
+    no improving step, the ``probes`` directions are tried before annealing
+    further; kinked or symmetric objectives need these because the combined
+    (sub)gradient can vanish at saddle points that single-target directions
+    escape.
+
+    Returns ``(w, f, iterations, stop_reason)``. Every stop but
+    ``max_iters`` happens at the final temperature: ``grad`` (projected
+    gradient norm below ``cfg.grad_tol``), ``stationary`` (no improving step
+    along the gradient or any probe) or ``stalled`` (``_STALL_ITERS``
+    consecutive iterations each within ``_STALL_REL`` relative of the stall
+    mark, the last value that beat it by more).
     """
     w = project(w0)
-    f = objective(w)
+    f, ev = evaluate(w)
     if trace is not None:
         trace.append(f)
     tau = tau0
-    converged = False
     at_final_tau = False
     stall_mark, stall_count = f, 0
     step_mem = _STEP_INIT
-    for _ in range(cfg.max_iters):
-        g = gradient(w, tau)
+    for it in range(1, cfg.max_iters + 1):
+        g = gradient(ev, tau)
         if at_final_tau:
-            gnorm = np.linalg.norm(project(w + _STEP_INIT * g) - w) / _STEP_INIT
-            if gnorm < cfg.grad_tol:
-                converged = True
-                break
+            r = project(w + _STEP_INIT * g) - w
+            if math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) / _STEP_INIT < cfg.grad_tol:
+                return w, f, it, "grad"
         d = _normalized_direction(g)
-        accepted = False
-        if d is not None:
-            w, f, accepted, step_used = _line_search(
-                w, f, d, objective, project, step_mem
-            )
-            if accepted:
-                step_mem = step_used * 2.0
-        if not accepted and probes is not None:
-            for p in probes(w):
-                dp = _normalized_direction(p)
-                if dp is None:
-                    continue
-                w, f, accepted, _ = _line_search(w, f, dp, objective, project)
-                if accepted:
-                    break
+        hit = None if d is None else _line_search(w, f, d, evaluate, project, step_mem)
+        if hit is not None:
+            step_mem = hit[3] * 2.0
+        elif probes is not None:
+            hit = _first_improving(w, f, probes(ev), evaluate, project)
+        if hit is not None:
+            w, f, ev, _ = hit
         if trace is not None:
             trace.append(f)
-        if not accepted:
+        if hit is None:
             step_mem = _STEP_INIT
             if not at_final_tau:
                 tau = max(tau * 0.5, _TAU_MIN)
                 at_final_tau = tau <= _TAU_MIN
                 continue
-            # Stationary: no improving step along the subgradient or any probe.
-            converged = True
-            break
-        # Progress-based stop: monotone but negligible improvement.
-        if f <= stall_mark * (1.0 + 1e-9):
+            return w, f, it, "stationary"
+        if f <= stall_mark * (1.0 + _STALL_REL):
             stall_count += 1
-            if stall_count >= 50 and at_final_tau:
-                converged = True
-                break
+            if stall_count >= _STALL_ITERS and at_final_tau:
+                return w, f, it, "stalled"
         else:
             stall_mark, stall_count = f, 0
         tau = max(tau * _TAU_DECAY, _TAU_MIN)
         at_final_tau = tau <= _TAU_MIN
-    return w, converged
+    return w, f, cfg.max_iters, "max_iters"
 
 
 def optimize_weighted_sum(
@@ -364,12 +401,13 @@ def optimize_weighted_sum(
     s_all = np.vstack([s_t[None, :], s_users])
     gamma_all = np.concatenate([[target.base_snr], gamma])
     coef = np.concatenate([[cfg.sensing_weight], np.full(n_users, 1.0 / n_users)])
+    s_conj = np.conj(s_all)
 
-    def objective(w):
-        return float(np.sum(coef * _snrs(w, s_all, gamma_all)))
+    evaluate = _evaluator(s_all, gamma_all, lambda x: float((coef * x).sum()))
 
-    def gradient(w, tau):
-        return _grad(w, s_all, gamma_all, coef)
+    def gradient(ev, tau):
+        # d/dw* of sum_u coef_u * gamma_u * |s_u^T w|^2
+        return (coef * gamma_all * ev[0]) @ s_conj
 
     # For well-separated targets the achievable gains trade off along a
     # near-flat frontier (sum of gains <= N^2 by Parseval), so the objective
@@ -378,7 +416,7 @@ def optimize_weighted_sum(
     # fairness-optimal one (max-min over all targets); among finals whose
     # objectives tie within solver tolerance, keep the one with the largest
     # minimum per-target SNR (fairness tie-break).
-    v = (coef * gamma_all) @ np.conj(s_all)
+    v = (coef * gamma_all) @ s_conj
     peak = np.max(np.abs(v))
     mixture = _project_polydisk(v) if peak > 0 else np.conj(s_t)
     amp = np.abs(v)
@@ -400,9 +438,9 @@ def optimize_weighted_sum(
 
     finals = []
     for w0 in [mixture, phase_only, _dither(mixture, 0.05), _dither(phase_only, 0.05)]:
-        w_i, _ = _ascend(w0, objective, gradient, _project_polydisk, cfg)
-        finals.append((objective(w_i), float(np.min(_snrs(w_i, s_act, gamma_act))), w_i))
-    finals.append((objective(fair_start), fair_val, fair_start))
+        w_i, f_i, _, _ = _ascend(w0, evaluate, gradient, _project_polydisk, cfg)
+        finals.append((f_i, float(np.min(_snrs(w_i, s_act, gamma_act))), w_i))
+    finals.append((evaluate(fair_start)[0], fair_val, fair_start))
     f_best = max(f for f, _, _ in finals)
     # 5% objective window ~ 0.2 dB, the solver tolerance used throughout.
     w = max(
@@ -412,7 +450,7 @@ def optimize_weighted_sum(
     if trace is not None:
         # Re-run the winning start so the reported objective trace matches.
         trace.clear()
-        w, _ = _ascend(w, objective, gradient, _project_polydisk, cfg, trace)
+        w = _ascend(w, evaluate, gradient, _project_polydisk, cfg, trace)[0]
 
     # Remove the global-phase degeneracy: align the first element's phase
     # with the sensing-conjugate anchor (whose first element is real).
@@ -435,86 +473,71 @@ def optimize_max_min(
     element and within the unit disk. With no users the anchor itself is
     returned with a +inf min-SNR sentinel. If no feasible step improves the
     minimum SNR, the anchor is returned unchanged (still a valid entry).
+    The entry's ``iterations`` and ``stop_reason`` describe the winning
+    start (``anchor`` when ``epsilon`` is 0 or there are no users).
     """
     anchor = np.conj(steering_vector(geometry, target.angle))
     if not users:
-        return CodebookEntry(target.angle, Beamformer(anchor), math.inf, True)
+        return CodebookEntry(target.angle, Beamformer(anchor), math.inf, True, 0, "anchor")
     _warn_close_angles(users, geometry)
     s_users, gamma = _user_matrix(users, geometry)
+    s_conj = np.conj(s_users)
+    eps = cfg.epsilon
 
     def project(w):
-        return _project_ball_then_disk(w, anchor, cfg.epsilon)
+        return _project_ball_then_disk(w, anchor, eps)
 
-    def objective(w):
-        return float(np.min(_snrs(w, s_users, gamma)))
+    evaluate = _evaluator(s_users, gamma, lambda x: float(x.min()))
 
-    def gradient(w, tau):
-        x = _snrs(w, s_users, gamma)
-        t = tau * max(float(np.mean(x)), 1e-30)
-        lam = np.exp(-(x - np.min(x)) / t)
-        lam /= np.sum(lam)
-        return _grad(w, s_users, gamma, lam)
+    def gradient(ev, tau):
+        x = ev[1]
+        return _softmin_ascent(ev, tau * max(x.sum() / len(x), 1e-30), gamma, s_conj)
 
-    def probes(w):
+    def probes(ev):
         # Single-user gradient directions, weakest user first. Users at
         # well-separated angles are near-orthogonal, so boosting one barely
         # perturbs the rest; these steps escape balanced saddle points where
         # the combined subgradient vanishes.
-        x = _snrs(w, s_users, gamma)
-        inner = s_users @ w
-        return [
-            gamma[u] * inner[u] * np.conj(s_users[u]) for u in np.argsort(x)
-        ]
+        return _single_target_directions(ev, gamma, s_conj)
 
-    if cfg.epsilon == 0.0:
-        w = anchor
-        converged = True
-    elif warm_start is not None:
-        # Refine from the near-optimal previous weights, but guard against
-        # the warm chain drifting into a stale basin with one anchored
-        # restart; keep whichever lands higher.
-        w, converged = _ascend(
-            warm_start.weights, objective, gradient, project, cfg, trace, probes,
-            tau0=0.05,
-        )
-        v = gamma @ np.conj(s_users)
-        peak = np.max(np.abs(v))
-        nudge = v / peak if peak > 0 else 0.0
-        w0 = _dither(anchor + 0.5 * min(cfg.epsilon, _STEP_INIT) * nudge,
-                     min(cfg.epsilon, 0.2) / 4.0)
-        w_cold, conv_cold = _ascend(w0, objective, gradient, project, cfg, probes=probes)
-        if objective(w_cold) > objective(w):
-            w, converged = w_cold, conv_cold
-        if objective(w) <= objective(anchor) + 1e-15:
-            w = anchor
+    def ascend(w0, trace=None, tau0=_TAU_INIT):
+        return _ascend(w0, evaluate, gradient, project, cfg, trace, probes, tau0)
+
+    f_anchor = evaluate(anchor)[0]
+    if eps == 0.0:
+        w, f, iterations, reason = anchor, f_anchor, 0, "anchor"
     else:
-        # Deterministic multi-start: nudge toward the users (the ascent
-        # would otherwise stall when the anchor is exactly orthogonal to
-        # every user) and dither off mirror-symmetric saddle manifolds.
-        v = gamma @ np.conj(s_users)
+        # Starts are nudged toward the users (the ascent would otherwise
+        # stall when the anchor is exactly orthogonal to every user) and
+        # dithered off mirror-symmetric saddle manifolds.
+        v = gamma @ s_conj
         peak = np.max(np.abs(v))
         nudge = v / peak if peak > 0 else 0.0
-        inits = [
-            _dither(anchor + 0.5 * min(cfg.epsilon, _STEP_INIT) * nudge,
-                    min(cfg.epsilon, 0.2) / 4.0),
-            _dither(anchor + min(cfg.epsilon, 0.5) * nudge,
-                    min(cfg.epsilon, 0.4)),
-            _dither(anchor, min(cfg.epsilon, 0.3)),
-        ]
-        w, converged, best = None, False, -math.inf
-        for w0 in inits:
-            w_i, conv_i = _ascend(w0, objective, gradient, project, cfg, trace, probes)
-            f_i = objective(w_i)
-            if f_i > best:
-                w, converged, best = w_i, conv_i, f_i
-        if objective(w) <= objective(anchor) + 1e-15:
-            w = anchor
+        near = _dither(anchor + 0.5 * min(eps, _STEP_INIT) * nudge, min(eps, 0.2) / 4.0)
+        if warm_start is not None:
+            # Refine from the near-optimal previous weights, but guard against
+            # the warm chain drifting into a stale basin with one anchored
+            # restart; keep whichever lands higher.
+            runs = [ascend(warm_start.weights, trace, tau0=0.05), ascend(near)]
+        else:
+            inits = [
+                near,
+                _dither(anchor + min(eps, 0.5) * nudge, min(eps, 0.4)),
+                _dither(anchor, min(eps, 0.3)),
+            ]
+            runs = [ascend(w0, trace) for w0 in inits]
+        # max() keeps the first of equal finals, so ties go to the earlier start.
+        w, f, iterations, reason = max(runs, key=lambda run: run[1])
+        if f <= f_anchor + 1e-15:
+            w, f = anchor, f_anchor
 
     return CodebookEntry(
         sensing_angle=target.angle,
         weights=Beamformer(w),
-        min_snr=objective(w),
-        converged=converged,
+        min_snr=f,
+        converged=reason != "max_iters",
+        iterations=iterations,
+        stop_reason=reason,
     )
 
 
@@ -645,6 +668,8 @@ def codebook_to_dict(codebook: Codebook, geometry: ArrayGeometry) -> dict:
                 "weights": [[float(c.real), float(c.imag)] for c in w],
                 "min_snr_db": snr_db,
                 "converged": e.converged,
+                "iterations": e.iterations,
+                "stop_reason": e.stop_reason,
             }
         )
     return {
@@ -679,6 +704,8 @@ def codebook_from_dict(d: dict) -> tuple[Codebook, ArrayGeometry]:
                 weights=Beamformer(w),
                 min_snr=min_snr,
                 converged=e["converged"],
+                iterations=e.get("iterations"),
+                stop_reason=e.get("stop_reason"),
             )
         )
     return Codebook(entries=tuple(entries), users=users), geometry

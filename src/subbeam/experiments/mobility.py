@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..arrays import ArrayGeometry, beamforming_gain, effective_snr, steering_vector
+from ..arrays import (
+    FIELD_OF_VIEW_DEG,
+    ArrayGeometry,
+    beamforming_gain,
+    effective_snr,
+    steering_vector,
+)
 from ..codebook import (
     Codebook,
     OptimizerConfig,
@@ -26,8 +32,6 @@ from ..codebook import (
 )
 
 __all__ = ["MobilityScenario", "run_mobility", "default_sweep_scenario"]
-
-FIELD_OF_VIEW_DEG = 60.0
 
 
 @dataclass(frozen=True)

@@ -292,16 +292,13 @@ def build_predistortion_plan(
     data_beam: Beamformer,
     users,
     geometry: ArrayGeometry,
-    phase_align: bool = False,
 ) -> PredistortionPlan:
     """Gain-ratio factors for each sub-symbol beam.
 
     The simulated channel applies magnitude beam gains, so amplitude-only
-    factors make the received DMRS level match the data symbols exactly;
-    ``phase_align`` additionally rotates each window onto the data beam's
-    user-averaged complex response, which only matters for receivers that
-    model the full complex array response. With no users there is nothing
-    to compensate and the identity plan is returned.
+    factors make the received DMRS level match the data symbols exactly,
+    and the plan's phases stay zero. With no users there is nothing to
+    compensate and the identity plan is returned.
     """
     m_beams = len(dmrs_beams)
     if not users:
@@ -310,7 +307,6 @@ def build_predistortion_plan(
     inner_data = s_users @ data_beam.weights
     g_data = np.abs(inner_data) ** 2
     amplitude = np.empty(m_beams)
-    phase = np.zeros(m_beams)
     for m, beam in enumerate(dmrs_beams):
         inner = s_users @ beam.weights
         g_sum = float(np.sum(np.abs(inner) ** 2))
@@ -320,9 +316,7 @@ def build_predistortion_plan(
                 "cannot form the pre-distortion ratio"
             )
         amplitude[m] = math.sqrt(float(np.sum(g_data)) / g_sum)
-        if phase_align:
-            phase[m] = float(np.angle(np.sum(np.conj(inner) * inner_data)))
-    return PredistortionPlan(amplitude=amplitude, phase=phase)
+    return PredistortionPlan(amplitude=amplitude)
 
 
 def predistort_dmrs(

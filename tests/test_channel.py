@@ -244,3 +244,58 @@ class TestSceneIo:
         bad = {"users": [{"angle_deg": 0.0, "path": {"delay_samples": 1, "delay_meters": 2.0}}]}
         with pytest.raises(ValueError):
             scene_from_dict(bad, NUM.sample_rate)
+
+
+def _tx_amplitude_per_row(plan, geometry, azimuth):
+    """Every DMRS row's beam gains recomputed, as the plan first did it."""
+    from subbeam.arrays import beamforming_gain
+
+    num, sched = plan.numerology, plan.schedule
+    amp = np.full(num.slot_len, math.sqrt(beamforming_gain(plan.data_beam, geometry, azimuth)))
+    body = np.empty(num.fft_size)
+    for row, pos in enumerate(num.dmrs_positions()):
+        gains = [math.sqrt(beamforming_gain(b, geometry, azimuth)) for b in plan.dmrs_beams[row]]
+        for m in range(sched.num_beams):
+            body[sched.window(m)] = gains[m]
+        if sched.unused_tail:
+            body[sched.num_beams * sched.sub_len:] = gains[-1]
+        amp[num.symbol_slice(pos)] = np.concatenate([body[-num.cp_length:], body])
+    return amp
+
+
+class TestTxAmplitude:
+    def _plans(self):
+        beams = [conjugate_beam(GEO, math.radians(a)) for a in (-20, -7, 3, 14, 25)]
+        data = conjugate_beam(GEO, math.radians(5))
+        sched = SubSymbolSchedule.for_numerology(NUM, len(beams))
+        uniform = SlotBeamPlan.uniform(NUM, sched, beams, data)
+        rows = len(NUM.dmrs_positions())
+        mixed = SlotBeamPlan(
+            NUM, sched, tuple(tuple(beams[r:] + beams[:r]) for r in range(rows)), beams[0]
+        )
+        return uniform, mixed
+
+    def test_bit_identical_to_per_row_gains(self):
+        for plan in self._plans():
+            for az in (math.radians(-12.0), 0.0, math.radians(31.0)):
+                assert np.array_equal(
+                    plan.tx_amplitude(GEO, az), _tx_amplitude_per_row(plan, GEO, az)
+                )
+
+    def test_each_distinct_beam_gain_computed_once(self, monkeypatch):
+        import subbeam.channel as channel
+
+        calls = []
+        gain = channel.beamforming_gain
+
+        def counted(beam, *args):
+            calls.append(id(beam))
+            return gain(beam, *args)
+
+        monkeypatch.setattr(channel, "beamforming_gain", counted)
+        uniform, mixed = self._plans()
+        uniform.tx_amplitude(GEO, 0.1)
+        assert len(calls) == 5 + 1  # five sweep beams and a separate data beam
+        calls.clear()
+        mixed.tx_amplitude(GEO, 0.1)
+        assert len(calls) == 5  # the data beam is one of the sweep beams

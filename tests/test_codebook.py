@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import seed_codebook
+from subbeam import codebook
 from subbeam.arrays import ArrayGeometry, beamforming_gain, conjugate_beam, steering_vector
 from subbeam.codebook import (
     Codebook,
@@ -117,13 +119,118 @@ class TestMaxMin:
         g_users = [db(beamforming_gain(entry.weights, GEO16, u.angle)) for u in TWO_USERS]
         assert abs(g_users[0] - g_users[1]) < 1.0
 
+    def test_anchor_entries_report_anchor(self):
+        for users, cfg in ((TWO_USERS, OptimizerConfig(epsilon=0.0)), ([], OptimizerConfig())):
+            entry = optimize_max_min(users, BROADSIDE, GEO16, cfg)
+            assert (entry.iterations, entry.stop_reason, entry.converged) == (0, "anchor", True)
+
+    def test_stop_reason_matches_converged(self):
+        cfg = OptimizerConfig(epsilon=0.5, max_iters=20)
+        capped = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, cfg)
+        assert (capped.stop_reason, capped.iterations, capped.converged) == ("max_iters", 20, False)
+        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
+        assert entry.stop_reason in ("grad", "stationary", "stalled")
+        assert entry.converged and 0 < entry.iterations < 2000
+
     def test_close_user_angles_warn(self):
         users = [UserLink(math.radians(10.0), 1.0), UserLink(math.radians(11.0), 1.0)]
         with pytest.warns(UserWarning, match="HPBW"):
             optimize_max_min(users, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
 
 
+def _layout(n_users, offset_deg):
+    """Users spread over +/-50 deg, with unequal base SNRs."""
+    angles = np.linspace(-50.0, 50.0, n_users) + offset_deg
+    return [UserLink(math.radians(a), 1.0 + 0.25 * i) for i, a in enumerate(angles)]
+
+
+def _same_entry(new, old):
+    assert np.array_equal(new.weights.weights, old.weights.weights)
+    assert new.min_snr == old.min_snr
+    assert new.converged == old.converged
+
+
+class TestEngineEquivalence:
+    """The cached engine against a verbatim copy of the first solver (``seed_codebook``).
+
+    With the stall threshold set back to the first solver's 1e-9, every
+    iterate must match bit for bit, traces included.
+    """
+
+    @pytest.fixture(autouse=True)
+    def seed_stall_rule(self, monkeypatch):
+        monkeypatch.setattr(codebook, "_STALL_REL", 1e-9)
+
+    @pytest.mark.parametrize("n_elements,n_users", [(16, 2), (32, 4), (48, 6)])
+    def test_max_min_cold_and_warm(self, n_elements, n_users):
+        geo = ArrayGeometry.ula(n_elements)
+        users = _layout(n_users, 1.0)
+        target = SensingTarget(math.radians(-4.0))
+        cfg = OptimizerConfig(epsilon=0.5)
+        trace_new, trace_old = [], []
+        new = optimize_max_min(users, target, geo, cfg, trace=trace_new)
+        old = seed_codebook.optimize_max_min(users, target, geo, cfg, trace=trace_old)
+        _same_entry(new, old)
+        assert trace_new == trace_old
+
+        moved = _layout(n_users, 1.4)
+        trace_new, trace_old = [], []
+        new_w = optimize_max_min(moved, target, geo, cfg, new.weights, trace_new)
+        old_w = seed_codebook.optimize_max_min(moved, target, geo, cfg, old.weights, trace_old)
+        _same_entry(new_w, old_w)
+        assert trace_new == trace_old
+
+    def test_zero_radius_and_no_users(self):
+        for users, cfg in ((TWO_USERS, OptimizerConfig(epsilon=0.0)), ([], OptimizerConfig())):
+            _same_entry(
+                optimize_max_min(users, BROADSIDE, GEO16, cfg),
+                seed_codebook.optimize_max_min(users, BROADSIDE, GEO16, cfg),
+            )
+
+    @pytest.mark.parametrize("sensing_weight", [0.0, 1.0])
+    def test_weighted_sum(self, sensing_weight):
+        # A short cap keeps the fair-point seeding cheap and also exercises
+        # the max_iters stop.
+        cfg = OptimizerConfig(sensing_weight=sensing_weight, max_iters=500)
+        target = SensingTarget(math.radians(6.0), 2.0)
+        users = _layout(2, -3.0)
+        trace_new, trace_old = [], []
+        new = optimize_weighted_sum(users, target, GEO16, cfg, trace_new)
+        old = seed_codebook.optimize_weighted_sum(users, target, GEO16, cfg, trace_old)
+        assert np.array_equal(new.weights, old.weights)
+        assert trace_new == trace_old
+
+
+class TestStallStop:
+    def test_creeping_solve_stops_stalled_near_capped_result(self):
+        # At -1.5 deg the first solver's winning start creeps along the
+        # max-min kink to max_iters.
+        target = SensingTarget(math.radians(-1.5))
+        users = [UserLink(math.radians(-30.0), 1.0), UserLink(math.radians(30.0), 1.0)]
+        cfg = OptimizerConfig()
+        old = seed_codebook.optimize_max_min(users, target, GEO16, cfg)
+        assert not old.converged
+        new = optimize_max_min(users, target, GEO16, cfg)
+        assert new.stop_reason == "stalled" and new.converged
+        assert new.iterations < cfg.max_iters
+        assert abs(db(new.min_snr) - db(old.min_snr)) < 0.01
+
+
 class TestCodebookBuildUpdate:
+    def test_one_max_min_call_per_entry(self, monkeypatch):
+        # The benchmark times each entry's solve through this module global.
+        calls = []
+        solve = codebook.optimize_max_min
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].angle)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(codebook, "optimize_max_min", counted)
+        sweep = [math.radians(a) for a in (-10, 0, 10)]
+        build_codebook(TWO_USERS, sweep, 1.0, GEO16, OptimizerConfig(epsilon=0.5))
+        assert calls == sweep
+
     def test_build_sizes_and_angles(self):
         sweep = [math.radians(a) for a in (0, 5, 10, 15)]
         cb = build_codebook(TWO_USERS, sweep, 1.0, GEO16, OptimizerConfig(epsilon=0.5))
@@ -253,6 +360,25 @@ class TestSerialization:
         for e1, e2 in zip(cb.entries, loaded.entries):
             assert np.allclose(e1.weights.weights, e2.weights.weights, atol=1e-12)
             assert e2.min_snr == pytest.approx(e1.min_snr, rel=1e-9)
+
+    def test_solver_telemetry_round_trip(self, tmp_path):
+        cb = build_codebook(TWO_USERS, [0.0, math.radians(5.0)], 1.0, GEO16, OptimizerConfig())
+        path = tmp_path / "cb.json"
+        save_codebook(path, cb, GEO16)
+        loaded, _ = load_codebook(path)
+        for e1, e2 in zip(cb.entries, loaded.entries):
+            assert (e2.iterations, e2.stop_reason) == (e1.iterations, e1.stop_reason)
+            assert isinstance(e2.iterations, int) and e2.stop_reason is not None
+
+    def test_file_without_telemetry_loads(self):
+        cb = build_codebook(TWO_USERS, [0.0], 1.0, GEO16, OptimizerConfig())
+        d = codebook_to_dict(cb, GEO16)
+        for e in d["entries"]:
+            del e["iterations"], e["stop_reason"]
+        loaded, _ = codebook_from_dict(d)
+        entry = loaded.entries[0]
+        assert entry.iterations is None and entry.stop_reason is None
+        assert entry.converged == cb.entries[0].converged
 
     def test_infinite_sentinel_round_trip(self, tmp_path):
         cb = build_codebook([], [0.0], 1.0, GEO16, OptimizerConfig())
