@@ -12,7 +12,12 @@ Both run on one engine, ``_ascend``: monotone projected gradient ascent
 with deterministic backtracking (halving from 0.1, or from twice the last
 accepted step). The max-min objective is smoothed by a softmin whose
 temperature anneals toward zero, which makes the kinked objective
-differentiable during early iterations and exact at convergence. Each
+differentiable during early iterations and exact at convergence. While the
+temperature anneals, the line search runs along the gradient ``g``; at the
+final temperature it runs along the feasible direction
+``P(w + 0.1 g) - w`` (gradient projection along the feasible direction,
+Bertsekas, Nonlinear Programming, 2nd ed., sec. 2.3), the same vector the
+``grad`` stop test measures, so the search costs no extra projection. Each
 objective evaluation hands back the inner products ``s @ w`` and SNRs it
 computed, and the next gradient and probe directions reuse them, so every
 trial point is evaluated once. The weighted-sum solver and
@@ -20,11 +25,13 @@ trial point is evaluated once. The weighted-sum solver and
 rounds without step memory, to find balanced starting allocations.
 
 At the final temperature an ascent stops when the projected gradient is
-below ``grad_tol`` (``grad``), when no step along the gradient or any probe
-improves (``stationary``), or when 50 consecutive iterations each gain less
-than 1e-4 relative (about 0.0004 dB) over the stall mark (``stalled``);
-otherwise it runs to ``max_iters``. Codebook entries record the winning
-start's iteration count and stop reason (``anchor`` when no ascent ran).
+below ``grad_tol`` (``grad``), when no step along the feasible direction
+or any probe improves (``stationary``), or when 50 consecutive iterations
+each gain less than 1e-4 relative (about 0.0004 dB) over the stall mark
+(``stalled``); otherwise it runs to ``max_iters``. Codebook entries record
+the winning start's iteration count and stop reason (``anchor`` when no
+ascent ran), and ``update_codebook`` sums both over the entries it
+re-optimizes.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import json
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,9 +156,14 @@ class Codebook:
 
 @dataclass
 class UpdateStats:
+    """Reuse decisions of one update, with the re-optimized entries' solver
+    telemetry: stop-reason counts and winning-start iterations summed."""
+
     reused: int = 0
     reoptimized: int = 0
     entry_seconds: list[float] = field(default_factory=list)
+    stop_reasons: Counter = field(default_factory=Counter)
+    iterations: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -330,6 +343,11 @@ def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None,
     (sub)gradient can vanish at saddle points that single-target directions
     escape.
 
+    Until the temperature reaches ``_TAU_MIN`` the line search runs along
+    the gradient; from then on it runs along the feasible direction
+    ``project(w + _STEP_INIT * g) - w``, the vector whose norm the ``grad``
+    stop tests. Both directions are scaled to a unit largest element.
+
     Returns ``(w, f, iterations, stop_reason)``. Every stop but
     ``max_iters`` happens at the final temperature: ``grad`` (projected
     gradient norm below ``cfg.grad_tol``), ``stationary`` (no improving step
@@ -348,8 +366,12 @@ def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None,
     for it in range(1, cfg.max_iters + 1):
         g = gradient(ev, tau)
         if at_final_tau:
-            r = project(w + _STEP_INIT * g) - w
-            if math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) / _STEP_INIT < cfg.grad_tol:
+            # Search along the feasible direction P(w + s*g) - w, not g.
+            # Near the optimum most weights sit on the disk or ball boundary,
+            # where g points mostly outward: projection cancels most of each
+            # step along g, and the ascent creeps along the max-min kink.
+            g = project(w + _STEP_INIT * g) - w
+            if math.sqrt(g.real.dot(g.real) + g.imag.dot(g.imag)) / _STEP_INIT < cfg.grad_tol:
                 return w, f, it, "grad"
         d = _normalized_direction(g)
         hit = None if d is None else _line_search(w, f, d, evaluate, project, step_mem)
@@ -618,12 +640,13 @@ def update_codebook(
                 stats.reused += 1
             else:
                 target = SensingTarget(entry.sensing_angle)
-                new_entries.append(
-                    optimize_max_min(
-                        moved_users, target, geometry, cfg, warm_start=entry.weights
-                    )
+                fresh = optimize_max_min(
+                    moved_users, target, geometry, cfg, warm_start=entry.weights
                 )
+                new_entries.append(fresh)
                 stats.reoptimized += 1
+                stats.stop_reasons[fresh.stop_reason] += 1
+                stats.iterations += fresh.iterations
         stats.entry_seconds.append(time.perf_counter() - t0)
     return Codebook(entries=tuple(new_entries), users=tuple(moved_users)), stats
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..arrays import ArrayGeometry, beamforming_gain, conjugate_beam
-from ..channel import Scene, SlotBeamPlan, apply_downlink, apply_monostatic, default_rx_gain
+from ..channel import Scene, SlotBeamPlan, apply_monostatic, default_rx_gain
 from ..codebook import OptimizerConfig, build_codebook, design_data_beam
 from ..sensing import DelaySearchConfig, estimate_symbol_csi
 from ..waveform import (
@@ -22,12 +22,10 @@ from ..waveform import (
     PredistortionPlan,
     SubSymbolSchedule,
     build_predistortion_plan,
-    demodulate_and_score,
     generate_slot,
     predistort_dmrs,
-    slot_user_csi,
 )
-from .link import genie_csi
+from .link import check_reflector_delays, score_user
 
 __all__ = ["run_baseline", "BASELINE_MODES"]
 
@@ -79,6 +77,7 @@ def run_baseline(
     users = [su.link for su in scene.users]
     if not users:
         raise ValueError("baselines need at least one user")
+    check_reflector_delays(scene, search)
 
     if mode == "subf":
         beam = conjugate_beam(geometry, users[0].angle)
@@ -105,19 +104,7 @@ def run_baseline(
     per_user = []
     for u_idx, su in enumerate(scene.users):
         noise = _conjugate_reference_noise(su, geometry, numerology, snr_db)
-        user_scene = Scene(users=scene.users, noise_power=noise, self_interference_inr_db=None)
-        rx_u = apply_downlink(tx, bplan, su, geometry, user_scene, seed=seed + u_idx)
-        csi = slot_user_csi(rx_u, reference, numerology)
-        rx_grids = np.array(
-            [
-                np.fft.fft(rx_u[numerology.symbol_slice(p, include_cp=False)])
-                for p in numerology.data_positions()
-            ]
-        )
-        est = demodulate_and_score(rx_grids, reference, csi)
-        gen = demodulate_and_score(
-            rx_grids, reference, genie_csi(data_beam, geometry, su, numerology)
-        )
+        est, gen = score_user(tx, reference, bplan, su, geometry, noise, seed + u_idx)
         per_user.append(
             {
                 "user": u_idx,

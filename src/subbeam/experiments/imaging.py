@@ -18,6 +18,7 @@ from ..channel import Scene, SlotBeamPlan, apply_monostatic, default_rx_gain
 from ..codebook import OptimizerConfig, optimize_max_min, SensingTarget
 from ..sensing import DelaySearchConfig, estimate_symbol_csi, extract_features
 from ..waveform import Numerology, PredistortionPlan, SubSymbolSchedule, generate_slot
+from .link import check_reflector_delays
 
 __all__ = ["ImagingGrid", "air_time", "run_imaging"]
 
@@ -92,6 +93,7 @@ def run_imaging(
     ripple of a single snapshot; the air-time figures always describe one
     sweep.
     """
+    check_reflector_delays(scene, search)
     az_angles = np.asarray(az_angles, dtype=float)
     el_angles = np.asarray(el_angles, dtype=float)
     users = [su.link for su in scene.users]

@@ -29,7 +29,8 @@ from ..waveform import (
     slot_user_csi,
 )
 
-__all__ = ["LinkResult", "noise_power_for_user_snr", "genie_csi", "run_link"]
+__all__ = ["LinkResult", "noise_power_for_user_snr", "genie_csi", "check_reflector_delays",
+           "score_user", "run_link"]
 
 
 @dataclass
@@ -76,6 +77,42 @@ def genie_csi(
     return math.sqrt(g) * user.path.coefficient * ramp
 
 
+def check_reflector_delays(scene: Scene, search: DelaySearchConfig) -> None:
+    """Raise ValueError when a reflector's delay lies outside the delay search."""
+    for i, r in enumerate(scene.reflectors):
+        search.check_delay(r.path.delay_samples, f"reflector {r.label or i}")
+
+
+def score_user(
+    tx: SlotWaveform,
+    reference: SlotWaveform,
+    plan: SlotBeamPlan,
+    user: SceneUser,
+    geometry: ArrayGeometry,
+    noise_power: float,
+    seed: int,
+) -> tuple[dict, dict]:
+    """Receive one slot at one user and score its data symbols.
+
+    The downlink adds AWGN of ``noise_power`` drawn from ``seed``. Returns
+    the ``demodulate_and_score`` results with the CSI estimated from the
+    slot's DMRS and with genie CSI for the plan's data beam, both on the
+    same received samples.
+    """
+    numerology = reference.numerology
+    noise_scene = Scene(noise_power=noise_power, self_interference_inr_db=None)
+    rx = apply_downlink(tx, plan, user, geometry, noise_scene, seed=seed)
+    rx_grids = np.array(
+        [
+            np.fft.fft(rx[numerology.symbol_slice(p, include_cp=False)])
+            for p in numerology.data_positions()
+        ]
+    )
+    est = demodulate_and_score(rx_grids, reference, slot_user_csi(rx, reference, numerology))
+    genie = genie_csi(plan.data_beam, geometry, user, numerology)
+    return est, demodulate_and_score(rx_grids, reference, genie)
+
+
 def run_link(
     scene: Scene,
     geometry: ArrayGeometry,
@@ -97,6 +134,7 @@ def run_link(
     EVM is reported for the estimated CSI and for genie CSI on the same
     received samples.
     """
+    check_reflector_delays(scene, search)
     users = [su.link for su in scene.users]
     if codebook is None:
         codebook = build_codebook(users, sweep, 1.0, geometry, cfg)
@@ -117,7 +155,6 @@ def run_link(
         for _ in scene.users
     ]
     sensing_rows: list[dict] = []
-    data_pos = numerology.data_positions()
 
     for slot_idx in range(num_slots):
         reference = generate_slot(numerology, modulation, seed=seed + 1000 * slot_idx)
@@ -154,22 +191,9 @@ def run_link(
         # Communication side (per-user noise)
         for u_idx, su in enumerate(scene.users):
             noise = noise_power_for_user_snr(snr_db, data_beam, geometry, su, numerology)
-            user_scene = Scene(
-                users=scene.users, noise_power=noise, self_interference_inr_db=None
+            est, gen = score_user(
+                tx, reference, bplan, su, geometry, noise, seed + 104729 * slot_idx + u_idx
             )
-            rx_u = apply_downlink(
-                tx, bplan, su, geometry, user_scene, seed=seed + 104729 * slot_idx + u_idx
-            )
-            csi_est = slot_user_csi(rx_u, reference, numerology)
-            csi_gen = genie_csi(data_beam, geometry, su, numerology)
-            rx_grids = np.array(
-                [
-                    np.fft.fft(rx_u[numerology.symbol_slice(p, include_cp=False)])
-                    for p in data_pos
-                ]
-            )
-            est = demodulate_and_score(rx_grids, reference, csi_est)
-            gen = demodulate_and_score(rx_grids, reference, csi_gen)
             acc = per_user_acc[u_idx]
             acc["evm_sq_est"] += (est["evm_percent"] / 100.0) ** 2
             acc["evm_sq_genie"] += (gen["evm_percent"] / 100.0) ** 2

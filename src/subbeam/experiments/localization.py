@@ -174,12 +174,7 @@ def run_localization(
                 f"{rows} training rows < {columns} columns (3*beams+1)"
             )
     for distance_m in (*distances_m, angle_task_distance_m):
-        delay = round_trip_delay(distance_m)
-        if delay >= cfg_search.num_candidates:
-            raise ValueError(
-                f"distance {float(distance_m)} m has round-trip delay {delay} samples, "
-                f"beyond the {cfg_search.num_candidates} delay candidates"
-            )
+        cfg_search.check_delay(round_trip_delay(distance_m), f"distance {float(distance_m)} m")
 
     beams = [conjugate_beam(geometry, math.radians(a)) for a in sweep_deg]
     schedule = SubSymbolSchedule.for_numerology(numerology, len(beams))

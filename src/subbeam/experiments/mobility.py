@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -125,6 +126,8 @@ def run_mobility(
     reuse_ticks = []
     total_reused = 0
     total_reoptimized = 0
+    stop_reasons = Counter()
+    solver_iterations = 0
     wall_times = []
     for tick in range(1, scenario.num_ticks + 1):
         t = tick * scenario.tick_interval
@@ -133,6 +136,8 @@ def run_mobility(
             codebook, stats = update_codebook(codebook, moved, geometry, cfg)
         total_reused += stats.reused
         total_reoptimized += stats.reoptimized
+        stop_reasons.update(stats.stop_reasons)
+        solver_iterations += stats.iterations
         wall_times.append(stats.total_seconds)
         entry = codebook.entries[0]
         records.append(
@@ -198,6 +203,8 @@ def run_mobility(
             "ticks": ticks,
             "entries_reused": total_reused,
             "entries_reoptimized": total_reoptimized,
+            "reoptimized_stop_reasons": dict(stop_reasons),
+            "reoptimized_iterations": solver_iterations,
             "reoptimized_tick_fraction": reopt_ticks / ticks,
             "update_wall_seconds": wall_times,
         },

@@ -75,6 +75,15 @@ class DelaySearchConfig:
         rms = np.sqrt(np.mean(mag**2, axis=-1, keepdims=True))
         return mag > np.maximum(TX_MAGNITUDE_FLOOR, self.min_tx_fraction * rms)
 
+    def check_delay(self, delay: int, what: str) -> None:
+        """Raise ValueError when a round-trip ``delay`` (samples) lies outside
+        the candidates: the search would report the last candidate instead."""
+        if delay >= self.num_candidates:
+            raise ValueError(
+                f"{what} has round-trip delay {delay} samples, "
+                f"beyond the {self.num_candidates} delay candidates"
+            )
+
 
 @dataclass(frozen=True)
 class LineFit:

@@ -1,9 +1,11 @@
 """The projected-ascent solvers of ``subbeam.codebook`` as first written.
 
 Kept verbatim (absolute stall test ``stall_mark * (1 + 1e-9)``, no cached
-evaluation) as the oracle for the engine-equivalence tests: with its stall
-threshold set to 1e-9, the package's engine must reproduce these iterates
-bit for bit.
+evaluation, line search along the raw gradient at every temperature) as the
+oracle for the engine-equivalence tests: the package's engine must
+reproduce these iterates bit for bit through the annealing phase, and from
+the final temperature on, where it searches along the projected-gradient
+step instead, reach the same objective within the solver tolerance.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Experiment-harness tests on reduced-size scenarios."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -215,6 +216,28 @@ class TestMobility:
         out = run_mobility(scenario, [1.0, 1.0], [0.0], self.GEO, OptimizerConfig())
         assert out["stats"]["entries_reoptimized"] == 0
         assert out["stats"]["reoptimized_tick_fraction"] == 0.0
+        assert out["stats"]["reoptimized_stop_reasons"] == {}
+        assert out["stats"]["reoptimized_iterations"] == 0
+
+    def test_solver_telemetry_of_reoptimized_entries(self, monkeypatch):
+        from subbeam import codebook
+
+        solved = []
+        solve = codebook.optimize_max_min
+
+        def recorded(*args, **kwargs):
+            entry = solve(*args, **kwargs)
+            if kwargs.get("warm_start") is not None:
+                solved.append(entry)
+            return entry
+
+        monkeypatch.setattr(codebook, "optimize_max_min", recorded)
+        scenario = default_sweep_scenario(duration=0.1, tick_interval=5e-3)
+        cfg = OptimizerConfig(epsilon=0.5, snr_match_tol=2.0)
+        stats = run_mobility(scenario, [1.0] * 4, [0.0], self.GEO, cfg)["stats"]
+        assert stats["entries_reoptimized"] == len(solved) > 0
+        assert stats["reoptimized_stop_reasons"] == Counter(e.stop_reason for e in solved)
+        assert stats["reoptimized_iterations"] == sum(e.iterations for e in solved)
 
     def test_short_sweep_behaves(self):
         scenario = default_sweep_scenario(duration=0.5, tick_interval=5e-3)
@@ -270,6 +293,77 @@ class TestBaselines:
             run_baseline(
                 "other", self._scene(), 0.0, [0.0], self.GEO, NUM,
                 OptimizerConfig(), SEARCH, 30.0, "64QAM", seed=1,
+            )
+
+
+class TestReflectorDelayCheck:
+    """A reflector delay past the last candidate fails before any solve."""
+
+    GEO = ArrayGeometry.ula(16)
+
+    @staticmethod
+    def _no_solver(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a beamformer was solved before the input check")
+
+        for name in (
+            "subbeam.experiments.link.build_codebook",
+            "subbeam.experiments.link.design_data_beam",
+            "subbeam.experiments.baselines.build_codebook",
+            "subbeam.experiments.baselines.design_data_beam",
+            "subbeam.experiments.imaging.optimize_max_min",
+        ):
+            monkeypatch.setattr(name, fail)
+
+    @staticmethod
+    def _scene(delay):
+        return Scene(
+            users=(
+                SceneUser(UserLink(math.radians(-30), 1.0), PathModel(1.0, 0.2, 3)),
+                SceneUser(UserLink(math.radians(30), 1.0), PathModel(1.0, -0.4, 4)),
+            ),
+            reflectors=(
+                Reflector(0.0, PathModel(0.6, 0.5, 5), label="near"),
+                Reflector(0.1, PathModel(0.6, 0.5, delay), label="far"),
+            ),
+            noise_power=1e-8,
+            self_interference_inr_db=None,
+        )
+
+    def test_link(self, monkeypatch):
+        self._no_solver(monkeypatch)
+        with pytest.raises(ValueError, match="reflector far has round-trip delay 10 samples"):
+            run_link(
+                self._scene(10), self.GEO, [0.0], NUM, OptimizerConfig(), SEARCH,
+                snr_db=30.0, modulation="QPSK", seed=1,
+            )
+
+    @pytest.mark.parametrize("mode", ["subf", "fixed", "switched"])
+    def test_baseline(self, monkeypatch, mode):
+        self._no_solver(monkeypatch)
+        with pytest.raises(ValueError, match="reflector far has round-trip delay 12 samples"):
+            run_baseline(
+                mode, self._scene(12), 0.0, [0.0], self.GEO, NUM,
+                OptimizerConfig(), SEARCH, 30.0, "QPSK", seed=1,
+            )
+
+    def test_imaging(self, monkeypatch):
+        self._no_solver(monkeypatch)
+        az = np.radians([-2.0, 0.0, 2.0])
+        with pytest.raises(ValueError, match="beyond the 10 delay candidates"):
+            run_imaging(
+                self._scene(10), az, az, NUM, ArrayGeometry.planar(8, 8), 34,
+                OptimizerConfig(), SEARCH, seed=1,
+            )
+
+    def test_last_candidate_accepted(self, monkeypatch):
+        # Delay 9 is the last of candidates 0..9: the check passes and the
+        # run reaches the (patched) solver.
+        self._no_solver(monkeypatch)
+        with pytest.raises(AssertionError, match="solved before the input check"):
+            run_baseline(
+                "fixed", self._scene(9), 0.0, [0.0], self.GEO, NUM,
+                OptimizerConfig(), SEARCH, 30.0, "QPSK", seed=1,
             )
 
 
