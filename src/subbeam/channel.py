@@ -241,6 +241,27 @@ def default_rx_gain(n_az: int = 4, n_el: int = 4, spacing: float = 0.5):
 # ---------------------------------------------------------------------------
 
 
+# The keys scene_from_dict reads: of the scene, of each user or reflector, of a path.
+_SCENE_KEYS = ("users", "reflectors", "noise_power", "noise_power_db", "self_interference_inr_db")
+_ITEM_KEYS = {
+    "users": ("angle_deg", "base_snr", "base_snr_db", "path"),
+    "reflectors": ("azimuth_deg", "elevation_deg", "path", "label"),
+}
+_PATH_KEYS = ("delay_samples", "delay_meters", "attenuation_db", "phase_deg")
+
+
+def _check_scene_keys(d: dict) -> None:
+    """Raise ValueError naming every key of a scene dict that nothing reads."""
+    objects = [("", d, _SCENE_KEYS)]
+    for kind, keys in _ITEM_KEYS.items():
+        for i, item in enumerate(d.get(kind, [])):
+            objects.append((f"{kind}[{i}].", item, keys))
+            objects.append((f"{kind}[{i}].path.", item.get("path", {}), _PATH_KEYS))
+    unknown = [where + k for where, obj, keys in objects for k in obj if k not in keys]
+    if unknown:
+        raise ValueError(f"unknown scene key(s): {', '.join(unknown)}")
+
+
 def _path_from_dict(d: dict, sample_rate: float, round_trip: bool) -> PathModel:
     if ("delay_samples" in d) == ("delay_meters" in d):
         raise ValueError("specify exactly one of delay_samples / delay_meters")
@@ -257,6 +278,7 @@ def _path_from_dict(d: dict, sample_rate: float, round_trip: bool) -> PathModel:
 
 
 def scene_from_dict(d: dict, sample_rate: float) -> Scene:
+    _check_scene_keys(d)
     users = []
     for u in d.get("users", []):
         if "base_snr" in u:

@@ -37,52 +37,75 @@ from .experiments.mobility import MobilityScenario, default_sweep_scenario, run_
 from .experiments.tradeoff import epsilon_sweep
 from .runio import RunDir, fmt, write_csv, write_json, write_pgm
 from .sensing import DelaySearchConfig, OpCounter, estimate_beam_csi
-from .waveform import Numerology, SubSymbolSchedule, generate_slot
+from .waveform import Numerology, SubSymbolSchedule, generate_slot, write_iq
 
 DEFAULT_SEED = 1
 
+# The config schema: the keys read inside each section (optimizer, search and
+# numerology keys are fields of OptimizerConfig, DelaySearchConfig and
+# Numerology, localization keys are run_localization arguments), and every
+# top-level key some subcommand reads. One schema serves all subcommands
+# because configs are shared between them.
+CONFIG_SECTIONS = {
+    "geometry": {"layout", "num_elements", "planar_shape", "spacing"},
+    "numerology": {
+        "fft_size", "occupied_subcarriers", "cp_length", "sample_rate",
+        "symbols_per_slot", "dmrs_symbol_indices",
+    },
+    "optimizer": {"epsilon", "sensing_weight", "grad_tol", "max_iters", "snr_match_tol"},
+    "search": {"num_candidates"},
+    "localization": {"distances_m", "angles_deg", "slots_per_position", "sweep_deg", "noise_power"},
+    "mobility": {"waypoints", "duration", "tick_interval", "base_snrs", "validate_ticks"},
+}
+CONFIG_KEYS = {
+    *CONFIG_SECTIONS, "seed", "users", "sweep_deg", "scene", "scene_file", "target_base_snr",
+    "moved_users_deg", "codebook_file", "pattern_grid_deg", "sensing_angle_deg", "epsilons",
+    "num_beams", "snr_db", "modulation", "num_slots", "predistort", "save_iq", "modes",
+    "grid_deg", "candidate_grid", "repeats",
+}
 
-def _load_config(path: str | None) -> dict:
+
+def load_config(path: str | None) -> dict:
+    """Read a JSON config; raise ValueError naming every key no subcommand reads."""
     if not path:
         return {}
     with open(path) as f:
-        return json.load(f)
+        cfg = json.load(f)
+    unknown = [k for k in cfg if k not in CONFIG_KEYS] + [
+        f"{s}.{k}" for s, keys in CONFIG_SECTIONS.items() for k in cfg.get(s, {}) if k not in keys
+    ]
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    return cfg
 
 
-def _geometry(cfg: dict) -> ArrayGeometry:
-    g = cfg.get("geometry", {})
-    layout = g.get("layout", "ula")
-    if layout == "planar":
+def _given(section: dict, *keys: str) -> dict:
+    """The entries of ``keys`` that ``section`` sets, so callees keep their defaults."""
+    return {k: section[k] for k in keys if k in section}
+
+
+def _geometry(cfg: dict, default: dict | None = None) -> ArrayGeometry:
+    g = cfg.get("geometry", default or {})
+    spacing = _given(g, "spacing")
+    if g.get("layout", "ula") == "planar":
         n_az, n_el = g.get("planar_shape", [8, 8])
-        return ArrayGeometry.planar(n_az, n_el, g.get("spacing", 0.5))
-    return ArrayGeometry.ula(g.get("num_elements", 16), g.get("spacing", 0.5))
+        return ArrayGeometry.planar(n_az, n_el, **spacing)
+    return ArrayGeometry.ula(g.get("num_elements", 16), **spacing)
 
 
 def _numerology(cfg: dict) -> Numerology:
-    n = cfg.get("numerology", {})
-    kwargs = {}
-    for key in ("fft_size", "occupied_subcarriers", "cp_length", "sample_rate", "symbols_per_slot"):
-        if key in n:
-            kwargs[key] = n[key]
+    n = dict(cfg.get("numerology", {}))
     if "dmrs_symbol_indices" in n:
-        kwargs["dmrs_symbol_indices"] = frozenset(n["dmrs_symbol_indices"])
-    return Numerology(**kwargs)
+        n["dmrs_symbol_indices"] = frozenset(n["dmrs_symbol_indices"])
+    return Numerology(**n)
 
 
 def _optimizer(cfg: dict) -> OptimizerConfig:
-    o = cfg.get("optimizer", {})
-    return OptimizerConfig(
-        epsilon=o.get("epsilon", 0.5),
-        sensing_weight=o.get("sensing_weight", 1.0),
-        grad_tol=o.get("grad_tol", 1e-2),
-        max_iters=o.get("max_iters", 2000),
-        snr_match_tol=o.get("snr_match_tol", 1e-2),
-    )
+    return OptimizerConfig(**cfg.get("optimizer", {}))
 
 
 def _search(cfg: dict) -> DelaySearchConfig:
-    s = cfg.get("search", {})
-    return DelaySearchConfig(num_candidates=s.get("num_candidates", 10))
+    return DelaySearchConfig(**cfg.get("search", {}))
 
 
 def _users(cfg: dict) -> list[UserLink]:
@@ -125,11 +148,11 @@ def _print_codebook(codebook: Codebook, geometry: ArrayGeometry) -> None:
 
 
 def cmd_codebook(args, cfg: dict, seed: int) -> None:
-    run = RunDir(args.out)
     geometry = _geometry(cfg)
     opt = _optimizer(cfg)
     users = _users(cfg)
     sweep = _sweep(cfg)
+    run = RunDir(args.out)
     codebook = build_codebook(users, sweep, cfg.get("target_base_snr", 1.0), geometry, opt)
     save_codebook(run.file("codebook.json"), codebook, geometry)
     _print_codebook(codebook, geometry)
@@ -146,11 +169,11 @@ def cmd_codebook(args, cfg: dict, seed: int) -> None:
 
 
 def cmd_pattern(args, cfg: dict, seed: int) -> None:
-    run = RunDir(args.out)
     geometry = _geometry(cfg)
     opt = _optimizer(cfg)
     users = _users(cfg)
     sweep = _sweep(cfg)
+    run = RunDir(args.out)
     if "codebook_file" in cfg:
         codebook, geometry = load_codebook(cfg["codebook_file"])
     else:
@@ -174,10 +197,10 @@ def cmd_pattern(args, cfg: dict, seed: int) -> None:
 
 
 def cmd_tradeoff(args, cfg: dict, seed: int) -> None:
-    run = RunDir(args.out)
     geometry = _geometry(cfg)
     opt = _optimizer(cfg)
     users = _users(cfg)
+    run = RunDir(args.out)
     target = SensingTarget(math.radians(cfg.get("sensing_angle_deg", 0.0)))
     epsilons = cfg.get("epsilons", [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5])
     rows = epsilon_sweep(users, target, geometry, epsilons, opt)
@@ -198,13 +221,13 @@ def cmd_tradeoff(args, cfg: dict, seed: int) -> None:
 
 
 def cmd_simulate(args, cfg: dict, seed: int) -> None:
-    run = RunDir(args.out)
     geometry = _geometry(cfg)
     numerology = _numerology(cfg)
     opt = _optimizer(cfg)
     search = _search(cfg)
     scene = _scene(cfg, numerology)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
+    run = RunDir(args.out)
     result = run_link(
         scene,
         geometry,
@@ -215,8 +238,7 @@ def cmd_simulate(args, cfg: dict, seed: int) -> None:
         snr_db=cfg.get("snr_db", 30.0),
         modulation=cfg.get("modulation", "64QAM"),
         seed=seed,
-        num_slots=cfg.get("num_slots", 1),
-        predistort=cfg.get("predistort", True),
+        **_given(cfg, "num_slots", "predistort"),
     )
     write_csv(
         run.file("users.csv"),
@@ -242,20 +264,9 @@ def cmd_simulate(args, cfg: dict, seed: int) -> None:
     )
     save_codebook(run.file("codebook.json"), result.codebook, geometry)
     if cfg.get("save_iq", False):
-        from .waveform import (
-            SubSymbolSchedule,
-            build_predistortion_plan,
-            generate_slot,
-            predistort_dmrs,
-            write_iq,
-        )
-
-        reference = generate_slot(numerology, cfg.get("modulation", "64QAM"), seed=seed)
-        schedule = SubSymbolSchedule.for_numerology(numerology, len(result.codebook))
-        tx = predistort_dmrs(reference, schedule, result.plan)
         write_iq(
-            run.file("tx_slot.iq"), tx.samples, numerology,
-            extra={"modulation": tx.modulation, "num_beams": len(result.codebook)},
+            run.file("tx_slot.iq"), result.tx.samples, numerology,
+            extra={"modulation": result.tx.modulation, "num_beams": len(result.codebook)},
         )
     run.finish("simulate", _resolved(cfg, seed))
     for u in result.per_user:
@@ -266,13 +277,13 @@ def cmd_simulate(args, cfg: dict, seed: int) -> None:
 
 
 def cmd_baseline(args, cfg: dict, seed: int) -> None:
-    run = RunDir(args.out)
     geometry = _geometry(cfg)
     numerology = _numerology(cfg)
     opt = _optimizer(cfg)
     search = _search(cfg)
     scene = _scene(cfg, numerology)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
+    run = RunDir(args.out)
     sensing_angle = math.radians(cfg.get("sensing_angle_deg", 0.0))
     modes = cfg.get("modes", list(BASELINE_MODES))
     rows = []
@@ -306,19 +317,17 @@ def cmd_baseline(args, cfg: dict, seed: int) -> None:
 
 
 def cmd_image(args, cfg: dict, seed: int) -> None:
-    run = RunDir(args.out)
-    geometry = _geometry({"geometry": cfg.get("geometry", {"layout": "planar", "planar_shape": [8, 8]})})
+    geometry = _geometry(cfg, {"layout": "planar"})
     numerology = _numerology(cfg)
     opt = _optimizer(cfg)
     search = _search(cfg)
     scene = _scene(cfg, numerology)
+    num_beams = cfg.get("num_beams", 34)
     g = cfg.get("grid_deg", {"start": -15.0, "stop": 15.0, "count": 31})
     az = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     el = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
-    grid = run_imaging(
-        scene, az, el, numerology, geometry,
-        cfg.get("num_beams", 34), opt, search, seed,
-    )
+    run = RunDir(args.out)
+    grid = run_imaging(scene, az, el, numerology, geometry, num_beams, opt, search, seed)
     header = ["el_deg\\az_deg"] + [fmt(float(a)) for a in np.degrees(grid.az_angles)]
     rows = [
         [fmt(float(np.degrees(grid.el_angles[j])))] + [grid.power_db[j, i] for i in range(len(az))]
@@ -330,7 +339,7 @@ def cmd_image(args, cfg: dict, seed: int) -> None:
         run.file("imaging_stats.json"),
         {
             "pixels": int(len(az) * len(el)),
-            "beams_per_symbol": cfg.get("num_beams", 34),
+            "beams_per_symbol": num_beams,
             "slots_used": grid.slots_used,
             "air_time_ms": grid.air_time_ms,
             "air_time_ms_dmrs_counted": grid.air_time_ms_dmrs,
@@ -344,24 +353,11 @@ def cmd_image(args, cfg: dict, seed: int) -> None:
 
 
 def cmd_localize(args, cfg: dict, seed: int) -> None:
-    run = RunDir(args.out)
     geometry = _geometry(cfg)
     numerology = _numerology(cfg)
     search = _search(cfg)
-    loc = cfg.get("localization", {})
-    distances = loc.get("distances_m")
-    angles = loc.get("angles_deg")
-    result = run_localization(
-        geometry,
-        numerology,
-        search,
-        seed,
-        distances_m=distances,
-        angles_deg=angles,
-        slots_per_position=loc.get("slots_per_position", 25),
-        sweep_deg=loc.get("sweep_deg"),
-        noise_power=loc.get("noise_power", 1e-7),
-    )
+    run = RunDir(args.out)
+    result = run_localization(geometry, numerology, search, seed, **cfg.get("localization", {}))
     write_json(
         run.file("localization.json"),
         {
@@ -386,26 +382,20 @@ def cmd_localize(args, cfg: dict, seed: int) -> None:
 
 
 def cmd_mobility(args, cfg: dict, seed: int) -> None:
-    run = RunDir(args.out)
-    geometry = _geometry({"geometry": cfg.get("geometry", {"layout": "ula", "num_elements": 32})})
+    geometry = _geometry(cfg, {"num_elements": 32})
     opt = _optimizer(cfg)
     mob = cfg.get("mobility", {})
+    timing = _given(mob, "duration", "tick_interval")
     if "waypoints" in mob:
-        scenario = MobilityScenario(
-            waypoints=tuple(tuple(tuple(p) for p in wp) for wp in mob["waypoints"]),
-            tick_interval=mob.get("tick_interval", 5e-3),
-            duration=mob.get("duration", 10.0),
-        )
+        waypoints = tuple(tuple(tuple(p) for p in wp) for wp in mob["waypoints"])
+        scenario = MobilityScenario(waypoints, **timing)
     else:
-        scenario = default_sweep_scenario(
-            duration=mob.get("duration", 10.0),
-            tick_interval=mob.get("tick_interval", 5e-3),
-        )
+        scenario = default_sweep_scenario(**timing)
     base_snrs = mob.get("base_snrs", [1.0] * len(scenario.waypoints))
     sweep = _sweep(cfg, default_count=1)
+    run = RunDir(args.out)
     result = run_mobility(
-        scenario, base_snrs, sweep, geometry, opt,
-        validate_ticks=mob.get("validate_ticks", 0),
+        scenario, base_snrs, sweep, geometry, opt, **_given(mob, "validate_ticks")
     )
     n_users = len(scenario.waypoints)
     header = (
@@ -439,8 +429,8 @@ def cmd_mobility(args, cfg: dict, seed: int) -> None:
 
 
 def cmd_bench(args, cfg: dict, seed: int) -> None:
-    run = RunDir(args.out)
     numerology = _numerology(cfg)
+    run = RunDir(args.out)
     num_beams = cfg.get("num_beams", 34)
     schedule = SubSymbolSchedule.for_numerology(numerology, num_beams)
     slot = generate_slot(numerology, "QPSK", seed=seed)
@@ -509,7 +499,7 @@ def main(argv=None) -> int:
                 help="also write per-update wall times (non-deterministic)",
             )
     args = parser.parse_args(argv)
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
     COMMANDS[args.command](args, cfg, seed)
     return 0

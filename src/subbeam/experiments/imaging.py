@@ -60,8 +60,6 @@ def _pixel_beam(
     The planar weights are the separable product of the azimuth row weights
     and the conjugate elevation column taper.
     """
-    if geometry.layout != "planar":
-        raise ValueError("imaging requires a planar geometry")
     n_az, n_el = geometry.planar_shape
     if az_entries is None:
         return conjugate_beam(geometry, azimuth, elevation)
@@ -93,6 +91,8 @@ def run_imaging(
     ripple of a single snapshot; the air-time figures always describe one
     sweep.
     """
+    if geometry.layout != "planar":
+        raise ValueError("imaging requires a planar geometry")
     check_reflector_delays(scene, search)
     az_angles = np.asarray(az_angles, dtype=float)
     el_angles = np.asarray(el_angles, dtype=float)

@@ -38,8 +38,7 @@ class LinkResult:
     per_user: list[dict]
     sensing_rows: list[dict]
     codebook: Codebook
-    data_beam: Beamformer
-    plan: PredistortionPlan
+    tx: SlotWaveform  # slot 0 as transmitted
 
 
 def noise_power_for_user_snr(
@@ -125,7 +124,6 @@ def run_link(
     seed: int,
     num_slots: int = 1,
     predistort: bool = True,
-    codebook: Codebook | None = None,
 ) -> LinkResult:
     """Simulate ``num_slots`` slots over one scene and score both functions.
 
@@ -136,17 +134,13 @@ def run_link(
     """
     check_reflector_delays(scene, search)
     users = [su.link for su in scene.users]
-    if codebook is None:
-        codebook = build_codebook(users, sweep, 1.0, geometry, cfg)
+    codebook = build_codebook(users, sweep, 1.0, geometry, cfg)
     beams = codebook.beams()
     schedule = SubSymbolSchedule.for_numerology(numerology, len(beams))
-    if users:
-        data_beam = design_data_beam(users, geometry, cfg)
+    data_beam = design_data_beam(users, geometry, cfg) if users else beams[0]
+    plan = PredistortionPlan.identity(len(beams))
+    if users and predistort:
         plan = build_predistortion_plan(beams, data_beam, users, geometry)
-    else:
-        data_beam = beams[0]
-        plan = PredistortionPlan.identity(len(beams))
-    applied_plan = plan if predistort else PredistortionPlan.identity(len(beams))
     bplan = SlotBeamPlan.uniform(numerology, schedule, beams, data_beam)
     rx_gain = default_rx_gain()
 
@@ -158,7 +152,9 @@ def run_link(
 
     for slot_idx in range(num_slots):
         reference = generate_slot(numerology, modulation, seed=seed + 1000 * slot_idx)
-        tx = predistort_dmrs(reference, schedule, applied_plan) if users else reference
+        tx = predistort_dmrs(reference, schedule, plan) if users else reference
+        if slot_idx == 0:
+            first_tx = tx
 
         # Sensing side (monostatic, scene noise)
         rx_sense = apply_monostatic(
@@ -167,7 +163,7 @@ def run_link(
         for sym_row, pos in enumerate(numerology.dmrs_positions()):
             rx_body = rx_sense[numerology.symbol_slice(pos, include_cp=False)]
             results = estimate_symbol_csi(
-                rx_body, reference.symbol_body(pos), schedule, search, applied_plan
+                rx_body, reference.symbol_body(pos), schedule, search, plan
             )
             for m, res in enumerate(results):
                 feats = extract_features(res)
@@ -215,6 +211,5 @@ def run_link(
         per_user=per_user,
         sensing_rows=sensing_rows,
         codebook=codebook,
-        data_beam=data_beam,
-        plan=plan,
+        tx=first_tx,
     )

@@ -137,13 +137,6 @@ class SubSymbolSchedule:
     def unused_tail(self) -> int:
         return self.fft_size - self.num_beams * self.sub_len
 
-    def beam_of_sample(self, n: int) -> int | None:
-        """Window index owning body sample n, or None in the unused tail."""
-        if not 0 <= n < self.fft_size:
-            raise IndexError("sample outside the symbol body")
-        m = n // self.sub_len
-        return m if m < self.num_beams else None
-
     def window(self, m: int) -> slice:
         if not 0 <= m < self.num_beams:
             raise IndexError("beam index out of range")

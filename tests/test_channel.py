@@ -245,6 +245,18 @@ class TestSceneIo:
         with pytest.raises(ValueError):
             scene_from_dict(bad, NUM.sample_rate)
 
+    def test_unknown_keys_named_together(self):
+        bad = {
+            "users": [{"angle_deg": 0.0, "path": {"delay_samples": 1, "attenuation": -6}}],
+            "reflectors": [{"azimuth": 5.0, "path": {"delay_samples": 2}}],
+            "noise_powr": 1e-6,
+        }
+        with pytest.raises(ValueError) as err:
+            scene_from_dict(bad, NUM.sample_rate)
+        assert str(err.value) == (
+            "unknown scene key(s): noise_powr, users[0].path.attenuation, reflectors[0].azimuth"
+        )
+
 
 def _tx_amplitude_per_row(plan, geometry, azimuth):
     """Every DMRS row's beam gains recomputed, as the plan first did it."""

@@ -1,15 +1,23 @@
 """CLI exercise and output-determinism tests."""
 
+import dataclasses
 import filecmp
+import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from subbeam.cli import main
+from subbeam.cli import CONFIG_SECTIONS, load_config, main
+from subbeam.codebook import OptimizerConfig
+from subbeam.experiments.localization import run_localization
+from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
+from subbeam.sensing import DelaySearchConfig
+from subbeam.waveform import Numerology, generate_slot, read_iq
 
-from cli_cases import CASES, IMG_CFG, MOB_CFG, SIM_CFG
+from cli_cases import CASES, CODEBOOK_CFG, IMG_CFG, LOC_CFG, MOB_CFG, SIM_CFG
 
 def run_cmd(tmp_path, name, cfg, out, extra=()):
     cfg_path = tmp_path / f"{name}_{out}.json"
@@ -74,3 +82,109 @@ def test_image_pgm_well_formed(tmp_path):
     stats = json.loads((out / "imaging_stats.json").read_text())
     assert stats["pixels"] == 81
     assert stats["slots_used"] == 1
+
+
+def _with_scene(where, key, value):
+    """SIM_CFG with ``key`` set on the scene object reached by the ``where`` indices."""
+    scene = json.loads(json.dumps(SIM_CFG["scene"]))
+    obj = scene
+    for part in where:
+        obj = obj[part]
+    obj[key] = value
+    return {**SIM_CFG, "scene": scene}
+
+
+TYPOS = [
+    ("top", "simulate", {**SIM_CFG, "snr_dB": 20}, "snr_dB"),
+    ("geometry", "codebook", {**CODEBOOK_CFG, "geometry": {"num_element": 16}},
+     "geometry.num_element"),
+    ("numerology", "simulate", {**SIM_CFG, "numerology": {"fft_sise": 512}}, "numerology.fft_sise"),
+    ("optimizer", "codebook", {**CODEBOOK_CFG, "optimizer": {"epsilom": 0.3}}, "optimizer.epsilom"),
+    ("search", "simulate", {**SIM_CFG, "search": {"num_candidate": 12}}, "search.num_candidate"),
+    ("localization", "localize",
+     {**LOC_CFG, "localization": {**LOC_CFG["localization"], "noise": 1.0}},
+     "localization.noise"),
+    ("mobility", "mobility", {**MOB_CFG, "mobility": {"durration": 1.0}}, "mobility.durration"),
+    # Library knobs the config does not expose are rejected like typos.
+    ("min_tx_fraction", "simulate", {**SIM_CFG, "search": {"min_tx_fraction": 0.1}},
+     "search.min_tx_fraction"),
+    ("slot_duration_s", "image", {**IMG_CFG, "numerology": {"slot_duration_s": 1e-4}},
+     "numerology.slot_duration_s"),
+    ("angle_task_distance_m", "localize",
+     {**LOC_CFG, "localization": {**LOC_CFG["localization"], "angle_task_distance_m": 2.0}},
+     "localization.angle_task_distance_m"),
+    ("scene", "simulate", _with_scene((), "noise_powr_db", -80), "noise_powr_db"),
+    ("user", "simulate", _with_scene(("users", 1), "base_snr_dB", 3), "users[1].base_snr_dB"),
+    ("reflector", "baseline", _with_scene(("reflectors", 0), "elevation", 0),
+     "reflectors[0].elevation"),
+    ("path", "simulate", _with_scene(("reflectors", 0, "path"), "attenuation", -6),
+     "reflectors[0].path.attenuation"),
+]
+
+
+@pytest.mark.parametrize("name,cfg,key", [t[1:] for t in TYPOS], ids=[t[0] for t in TYPOS])
+def test_unknown_key_fails_before_any_work(tmp_path, monkeypatch, name, cfg, key):
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started before the config was checked")
+
+    for fn in ("build_codebook", "epsilon_sweep", "run_link", "run_baseline", "run_imaging",
+               "run_localization", "run_mobility"):
+        monkeypatch.setattr(f"subbeam.cli.{fn}", fail)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=r"unknown \w+ key\(s\).*: (.*, )?" + re.escape(key)):
+        main([name, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_unknown_key_named(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SIM_CFG, "sead": 1, "optimizer": {"epsilom": 0.3}}))
+    with pytest.raises(ValueError, match="sead, optimizer.epsilom$"):
+        load_config(str(cfg_path))
+
+
+def test_scene_file_keys_checked(tmp_path):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(_with_scene(("users", 0, "path"), "delay", 3)["scene"]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {k: v for k, v in SIM_CFG.items() if k != "scene"}
+    cfg_path.write_text(json.dumps({**cfg, "scene_file": str(scene_path)}))
+    with pytest.raises(ValueError, match=re.escape("users[0].path.delay")):
+        main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("name,cfg", CASES, ids=[c[0] for c in CASES])
+def test_case_configs_load(tmp_path, name, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert load_config(str(cfg_path)) == json.loads(json.dumps(cfg))
+
+
+def test_section_keys_are_parameters_of_their_callees():
+    # Sections are splatted into these callees; a key outside their
+    # parameters would pass the loader and then raise TypeError mid-run.
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert CONFIG_SECTIONS["optimizer"] <= fields(OptimizerConfig)
+    assert CONFIG_SECTIONS["search"] <= fields(DelaySearchConfig)
+    assert CONFIG_SECTIONS["numerology"] <= fields(Numerology)
+    assert CONFIG_SECTIONS["localization"] <= params(run_localization)
+    timing = {"duration", "tick_interval"}
+    assert timing <= CONFIG_SECTIONS["mobility"]
+    assert timing <= fields(MobilityScenario) and timing <= params(default_sweep_scenario)
+    assert "validate_ticks" in params(run_mobility)
+
+
+def test_saved_iq_is_the_transmitted_slot_without_predistortion(tmp_path):
+    # Without pre-distortion the slot sent is the plain reference slot.
+    cfg = {**SIM_CFG, "predistort": False, "save_iq": True}
+    out = run_cmd(tmp_path, "simulate", cfg, "iq")
+    samples, meta = read_iq(out / "tx_slot.iq")
+    sent = generate_slot(Numerology(), cfg["modulation"], seed=cfg["seed"]).samples
+    assert meta["modulation"] == "64QAM"
+    np.testing.assert_allclose(samples, sent, rtol=0, atol=1e-6 * np.max(np.abs(sent)))

@@ -92,6 +92,22 @@ class TestImaging:
         assert abs(math.degrees(el[j2]) - 4.0) <= 2.0
         assert m[j, i] > m[j2, i2]
 
+    @pytest.mark.parametrize("with_users", [False, True], ids=["no_users", "users"])
+    def test_non_planar_geometry_rejected_before_solving(self, monkeypatch, with_users):
+        def fail(*args, **kwargs):
+            raise AssertionError("a pixel beam was solved before the geometry check")
+
+        monkeypatch.setattr("subbeam.experiments.imaging.optimize_max_min", fail)
+        users = (SceneUser(UserLink(math.radians(-30), 1.0), PathModel(1.0, 0.2, 3)),)
+        scene = Scene(
+            users=users if with_users else (), noise_power=1e-7, self_interference_inr_db=None
+        )
+        az = np.radians([-2.0, 0.0, 2.0])
+        with pytest.raises(ValueError, match="imaging requires a planar geometry"):
+            run_imaging(
+                scene, az, az, NUM, ArrayGeometry.ula(16), 34, OptimizerConfig(), SEARCH, seed=1
+            )
+
 
 class TestLocalization:
     def test_calibration_needs_distinct_truths(self):
