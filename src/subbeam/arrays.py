@@ -1,4 +1,4 @@
-"""Antenna-array geometry, steering vectors, beamforming gains and weight quantization.
+"""Antenna-array geometry, steering vectors and beamforming gains.
 
 Angles are radians everywhere in this module; convert at the CLI/config
 boundary. Gains and SNRs are linear power ratios; convert to dB only for
@@ -8,19 +8,17 @@ display.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ArrayGeometry",
     "Beamformer",
-    "QuantizationSpec",
     "steering_vector",
     "beamforming_gain",
     "effective_snr",
     "conjugate_beam",
-    "quantize_weights",
 ]
 
 # Angular field of view of the simulated front end (degrees, symmetric).
@@ -50,9 +48,9 @@ class ArrayGeometry:
 
     def __post_init__(self):
         if self.num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
+            raise ValueError(f"num_elements must be >= 1, got {self.num_elements}")
         if self.spacing <= 0:
-            raise ValueError("spacing must be > 0")
+            raise ValueError(f"spacing must be > 0, got {self.spacing}")
         if self.layout not in ("ula", "planar"):
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.layout == "planar":
@@ -60,9 +58,14 @@ class ArrayGeometry:
                 raise ValueError("planar layout requires planar_shape")
             n_az, n_el = self.planar_shape
             if n_az * n_el != self.num_elements:
-                raise ValueError("planar_shape does not match num_elements")
+                raise ValueError(
+                    f"planar_shape {tuple(self.planar_shape)} does not match "
+                    f"num_elements {self.num_elements}"
+                )
         elif self.planar_shape is not None:
-            raise ValueError("planar_shape only valid for planar layout")
+            raise ValueError(
+                f"planar_shape {tuple(self.planar_shape)} only valid for planar layout"
+            )
 
     @classmethod
     def ula(cls, num_elements: int, spacing: float = 0.5) -> "ArrayGeometry":
@@ -98,29 +101,6 @@ class Beamformer:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def rotated(self, phase: float) -> "Beamformer":
-        """Apply a global phase rotation (gain-invariant)."""
-        return Beamformer(self.weights * np.exp(1j * phase))
-
-
-@dataclass(frozen=True)
-class QuantizationSpec:
-    """Hardware-style weight resolution: uniform amplitude levels, fixed phase step.
-
-    The phase step need not divide 2*pi; grid points are the multiples of
-    ``phase_step`` inside [-pi, +pi) and out-of-grid phases near +/-pi clamp
-    to the nearest endpoint of that grid.
-    """
-
-    amplitude_bits: int = 5
-    phase_step: float = field(default=math.radians(4.87))
-
-    def __post_init__(self):
-        if self.amplitude_bits < 1:
-            raise ValueError("amplitude_bits must be >= 1")
-        if not (0.0 < self.phase_step < 2.0 * math.pi):
-            raise ValueError("phase_step must be in (0, 2*pi)")
 
 
 def _validate_angles(geometry: ArrayGeometry, azimuth: float, elevation):
@@ -192,28 +172,3 @@ def conjugate_beam(
 ) -> Beamformer:
     """Conjugate beamformer toward one direction (gain N^2 there)."""
     return Beamformer(np.conj(steering_vector(geometry, azimuth, elevation)))
-
-
-def _round_half_down(x: np.ndarray) -> np.ndarray:
-    # Nearest integer; exact .5 ties go to the lower integer.
-    return np.ceil(x - 0.5)
-
-
-def quantize_weights(weights: Beamformer, spec: QuantizationSpec) -> Beamformer:
-    """Round amplitudes and phases onto the hardware grid. Idempotent.
-
-    Amplitudes snap to the nearest of 2^bits uniform levels on [0, 1];
-    phases snap to the nearest multiple of ``phase_step`` inside [-pi, +pi).
-    Ties round toward the lower level in both cases.
-    """
-    w = weights.weights
-    levels = (1 << spec.amplitude_bits) - 1
-    amp = _round_half_down(np.abs(w) * levels) / levels
-    amp = np.clip(amp, 0.0, 1.0)
-
-    phase = np.angle(w)  # already in [-pi, +pi)
-    k = _round_half_down(phase / spec.phase_step)
-    k_min = math.ceil(-math.pi / spec.phase_step)
-    k_max = math.ceil(math.pi / spec.phase_step) - 1
-    k = np.clip(k, k_min, k_max)
-    return Beamformer(amp * np.exp(1j * k * spec.phase_step))

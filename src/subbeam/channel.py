@@ -34,7 +34,6 @@ __all__ = [
     "apply_downlink",
     "apply_monostatic",
     "default_rx_gain",
-    "save_scene",
     "load_scene",
 ]
 
@@ -199,11 +198,12 @@ def apply_monostatic(
     """Round-trip reflections captured at the co-located sensing receiver.
 
     Sums the per-reflector responses (TX gain taken at each sample's
-    transmit time, RX gain from ``rx_gain_fn``), adds AWGN at the scene
-    noise power, and, when configured, direct TX leakage at the scene's
-    interference-to-noise ratio with zero delay.
+    transmit time, RX gain from ``rx_gain_fn``, by default that of
+    ``default_rx_gain()``), adds AWGN at the scene noise power, and, when
+    configured, direct TX leakage at the scene's interference-to-noise
+    ratio with zero delay.
     """
-    rx_gain_fn = rx_gain_fn or default_rx_gain()
+    rx_gain_fn = rx_gain_fn or _DEFAULT_RX_GAIN
     elevation_aware = geometry.layout == "planar"
     out = np.zeros(len(slot.samples), dtype=complex)
     for refl in scene.reflectors:
@@ -234,6 +234,10 @@ def default_rx_gain(n_az: int = 4, n_el: int = 4, spacing: float = 0.5):
     return gain
 
 
+# apply_monostatic's receive gain when the caller gives none, built once.
+_DEFAULT_RX_GAIN = default_rx_gain()
+
+
 # ---------------------------------------------------------------------------
 # Scene files (JSON; angles in degrees, attenuation in dB, delay in samples
 # or meters — meters are converted with the supplied sample rate, one-way
@@ -243,8 +247,9 @@ def default_rx_gain(n_az: int = 4, n_el: int = 4, spacing: float = 0.5):
 
 # The keys scene_from_dict reads: of the scene, of each user or reflector, of a path.
 _SCENE_KEYS = ("users", "reflectors", "noise_power", "noise_power_db", "self_interference_inr_db")
+USER_KEYS = ("angle_deg", "base_snr", "base_snr_db")
 _ITEM_KEYS = {
-    "users": ("angle_deg", "base_snr", "base_snr_db", "path"),
+    "users": (*USER_KEYS, "path"),
     "reflectors": ("azimuth_deg", "elevation_deg", "path", "label"),
 }
 _PATH_KEYS = ("delay_samples", "delay_meters", "attenuation_db", "phase_deg")
@@ -277,22 +282,26 @@ def _path_from_dict(d: dict, sample_rate: float, round_trip: bool) -> PathModel:
     )
 
 
+def user_link_from_dict(d: dict) -> UserLink:
+    """A user's angle and linear base SNR (``base_snr``, else ``base_snr_db``, else 1)."""
+    if "base_snr" in d:
+        base_snr = d["base_snr"]
+    elif "base_snr_db" in d:
+        base_snr = 10.0 ** (d["base_snr_db"] / 10.0)
+    else:
+        base_snr = 1.0
+    return UserLink(math.radians(d["angle_deg"]), base_snr)
+
+
 def scene_from_dict(d: dict, sample_rate: float) -> Scene:
     _check_scene_keys(d)
-    users = []
-    for u in d.get("users", []):
-        if "base_snr" in u:
-            base_snr = u["base_snr"]
-        elif "base_snr_db" in u:
-            base_snr = 10.0 ** (u["base_snr_db"] / 10.0)
-        else:
-            base_snr = 1.0
-        users.append(
-            SceneUser(
-                link=UserLink(math.radians(u["angle_deg"]), base_snr),
-                path=_path_from_dict(u.get("path", {"delay_samples": 0}), sample_rate, False),
-            )
+    users = [
+        SceneUser(
+            link=user_link_from_dict(u),
+            path=_path_from_dict(u.get("path", {"delay_samples": 0}), sample_rate, False),
         )
+        for u in d.get("users", [])
+    ]
     reflectors = [
         Reflector(
             azimuth=math.radians(r["azimuth_deg"]),
@@ -313,44 +322,6 @@ def scene_from_dict(d: dict, sample_rate: float) -> Scene:
         noise_power=noise_power,
         self_interference_inr_db=d.get("self_interference_inr_db", 20.0),
     )
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    def path_dict(p: PathModel) -> dict:
-        att_db = -math.inf if p.attenuation == 0 else 20.0 * math.log10(p.attenuation)
-        return {
-            "attenuation_db": max(att_db, -400.0),
-            "phase_deg": math.degrees(p.phase_shift),
-            "delay_samples": p.delay_samples,
-        }
-
-    return {
-        "users": [
-            {
-                "angle_deg": math.degrees(su.link.angle),
-                "base_snr": su.link.base_snr,
-                "path": path_dict(su.path),
-            }
-            for su in scene.users
-        ],
-        "reflectors": [
-            {
-                "label": r.label,
-                "azimuth_deg": math.degrees(r.azimuth),
-                "elevation_deg": math.degrees(r.elevation),
-                "path": path_dict(r.path),
-            }
-            for r in scene.reflectors
-        ],
-        "noise_power": scene.noise_power,
-        "self_interference_inr_db": scene.self_interference_inr_db,
-    }
-
-
-def save_scene(path, scene: Scene) -> None:
-    with open(path, "w") as f:
-        json.dump(scene_to_dict(scene), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def load_scene(path, sample_rate: float) -> Scene:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .arrays import ArrayGeometry, beamforming_gain
-from .channel import Scene, load_scene, scene_from_dict
+from .channel import USER_KEYS, Scene, load_scene, scene_from_dict, user_link_from_dict
 from .codebook import (
     Codebook,
     OptimizerConfig,
@@ -84,13 +84,24 @@ def _given(section: dict, *keys: str) -> dict:
     return {k: section[k] for k in keys if k in section}
 
 
+def _check_keys(d: dict, where: str, required: tuple, optional: tuple = ()) -> None:
+    """Raise ValueError naming each key of ``d`` outside both tuples and each missing one."""
+    bad = [f"unknown key {where}.{k}" for k in d if k not in (*required, *optional)]
+    bad += [f"missing key {where}.{k}" for k in required if k not in d]
+    if bad:
+        raise ValueError(f"config: {', '.join(bad)}")
+
+
 def _geometry(cfg: dict, default: dict | None = None) -> ArrayGeometry:
     g = cfg.get("geometry", default or {})
-    spacing = _given(g, "spacing")
-    if g.get("layout", "ula") == "planar":
-        n_az, n_el = g.get("planar_shape", [8, 8])
-        return ArrayGeometry.planar(n_az, n_el, **spacing)
-    return ArrayGeometry.ula(g.get("num_elements", 16), **spacing)
+    layout = g.get("layout", "ula")
+    shape = g.get("planar_shape", [8, 8] if layout == "planar" else None)
+    return ArrayGeometry(
+        g.get("num_elements", math.prod(shape) if shape else 16),
+        layout=layout,
+        planar_shape=tuple(shape) if shape else None,
+        **_given(g, "spacing"),
+    )
 
 
 def _numerology(cfg: dict) -> Numerology:
@@ -109,10 +120,10 @@ def _search(cfg: dict) -> DelaySearchConfig:
 
 
 def _users(cfg: dict) -> list[UserLink]:
-    return [
-        UserLink(math.radians(u["angle_deg"]), u.get("base_snr", 1.0))
-        for u in cfg.get("users", [])
-    ]
+    users = cfg.get("users", [])
+    for i, u in enumerate(users):
+        _check_keys(u, f"users[{i}]", ("angle_deg",), USER_KEYS)
+    return [user_link_from_dict(u) for u in users]
 
 
 def _sweep(cfg: dict, default_count: int = 4) -> list[float]:
@@ -120,6 +131,7 @@ def _sweep(cfg: dict, default_count: int = 4) -> list[float]:
     if isinstance(s, list):
         degs = s
     else:
+        _check_keys(s, "sweep_deg", ("start", "stop", "count"))
         degs = np.linspace(s["start"], s["stop"], s["count"]).tolist()
     return [math.radians(d) for d in degs]
 
@@ -173,12 +185,13 @@ def cmd_pattern(args, cfg: dict, seed: int) -> None:
     opt = _optimizer(cfg)
     users = _users(cfg)
     sweep = _sweep(cfg)
+    grid_cfg = cfg.get("pattern_grid_deg", {"start": -60.0, "stop": 60.0, "step": 0.5})
+    _check_keys(grid_cfg, "pattern_grid_deg", ("start", "stop", "step"))
     run = RunDir(args.out)
     if "codebook_file" in cfg:
         codebook, geometry = load_codebook(cfg["codebook_file"])
     else:
         codebook = build_codebook(users, sweep, cfg.get("target_base_snr", 1.0), geometry, opt)
-    grid_cfg = cfg.get("pattern_grid_deg", {"start": -60.0, "stop": 60.0, "step": 0.5})
     grid = np.arange(grid_cfg["start"], grid_cfg["stop"] + 1e-9, grid_cfg["step"])
     header = ["angle_deg"] + [
         f"entry{i}_gain_db" for i in range(len(codebook.entries))
@@ -324,6 +337,7 @@ def cmd_image(args, cfg: dict, seed: int) -> None:
     scene = _scene(cfg, numerology)
     num_beams = cfg.get("num_beams", 34)
     g = cfg.get("grid_deg", {"start": -15.0, "stop": 15.0, "count": 31})
+    _check_keys(g, "grid_deg", ("start", "stop", "count"))
     az = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     el = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     run = RunDir(args.out)
@@ -365,13 +379,12 @@ def cmd_localize(args, cfg: dict, seed: int) -> None:
             "median_angle_error_deg": result["median_angle_error_deg"],
         },
     )
-    weights = result["weights"]
     write_csv(
         run.file("weights.csv"),
         ["index", "distance_weight", "angle_weight"],
         [
-            [i, float(weights.distance[i]), float(weights.angle[i])]
-            for i in range(len(weights.distance))
+            [i, float(d), float(a)]
+            for i, (d, a) in enumerate(zip(result["distance_weights"], result["angle_weights"]))
         ],
     )
     run.finish("localize", _resolved(cfg, seed))

@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from ..arrays import ArrayGeometry, beamforming_gain, conjugate_beam
-from ..channel import Scene, SlotBeamPlan, apply_monostatic, default_rx_gain
+from ..channel import Scene, SlotBeamPlan, default_rx_gain
 from ..codebook import OptimizerConfig, build_codebook, design_data_beam
-from ..sensing import DelaySearchConfig, estimate_symbol_csi
+from ..sensing import DelaySearchConfig
 from ..waveform import (
     Numerology,
     PredistortionPlan,
@@ -25,7 +25,7 @@ from ..waveform import (
     generate_slot,
     predistort_dmrs,
 )
-from .link import check_reflector_delays, score_user
+from .link import check_reflector_delays, score_user, sense_dmrs
 
 __all__ = ["run_baseline", "BASELINE_MODES"]
 
@@ -114,11 +114,9 @@ def run_baseline(
             }
         )
 
-    # Sensing: estimate at the DMRS beam matching the requested angle.
-    rx_sense = apply_monostatic(tx, bplan, scene, geometry, rx_gain, seed=seed + 97)
-    pos = numerology.dmrs_positions()[0]
-    rx_body = rx_sense[numerology.symbol_slice(pos, include_cp=False)]
-    results = estimate_symbol_csi(rx_body, reference.symbol_body(pos), schedule, search, plan)
+    # Sensing: estimate at the DMRS beam matching the requested angle, on
+    # the slot's first DMRS symbol.
+    results = sense_dmrs(tx, reference, bplan, scene, geometry, search, plan, seed + 97)[0]
     if mode == "switched":
         beam_idx = int(np.argmin([abs(a - sensing_angle) for a in sweep]))
     else:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain, conjugate_beam, steering_vector
-from ..channel import Scene, SlotBeamPlan, apply_monostatic, default_rx_gain
+from ..channel import Scene, SlotBeamPlan, default_rx_gain
 from ..codebook import OptimizerConfig, optimize_max_min, SensingTarget
-from ..sensing import DelaySearchConfig, estimate_symbol_csi, extract_features
-from ..waveform import Numerology, PredistortionPlan, SubSymbolSchedule, generate_slot
-from .link import check_reflector_delays
+from ..sensing import DelaySearchConfig, extract_features
+from ..waveform import Numerology, SubSymbolSchedule, generate_slot
+from .link import check_reflector_delays, sense_dmrs
 
 __all__ = ["ImagingGrid", "air_time", "run_imaging"]
 
@@ -119,7 +119,6 @@ def run_imaging(
         while len(c) < beams_per_symbol:  # pad the final symbol's sweep
             c.append(c[-1])
 
-    plan = PredistortionPlan.identity(beams_per_symbol)
     raw_power = np.zeros(len(pixels))
     for sweep_idx in range(repeats):
         pixel = 0
@@ -136,16 +135,10 @@ def run_imaging(
             # per-window bin weights and bias pixels relative to each other.
             slot_seed = seed + 31 * slots_used + 1_000_003 * sweep_idx
             slot = generate_slot(numerology, "QPSK", seed=slot_seed, dmrs_seed=slot_seed)
-            rx = apply_monostatic(
-                slot, bplan, scene, geometry, rx_gain, seed=slot_seed + 7919
+            captures = sense_dmrs(
+                slot, slot, bplan, scene, geometry, search, None, slot_seed + 7919
             )
-            for row, pos in enumerate(dmrs_positions):
-                if chunk_idx >= len(chunks):
-                    break
-                rx_body = rx[numerology.symbol_slice(pos, include_cp=False)]
-                results = estimate_symbol_csi(
-                    rx_body, slot.symbol_body(pos), schedule, search, plan
-                )
+            for results in captures[: len(chunks) - chunk_idx]:
                 for m in range(chunk_sizes[chunk_idx]):
                     raw_power[pixel] += extract_features(results[m]).received_power
                     pixel += 1

@@ -16,7 +16,7 @@ import numpy as np
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain
 from ..channel import Scene, SceneUser, SlotBeamPlan, apply_downlink, apply_monostatic, default_rx_gain
 from ..codebook import Codebook, OptimizerConfig, UserLink, build_codebook, design_data_beam
-from ..sensing import DelaySearchConfig, estimate_symbol_csi, extract_features
+from ..sensing import DelaySearchConfig, SensingCsi, estimate_symbol_csi, extract_features
 from ..waveform import (
     Numerology,
     PredistortionPlan,
@@ -30,7 +30,7 @@ from ..waveform import (
 )
 
 __all__ = ["LinkResult", "noise_power_for_user_snr", "genie_csi", "check_reflector_delays",
-           "score_user", "run_link"]
+           "score_user", "sense_dmrs", "run_link"]
 
 
 @dataclass
@@ -112,6 +112,37 @@ def score_user(
     return est, demodulate_and_score(rx_grids, reference, genie)
 
 
+def sense_dmrs(
+    tx: SlotWaveform,
+    reference: SlotWaveform,
+    plan: SlotBeamPlan,
+    scene: Scene,
+    geometry: ArrayGeometry,
+    search: DelaySearchConfig,
+    predistortion: PredistortionPlan | None,
+    seed: int,
+) -> list[list[SensingCsi]]:
+    """Capture one slot at the sensing receiver and search each DMRS symbol.
+
+    The monostatic capture adds the scene's noise drawn from ``seed`` and
+    uses the default receive gain. Returns, per DMRS symbol in slot order,
+    the delay-search result of every beam window of ``plan.schedule``,
+    searched on the CP-stripped body against ``reference``'s body.
+    """
+    numerology = reference.numerology
+    rx = apply_monostatic(tx, plan, scene, geometry, seed=seed)
+    return [
+        estimate_symbol_csi(
+            rx[numerology.symbol_slice(pos, include_cp=False)],
+            reference.symbol_body(pos),
+            plan.schedule,
+            search,
+            predistortion,
+        )
+        for pos in numerology.dmrs_positions()
+    ]
+
+
 def run_link(
     scene: Scene,
     geometry: ArrayGeometry,
@@ -157,14 +188,10 @@ def run_link(
             first_tx = tx
 
         # Sensing side (monostatic, scene noise)
-        rx_sense = apply_monostatic(
-            tx, bplan, scene, geometry, rx_gain, seed=seed + 7919 * slot_idx
+        captures = sense_dmrs(
+            tx, reference, bplan, scene, geometry, search, plan, seed + 7919 * slot_idx
         )
-        for sym_row, pos in enumerate(numerology.dmrs_positions()):
-            rx_body = rx_sense[numerology.symbol_slice(pos, include_cp=False)]
-            results = estimate_symbol_csi(
-                rx_body, reference.symbol_body(pos), schedule, search, plan
-            )
+        for sym_row, results in enumerate(captures):
             for m, res in enumerate(results):
                 feats = extract_features(res)
                 angle = codebook.entries[m].sensing_angle

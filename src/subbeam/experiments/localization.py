@@ -14,47 +14,16 @@ propagation delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..arrays import ArrayGeometry, conjugate_beam
-from ..channel import (
-    SPEED_OF_LIGHT,
-    PathModel,
-    Reflector,
-    Scene,
-    SlotBeamPlan,
-    apply_monostatic,
-    default_rx_gain,
-)
-from ..sensing import DelaySearchConfig, SensingCsi, estimate_symbol_csi, extract_features
-from ..waveform import Numerology, PredistortionPlan, SubSymbolSchedule, generate_slot
+from ..channel import SPEED_OF_LIGHT, PathModel, Reflector, Scene, SlotBeamPlan
+from ..sensing import DelaySearchConfig, SensingCsi, extract_features
+from ..waveform import Numerology, SubSymbolSchedule, generate_slot
+from .link import sense_dmrs
 
-__all__ = [
-    "SpWeights",
-    "feature_stack",
-    "calibrate_sp",
-    "sp_localize",
-    "run_localization",
-]
-
-
-@dataclass(frozen=True)
-class SpWeights:
-    """Per-feature per-beam linear weights (bias last) for the two regressors."""
-
-    distance: np.ndarray | None = None
-    angle: np.ndarray | None = None
-
-    def __post_init__(self):
-        for w in (self.distance, self.angle):
-            if w is not None and not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite")
-
-    @property
-    def calibrated(self) -> bool:
-        return self.distance is not None or self.angle is not None
+__all__ = ["feature_stack", "calibrate_sp", "run_localization"]
 
 
 def feature_stack(results: list[SensingCsi], sub_len: int) -> np.ndarray:
@@ -86,48 +55,6 @@ def calibrate_sp(training_runs: list[tuple[np.ndarray, float]]) -> np.ndarray:
     return sol
 
 
-def sp_localize(features: np.ndarray, weights: SpWeights) -> dict:
-    """Weighted-sum prediction of distance (m) and/or angle (deg)."""
-    if not weights.calibrated:
-        raise ValueError("weights are not calibrated")
-    x = np.append(features, 1.0)
-    out = {}
-    for name, w in (("distance_m", weights.distance), ("angle_deg", weights.angle)):
-        if w is not None:
-            if len(w) != len(x):
-                raise ValueError(f"feature/weight length mismatch for {name}")
-            out[name] = float(x @ w)
-    return out
-
-
-def _collect_samples(
-    scene: Scene,
-    beams,
-    geometry: ArrayGeometry,
-    numerology: Numerology,
-    schedule: SubSymbolSchedule,
-    search: DelaySearchConfig,
-    num_slots: int,
-    seed: int,
-) -> list[np.ndarray]:
-    """One feature stack per DMRS symbol over ``num_slots`` slots."""
-    plan = PredistortionPlan.identity(schedule.num_beams)
-    bplan = SlotBeamPlan.uniform(numerology, schedule, beams, beams[0])
-    rx_gain = default_rx_gain()
-    stacks = []
-    for slot_idx in range(num_slots):
-        slot_seed = seed + 613 * slot_idx
-        slot = generate_slot(numerology, "QPSK", seed=slot_seed, dmrs_seed=slot_seed)
-        rx = apply_monostatic(
-            slot, bplan, scene, geometry, rx_gain, seed=seed + 7919 * slot_idx
-        )
-        for pos in numerology.dmrs_positions():
-            rx_body = rx[numerology.symbol_slice(pos, include_cp=False)]
-            results = estimate_symbol_csi(rx_body, slot.symbol_body(pos), schedule, search, plan)
-            stacks.append(feature_stack(results, schedule.sub_len))
-    return stacks
-
-
 def _distance_attenuation(distance_m: float) -> float:
     # Inverse-square amplitude decay, unit reflectivity at 1 m.
     return min(1.0, 1.0 / distance_m**2)
@@ -149,10 +76,11 @@ def run_localization(
 
     Distance task: reflector broadside on a 1..8 m grid. Angle task:
     reflector at a fixed distance across +/-15 degrees. Returns medians of
-    absolute test errors plus the calibrated weights. Raises ValueError
-    before any simulation when a task has fewer training rows than
-    regression columns, or a distance's round-trip delay falls outside the
-    delay search (it would land on the last candidate).
+    absolute test errors and the two calibrated weight vectors
+    ``distance_weights`` and ``angle_weights`` (3 per beam, bias last).
+    Raises ValueError before any simulation when a task has fewer training
+    rows than regression columns, or a distance's round-trip delay falls
+    outside the delay search (it would land on the last candidate).
     """
     distances_m = np.round(np.arange(1.0, 8.0 + 1e-9, 0.1), 3) if distances_m is None else np.asarray(distances_m)
     angles_deg = np.arange(-15.0, 15.0 + 1e-9, 1.0) if angles_deg is None else np.asarray(angles_deg)
@@ -178,6 +106,7 @@ def run_localization(
 
     beams = [conjugate_beam(geometry, math.radians(a)) for a in sweep_deg]
     schedule = SubSymbolSchedule.for_numerology(numerology, len(beams))
+    bplan = SlotBeamPlan.uniform(numerology, schedule, beams, beams[0])
     rng = np.random.default_rng(seed)
 
     def scene_for(distance_m: float, angle_deg: float) -> Scene:
@@ -195,19 +124,21 @@ def run_localization(
         )
 
     def gather(task_values, make_scene, truth_of):
+        # One feature stack per DMRS symbol of every slot at every position.
         samples = []
         for idx, value in enumerate(task_values):
-            stacks = _collect_samples(
-                make_scene(value),
-                beams,
-                geometry,
-                numerology,
-                schedule,
-                cfg_search,
-                slots_per_position,
-                seed=seed + 100_003 * (idx + 1),
-            )
-            samples.append([(s, truth_of(value)) for s in stacks])
+            scene, truth = make_scene(value), truth_of(value)
+            position_seed = seed + 100_003 * (idx + 1)
+            stacks = []
+            for slot_idx in range(slots_per_position):
+                slot_seed = position_seed + 613 * slot_idx
+                slot = generate_slot(numerology, "QPSK", seed=slot_seed, dmrs_seed=slot_seed)
+                captures = sense_dmrs(
+                    slot, slot, bplan, scene, geometry, cfg_search, None,
+                    position_seed + 7919 * slot_idx,
+                )
+                stacks.extend((feature_stack(r, schedule.sub_len), truth) for r in captures)
+            samples.append(stacks)
         return samples
 
     def split_eval(samples):
@@ -236,6 +167,7 @@ def run_localization(
     return {
         "median_distance_error_m": median_dist,
         "median_angle_error_deg": median_angle,
-        "weights": SpWeights(distance=w_dist, angle=w_angle),
+        "distance_weights": w_dist,
+        "angle_weights": w_angle,
         "sweep_deg": sweep_deg,
     }

@@ -115,13 +115,3 @@ def brute_force_delay_search(rx, tx_window_start, window_len, num_candidates,
         if best is None or mse < best[1]:
             best = (dn, mse, coeffs)
     return best
-
-
-def quantize_reference(value, levels):
-    """Nearest of ``levels``; exact ties take the lower level."""
-    best_idx, best_dist = 0, abs(value - levels[0])
-    for i, lv in enumerate(levels[1:], start=1):
-        dist = abs(value - lv)
-        if dist < best_dist - 1e-15:
-            best_idx, best_dist = i, dist
-    return levels[best_idx]

@@ -1,5 +1,6 @@
 """Dominant-path channel behavior tests."""
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from subbeam.channel import (
     apply_monostatic,
     default_rx_gain,
     load_scene,
-    save_scene,
     scene_from_dict,
 )
 from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot
@@ -206,19 +206,24 @@ def test_default_rx_gain_peak():
 
 class TestSceneIo:
     def test_round_trip(self, tmp_path):
-        scene = Scene(
-            users=(SceneUser(UserLink(math.radians(30), 2.0), PathModel(0.5, 0.2, 3)),),
-            reflectors=(Reflector(math.radians(-5), PathModel(0.25, -0.7, 6), label="box"),),
-            noise_power=1e-5,
-            self_interference_inr_db=None,
-        )
         path = tmp_path / "scene.json"
-        save_scene(path, scene)
+        path.write_text(json.dumps({
+            "users": [{"angle_deg": 30.0, "base_snr": 2.0,
+                       "path": {"attenuation_db": 20.0 * math.log10(0.5), "phase_deg": 10.0,
+                                "delay_samples": 3}}],
+            "reflectors": [{"label": "box", "azimuth_deg": -5.0,
+                            "path": {"attenuation_db": -12.0, "delay_samples": 6}}],
+            "noise_power": 1e-5,
+            "self_interference_inr_db": None,
+        }))
         loaded = load_scene(path, NUM.sample_rate)
+        assert loaded.users[0].link.angle == pytest.approx(math.radians(30.0))
         assert loaded.users[0].link.base_snr == pytest.approx(2.0)
         assert loaded.users[0].path.attenuation == pytest.approx(0.5, rel=1e-9)
+        assert loaded.users[0].path.phase_shift == pytest.approx(math.radians(10.0))
         assert loaded.users[0].path.delay_samples == 3
         assert loaded.reflectors[0].label == "box"
+        assert loaded.reflectors[0].path.delay_samples == 6
         assert loaded.noise_power == pytest.approx(1e-5)
         assert loaded.self_interference_inr_db is None
 

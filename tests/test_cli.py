@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from subbeam.cli import CONFIG_SECTIONS, load_config, main
+from subbeam.cli import CONFIG_SECTIONS, _users, load_config, main
 from subbeam.codebook import OptimizerConfig
 from subbeam.experiments.localization import run_localization
 from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
@@ -135,6 +135,49 @@ def test_unknown_key_fails_before_any_work(tmp_path, monkeypatch, name, cfg, key
     with pytest.raises(ValueError, match=r"unknown \w+ key\(s\).*: (.*, )?" + re.escape(key)):
         main([name, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+BAD_VALUES = [
+    ("user_key", "codebook",
+     {**CODEBOOK_CFG, "users": [{"angle_deg": -30, "snr_db": 10}, {"angle_deg": 30}]},
+     "users[0].snr_db"),
+    ("sweep_stray", "simulate",
+     {**SIM_CFG, "sweep_deg": {"start": -15, "stop": 15, "count": 8, "cout": 8}}, "sweep_deg.cout"),
+    ("sweep_missing", "codebook", {**CODEBOOK_CFG, "sweep_deg": {"start": 0, "stop": 10}},
+     "sweep_deg.count"),
+    ("grid", "image", {**IMG_CFG, "grid_deg": {"start": -8, "stop": 8, "step": 2}},
+     "grid_deg.step"),
+    ("pattern_grid", "pattern",
+     {**CODEBOOK_CFG, "pattern_grid_deg": {"start": -60, "stop": 60, "count": 5}},
+     "pattern_grid_deg.count"),
+    ("layout", "simulate", {**SIM_CFG, "geometry": {"layout": "planr", "num_elements": 16}},
+     "'planr'"),
+    ("planar_size", "image", {**IMG_CFG, "geometry": {"layout": "planar", "num_elements": 16}},
+     "num_elements 16"),
+    ("ula_shape", "codebook", {**CODEBOOK_CFG, "geometry": {"planar_shape": [4, 4]}},
+     "planar_shape (4, 4)"),
+]
+
+
+@pytest.mark.parametrize("name,cfg,value", [b[1:] for b in BAD_VALUES],
+                         ids=[b[0] for b in BAD_VALUES])
+def test_bad_value_fails_before_any_work(tmp_path, monkeypatch, name, cfg, value):
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started before the config was checked")
+
+    for fn in ("build_codebook", "run_link", "run_imaging", "RunDir"):
+        monkeypatch.setattr(f"subbeam.cli.{fn}", fail)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=re.escape(value)):
+        main([name, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_top_level_user_reads_base_snr_db():
+    users = _users({"users": [{"angle_deg": -30, "base_snr_db": 10}, {"angle_deg": 30}]})
+    assert users[0].base_snr == pytest.approx(10.0)
+    assert users[1].base_snr == 1.0
 
 
 def test_every_unknown_key_named(tmp_path):

@@ -6,21 +6,31 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from subbeam.arrays import ArrayGeometry
-from subbeam.channel import PathModel, Reflector, Scene, SceneUser
+from subbeam.arrays import ArrayGeometry, conjugate_beam
+from subbeam.channel import (
+    PathModel,
+    Reflector,
+    Scene,
+    SceneUser,
+    SlotBeamPlan,
+    apply_monostatic,
+    default_rx_gain,
+)
 from subbeam.codebook import OptimizerConfig, UserLink
 from subbeam.experiments.baselines import run_baseline
 from subbeam.experiments.imaging import air_time, run_imaging
-from subbeam.experiments.link import run_link
-from subbeam.experiments.localization import (
-    SpWeights,
-    calibrate_sp,
-    run_localization,
-    sp_localize,
-)
+from subbeam.experiments.link import run_link, sense_dmrs
+from subbeam.experiments.localization import calibrate_sp, run_localization
 from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
-from subbeam.sensing import DelaySearchConfig
-from subbeam.waveform import Numerology
+from subbeam.sensing import DelaySearchConfig, estimate_symbol_csi
+from subbeam.waveform import (
+    Numerology,
+    PredistortionPlan,
+    SubSymbolSchedule,
+    build_predistortion_plan,
+    generate_slot,
+    predistort_dmrs,
+)
 
 NUM = Numerology()
 SEARCH = DelaySearchConfig(10)
@@ -139,15 +149,6 @@ class TestLocalization:
         for f, t in runs:
             assert float(np.append(f, 1.0) @ w) == pytest.approx(5.0, abs=1e-6)
 
-    def test_sp_localize_shapes(self):
-        w = SpWeights(distance=np.ones(7), angle=None)
-        out = sp_localize(np.ones(6), w)
-        assert out["distance_m"] == pytest.approx(7.0)
-        with pytest.raises(ValueError):
-            sp_localize(np.ones(5), w)
-        with pytest.raises(ValueError):
-            sp_localize(np.ones(6), SpWeights())
-
     def test_reduced_grid_medians(self):
         geo = ArrayGeometry.ula(16)
         res = run_localization(
@@ -159,7 +160,9 @@ class TestLocalization:
         )
         assert res["median_distance_error_m"] <= 0.5
         assert res["median_angle_error_deg"] <= 2.0
-        assert res["weights"].calibrated
+        for key in ("distance_weights", "angle_weights"):
+            assert res[key].shape == (3 * 16 + 1,)
+            assert np.all(np.isfinite(res[key]))
 
     def test_training_point_fed_back(self):
         geo = ArrayGeometry.ula(16)
@@ -179,7 +182,8 @@ class TestLocalization:
         def fail(*args, **kwargs):
             raise AssertionError("a capture was simulated before the input check")
 
-        monkeypatch.setattr("subbeam.experiments.localization.apply_monostatic", fail)
+        # Localization captures through sense_dmrs, which calls link's binding.
+        monkeypatch.setattr("subbeam.experiments.link.apply_monostatic", fail)
 
     def test_rank_checked_before_simulating(self, monkeypatch):
         self._no_simulation(monkeypatch)
@@ -423,3 +427,67 @@ class TestLinkPipeline:
             r for r in res.sensing_rows if r["beam_index"] == 1 and r["symbol"] == 0
         ]
         assert at_zero[0]["best_delay"] == 5
+
+
+class TestSenseDmrs:
+    """``sense_dmrs`` against the per-DMRS capture loop it replaced."""
+
+    GEO = ArrayGeometry.ula(16)
+    SCENE = Scene(
+        users=(
+            SceneUser(UserLink(math.radians(-30), 1.0), PathModel(1.0, 0.1, 3)),
+            SceneUser(UserLink(math.radians(30), 1.0), PathModel(1.0, -0.2, 4)),
+        ),
+        reflectors=(
+            Reflector(math.radians(5), PathModel(0.5, 0.3, 5)),
+            Reflector(math.radians(-8), PathModel(0.2, -1.1, 7)),
+        ),
+        noise_power=1e-6,
+        self_interference_inr_db=20.0,
+    )
+
+    @staticmethod
+    def inline(tx, reference, bplan, scene, geometry, predistortion, seed):
+        rx = apply_monostatic(tx, bplan, scene, geometry, default_rx_gain(), seed=seed)
+        return [
+            estimate_symbol_csi(
+                rx[NUM.symbol_slice(pos, include_cp=False)],
+                reference.symbol_body(pos),
+                bplan.schedule,
+                SEARCH,
+                predistortion,
+            )
+            for pos in NUM.dmrs_positions()
+        ]
+
+    def assert_same(self, got, want):
+        assert len(got) == len(want) == len(NUM.dmrs_positions())
+        for row_got, row_want in zip(got, want):
+            assert len(row_got) == len(row_want)
+            for a, b in zip(row_got, row_want):
+                assert np.array_equal(a.csi, b.csi)
+                assert a.best_delay == b.best_delay
+                assert a.fit == b.fit
+                assert np.array_equal(a.valid, b.valid)
+
+    def test_predistorted_link_slot(self):
+        users = [su.link for su in self.SCENE.users]
+        beams = [conjugate_beam(self.GEO, math.radians(a)) for a in (-12, -4, 4, 12)]
+        data_beam = conjugate_beam(self.GEO, 0.0)
+        schedule = SubSymbolSchedule.for_numerology(NUM, len(beams))
+        plan = build_predistortion_plan(beams, data_beam, users, self.GEO)
+        bplan = SlotBeamPlan.uniform(NUM, schedule, beams, data_beam)
+        reference = generate_slot(NUM, "64QAM", seed=3)
+        tx = predistort_dmrs(reference, schedule, plan)
+        got = sense_dmrs(tx, reference, bplan, self.SCENE, self.GEO, SEARCH, plan, 11)
+        self.assert_same(got, self.inline(tx, reference, bplan, self.SCENE, self.GEO, plan, 11))
+
+    def test_identity_plan_slot(self):
+        # Imaging and localization pass None where they used the identity plan.
+        beams = [conjugate_beam(self.GEO, math.radians(a)) for a in np.linspace(-15, 15, 7)]
+        schedule = SubSymbolSchedule.for_numerology(NUM, len(beams))
+        bplan = SlotBeamPlan.uniform(NUM, schedule, beams, beams[0])
+        slot = generate_slot(NUM, "QPSK", seed=5, dmrs_seed=5)
+        identity = PredistortionPlan.identity(len(beams))
+        got = sense_dmrs(slot, slot, bplan, self.SCENE, self.GEO, SEARCH, None, 12)
+        self.assert_same(got, self.inline(slot, slot, bplan, self.SCENE, self.GEO, identity, 12))
