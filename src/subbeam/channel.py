@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,9 +151,7 @@ class SlotBeamPlan:
                 body_amp[self.schedule.window(m)] = gains[m]
             if self.schedule.unused_tail:
                 body_amp[self.schedule.num_beams * self.schedule.sub_len:] = gains[-1]
-            sl = num.symbol_slice(pos)
-            cp = num.cp_length
-            amp[sl] = np.concatenate([body_amp[-cp:] if cp else body_amp[:0], body_amp])
+            amp[num.symbol_slice(pos)] = num.with_cp(body_amp)
         return amp
 
 
@@ -283,7 +281,9 @@ def _path_from_dict(d: dict, sample_rate: float, round_trip: bool) -> PathModel:
 
 
 def user_link_from_dict(d: dict) -> UserLink:
-    """A user's angle and linear base SNR (``base_snr``, else ``base_snr_db``, else 1)."""
+    """A user's angle and linear base SNR (``base_snr`` or ``base_snr_db``, else 1)."""
+    if "base_snr" in d and "base_snr_db" in d:
+        raise ValueError("specify at most one of base_snr / base_snr_db")
     if "base_snr" in d:
         base_snr = d["base_snr"]
     elif "base_snr_db" in d:
@@ -295,6 +295,8 @@ def user_link_from_dict(d: dict) -> UserLink:
 
 def scene_from_dict(d: dict, sample_rate: float) -> Scene:
     _check_scene_keys(d)
+    if "noise_power" in d and "noise_power_db" in d:
+        raise ValueError("specify at most one of noise_power / noise_power_db")
     users = [
         SceneUser(
             link=user_link_from_dict(u),

@@ -24,7 +24,6 @@ from .codebook import (
     SensingTarget,
     UserLink,
     build_codebook,
-    design_data_beam,
     load_codebook,
     save_codebook,
     update_codebook,

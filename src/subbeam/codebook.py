@@ -20,9 +20,13 @@ Bertsekas, Nonlinear Programming, 2nd ed., sec. 2.3), the same vector the
 ``grad`` stop test measures, so the search costs no extra projection. Each
 objective evaluation hands back the inner products ``s @ w`` and SNRs it
 computed, and the next gradient and probe directions reuse them, so every
-trial point is evaluated once. The weighted-sum solver and
-``design_data_beam`` also run ``_fair_point``, fixed-temperature softmin
-rounds without step memory, to find balanced starting allocations.
+trial point is evaluated once. Max-min user SNR (max-min-fair multicast)
+has many local optima, so a max-min solve runs each start, warm or cold,
+through the same anneal and keeps the best: the old weights and one
+anchored restart when warm, three anchored starts when cold.
+``design_data_beam`` and the weighted-sum seeding share ``_fairest``, the
+fairest ``_fair_point`` (fixed-temperature softmin rounds without step
+memory) over one start set.
 
 At the final temperature an ascent stops when the projected gradient is
 below ``grad_tol`` (``grad``), when no step along the feasible direction
@@ -298,7 +302,6 @@ def _fair_point(s_all, gamma_all, w0, cfg):
     Steps (combined direction and per-target probes) are accepted when they
     improve the softmin at the current temperature; the temperature then
     anneals toward zero so the final iterate maximizes the true minimum.
-    Used to seed the weighted-sum solver with a balanced allocation.
     """
 
     def softmin(x, t):
@@ -330,8 +333,31 @@ def _fair_point(s_all, gamma_all, w0, cfg):
     return best_w
 
 
-def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None,
-            tau0=_TAU_INIT):
+def _phase_only(v):
+    """Unit-modulus weights with the phases of ``v`` (1 where ``v`` vanishes)."""
+    amp = np.abs(v)
+    return np.where(amp > 1e-12, v / np.maximum(amp, 1e-300), 1.0 + 0.0j)
+
+
+def _fairest(s, gamma, mixture, cfg):
+    """``(w, min SNR)`` of the fairest ``_fair_point`` over a fixed start set.
+
+    The starts are the phase-only ``mixture``, its 0.05 and 0.3 dithers, and
+    each target's conjugate plus 0.05 x ``mixture`` (anchored starts reliably
+    reach the balanced allocation). Ties go to the earlier start.
+    """
+    starts = [mixture, _dither(mixture, 0.05), _dither(mixture, 0.3)]
+    starts += [np.conj(t) + 0.05 * mixture for t in s]
+    best_w, best_val = None, -math.inf
+    for w0 in starts:
+        w = _fair_point(s, gamma, w0, cfg)
+        val = float(np.min(_snrs(w, s, gamma)))
+        if val > best_val:
+            best_w, best_val = w, val
+    return best_w, best_val
+
+
+def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None):
     """Monotone projected gradient ascent with halving backtracking.
 
     ``evaluate(w)`` returns ``(f, ev)`` as built by ``_evaluator``;
@@ -359,7 +385,7 @@ def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None,
     f, ev = evaluate(w)
     if trace is not None:
         trace.append(f)
-    tau = tau0
+    tau = _TAU_INIT
     at_final_tau = False
     stall_mark, stall_count = f, 0
     step_mem = _STEP_INIT
@@ -410,8 +436,9 @@ def optimize_weighted_sum(
 ) -> Beamformer:
     """Joint beamformer maximizing sensing_weight*sensing SNR + mean user SNR.
 
-    Subject only to per-element |w_n| <= 1. The reported objective (appended
-    to ``trace`` when given) is non-decreasing over iterations.
+    Subject only to per-element |w_n| <= 1. ``trace``, when given, receives
+    the winning start's objective per iteration, which is non-decreasing
+    (a single value when the fair start wins).
     """
     if not users:
         raise ValueError("at least one user is required")
@@ -441,38 +468,28 @@ def optimize_weighted_sum(
     v = (coef * gamma_all) @ s_conj
     peak = np.max(np.abs(v))
     mixture = _project_polydisk(v) if peak > 0 else np.conj(s_t)
-    amp = np.abs(v)
-    phase_only = np.where(amp > 1e-12, v / np.maximum(amp, 1e-300), 1.0 + 0.0j)
+    phase_only = _phase_only(v)
 
     # Fairness is judged only across targets the objective actually values.
     active = coef > 0
     s_act, gamma_act = s_all[active], gamma_all[active]
-    fair_inits = [phase_only, _dither(phase_only, 0.05), _dither(phase_only, 0.3)]
-    # Anchored starts travel the same asymmetric region the max-min solver
-    # uses and reliably reach the balanced allocation.
-    fair_inits += [np.conj(s) + 0.05 * phase_only for s in s_act]
-    fair_start, fair_val = None, -math.inf
-    for w0 in fair_inits:
-        w_f = _fair_point(s_act, gamma_act, w0, cfg)
-        val = float(np.min(_snrs(w_f, s_act, gamma_act)))
-        if val > fair_val:
-            fair_start, fair_val = w_f, val
+    fair_start, fair_val = _fairest(s_act, gamma_act, phase_only, cfg)
 
     finals = []
     for w0 in [mixture, phase_only, _dither(mixture, 0.05), _dither(phase_only, 0.05)]:
-        w_i, f_i, _, _ = _ascend(w0, evaluate, gradient, _project_polydisk, cfg)
-        finals.append((f_i, float(np.min(_snrs(w_i, s_act, gamma_act))), w_i))
-    finals.append((evaluate(fair_start)[0], fair_val, fair_start))
-    f_best = max(f for f, _, _ in finals)
+        run_trace = []
+        w_i, f_i, _, _ = _ascend(w0, evaluate, gradient, _project_polydisk, cfg, run_trace)
+        finals.append((f_i, float(np.min(_snrs(w_i, s_act, gamma_act))), w_i, run_trace))
+    f_fair = evaluate(fair_start)[0]
+    finals.append((f_fair, fair_val, fair_start, [f_fair]))
+    f_best = max(cand[0] for cand in finals)
     # 5% objective window ~ 0.2 dB, the solver tolerance used throughout.
-    w = max(
+    _, _, w, run_trace = max(
         (cand for cand in finals if cand[0] >= f_best * 0.95),
         key=lambda cand: cand[1],
-    )[2]
+    )
     if trace is not None:
-        # Re-run the winning start so the reported objective trace matches.
-        trace.clear()
-        w = _ascend(w, evaluate, gradient, _project_polydisk, cfg, trace)[0]
+        trace[:] = run_trace
 
     # Remove the global-phase degeneracy: align the first element's phase
     # with the sensing-conjugate anchor (whose first element is real).
@@ -522,9 +539,6 @@ def optimize_max_min(
         # the combined subgradient vanishes.
         return _single_target_directions(ev, gamma, s_conj)
 
-    def ascend(w0, trace=None, tau0=_TAU_INIT):
-        return _ascend(w0, evaluate, gradient, project, cfg, trace, probes, tau0)
-
     f_anchor = evaluate(anchor)[0]
     if eps == 0.0:
         w, f, iterations, reason = anchor, f_anchor, 0, "anchor"
@@ -540,14 +554,14 @@ def optimize_max_min(
             # Refine from the near-optimal previous weights, but guard against
             # the warm chain drifting into a stale basin with one anchored
             # restart; keep whichever lands higher.
-            runs = [ascend(warm_start.weights, trace, tau0=0.05), ascend(near)]
+            starts = [warm_start.weights, near]
         else:
-            inits = [
+            starts = [
                 near,
                 _dither(anchor + min(eps, 0.5) * nudge, min(eps, 0.4)),
                 _dither(anchor, min(eps, 0.3)),
             ]
-            runs = [ascend(w0, trace) for w0 in inits]
+        runs = [_ascend(w0, evaluate, gradient, project, cfg, trace, probes) for w0 in starts]
         # max() keeps the first of equal finals, so ties go to the earlier start.
         w, f, iterations, reason = max(runs, key=lambda run: run[1])
         if f <= f_anchor + 1e-15:
@@ -568,28 +582,13 @@ def design_data_beam(
 ) -> Beamformer:
     """Fixed beamformer for the data symbols: max-min user SNR, no sensing beam.
 
-    Solved by the annealed-softmin fair-point routine from a deterministic
-    set of starts (normalized conjugate mixture plus each user's conjugate).
+    Solved by ``_fairest`` from the phase-only conjugate mixture of the users.
     """
     if not users:
         raise ValueError("at least one user is required")
     cfg = cfg or OptimizerConfig()
     s_users, gamma = _user_matrix(users, geometry)
-    v = gamma @ np.conj(s_users)
-    peak = np.max(np.abs(v))
-    amp = np.abs(v)
-    mixture = np.where(amp > 1e-12, v / np.maximum(amp, 1e-300), 1.0 + 0.0j)
-    if peak <= 0:
-        mixture = np.conj(s_users[0])
-    inits = [mixture, _dither(mixture, 0.05)]
-    inits += [np.conj(s) + 0.05 * mixture for s in s_users]
-    best_w, best_val = None, -math.inf
-    for w0 in inits:
-        w = _fair_point(s_users, gamma, w0, cfg)
-        val = float(np.min(_snrs(w, s_users, gamma)))
-        if val > best_val:
-            best_w, best_val = w, val
-    return Beamformer(best_w)
+    return Beamformer(_fairest(s_users, gamma, _phase_only(gamma @ np.conj(s_users)), cfg)[0])
 
 
 def build_codebook(

@@ -9,13 +9,13 @@ sensing CSI at the base station, and score both sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain
 from ..channel import Scene, SceneUser, SlotBeamPlan, apply_downlink, apply_monostatic, default_rx_gain
-from ..codebook import Codebook, OptimizerConfig, UserLink, build_codebook, design_data_beam
+from ..codebook import Codebook, OptimizerConfig, build_codebook, design_data_beam
 from ..sensing import DelaySearchConfig, SensingCsi, estimate_symbol_csi, extract_features
 from ..waveform import (
     Numerology,

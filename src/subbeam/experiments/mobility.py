@@ -23,7 +23,6 @@ from ..arrays import (
     steering_vector,
 )
 from ..codebook import (
-    Codebook,
     OptimizerConfig,
     SensingTarget,
     UserLink,

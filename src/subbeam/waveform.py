@@ -10,11 +10,11 @@ DC after fftshift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Beamformer, beamforming_gain, steering_vector
+from .arrays import ArrayGeometry, Beamformer, steering_vector
 
 __all__ = [
     "Numerology",
@@ -83,6 +83,11 @@ class Numerology:
         if self.slot_duration_s is not None:
             return self.slot_duration_s
         return self.slot_len / self.sample_rate
+
+    def with_cp(self, body: np.ndarray) -> np.ndarray:
+        """One symbol's samples: the body's last ``cp_length`` samples, then the body."""
+        cp = self.cp_length
+        return np.concatenate([body[-cp:] if cp else body[:0], body])
 
     def occupied_bins(self) -> np.ndarray:
         """FFT bin indices (natural order) of the centered occupied block."""
@@ -198,11 +203,8 @@ class SlotWaveform:
 def _assemble_samples(numerology: Numerology, grids: np.ndarray) -> np.ndarray:
     bodies = np.fft.ifft(grids, axis=1)
     out = np.empty(numerology.slot_len, dtype=np.complex128)
-    cp = numerology.cp_length
     for pos in range(numerology.symbols_per_slot):
-        sl = numerology.symbol_slice(pos)
-        body = bodies[pos]
-        out[sl] = np.concatenate([body[-cp:] if cp else body[:0], body])
+        out[numerology.symbol_slice(pos)] = numerology.with_cp(bodies[pos])
     return out
 
 
@@ -331,13 +333,11 @@ def predistort_dmrs(
     samples = slot.samples.copy()
     grids = slot.grids.copy()
     factors = plan.factors
-    cp = num.cp_length
     for pos in num.dmrs_positions():
         body = slot.symbol_body(pos).copy()
         for m in range(schedule.num_beams):
             body[schedule.window(m)] *= factors[m]
-        sl = num.symbol_slice(pos)
-        samples[sl] = np.concatenate([body[-cp:] if cp else body[:0], body])
+        samples[num.symbol_slice(pos)] = num.with_cp(body)
         grids[pos] = np.fft.fft(body)
     return replace(slot, samples=samples, grids=grids)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,14 @@ class TestSceneIo:
         bad = {"users": [{"angle_deg": 0.0, "path": {"delay_samples": 1, "delay_meters": 2.0}}]}
         with pytest.raises(ValueError):
             scene_from_dict(bad, NUM.sample_rate)
+
+    @pytest.mark.parametrize("scene,keys", [
+        ({"users": [{"angle_deg": 0, "base_snr": 2, "base_snr_db": 10}]}, "base_snr / base_snr_db"),
+        ({"noise_power": 1e-3, "noise_power_db": -80}, "noise_power / noise_power_db"),
+    ], ids=["base_snr", "noise_power"])
+    def test_one_spelling_per_value(self, scene, keys):
+        with pytest.raises(ValueError, match=re.escape(keys)):
+            scene_from_dict(scene, NUM.sample_rate)
 
     def test_unknown_keys_named_together(self):
         bad = {

@@ -156,6 +156,11 @@ BAD_VALUES = [
      "num_elements 16"),
     ("ula_shape", "codebook", {**CODEBOOK_CFG, "geometry": {"planar_shape": [4, 4]}},
      "planar_shape (4, 4)"),
+    ("user_snr_twice", "codebook",
+     {**CODEBOOK_CFG, "users": [{"angle_deg": 0, "base_snr": 2, "base_snr_db": 10}]},
+     "base_snr / base_snr_db"),
+    ("noise_twice", "simulate", _with_scene((), "noise_power", 1e-3),
+     "noise_power / noise_power_db"),
 ]
 
 
