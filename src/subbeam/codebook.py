@@ -18,12 +18,15 @@ final temperature it runs along the feasible direction
 ``P(w + 0.1 g) - w`` (gradient projection along the feasible direction,
 Bertsekas, Nonlinear Programming, 2nd ed., sec. 2.3), the same vector the
 ``grad`` stop test measures, so the search costs no extra projection. Each
-objective evaluation hands back the inner products ``s @ w`` and SNRs it
-computed, and the next gradient and probe directions reuse them, so every
-trial point is evaluated once. Max-min user SNR (max-min-fair multicast)
-has many local optima, so a max-min solve runs each start, warm or cold,
-through the same anneal and keeps the best: the old weights and one
-anchored restart when warm, three anchored starts when cold.
+line search projects and evaluates its whole halving ladder in one batch
+(one call each, not one per step) and takes the first improving step; the
+picks are bit for bit those of a sequential search. Each objective
+evaluation hands back the inner products ``s @ w`` and SNRs it computed,
+and the next gradient and probe directions reuse them. Max-min user SNR
+(max-min-fair multicast) has many local optima, so a max-min solve runs
+each start, warm or cold, through the same anneal and keeps the best: the
+old weights and one anchored restart when warm, three anchored starts when
+cold.
 ``design_data_beam`` and the weighted-sum seeding share ``_fairest``, the
 fairest ``_fair_point`` (fixed-temperature softmin rounds without step
 memory) over one start set.
@@ -70,6 +73,8 @@ __all__ = [
 # Solver constants (deterministic; see module docstring).
 _STEP_INIT = 0.1
 _STEP_MIN = 1e-7
+# Exact powers of two: the line-search ladder is its first step times these.
+_HALVINGS = np.ldexp(1.0, -np.arange(int(math.log2(_STEP_INIT / _STEP_MIN)) + 1))
 _TAU_INIT = 0.5
 _TAU_DECAY = 0.9
 _TAU_MIN = 1e-3
@@ -188,14 +193,21 @@ def _snrs(w, s, gamma):
 def _evaluator(s, gamma, score):
     """``evaluate(w) -> (score(x), (inner, x))`` with ``inner = s @ w``, ``x`` the SNRs.
 
-    The inner products and SNRs of an evaluated point are handed back so the
-    gradient and probe directions at that point reuse them.
+    ``w`` is one point (N,) or a stack of points (M, N); ``score`` reduces
+    over the last axis, so a stack gets one score per row (a float for one
+    point). The stacked inner products are one batched ``matmul``, which
+    gives each row bit for bit the ``s @ w`` of a one-point call, so a line
+    search evaluates its whole halving ladder in one call and still picks
+    what a sequential search would. The inner products and SNRs of an
+    evaluated point are handed back so the gradient and probe directions at
+    that point reuse them.
     """
 
     def evaluate(w):
-        inner = s @ w
+        inner = np.matmul(s, w[..., None])[..., 0]
         x = gamma * np.abs(inner) ** 2
-        return score(x), (inner, x)
+        f = score(x)
+        return (f if w.ndim > 1 else float(f)), (inner, x)
 
     return evaluate
 
@@ -259,19 +271,25 @@ def _normalized_direction(g):
 def _line_search(w, f, d, evaluate, project, step0=_STEP_INIT):
     """Halving backtracking along direction d; accept strict improvement.
 
-    Returns ``(w, f, ev, step)`` at the first improving step (``ev`` is the
-    new point's evaluation cache), or None when no step down to
-    ``_STEP_MIN`` improves. ``step0`` carries the last accepted step across
-    iterations so the search rarely has to halve far.
+    The whole ladder of steps, ``min(step0, _STEP_INIT)`` halved down to
+    ``_STEP_MIN``, is projected and evaluated in one batch, and the first
+    improving step in ladder order wins: the same pick, bit for bit, as
+    trying the steps one by one. Returns ``(w, f, ev, step)`` at that step
+    (``ev`` is the new point's evaluation cache), or None when no step
+    improves. ``step0`` carries the last accepted step across iterations so
+    the search rarely has to halve far.
     """
-    step = min(step0, _STEP_INIT)
-    while step >= _STEP_MIN:
-        w_try = project(w + step * d)
-        f_try, ev_try = evaluate(w_try)
-        if f_try > f * (1.0 + 1e-12) + 1e-15:
-            return w_try, f_try, ev_try, step
-        step *= 0.5
-    return None
+    steps = min(step0, _STEP_INIT) * _HALVINGS
+    steps = steps[steps >= _STEP_MIN]
+    if not steps.size:
+        return None
+    w_try = project(w + steps[:, None] * d)
+    f_try, (inner, x) = evaluate(w_try)
+    better = np.flatnonzero(f_try > f * (1.0 + 1e-12) + 1e-15)
+    if not better.size:
+        return None
+    i = better[0]
+    return w_try[i], float(f_try[i]), (inner[i], x[i]), float(steps[i])
 
 
 def _first_improving(w, f, directions, evaluate, project):
@@ -296,6 +314,19 @@ def _dither(w0, scale):
     return w0 * np.exp(1j * scale * np.sin(2.4 * n + 0.7))
 
 
+def _softmin(x, t):
+    """Temperature-``t`` softmin over the last axis of ``x``.
+
+    The log is ``math.log`` per row: numpy's SIMD log can differ from it in
+    the last bit, and a row of a stack must score as its one-point call.
+    """
+    z = -x / t
+    zmax = z.max(axis=-1)
+    total = np.exp(z - zmax[..., None]).sum(axis=-1)
+    logs = [math.log(v) for v in np.ravel(total)]
+    return -t * (zmax + np.reshape(logs, np.shape(total)))
+
+
 def _fair_point(s_all, gamma_all, w0, cfg):
     """Max-min over all targets by annealed softmin ascent (anchor-free).
 
@@ -303,12 +334,6 @@ def _fair_point(s_all, gamma_all, w0, cfg):
     improve the softmin at the current temperature; the temperature then
     anneals toward zero so the final iterate maximizes the true minimum.
     """
-
-    def softmin(x, t):
-        z = -x / t
-        zmax = z.max()
-        return -t * (zmax + math.log(np.exp(z - zmax).sum()))
-
     s_conj = np.conj(s_all)
     w = _project_polydisk(w0)
     x = _snrs(w, s_all, gamma_all)
@@ -316,7 +341,7 @@ def _fair_point(s_all, gamma_all, w0, cfg):
     tau = _TAU_INIT
     for _ in range(14):
         t = tau * max(float(x.sum() / len(x)), 1e-30)
-        evaluate = _evaluator(s_all, gamma_all, lambda x, t=t: softmin(x, t))
+        evaluate = _evaluator(s_all, gamma_all, lambda x, t=t: _softmin(x, t))
         f, ev = evaluate(w)
         for _ in range(max(cfg.max_iters // 10, 50)):
             dirs = [_softmin_ascent(ev, t, gamma_all, s_conj)]
@@ -360,9 +385,11 @@ def _fairest(s, gamma, mixture, cfg):
 def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None):
     """Monotone projected gradient ascent with halving backtracking.
 
-    ``evaluate(w)`` returns ``(f, ev)`` as built by ``_evaluator``;
-    ``gradient(ev, tau)`` and ``probes(ev)`` read the cache ``ev`` of the
-    current iterate, so every point is evaluated once. ``gradient`` may
+    ``evaluate(w)`` returns ``(f, ev)`` as built by ``_evaluator``, for one
+    point or row-wise for a stack; ``gradient(ev, tau)`` and ``probes(ev)``
+    read the cache ``ev`` of the current iterate, so it is not evaluated
+    again. Each line search evaluates its whole halving ladder in one batch
+    (``_line_search``) and takes the first improving step. ``gradient`` may
     depend on an annealed temperature. When the combined direction yields
     no improving step, the ``probes`` directions are tried before annealing
     further; kinked or symmetric objectives need these because the combined
@@ -452,7 +479,7 @@ def optimize_weighted_sum(
     coef = np.concatenate([[cfg.sensing_weight], np.full(n_users, 1.0 / n_users)])
     s_conj = np.conj(s_all)
 
-    evaluate = _evaluator(s_all, gamma_all, lambda x: float((coef * x).sum()))
+    evaluate = _evaluator(s_all, gamma_all, lambda x: (coef * x).sum(axis=-1))
 
     def gradient(ev, tau):
         # d/dw* of sum_u coef_u * gamma_u * |s_u^T w|^2
@@ -526,7 +553,7 @@ def optimize_max_min(
     def project(w):
         return _project_ball_then_disk(w, anchor, eps)
 
-    evaluate = _evaluator(s_users, gamma, lambda x: float(x.min()))
+    evaluate = _evaluator(s_users, gamma, lambda x: x.min(axis=-1))
 
     def gradient(ev, tau):
         x = ev[1]

@@ -103,9 +103,10 @@ def run_mobility(
     ticks. A reused entry is confirmed by (a) independently recomputing the
     reuse premise (its stored minimum SNR is still achieved at the current
     angles within the match tolerance), (b) rechecking feasibility of its
-    weights, and (c) a from-scratch solve that must reach at least the
-    stored value minus 1 dB (cold restarts on crossing-user configurations
-    land within ~0.7 dB of a warm-tracked solution). A fresh solve may
+    weights (within ``epsilon`` of the anchor and within the unit disk),
+    and (c) a from-scratch solve that must reach at least the stored value
+    minus 1 dB (cold restarts on crossing-user configurations land within
+    ~0.7 dB of a warm-tracked solution). A fresh solve may
     legitimately exceed the stored value when the bottleneck user moved
     somewhere better: skipping that headroom is exactly the latency the
     update rule trades away.
@@ -182,7 +183,10 @@ def run_mobility(
                     "achieved_min_snr": achieved,
                     "fresh_min_snr": fresh.min_snr,
                     "premise_holds": abs(achieved - entry.min_snr) <= cfg.snr_match_tol,
-                    "feasible": bool(np.all(deviation <= cfg.epsilon + 1e-9)),
+                    "feasible": bool(
+                        np.all(deviation <= cfg.epsilon + 1e-9)
+                        and np.all(np.abs(entry.weights.weights) <= 1.0 + 1e-9)
+                    ),
                     "fresh_not_worse": fresh.min_snr >= entry.min_snr * slack
                     - cfg.snr_match_tol,
                 }

@@ -263,7 +263,8 @@ class TestStallStop:
         # The stall count passes _STALL_ITERS during the anneal, but the
         # stop waits for the first final-temperature iteration.
         def evaluate(w):
-            return 1.0 + 1e-9 * float(w.real.sum()), None
+            # Row-wise for a stack of points, with an (inner, x)-shaped cache.
+            return 1.0 + 1e-9 * w.real.sum(axis=-1), (w, w.real)
 
         def gradient(ev, tau):
             return np.ones(4, dtype=complex)
@@ -275,6 +276,135 @@ class TestStallStop:
         assert reason == "stalled"
         assert iterations == _anneal_prefix() > codebook._STALL_ITERS
         assert f > 1.0
+
+
+def _sequential_line_search(w, f, d, evaluate, project, step0=codebook._STEP_INIT):
+    """Sequential halving search, one step at a time: the reference for the batched ladder."""
+    step = min(step0, codebook._STEP_INIT)
+    while step >= codebook._STEP_MIN:
+        w_try = project(w + step * d)
+        f_try, ev_try = evaluate(w_try)
+        if f_try > f * (1.0 + 1e-12) + 1e-15:
+            return w_try, f_try, ev_try, step
+        step *= 0.5
+    return None
+
+
+def _one_point_evaluator(s, gamma, score):
+    """One-point evaluator with ``s @ w``: the reference for the batched one."""
+
+    def evaluate(w):
+        inner = s @ w
+        x = gamma * np.abs(inner) ** 2
+        return score(x), (inner, x)
+
+    return evaluate
+
+
+_COEF = np.array([1.0, 0.25, 0.25, 0.25, 0.25])
+
+
+def _one_point_softmin(x, t):
+    z = -x / t
+    zmax = z.max()
+    return -t * (zmax + math.log(np.exp(z - zmax).sum()))
+
+
+class TestBatchedLineSearch:
+    """The batched halving ladder against the sequential search, bit for bit."""
+
+    # (batched row-wise score, one-point score of the sequential solver)
+    # for the max-min, weighted-sum and fair-point objectives.
+    SCORES = (
+        (lambda x: x.min(axis=-1), lambda x: float(x.min())),
+        (lambda x: (_COEF * x).sum(axis=-1), lambda x: float((_COEF * x).sum())),
+        (lambda x: codebook._softmin(x, 3.0), lambda x: _one_point_softmin(x, 3.0)),
+    )
+
+    @staticmethod
+    def _problem(rng, n):
+        geo = ArrayGeometry.ula(n)
+        angles = np.radians([-30.0, -12.0, 7.0, 21.0, 40.0])
+        s = np.array([steering_vector(geo, a) for a in angles])
+        gamma = 1.0 + rng.random(len(angles))
+        anchor = np.conj(steering_vector(geo, math.radians(-4.0)))
+        return s, gamma, anchor
+
+    @staticmethod
+    def _assert_same(batched, sequential):
+        if sequential is None:
+            assert batched is None
+            return
+        w_b, f_b, (inner_b, x_b), step_b = batched
+        w_s, f_s, (inner_s, x_s), step_s = sequential
+        assert type(f_b) is float and f_b == f_s and step_b == step_s
+        for a, b in ((w_b, w_s), (inner_b, inner_s), (x_b, x_s)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    @pytest.mark.parametrize("step0", [0.1, 0.1 * 2.0**-5])
+    @pytest.mark.parametrize("projection", ["polydisk", "ball_then_disk"])
+    def test_same_pick_as_sequential(self, n, step0, projection):
+        rng = np.random.default_rng(n)
+        s, gamma, anchor = self._problem(rng, n)
+        if projection == "polydisk":
+            project = codebook._project_polydisk
+        else:
+            def project(w):
+                return codebook._project_ball_then_disk(w, anchor, 0.5)
+
+        picked_steps = set()
+        for score, one_point_score in self.SCORES:
+            batched_eval = codebook._evaluator(s, gamma, score)
+            sequential_eval = _one_point_evaluator(s, gamma, one_point_score)
+            w = project(anchor + 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+            f, ev = sequential_eval(w)
+            # An ascent along the softmin gradient that carries twice the last
+            # step, as the solver does: its searches have to halve.
+            step_mem = step0
+            for _ in range(200):
+                t = 0.05 * ev[1].mean()
+                d = codebook._normalized_direction(
+                    codebook._softmin_ascent(ev, t, gamma, np.conj(s))
+                )
+                assert batched_eval(w)[0] == f
+                batched = codebook._line_search(w, f, d, batched_eval, project, step_mem)
+                sequential = _sequential_line_search(w, f, d, sequential_eval, project, step_mem)
+                self._assert_same(batched, sequential)
+                if sequential is None:
+                    break
+                w, f, ev, step = sequential
+                picked_steps.add(step)
+                step_mem = 2.0 * step
+        # Picks past the first rung of a ladder were compared too.
+        assert len(picked_steps) >= 3
+
+    @pytest.mark.parametrize("step0", [0.1, 0.1 * 2.0**-5])
+    def test_no_improving_step(self, step0):
+        # A zero-radius ball projects every rung back onto the anchor.
+        s, gamma, anchor = self._problem(np.random.default_rng(0), 16)
+
+        def project(w):
+            return codebook._project_ball_then_disk(w, anchor, 0.0)
+
+        d = np.ones(16, dtype=complex)
+        batched_eval = codebook._evaluator(s, gamma, lambda x: x.min(axis=-1))
+        sequential_eval = _one_point_evaluator(s, gamma, lambda x: float(x.min()))
+        f, _ = sequential_eval(anchor)
+        assert codebook._line_search(anchor, f, d, batched_eval, project, step0) is None
+        assert _sequential_line_search(anchor, f, d, sequential_eval, project, step0) is None
+
+    @pytest.mark.parametrize("n_users", [2, 4, 6])
+    @pytest.mark.parametrize("m", [1, 20])
+    def test_batched_matmul_matches_one_point_products(self, n_users, m):
+        # _evaluator relies on this: a stacked matmul gives every row the
+        # same bits as its own s @ w (plain W @ s.T does not).
+        rng = np.random.default_rng(n_users * 100 + m)
+        for n in (16, 32, 48):
+            s = rng.standard_normal((n_users, n)) + 1j * rng.standard_normal((n_users, n))
+            w_stack = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            batched = np.matmul(s, w_stack[..., None])[..., 0]
+            assert np.array_equal(batched, np.array([s @ w for w in w_stack]))
 
 
 class TestCodebookBuildUpdate:

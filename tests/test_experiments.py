@@ -2,11 +2,12 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from subbeam.arrays import ArrayGeometry, conjugate_beam
+from subbeam.arrays import ArrayGeometry, conjugate_beam, effective_snr
 from subbeam.channel import (
     PathModel,
     Reflector,
@@ -16,7 +17,8 @@ from subbeam.channel import (
     apply_monostatic,
     default_rx_gain,
 )
-from subbeam.codebook import OptimizerConfig, UserLink
+from subbeam.codebook import Codebook, OptimizerConfig, UpdateStats, UserLink
+from subbeam.experiments import mobility
 from subbeam.experiments.baselines import run_baseline
 from subbeam.experiments.imaging import air_time, run_imaging
 from subbeam.experiments.link import run_link, sense_dmrs
@@ -266,6 +268,30 @@ class TestMobility:
         gains = [r["sensing_gain_db"] for r in out["records"]]
         assert max(gains) - min(gains) < 1.5
         assert all(c["sound"] for c in out["validation"])
+
+    def test_validation_rejects_weights_outside_unit_disk(self, monkeypatch):
+        # Every update keeps entries at 1.2x their anchor: within the
+        # radius-0.5 ball around it, but past the unit disk.
+        def outside_disk(codebook, moved, geometry, cfg):
+            entries = []
+            for e in codebook.entries:
+                weights = conjugate_beam(geometry, e.sensing_angle)
+                # Set past Beamformer's own amplitude check.
+                object.__setattr__(weights, "weights", 1.2 * weights.weights)
+                min_snr = min(effective_snr(u.base_snr, weights, geometry, u.angle) for u in moved)
+                entries.append(replace(e, weights=weights, min_snr=min_snr))
+            return Codebook(tuple(entries), tuple(moved)), UpdateStats(reused=len(entries))
+
+        monkeypatch.setattr(mobility, "update_codebook", outside_disk)
+        scenario = MobilityScenario(
+            waypoints=(((0.0, -30.0),), ((0.0, 10.0),)), tick_interval=5e-3, duration=0.01
+        )
+        cfg = OptimizerConfig(epsilon=0.5)
+        out = run_mobility(scenario, [1.0, 1.0], [0.0], self.GEO, cfg, validate_ticks=2)
+        assert len(out["validation"]) == 2
+        for check in out["validation"]:
+            assert check["premise_holds"]
+            assert not check["feasible"] and not check["sound"]
 
     def test_trajectory_fov_guard(self):
         with pytest.raises(ValueError):
