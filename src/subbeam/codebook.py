@@ -26,7 +26,10 @@ and the next gradient and probe directions reuse them. Max-min user SNR
 (max-min-fair multicast) has many local optima, so a max-min solve runs
 each start, warm or cold, through the same anneal and keeps the best: the
 old weights and one anchored restart when warm, three anchored starts when
-cold.
+cold. ``build_codebook`` solves its first entry cold; each later entry starts
+warm from the previous entry carried onto its own anchor (the previous
+offset from its anchor, added to the new anchor and projected), so a sweep
+of neighbouring angles costs two starts per entry instead of three.
 ``design_data_beam`` and the weighted-sum seeding share ``_fairest``, the
 fairest ``_fair_point`` (fixed-temperature softmin rounds without step
 memory) over one start set.
@@ -246,6 +249,13 @@ def _project_ball_then_disk(w, anchor, eps):
     if dabs.max() > eps:
         w = np.where(dabs > eps, anchor + d * (eps / np.maximum(dabs, 1e-300)), w)
     return _project_polydisk(w)
+
+
+def _check_weight_length(what, length, geometry):
+    if length != geometry.num_elements:
+        raise ValueError(
+            f"{what} has {length} weights but the array has {geometry.num_elements} elements"
+        )
 
 
 def _warn_close_angles(users, geometry):
@@ -542,6 +552,8 @@ def optimize_max_min(
     The entry's ``iterations`` and ``stop_reason`` describe the winning
     start (``anchor`` when ``epsilon`` is 0 or there are no users).
     """
+    if warm_start is not None:
+        _check_weight_length("warm_start", len(warm_start), geometry)
     anchor = np.conj(steering_vector(geometry, target.angle))
     if not users:
         return CodebookEntry(target.angle, Beamformer(anchor), math.inf, True, 0, "anchor")
@@ -625,14 +637,28 @@ def build_codebook(
     geometry: ArrayGeometry,
     cfg: OptimizerConfig,
 ) -> Codebook:
-    """One max-min entry per sensing angle. Deterministic for fixed inputs."""
+    """One max-min entry per sensing angle. Deterministic for fixed inputs.
+
+    The first entry is solved cold. Each later entry starts warm from the
+    previous one carried onto its own anchor: the previous entry's offset
+    from its anchor, added to this entry's anchor and projected back into
+    the feasible set. Neighbouring sweep angles have near-identical optima
+    relative to their anchors, so the warm solve (carried weights plus the
+    ``near`` restart) replaces the three cold starts.
+    """
     if len(sweep) == 0:
         raise ValueError("sweep must be non-empty")
-    entries = tuple(
-        optimize_max_min(users, SensingTarget(angle, target_base_snr), geometry, cfg)
-        for angle in sweep
-    )
-    return Codebook(entries=entries, users=tuple(users))
+    entries = []
+    warm = prev_anchor = None
+    for angle in sweep:
+        anchor = np.conj(steering_vector(geometry, angle))
+        if entries:
+            carried = anchor + entries[-1].weights.weights - prev_anchor
+            warm = Beamformer(_project_ball_then_disk(carried, anchor, cfg.epsilon))
+        target = SensingTarget(angle, target_base_snr)
+        entries.append(optimize_max_min(users, target, geometry, cfg, warm_start=warm))
+        prev_anchor = anchor
+    return Codebook(entries=tuple(entries), users=tuple(users))
 
 
 def update_codebook(
@@ -650,6 +676,8 @@ def update_codebook(
     """
     if len(moved_users) != len(codebook.users):
         raise ValueError("moved_users must match the codebook's user list")
+    for entry in codebook.entries:
+        _check_weight_length("codebook entry", len(entry.weights), geometry)
     stats = UpdateStats()
     new_entries = []
     if moved_users:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain, conjugate_beam, steering_vector
 from ..channel import Scene, SlotBeamPlan, default_rx_gain
-from ..codebook import OptimizerConfig, optimize_max_min, SensingTarget
+from ..codebook import OptimizerConfig, build_codebook
 from ..sensing import DelaySearchConfig, extract_features
 from ..waveform import Numerology, SubSymbolSchedule, generate_slot
 from .link import check_reflector_delays, sense_dmrs
@@ -53,17 +53,16 @@ def _pixel_beam(
     geometry: ArrayGeometry,
     azimuth: float,
     elevation: float,
-    az_entries: dict | None,
+    w_az: np.ndarray | None,
 ) -> Beamformer:
-    """Conjugate pixel beam; with users, azimuth weights come from the codebook.
+    """Conjugate pixel beam; with users, ``w_az`` are the codebook's azimuth weights.
 
     The planar weights are the separable product of the azimuth row weights
     and the conjugate elevation column taper.
     """
     n_az, n_el = geometry.planar_shape
-    if az_entries is None:
+    if w_az is None:
         return conjugate_beam(geometry, azimuth, elevation)
-    w_az = az_entries[azimuth].weights.weights
     row_geo = ArrayGeometry.ula(n_el, geometry.spacing)
     w_el = np.conj(steering_vector(row_geo, elevation))
     return Beamformer(np.kron(w_el, w_az))
@@ -84,12 +83,12 @@ def run_imaging(
     """Sweep all (azimuth, elevation) pixels and map received sensing power.
 
     With users in the scene the azimuth weights of each pixel column are
-    optimized once per azimuth (max-min user SNR around that sensing angle)
-    and combined with a conjugate elevation taper; otherwise pixels use
-    plain planar conjugate beams. ``repeats`` re-runs the sweep on fresh
-    slots and averages per-pixel power, suppressing the per-window fading
-    ripple of a single snapshot; the air-time figures always describe one
-    sweep.
+    the ``build_codebook`` entry for that azimuth (max-min user SNR around
+    that sensing angle, on one row of the array) and are combined with a
+    conjugate elevation taper; otherwise pixels use plain planar conjugate
+    beams. ``repeats`` re-runs the sweep on fresh slots and averages
+    per-pixel power, suppressing the per-window fading ripple of a single
+    snapshot; the air-time figures always describe one sweep.
     """
     if geometry.layout != "planar":
         raise ValueError("imaging requires a planar geometry")
@@ -98,17 +97,18 @@ def run_imaging(
     el_angles = np.asarray(el_angles, dtype=float)
     users = [su.link for su in scene.users]
 
-    az_entries = None
+    az_weights = [None] * len(az_angles)
     if users:
-        n_az = geometry.planar_shape[0]
-        row_geo = ArrayGeometry.ula(n_az, geometry.spacing)
-        az_entries = {
-            az: optimize_max_min(users, SensingTarget(az), row_geo, cfg)
-            for az in az_angles
-        }
+        row_geo = ArrayGeometry.ula(geometry.planar_shape[0], geometry.spacing)
+        codebook = build_codebook(users, list(az_angles), 1.0, row_geo, cfg)
+        az_weights = [w.weights for w in codebook.beams()]
 
     pixels = [(az, el) for el in el_angles for az in az_angles]
-    beams = [_pixel_beam(geometry, az, el, az_entries) for az, el in pixels]
+    beams = [
+        _pixel_beam(geometry, az, el, w_az)
+        for el in el_angles
+        for az, w_az in zip(az_angles, az_weights)
+    ]
     rx_gain = default_rx_gain()
 
     schedule = SubSymbolSchedule.for_numerology(numerology, beams_per_symbol)

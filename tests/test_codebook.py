@@ -7,7 +7,13 @@ import pytest
 
 import seed_codebook
 from subbeam import codebook
-from subbeam.arrays import ArrayGeometry, beamforming_gain, conjugate_beam, steering_vector
+from subbeam.arrays import (
+    ArrayGeometry,
+    Beamformer,
+    beamforming_gain,
+    conjugate_beam,
+    steering_vector,
+)
 from subbeam.codebook import (
     Codebook,
     OptimizerConfig,
@@ -141,10 +147,21 @@ class TestMaxMin:
         assert entry.stop_reason in ("grad", "stationary", "stalled")
         assert entry.converged and 0 < entry.iterations < 2000
 
+    def test_wrong_length_warm_start_rejected(self, monkeypatch):
+        monkeypatch.setattr(codebook, "_ascend", _no_ascent)
+        with pytest.raises(ValueError, match="1 weights but the array has 16 elements"):
+            optimize_max_min(
+                TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(), warm_start=Beamformer([0.1])
+            )
+
     def test_close_user_angles_warn(self):
         users = [UserLink(math.radians(10.0), 1.0), UserLink(math.radians(11.0), 1.0)]
         with pytest.warns(UserWarning, match="HPBW"):
             optimize_max_min(users, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
+
+
+def _no_ascent(*args, **kwargs):
+    raise AssertionError("a solve started before the input check")
 
 
 def _layout(n_users, offset_deg):
@@ -171,8 +188,11 @@ def _anneal_prefix():
 
 
 def _assert_feasible(entry, geo, eps):
-    w = entry.weights.weights
-    anchor = np.conj(steering_vector(geo, entry.sensing_angle))
+    _assert_feasible_weights(entry.weights.weights, entry.sensing_angle, geo, eps)
+
+
+def _assert_feasible_weights(w, sensing_angle, geo, eps):
+    anchor = np.conj(steering_vector(geo, sensing_angle))
     assert np.all(np.abs(w) <= 1.0 + 1e-9)
     assert np.all(np.abs(w - anchor) <= eps + 1e-9)
 
@@ -414,13 +434,45 @@ class TestCodebookBuildUpdate:
         solve = codebook.optimize_max_min
 
         def counted(*args, **kwargs):
-            calls.append(args[1].angle)
+            calls.append((args[1].angle, kwargs.get("warm_start")))
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(codebook, "optimize_max_min", counted)
         sweep = [math.radians(a) for a in (-10, 0, 10)]
-        build_codebook(TWO_USERS, sweep, 1.0, GEO16, OptimizerConfig(epsilon=0.5))
-        assert calls == sweep
+        cfg = OptimizerConfig(epsilon=0.5)
+        build_codebook(TWO_USERS, sweep, 1.0, GEO16, cfg)
+        assert [angle for angle, _ in calls] == sweep
+        # The first entry is solved cold; each later one starts warm from a
+        # point feasible for its own anchor.
+        assert calls[0][1] is None
+        for angle, warm in calls[1:]:
+            assert warm is not None
+            _assert_feasible_weights(warm.weights, angle, GEO16, cfg.epsilon)
+
+    def test_continuation_matches_cold_solves(self):
+        # The paper's 34-beam sweep over +/-16.5 deg: carrying each entry onto
+        # the next anchor must land where per-entry cold solves land, up to
+        # the start-choice spread, and every entry must stay feasible.
+        sweep = np.radians(np.linspace(-16.5, 16.5, 34))
+        cfg = OptimizerConfig(epsilon=0.5)
+        cb = build_codebook(TWO_USERS, list(sweep), 1.0, GEO16, cfg)
+        cold = [optimize_max_min(TWO_USERS, SensingTarget(a), GEO16, cfg) for a in sweep]
+
+        def sensing_db(entries):
+            gains = [beamforming_gain(e.weights, GEO16, e.sensing_angle) for e in entries]
+            return np.mean([db(g) for g in gains])
+
+        def min_snr_db(entries):
+            return np.mean([db(e.min_snr) for e in entries])
+
+        assert abs(min_snr_db(cb.entries) - min_snr_db(cold)) < 0.02
+        assert abs(sensing_db(cb.entries) - sensing_db(cold)) < 0.01
+        for e in cb.entries:
+            _assert_feasible(e, GEO16, cfg.epsilon)
+            recomputed = min(
+                u.base_snr * beamforming_gain(e.weights, GEO16, u.angle) for u in TWO_USERS
+            )
+            assert e.min_snr == pytest.approx(recomputed, rel=1e-9)
 
     def test_build_sizes_and_angles(self):
         sweep = [math.radians(a) for a in (0, 5, 10, 15)]
@@ -506,6 +558,13 @@ class TestCodebookBuildUpdate:
         cb = build_codebook(TWO_USERS, [0.0], 1.0, GEO16, OptimizerConfig())
         with pytest.raises(ValueError):
             update_codebook(cb, [TWO_USERS[0]], GEO16, OptimizerConfig())
+
+    def test_weight_length_mismatch(self, monkeypatch):
+        cb = build_codebook(TWO_USERS, [0.0], 1.0, ArrayGeometry.ula(8), OptimizerConfig())
+        monkeypatch.setattr(codebook, "_ascend", _no_ascent)
+        moved = [UserLink(math.radians(-25), 1.0), TWO_USERS[1]]
+        with pytest.raises(ValueError, match="8 weights but the array has 16 elements"):
+            update_codebook(cb, moved, GEO16, OptimizerConfig())
 
 
 class TestTradeoffProperties:

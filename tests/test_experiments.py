@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subbeam.arrays import ArrayGeometry, conjugate_beam, effective_snr
+from subbeam.arrays import ArrayGeometry, conjugate_beam, effective_snr, steering_vector
 from subbeam.channel import (
     PathModel,
     Reflector,
@@ -104,12 +104,58 @@ class TestImaging:
         assert abs(math.degrees(el[j2]) - 4.0) <= 2.0
         assert m[j, i] > m[j2, i2]
 
+    def test_users_get_codebook_azimuth_weights(self, monkeypatch):
+        # Every pixel beam is the codebook entry of its azimuth (solved on one
+        # row of the array) times the conjugate elevation taper.
+        from subbeam.experiments import imaging
+
+        built, pixel_beams = [], []
+        build = imaging.build_codebook
+        gain = imaging.beamforming_gain
+
+        def recorded_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def recorded_gain(beam, geometry, az, el):
+            pixel_beams.append((az, el, beam.weights))
+            return gain(beam, geometry, az, el)
+
+        monkeypatch.setattr(imaging, "build_codebook", recorded_build)
+        monkeypatch.setattr(imaging, "beamforming_gain", recorded_gain)
+        users = (
+            SceneUser(UserLink(math.radians(-30), 1.0), PathModel(1.0, 0.2, 3)),
+            SceneUser(UserLink(math.radians(30), 1.0), PathModel(1.0, -0.4, 4)),
+        )
+        scene = Scene(users=users, noise_power=1e-7, self_interference_inr_db=None)
+        geo = ArrayGeometry.planar(8, 8)
+        az = np.radians([-4.0, -2.0, 0.0, 2.0, 4.0])
+        el = np.radians([-2.0, 2.0])
+        cfg = OptimizerConfig()
+        run_imaging(scene, az, el, NUM, geo, 34, cfg, SEARCH, seed=1)
+
+        (cb,) = built
+        row_geo = ArrayGeometry.ula(8)
+        assert np.array_equal(cb.sweep, az)
+        for e in cb.entries:
+            anchor = np.conj(steering_vector(row_geo, e.sensing_angle))
+            w = e.weights.weights
+            assert np.all(np.abs(w) <= 1.0 + 1e-9)
+            assert np.all(np.abs(w - anchor) <= cfg.epsilon + 1e-9)
+            assert e.min_snr > 1.0
+        assert len(pixel_beams) == len(az) * len(el)
+        for k, (a, e_angle, w) in enumerate(pixel_beams):
+            entry = cb.entries[k % len(az)]
+            assert a == entry.sensing_angle
+            w_el = np.conj(steering_vector(row_geo, e_angle))
+            assert np.array_equal(w, np.kron(w_el, entry.weights.weights))
+
     @pytest.mark.parametrize("with_users", [False, True], ids=["no_users", "users"])
     def test_non_planar_geometry_rejected_before_solving(self, monkeypatch, with_users):
         def fail(*args, **kwargs):
             raise AssertionError("a pixel beam was solved before the geometry check")
 
-        monkeypatch.setattr("subbeam.experiments.imaging.optimize_max_min", fail)
+        monkeypatch.setattr("subbeam.experiments.imaging.build_codebook", fail)
         users = (SceneUser(UserLink(math.radians(-30), 1.0), PathModel(1.0, 0.2, 3)),)
         scene = Scene(
             users=users if with_users else (), noise_power=1e-7, self_interference_inr_db=None
@@ -357,7 +403,7 @@ class TestReflectorDelayCheck:
             "subbeam.experiments.link.design_data_beam",
             "subbeam.experiments.baselines.build_codebook",
             "subbeam.experiments.baselines.design_data_beam",
-            "subbeam.experiments.imaging.optimize_max_min",
+            "subbeam.experiments.imaging.build_codebook",
         ):
             monkeypatch.setattr(name, fail)
 
