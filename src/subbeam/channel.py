@@ -4,6 +4,10 @@ Each link is a single path: amplitude attenuation, constant phase shift,
 and an integer sample delay. The transmit gain seen by a delayed sample is
 the gain of the beamformer that was active when that sample left the array,
 so reflections straddling a beam switch are modeled faithfully.
+
+The co-located sensing receiver is a fixed 4x4 half-wavelength planar
+array with a broadside conjugate beam; ``rx_gain`` is its power gain toward
+a direction, and ``apply_monostatic`` applies it to every reflection.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ __all__ = [
     "SlotBeamPlan",
     "apply_downlink",
     "apply_monostatic",
-    "default_rx_gain",
     "load_scene",
+    "rx_gain",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
@@ -185,29 +189,36 @@ def apply_downlink(
     return faded + _complex_noise(rng, len(faded), scene.noise_power)
 
 
+# The sensing receiver: a broadside conjugate beam on a 4x4 planar array.
+_RX_GEOMETRY = ArrayGeometry.planar(4, 4, 0.5)
+_RX_BEAM = conjugate_beam(_RX_GEOMETRY, 0.0, 0.0)
+
+
+def rx_gain(azimuth: float, elevation: float = 0.0) -> float:
+    """Power gain of the fixed sensing receive beam toward one direction."""
+    return beamforming_gain(_RX_BEAM, _RX_GEOMETRY, azimuth, elevation)
+
+
 def apply_monostatic(
     slot: SlotWaveform,
     plan: SlotBeamPlan,
     scene: Scene,
     geometry: ArrayGeometry,
-    rx_gain_fn=None,
     seed: int = 0,
 ) -> np.ndarray:
     """Round-trip reflections captured at the co-located sensing receiver.
 
     Sums the per-reflector responses (TX gain taken at each sample's
-    transmit time, RX gain from ``rx_gain_fn``, by default that of
-    ``default_rx_gain()``), adds AWGN at the scene noise power, and, when
-    configured, direct TX leakage at the scene's interference-to-noise
-    ratio with zero delay.
+    transmit time, RX gain from ``rx_gain``), adds AWGN at the scene noise
+    power, and, when configured, direct TX leakage at the scene's
+    interference-to-noise ratio with zero delay.
     """
-    rx_gain_fn = rx_gain_fn or _DEFAULT_RX_GAIN
     elevation_aware = geometry.layout == "planar"
     out = np.zeros(len(slot.samples), dtype=complex)
     for refl in scene.reflectors:
         el = refl.elevation if elevation_aware else None
         amp = plan.tx_amplitude(geometry, refl.azimuth, el)
-        rx_amp = math.sqrt(rx_gain_fn(refl.azimuth, refl.elevation))
+        rx_amp = math.sqrt(rx_gain(refl.azimuth, refl.elevation))
         contribution = refl.path.coefficient * rx_amp * _delayed(
             amp * slot.samples, refl.path.delay_samples
         )
@@ -219,21 +230,6 @@ def apply_monostatic(
             out += math.sqrt(leak_power / mean_power) * slot.samples
     rng = np.random.default_rng(seed)
     return out + _complex_noise(rng, len(out), scene.noise_power)
-
-
-def default_rx_gain(n_az: int = 4, n_el: int = 4, spacing: float = 0.5):
-    """Fixed broadside conjugate beam on a small planar receive array."""
-    geo = ArrayGeometry.planar(n_az, n_el, spacing)
-    beam = conjugate_beam(geo, 0.0, 0.0)
-
-    def gain(azimuth: float, elevation: float = 0.0) -> float:
-        return beamforming_gain(beam, geo, azimuth, elevation)
-
-    return gain
-
-
-# apply_monostatic's receive gain when the caller gives none, built once.
-_DEFAULT_RX_GAIN = default_rx_gain()
 
 
 # ---------------------------------------------------------------------------

@@ -337,8 +337,11 @@ def cmd_image(args, cfg: dict, seed: int) -> None:
     num_beams = cfg.get("num_beams", 34)
     g = cfg.get("grid_deg", {"start": -15.0, "stop": 15.0, "count": 31})
     _check_keys(g, "grid_deg", ("start", "stop", "count"))
+    if g["count"] < 1:
+        raise ValueError(f"grid_deg.count {g['count']} must be >= 1")
     az = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     el = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
+    SubSymbolSchedule.for_numerology(numerology, num_beams)  # fails on a bad num_beams
     run = RunDir(args.out)
     grid = run_imaging(scene, az, el, numerology, geometry, num_beams, opt, search, seed)
     header = ["el_deg\\az_deg"] + [fmt(float(a)) for a in np.degrees(grid.az_angles)]
@@ -442,18 +445,19 @@ def cmd_mobility(args, cfg: dict, seed: int) -> None:
 
 def cmd_bench(args, cfg: dict, seed: int) -> None:
     numerology = _numerology(cfg)
+    schedule = SubSymbolSchedule.for_numerology(numerology, cfg.get("num_beams", 34))
+    searches = [DelaySearchConfig(n) for n in cfg.get("candidate_grid", [2, 4, 6, 8, 10, 12, 16])]
+    repeats = cfg.get("repeats", 20)
+    if repeats < 1:
+        raise ValueError(f"repeats {repeats} must be >= 1")
     run = RunDir(args.out)
-    num_beams = cfg.get("num_beams", 34)
-    schedule = SubSymbolSchedule.for_numerology(numerology, num_beams)
     slot = generate_slot(numerology, "QPSK", seed=seed)
     body = slot.symbol_body(numerology.dmrs_positions()[0])
     rng = np.random.default_rng(seed)
     rx = body + 0.01 * (rng.standard_normal(len(body)) + 1j * rng.standard_normal(len(body)))
-    candidates = cfg.get("candidate_grid", [2, 4, 6, 8, 10, 12, 16])
-    repeats = cfg.get("repeats", 20)
     rows = []
-    for n_cand in candidates:
-        search = DelaySearchConfig(num_candidates=n_cand)
+    for search in searches:
+        n_cand = search.num_candidates
         ops = {}
         secs = {}
         for accelerated in (True, False):

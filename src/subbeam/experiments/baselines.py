@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..arrays import ArrayGeometry, beamforming_gain, conjugate_beam
-from ..channel import Scene, SlotBeamPlan, default_rx_gain
+from ..channel import Scene, SlotBeamPlan, rx_gain
 from ..codebook import OptimizerConfig, build_codebook, design_data_beam
 from ..sensing import DelaySearchConfig
 from ..waveform import (
@@ -32,7 +32,7 @@ __all__ = ["run_baseline", "BASELINE_MODES"]
 BASELINE_MODES = ("subf", "fixed", "switched")
 
 
-def _sensing_profile(res, beam, rx_gain, geometry, angle):
+def _sensing_profile(res, beam, geometry, angle):
     """Mean normalized CSI amplitude (dB) over usable bins at one angle.
 
     The round-trip gain divisor is floored at isotropic so a mode whose beam
@@ -41,7 +41,7 @@ def _sensing_profile(res, beam, rx_gain, geometry, angle):
     """
     g = max(beamforming_gain(beam, geometry, angle) * rx_gain(angle), 1.0)
     amps = np.abs(res.csi[res.valid]) / math.sqrt(g)
-    return 20.0 * math.log10(float(np.mean(amps)) + 1e-30), amps
+    return 20.0 * math.log10(float(np.mean(amps)) + 1e-30)
 
 
 def _conjugate_reference_noise(su, geometry, numerology, snr_db):
@@ -96,7 +96,6 @@ def run_baseline(
 
     schedule = SubSymbolSchedule.for_numerology(numerology, len(dmrs_beams))
     bplan = SlotBeamPlan.uniform(numerology, schedule, dmrs_beams, data_beam)
-    rx_gain = default_rx_gain()
 
     reference = generate_slot(numerology, modulation, seed=seed)
     tx = predistort_dmrs(reference, schedule, plan)
@@ -122,9 +121,7 @@ def run_baseline(
     else:
         beam_idx = 0
     res = results[beam_idx]
-    level_db, amps = _sensing_profile(
-        res, dmrs_beams[beam_idx], rx_gain, geometry, sensing_angle
-    )
+    level_db = _sensing_profile(res, dmrs_beams[beam_idx], geometry, sensing_angle)
     return {
         "mode": mode,
         "per_user": per_user,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain, conjugate_beam, steering_vector
-from ..channel import Scene, SlotBeamPlan, default_rx_gain
+from ..channel import Scene, SlotBeamPlan, rx_gain
 from ..codebook import OptimizerConfig, build_codebook
-from ..sensing import DelaySearchConfig, extract_features
-from ..waveform import Numerology, SubSymbolSchedule, generate_slot
+from ..sensing import DelaySearchConfig
+from ..waveform import SLOT_DURATION_S, Numerology, SubSymbolSchedule, generate_slot
 from .link import check_reflector_delays, sense_dmrs
 
 __all__ = ["ImagingGrid", "air_time", "run_imaging"]
@@ -44,7 +44,7 @@ def air_time(num_pixels: int, beams_per_symbol: int, numerology: Numerology):
     d = len(numerology.dmrs_positions())
     per_slot = beams_per_symbol * d
     slots = math.ceil(num_pixels / per_slot)
-    slot_ms = numerology.slot_duration * 1e3
+    slot_ms = SLOT_DURATION_S * 1e3
     dmrs_ms = (num_pixels // beams_per_symbol) * slot_ms / d
     return slots, slots * slot_ms, dmrs_ms
 
@@ -93,6 +93,7 @@ def run_imaging(
     if geometry.layout != "planar":
         raise ValueError("imaging requires a planar geometry")
     check_reflector_delays(scene, search)
+    schedule = SubSymbolSchedule.for_numerology(numerology, beams_per_symbol)
     az_angles = np.asarray(az_angles, dtype=float)
     el_angles = np.asarray(el_angles, dtype=float)
     users = [su.link for su in scene.users]
@@ -109,41 +110,31 @@ def run_imaging(
         for el in el_angles
         for az, w_az in zip(az_angles, az_weights)
     ]
-    rx_gain = default_rx_gain()
 
-    schedule = SubSymbolSchedule.for_numerology(numerology, beams_per_symbol)
-    dmrs_positions = numerology.dmrs_positions()
+    # Pad the final symbol with its last beam and the final slot with copies
+    # of its last symbol; the padding's powers come last and are dropped.
+    num_dmrs = len(numerology.dmrs_positions())
     chunks = [beams[i : i + beams_per_symbol] for i in range(0, len(beams), beams_per_symbol)]
-    chunk_sizes = [len(c) for c in chunks]
-    for c in chunks:
-        while len(c) < beams_per_symbol:  # pad the final symbol's sweep
-            c.append(c[-1])
+    chunks[-1] += [chunks[-1][-1]] * (beams_per_symbol - len(chunks[-1]))
+    chunks += [chunks[-1]] * (-len(chunks) % num_dmrs)
 
     raw_power = np.zeros(len(pixels))
     for sweep_idx in range(repeats):
-        pixel = 0
-        chunk_idx = 0
-        slots_used = 0
-        while chunk_idx < len(chunks):
-            slot_chunks = chunks[chunk_idx : chunk_idx + len(dmrs_positions)]
-            while len(slot_chunks) < len(dmrs_positions):
-                slot_chunks.append(slot_chunks[-1])
+        powers = []
+        for slot_idx, first in enumerate(range(0, len(chunks), num_dmrs)):
+            slot_chunks = chunks[first : first + num_dmrs]
             bplan = SlotBeamPlan(
                 numerology, schedule, tuple(tuple(c) for c in slot_chunks), slot_chunks[0][0]
             )
             # Fresh reference sequence per slot: frozen DMRS would freeze the
             # per-window bin weights and bias pixels relative to each other.
-            slot_seed = seed + 31 * slots_used + 1_000_003 * sweep_idx
+            slot_seed = seed + 31 * slot_idx + 1_000_003 * sweep_idx
             slot = generate_slot(numerology, "QPSK", seed=slot_seed, dmrs_seed=slot_seed)
             captures = sense_dmrs(
                 slot, slot, bplan, scene, geometry, search, None, slot_seed + 7919
             )
-            for results in captures[: len(chunks) - chunk_idx]:
-                for m in range(chunk_sizes[chunk_idx]):
-                    raw_power[pixel] += extract_features(results[m]).received_power
-                    pixel += 1
-                chunk_idx += 1
-            slots_used += 1
+            powers += [r.power for results in captures for r in results]
+        raw_power += powers[: len(pixels)]
     raw_power /= repeats
 
     norm = np.array(

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain
-from ..channel import Scene, SceneUser, SlotBeamPlan, apply_downlink, apply_monostatic, default_rx_gain
+from ..channel import Scene, SceneUser, SlotBeamPlan, apply_downlink, apply_monostatic, rx_gain
 from ..codebook import Codebook, OptimizerConfig, build_codebook, design_data_beam
-from ..sensing import DelaySearchConfig, SensingCsi, estimate_symbol_csi, extract_features
+from ..sensing import DelaySearchConfig, SensingCsi, estimate_symbol_csi
 from ..waveform import (
     Numerology,
     PredistortionPlan,
@@ -124,10 +124,11 @@ def sense_dmrs(
 ) -> list[list[SensingCsi]]:
     """Capture one slot at the sensing receiver and search each DMRS symbol.
 
-    The monostatic capture adds the scene's noise drawn from ``seed`` and
-    uses the default receive gain. Returns, per DMRS symbol in slot order,
-    the delay-search result of every beam window of ``plan.schedule``,
-    searched on the CP-stripped body against ``reference``'s body.
+    The monostatic capture applies the fixed receive gain ``rx_gain`` and
+    adds the scene's noise drawn from ``seed``. Returns, per DMRS symbol in
+    slot order, the delay-search result of every beam window of
+    ``plan.schedule``, searched on the CP-stripped body against
+    ``reference``'s body.
     """
     numerology = reference.numerology
     rx = apply_monostatic(tx, plan, scene, geometry, seed=seed)
@@ -173,7 +174,6 @@ def run_link(
     if users and predistort:
         plan = build_predistortion_plan(beams, data_beam, users, geometry)
     bplan = SlotBeamPlan.uniform(numerology, schedule, beams, data_beam)
-    rx_gain = default_rx_gain()
 
     per_user_acc = [
         {"evm_sq_est": 0.0, "evm_sq_genie": 0.0, "bit_errors": 0, "bits": 0}
@@ -193,7 +193,7 @@ def run_link(
         )
         for sym_row, results in enumerate(captures):
             for m, res in enumerate(results):
-                feats = extract_features(res)
+                power = res.power
                 angle = codebook.entries[m].sensing_angle
                 g_norm = beamforming_gain(beams[m], geometry, angle) * rx_gain(angle)
                 sensing_rows.append(
@@ -203,11 +203,10 @@ def run_link(
                         "beam_index": m,
                         "angle_deg": math.degrees(angle),
                         "best_delay": res.best_delay,
-                        "power_db": 10.0 * math.log10(feats.received_power + 1e-30),
-                        "power_db_normalized": 10.0
-                        * math.log10(feats.received_power / g_norm + 1e-30),
-                        "slope": feats.phase_slope,
-                        "loss": feats.linearity_loss,
+                        "power_db": 10.0 * math.log10(power + 1e-30),
+                        "power_db_normalized": 10.0 * math.log10(power / g_norm + 1e-30),
+                        "slope": res.slope,
+                        "loss": res.mse,
                     }
                 )
 

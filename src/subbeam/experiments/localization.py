@@ -19,7 +19,7 @@ import numpy as np
 
 from ..arrays import ArrayGeometry, conjugate_beam
 from ..channel import SPEED_OF_LIGHT, PathModel, Reflector, Scene, SlotBeamPlan
-from ..sensing import DelaySearchConfig, SensingCsi, extract_features
+from ..sensing import DelaySearchConfig, SensingCsi
 from ..waveform import Numerology, SubSymbolSchedule, generate_slot
 from .link import sense_dmrs
 
@@ -27,18 +27,11 @@ __all__ = ["feature_stack", "calibrate_sp", "run_localization"]
 
 
 def feature_stack(results: list[SensingCsi], sub_len: int) -> np.ndarray:
-    """Flatten per-beam features into one regression input row."""
+    """Per beam, power (dB), total phase slope and fit MSE in one regression row."""
     row = []
     for res in results:
-        f = extract_features(res)
-        total_slope = f.phase_slope - 2.0 * np.pi * res.best_delay / sub_len
-        row.extend(
-            [
-                10.0 * math.log10(f.received_power + 1e-30),
-                total_slope,
-                f.linearity_loss,
-            ]
-        )
+        total_slope = res.slope - 2.0 * np.pi * res.best_delay / sub_len
+        row.extend([10.0 * math.log10(res.power + 1e-30), total_slope, res.mse])
     return np.array(row)
 
 

@@ -14,6 +14,11 @@ last usable bin at zero weight, and a single unwrap plus array reductions
 fit every candidate of every beam. ``estimate_symbol_csi`` (all beams) and
 ``estimate_beam_csi`` (one beam) both call it.
 
+Each beam's result is one ``SensingCsi``: the CSI at the best delay, that
+delay, the phase line's slope, intercept and weighted MSE, the usable-bin
+mask, and the received power over the usable bins. Imaging, localization,
+the link's sensing rows and the baselines read these fields directly.
+
 DFT convention: forward transform uses exp(-j*2*pi*k*n/N), so advancing the
 window one sample multiplies each bin by exp(+j*2*pi*k/N).
 """
@@ -30,50 +35,34 @@ from .waveform import PredistortionPlan, SubSymbolSchedule
 
 __all__ = [
     "DelaySearchConfig",
-    "LineFit",
     "SensingCsi",
-    "CsiFeatures",
     "OpCounter",
     "sliding_dft_step",
     "estimate_beam_csi",
     "estimate_symbol_csi",
-    "extract_features",
 ]
 
 # Tx bins with magnitude at or below this floor are excluded from CSI fits.
 TX_MAGNITUDE_FLOOR = 1e-12
+# Bins whose transmit magnitude falls below this fraction of the window's RMS
+# are unusable: dividing by a deeply faded bin amplifies whatever is not
+# aligned with it, which would otherwise splatter spikes across power maps.
+MIN_TX_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
 class DelaySearchConfig:
-    """Delay-candidate count, bin-validity floor, and optional weight override.
+    """Number of delay candidates of the search.
 
-    The default candidate count follows ceil(log2(fft_size)) for the
-    standard 1024-bin numerology. When ``weights`` is None the fit weights
-    the residual of each subcarrier by the transmitted magnitude |X[k]|
-    (zero-weight bins are skipped entirely). Bins whose transmit magnitude
-    falls below ``min_tx_fraction`` of the window's RMS are treated as
-    unusable: dividing by a deeply faded bin amplifies whatever is not
-    aligned with it, which would otherwise splatter spikes across power
-    maps.
+    The default follows ceil(log2(fft_size)) for the standard 1024-bin
+    numerology.
     """
 
     num_candidates: int = 10
-    weights: np.ndarray | None = None
-    min_tx_fraction: float = 0.3
 
     def __post_init__(self):
         if self.num_candidates < 1:
-            raise ValueError("num_candidates must be >= 1")
-        if self.min_tx_fraction < 0:
-            raise ValueError("min_tx_fraction must be >= 0")
-
-    def valid_bins(self, tx_spectrum: np.ndarray) -> np.ndarray:
-        """Usable-bin mask of one window's transmit spectrum, or of a stack
-        of them along the last axis (the RMS is taken per window)."""
-        mag = np.abs(tx_spectrum)
-        rms = np.sqrt(np.mean(mag**2, axis=-1, keepdims=True))
-        return mag > np.maximum(TX_MAGNITUDE_FLOOR, self.min_tx_fraction * rms)
+            raise ValueError(f"num_candidates {self.num_candidates} must be >= 1")
 
     def check_delay(self, delay: int, what: str) -> None:
         """Raise ValueError when a round-trip ``delay`` (samples) lies outside
@@ -86,32 +75,27 @@ class DelaySearchConfig:
 
 
 @dataclass(frozen=True)
-class LineFit:
-    slope: float  # radians per bin
-    intercept: float  # radians
-    mse: float  # weighted mean squared phase residual
-
-
-@dataclass(frozen=True)
 class SensingCsi:
-    """Recovered CSI for one beam window at its best-fitting delay."""
+    """Recovered CSI for one beam window at its best-fitting delay.
+
+    The phase of ``csi`` over the usable bins is fit by the line
+    ``slope * k + intercept`` (radians per bin, radians), each residual
+    weighted by its bin's transmitted magnitude |c*X[k]| (c the window's
+    pre-distortion factor); ``mse`` is the weighted mean squared residual.
+    """
 
     beam_index: int
-    csi: np.ndarray
+    csi: np.ndarray  # zero on unusable bins
     best_delay: int
-    fit: LineFit
+    slope: float
+    intercept: float
+    mse: float
     valid: np.ndarray  # per-bin usability mask
 
-
-@dataclass(frozen=True)
-class CsiFeatures:
-    received_power: float  # sum |H|^2 over usable bins, linear
-    phase_slope: float  # radians per bin
-    linearity_loss: float  # weighted MSE of the linear phase fit
-
-    def __post_init__(self):
-        if self.linearity_loss < 0:
-            raise ValueError("linearity_loss must be >= 0")
+    @property
+    def power(self) -> float:
+        """Received power: sum of |H|^2 over the usable bins, linear."""
+        return float(np.sum(np.abs(self.csi[self.valid]) ** 2))
 
 
 class OpCounter:
@@ -166,7 +150,7 @@ class _CandidateFits(NamedTuple):
         csi = self.csi[picks, cols]
         fits = zip(*(a[picks, cols].tolist() for a in (self.slope, self.intercept, self.mse)))
         return [
-            SensingCsi(int(m), csi[b], int(dn), LineFit(*fit), self.valid[b])
+            SensingCsi(int(m), csi[b], int(dn), *fit, self.valid[b])
             for b, (m, dn, fit) in enumerate(zip(self.beams, picks, fits))
         ]
 
@@ -197,11 +181,10 @@ def _delay_search(
     starts = beams * length
     x_f = np.fft.fft(tx_symbol[starts[:, None] + offsets], axis=1)
     factors = plan.factors[beams] if plan is not None else np.ones(n_beams, dtype=complex)
-    if cfg.weights is None:
-        weights = np.abs(factors[:, None] * x_f)
-    else:
-        weights = np.broadcast_to(np.asarray(cfg.weights, float), x_f.shape)
-    valid = cfg.valid_bins(x_f)
+    weights = np.abs(factors[:, None] * x_f)
+    mag = np.abs(x_f)
+    rms = np.sqrt(np.mean(mag**2, axis=1, keepdims=True))
+    valid = mag > np.maximum(TX_MAGNITUDE_FLOOR, MIN_TX_FRACTION * rms)
     usable = valid & (weights > 0)
     counts = usable.sum(axis=1)
     if np.any(counts == 0):
@@ -295,15 +278,3 @@ def estimate_symbol_csi(
         raise ValueError("plan length does not match the schedule")
     beams = np.arange(schedule.num_beams)
     return _delay_search(rx_symbol, tx_symbol, schedule, beams, cfg, plan, counter).best()
-
-
-def extract_features(csi: SensingCsi) -> CsiFeatures:
-    """The three per-beam scalars consumed by downstream sensing tasks."""
-    usable = csi.valid
-    return CsiFeatures(
-        received_power=float(np.sum(np.abs(csi.csi[usable]) ** 2)),
-        phase_slope=csi.fit.slope,
-        linearity_loss=csi.fit.mse,
-    )
-
-

@@ -17,6 +17,7 @@ import numpy as np
 from .arrays import ArrayGeometry, Beamformer, steering_vector
 
 __all__ = [
+    "SLOT_DURATION_S",
     "Numerology",
     "SubSymbolSchedule",
     "SlotWaveform",
@@ -36,6 +37,11 @@ __all__ = [
 # receivers so the DMRS grids are pre-defined and identical across users.
 DEFAULT_DMRS_SEED = 0x5103
 
+# Nominal over-the-air slot duration of numerology 3. A Numerology's
+# uniform-CP sample budget is a hair shorter (the real frame pads the first
+# CP); air-time accounting uses this figure.
+SLOT_DURATION_S = 125e-6
+
 MODULATIONS = {
     "QPSK": 2,
     "16QAM": 4,
@@ -54,10 +60,6 @@ class Numerology:
     sample_rate: float = 122.88e6
     symbols_per_slot: int = 14
     dmrs_symbol_indices: frozenset = frozenset({3, 4, 11, 12})  # 1-based
-    # Nominal over-the-air slot duration. The uniform-CP sample budget above
-    # is a hair shorter (the real frame pads the first CP); air-time
-    # accounting uses this figure.
-    slot_duration_s: float | None = 125e-6
 
     def __post_init__(self):
         if self.fft_size < 1 or self.occupied_subcarriers < 1:
@@ -77,12 +79,6 @@ class Numerology:
     @property
     def slot_len(self) -> int:
         return self.symbols_per_slot * self.symbol_len
-
-    @property
-    def slot_duration(self) -> float:
-        if self.slot_duration_s is not None:
-            return self.slot_duration_s
-        return self.slot_len / self.sample_rate
 
     def with_cp(self, body: np.ndarray) -> np.ndarray:
         """One symbol's samples: the body's last ``cp_length`` samples, then the body."""
@@ -132,6 +128,8 @@ class SubSymbolSchedule:
 
     @classmethod
     def for_numerology(cls, numerology: Numerology, num_beams: int) -> "SubSymbolSchedule":
+        if not 1 <= num_beams <= numerology.fft_size:
+            raise ValueError(f"num_beams {num_beams} outside 1..{numerology.fft_size}")
         return cls(
             num_beams=num_beams,
             sub_len=numerology.fft_size // num_beams,

@@ -17,8 +17,8 @@ from subbeam.channel import (
     SlotBeamPlan,
     apply_downlink,
     apply_monostatic,
-    default_rx_gain,
     load_scene,
+    rx_gain,
     scene_from_dict,
 )
 from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot
@@ -81,7 +81,7 @@ def test_empty_scene_noise_power_calibrated():
     geo1, plan = unity_plan()
     slot = generate_slot(NUM, "QPSK", seed=5)
     scene = Scene(noise_power=2.5e-4, self_interference_inr_db=None)
-    rx = apply_monostatic(slot, plan, scene, geo1, lambda az, el=0.0: 1.0, seed=9)
+    rx = apply_monostatic(slot, plan, scene, geo1, seed=9)
     measured = float(np.mean(np.abs(rx) ** 2))
     assert len(rx) > 1e4
     assert measured == pytest.approx(2.5e-4, rel=0.05)
@@ -93,7 +93,7 @@ def test_noise_tighter_calibration_100k_samples():
     slot = generate_slot(NUM, "QPSK", seed=6)
     samples = []
     for seed in range(7):
-        rx = apply_monostatic(slot, plan, rng_scene, geo1, lambda az, el=0.0: 1.0, seed=seed)
+        rx = apply_monostatic(slot, plan, rng_scene, geo1, seed=seed)
         samples.append(rx)
     allrx = np.concatenate(samples)
     assert len(allrx) > 1e5
@@ -112,11 +112,11 @@ def test_reflector_copies_aligned_window():
     d = 4
     refl = Reflector(angles[1], PathModel(0.7, 0.3, d), label="x")
     scene = Scene(reflectors=(refl,), noise_power=1e-30, self_interference_inr_db=None)
-    rx = apply_monostatic(slot, plan, scene, geo, lambda az, el=0.0: 1.0, seed=1)
+    rx = apply_monostatic(slot, plan, scene, geo, seed=1)
     pos = NUM.dmrs_positions()[0]
     tx_body = slot.symbol_body(pos)
     sl = sched.window(1)
-    g = 64.0  # conjugate gain toward its own angle
+    g = 64.0 * rx_gain(angles[1])  # conjugate gain toward its own angle, both ways
     expected = 0.7 * np.exp(0.3j) * math.sqrt(g) * tx_body[sl]
     # the echo of the last window spills past the symbol body, so index the
     # full received stream
@@ -143,14 +143,15 @@ def test_orthogonal_reflectors_track_in_beam_power():
         noise_power=1e-30,
         self_interference_inr_db=None,
     )
-    rx = apply_monostatic(slot, plan, scene, geo, lambda az, el=0.0: 1.0, seed=2)
+    rx = apply_monostatic(slot, plan, scene, geo, seed=2)
     pos = NUM.dmrs_positions()[0]
     rx_body = rx[NUM.symbol_slice(pos, include_cp=False)]
     tx_body = slot.symbol_body(pos)
-    for m in range(2):
+    for m, angle in enumerate((0.0, null_angle)):
         sl = sched.window(m)
         ratio = np.mean(np.abs(rx_body[sl]) ** 2) / np.mean(np.abs(tx_body[sl]) ** 2)
-        expected = 0.25 * 64.0  # alpha^2 * conjugate gain, other reflector nulled
+        # alpha^2 * conjugate gain * receive gain, other reflector nulled
+        expected = 0.25 * 64.0 * rx_gain(angle)
         assert 10 * math.log10(ratio / expected) == pytest.approx(0.0, abs=0.5)
 
 
@@ -162,7 +163,7 @@ def test_linearity_of_reflector_responses():
     slot = generate_slot(NUM, "QPSK", seed=10)
     r1 = Reflector(math.radians(3), PathModel(0.6, 0.5, 2))
     r2 = Reflector(math.radians(-7), PathModel(0.3, -0.9, 6))
-    kw = dict(rx_gain_fn=lambda az, el=0.0: 1.0, seed=0)
+    kw = dict(seed=0)
     quiet = dict(noise_power=1e-30, self_interference_inr_db=None)
     rx1 = apply_monostatic(slot, plan, Scene(reflectors=(r1,), **quiet), geo, **kw)
     rx2 = apply_monostatic(slot, plan, Scene(reflectors=(r2,), **quiet), geo, **kw)
@@ -174,7 +175,7 @@ def test_amplitude_doubling_quadruples_power():
     geo1, plan = unity_plan()
     slot = generate_slot(NUM, "QPSK", seed=11)
     quiet = dict(noise_power=1e-30, self_interference_inr_db=None)
-    kw = dict(rx_gain_fn=lambda az, el=0.0: 1.0, seed=0)
+    kw = dict(seed=0)
     rx_a = apply_monostatic(
         slot, plan, Scene(reflectors=(Reflector(0.0, PathModel(0.4, 0.0, 3)),), **quiet),
         geo1, **kw,
@@ -193,16 +194,16 @@ def test_self_interference_level():
     slot = generate_slot(NUM, "QPSK", seed=12)
     noise = 1e-6
     scene = Scene(noise_power=noise, self_interference_inr_db=20.0)
-    rx = apply_monostatic(slot, plan, scene, geo1, lambda az, el=0.0: 1.0, seed=3)
+    rx = apply_monostatic(slot, plan, scene, geo1, seed=3)
     # leak should dominate the noise by ~20 dB
     leak_power = float(np.mean(np.abs(rx) ** 2)) - noise
     assert 10 * math.log10(leak_power / noise) == pytest.approx(20.0, abs=0.5)
 
 
-def test_default_rx_gain_peak():
-    gain = default_rx_gain()
-    assert gain(0.0, 0.0) == pytest.approx(256.0, rel=1e-9)
-    assert gain(0.3, 0.0) < 256.0
+def test_rx_gain_peak():
+    assert rx_gain(0.0, 0.0) == pytest.approx(256.0, rel=1e-9)
+    assert rx_gain(0.0) == rx_gain(0.0, 0.0)
+    assert rx_gain(0.3, 0.0) < 256.0
 
 
 class TestSceneIo:

@@ -17,7 +17,7 @@ from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenari
 from subbeam.sensing import DelaySearchConfig
 from subbeam.waveform import Numerology, generate_slot, read_iq
 
-from cli_cases import CASES, CODEBOOK_CFG, IMG_CFG, LOC_CFG, MOB_CFG, SIM_CFG
+from cli_cases import BENCH_CFG, CASES, CODEBOOK_CFG, IMG_CFG, LOC_CFG, MOB_CFG, SIM_CFG
 
 def run_cmd(tmp_path, name, cfg, out, extra=()):
     cfg_path = tmp_path / f"{name}_{out}.json"
@@ -161,6 +161,12 @@ BAD_VALUES = [
      "base_snr / base_snr_db"),
     ("noise_twice", "simulate", _with_scene((), "noise_power", 1e-3),
      "noise_power / noise_power_db"),
+    ("bench_repeats", "bench", {**BENCH_CFG, "repeats": 0}, "repeats 0"),
+    ("bench_candidates", "bench", {**BENCH_CFG, "candidate_grid": [0]}, "num_candidates 0"),
+    ("image_no_beams", "image", {**IMG_CFG, "num_beams": 0}, "num_beams 0"),
+    ("image_beams_too_many", "image", {**IMG_CFG, "num_beams": 2000}, "num_beams 2000"),
+    ("image_empty_grid", "image", {**IMG_CFG, "grid_deg": {"start": -8, "stop": 8, "count": 0}},
+     "grid_deg.count 0"),
 ]
 
 
@@ -218,9 +224,10 @@ def test_section_keys_are_parameters_of_their_callees():
     def params(fn):
         return set(inspect.signature(fn).parameters)
 
-    assert CONFIG_SECTIONS["optimizer"] <= fields(OptimizerConfig)
-    assert CONFIG_SECTIONS["search"] <= fields(DelaySearchConfig)
-    assert CONFIG_SECTIONS["numerology"] <= fields(Numerology)
+    # Every field of these config dataclasses is settable from the config.
+    assert CONFIG_SECTIONS["optimizer"] == fields(OptimizerConfig)
+    assert CONFIG_SECTIONS["search"] == fields(DelaySearchConfig)
+    assert CONFIG_SECTIONS["numerology"] == fields(Numerology)
     assert CONFIG_SECTIONS["localization"] <= params(run_localization)
     timing = {"duration", "tick_interval"}
     assert timing <= CONFIG_SECTIONS["mobility"]

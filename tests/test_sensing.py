@@ -1,19 +1,21 @@
-"""Sliding-DFT, delay search, and feature extraction tests."""
+"""Sliding-DFT, delay search, and per-beam result tests."""
 
+import dataclasses
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
+from subbeam import sensing
 from subbeam.sensing import (
     TX_MAGNITUDE_FLOOR,
     DelaySearchConfig,
-    LineFit,
     OpCounter,
+    SensingCsi,
     _delay_search,
     estimate_beam_csi,
     estimate_symbol_csi,
-    extract_features,
     sliding_dft_step,
 )
 from subbeam.waveform import Numerology, PredistortionPlan, SubSymbolSchedule, generate_slot
@@ -31,11 +33,14 @@ def random_window_signal(length, extra, seed):
 def candidate_csi(rx, tx, sched, beam, delay, plan=None):
     """CSI and validity of one beam window under one assumed delay.
 
-    Read from the search kernel's per-candidate output. ``min_tx_fraction=0``
-    leaves only the numerical floor, so every bin with transmit energy is valid.
+    Read from the search kernel's per-candidate output. A zero
+    ``MIN_TX_FRACTION`` leaves only the numerical floor, so every bin with
+    transmit energy is valid.
     """
-    cfg = DelaySearchConfig(delay + 1, min_tx_fraction=0.0)
-    fits = _delay_search(rx, tx, sched, np.array([beam]), cfg, plan, None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensing, "MIN_TX_FRACTION", 0.0)
+        cfg = DelaySearchConfig(delay + 1)
+        fits = _delay_search(rx, tx, sched, np.array([beam]), cfg, plan, None)
     return fits.csi[delay, 0], fits.valid[0]
 
 
@@ -138,7 +143,7 @@ class TestDelaySearch:
             rx[true_delay : true_delay + len(tx)] = 0.8 * np.exp(0.4j) * tx
             res = estimate_beam_csi(rx, tx, self.SCHED, 2, DelaySearchConfig(10))
             assert res.best_delay == true_delay
-            assert res.fit.mse < 1e-12
+            assert res.mse < 1e-12
 
     def test_pure_rotation_recovers_intercept(self):
         tx = self._symbol(5)
@@ -146,8 +151,8 @@ class TestDelaySearch:
         rx = np.exp(1j * theta) * tx
         res = estimate_beam_csi(rx, tx, self.SCHED, 1, DelaySearchConfig(10))
         assert res.best_delay == 0
-        assert res.fit.intercept == pytest.approx(theta, abs=1e-6)
-        assert res.fit.slope == pytest.approx(0.0, abs=1e-6)
+        assert res.intercept == pytest.approx(theta, abs=1e-6)
+        assert res.slope == pytest.approx(0.0, abs=1e-6)
 
     def test_loss_profile_has_unique_minimum(self):
         tx = self._symbol(6)
@@ -160,7 +165,7 @@ class TestDelaySearch:
         # loss grows monotonically-ish away from the minimum
         assert losses[d] < min(losses[d - 1], losses[d + 1]) / 10
         res = estimate_beam_csi(rx, tx, self.SCHED, 3, DelaySearchConfig(10))
-        assert res.fit.mse == losses[d]
+        assert res.mse == losses[d]
 
     def test_matches_brute_force_oracle(self):
         tx = self._symbol(7)
@@ -176,7 +181,7 @@ class TestDelaySearch:
                 {"rx": rx, "tx": tx}, m * 30, 30, 10
             )
             assert res.best_delay == ref_dn
-            assert res.fit.mse == pytest.approx(ref_mse, rel=1e-6)
+            assert res.mse == pytest.approx(ref_mse, rel=1e-6)
 
     def test_tie_breaks_toward_smaller_delay(self):
         # an all-zero receive buffer fits every delay equally (MSE 0 on the
@@ -191,23 +196,25 @@ class TestDelaySearch:
         d = 2
         rx = np.zeros(len(tx) + 16, dtype=complex)
         rx[d : d + len(tx)] = tx
-        # corrupt three bins of window 1 after the fact via explicit weights
+        # zero three bins of window 1's transmit spectrum: the received
+        # samples still carry them, so any use of them would corrupt the fit
         sl = self.SCHED.window(1)
         x_f = np.fft.fft(tx[sl])
-        weights = np.abs(x_f)
         corrupted = [3, 11, 20]
-        weights[corrupted] = 0.0
-        cfg = DelaySearchConfig(10, weights=weights)
-        res = estimate_beam_csi(rx, tx, self.SCHED, 1, cfg)
+        x_f[corrupted] = 0.0
+        notched = tx.copy()
+        notched[sl] = np.fft.ifft(x_f)
+        res = estimate_beam_csi(rx, notched, self.SCHED, 1, DelaySearchConfig(10))
+        assert not res.valid[corrupted].any()
+        assert np.all(res.csi[corrupted] == 0)
         # closed-form weighted fit on the clean bins only
-        keep = res.valid & (weights > 0)
-        k = np.flatnonzero(keep)
+        k = np.flatnonzero(res.valid)
         phases = np.unwrap(np.angle(res.csi[k]))
-        w2 = weights[k] ** 2
+        w2 = np.abs(x_f[k]) ** 2
         a = np.vstack([k, np.ones_like(k)]).T
         wls = np.linalg.solve(a.T @ (w2[:, None] * a), a.T @ (w2 * phases))
-        assert res.fit.slope == pytest.approx(wls[0], abs=1e-12)
-        assert res.fit.intercept == pytest.approx(wls[1], abs=1e-12)
+        assert res.slope == pytest.approx(wls[0], abs=1e-12)
+        assert res.intercept == pytest.approx(wls[1], abs=1e-12)
 
     def test_all_invalid_raises(self):
         tx = np.zeros(1024, dtype=complex)
@@ -231,7 +238,7 @@ class TestSymbolBatch:
             single = estimate_beam_csi(rx, tx, sched, m, cfg)
             assert res.best_delay == single.best_delay
             assert np.allclose(res.csi, single.csi, atol=1e-12)
-            assert res.fit.mse == pytest.approx(single.fit.mse, rel=1e-12)
+            assert res.mse == pytest.approx(single.mse, rel=1e-12)
 
     def test_single_beam_covers_whole_symbol(self):
         tx = generate_slot(NUM, "QPSK", seed=11).symbol_body(NUM.dmrs_positions()[0])
@@ -245,19 +252,18 @@ class TestSymbolBatch:
 
 class TestFeatures:
     def test_flat_unit_csi(self):
-        from subbeam.sensing import LineFit, SensingCsi
-
         csi = SensingCsi(
             beam_index=0,
             csi=np.ones(30, dtype=complex),
             best_delay=0,
-            fit=LineFit(0.0, 0.0, 0.0),
+            slope=0.0,
+            intercept=0.0,
+            mse=0.0,
             valid=np.ones(30, dtype=bool),
         )
-        f = extract_features(csi)
-        assert f.received_power == pytest.approx(30.0)
-        assert f.phase_slope == 0.0
-        assert f.linearity_loss == 0.0
+        assert csi.power == pytest.approx(30.0)
+        # only usable bins carry power
+        assert dataclasses.replace(csi, valid=np.arange(30) < 12).power == pytest.approx(12.0)
 
     def test_single_path_zero_loss(self):
         tx = generate_slot(NUM, "QPSK", seed=12).symbol_body(NUM.dmrs_positions()[0])
@@ -265,7 +271,7 @@ class TestFeatures:
         rx = np.zeros(len(tx) + 16, dtype=complex)
         rx[6 : 6 + len(tx)] = 0.4 * np.exp(-1.2j) * tx
         res = estimate_beam_csi(rx, tx, sched, 4, DelaySearchConfig(10))
-        assert extract_features(res).linearity_loss < 1e-9
+        assert res.mse < 1e-9
 
     def test_two_paths_increase_loss(self):
         tx = generate_slot(NUM, "QPSK", seed=13).symbol_body(NUM.dmrs_positions()[0])
@@ -275,8 +281,8 @@ class TestFeatures:
         two = one.copy()
         two[7 : 7 + len(tx)] += tx  # equal-power path 5 samples later
         cfg = DelaySearchConfig(10)
-        loss_one = extract_features(estimate_beam_csi(one, tx, sched, 3, cfg)).linearity_loss
-        loss_two = extract_features(estimate_beam_csi(two, tx, sched, 3, cfg)).linearity_loss
+        loss_one = estimate_beam_csi(one, tx, sched, 3, cfg).mse
+        loss_two = estimate_beam_csi(two, tx, sched, 3, cfg).mse
         assert loss_two > loss_one * 100
 
 
@@ -309,9 +315,12 @@ class TestOpCounting:
 # kernel must reproduce.
 
 
-def _seed_valid_bins(cfg, tx_spectrum):
+SeedFit = namedtuple("SeedFit", "slope intercept mse")
+
+
+def _seed_valid_bins(tx_spectrum):
     rms = math.sqrt(float(np.mean(np.abs(tx_spectrum) ** 2)))
-    floor = max(TX_MAGNITUDE_FLOOR, cfg.min_tx_fraction * rms)
+    floor = max(TX_MAGNITUDE_FLOOR, sensing.MIN_TX_FRACTION * rms)
     return np.abs(tx_spectrum) > floor
 
 
@@ -344,7 +353,7 @@ def _seed_weighted_line_fit(k, y, weights):
         intercept = (s_y - slope * s_k) / s_w
     resid = y - (slope * k + intercept)
     mse = float(np.sum(w2 * resid**2) / s_w) if s_w > 0 else 0.0
-    return LineFit(slope=slope, intercept=intercept, mse=mse)
+    return SeedFit(slope=slope, intercept=intercept, mse=mse)
 
 
 def _seed_fit_csi_phase(csi, valid, weights):
@@ -363,8 +372,8 @@ def _seed_beam_search(rx_symbol, tx_symbol, schedule, beam_index, cfg, plan=None
     start = beam_index * length
     x_f = np.fft.fft(tx_symbol[schedule.window(beam_index)])
     factor = plan.factors[beam_index] if plan is not None else 1.0
-    weights = np.abs(factor * x_f) if cfg.weights is None else np.asarray(cfg.weights, float)
-    valid = _seed_valid_bins(cfg, x_f)
+    weights = np.abs(factor * x_f)
+    valid = _seed_valid_bins(x_f)
     if not np.any(valid & (weights > 0)):
         raise ValueError("no usable subcarriers")
 
@@ -387,35 +396,44 @@ def _seed_beam_search(rx_symbol, tx_symbol, schedule, beam_index, cfg, plan=None
 
 
 class TestKernelEquivalence:
-    """The batched kernel against the seed's per-beam loop and the oracle."""
+    """The batched kernel against the seed's per-beam loop and the oracle.
+
+    Variants: ``plain``; ``plan``, a random pre-distortion plan; ``weights``,
+    uneven fit weights |X[k]| from a transmit spectrum scaled bin by bin in
+    every window, with a quarter of each window's bins zeroed (unusable).
+    """
 
     def _capture(self, num_beams, variant, seed):
         rng = np.random.default_rng([num_beams, seed])
         sched = SubSymbolSchedule.for_numerology(NUM, num_beams)
         tx = generate_slot(NUM, "QPSK", seed=20 + seed).symbol_body(NUM.dmrs_positions()[0])
+        if variant == "weights":
+            shape_rng = np.random.default_rng([num_beams, seed, 1])
+            tx = tx.copy()
+            for m in range(num_beams):
+                sl = sched.window(m)
+                x_f = np.fft.fft(tx[sl]) * shape_rng.uniform(0.5, 2.0, sched.sub_len)
+                x_f[shape_rng.choice(sched.sub_len, sched.sub_len // 4, replace=False)] = 0.0
+                tx[sl] = np.fft.ifft(x_f)
         d = int(rng.integers(0, 10))
         rx = np.zeros(len(tx) + 32, dtype=complex)
         rx[d : d + len(tx)] = 0.6 * np.exp(1j * rng.uniform(-np.pi, np.pi)) * tx
         rx += 0.1 * (rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
         plan = None
-        weights = None
         if variant == "plan":
             plan = PredistortionPlan(
                 amplitude=rng.uniform(0.5, 2.0, num_beams),
                 phase=rng.uniform(-np.pi, np.pi, num_beams),
             )
-        elif variant == "weights":
-            weights = rng.uniform(0.5, 2.0, sched.sub_len)
-            weights[rng.choice(sched.sub_len, sched.sub_len // 4, replace=False)] = 0.0
-        return rx, tx, sched, plan, DelaySearchConfig(10, weights=weights)
+        return rx, tx, sched, plan, DelaySearchConfig(10)
 
     @staticmethod
     def _assert_same(res, ref):
         ref_delay, ref_fit, ref_csi, ref_valid = ref
         assert res.best_delay == ref_delay
-        assert res.fit.slope == pytest.approx(ref_fit.slope, rel=1e-9)
-        assert res.fit.intercept == pytest.approx(ref_fit.intercept, rel=1e-9)
-        assert res.fit.mse == pytest.approx(ref_fit.mse, rel=1e-9)
+        assert res.slope == pytest.approx(ref_fit.slope, rel=1e-9)
+        assert res.intercept == pytest.approx(ref_fit.intercept, rel=1e-9)
+        assert res.mse == pytest.approx(ref_fit.mse, rel=1e-9)
         assert np.allclose(res.csi, ref_csi, rtol=0, atol=1e-12)
         assert np.array_equal(res.valid, ref_valid)
 
@@ -428,20 +446,19 @@ class TestKernelEquivalence:
             assert [r.beam_index for r in batch] == list(range(num_beams))
             for m, res in enumerate(batch):
                 self._assert_same(res, _seed_beam_search(rx, tx, sched, m, cfg, plan))
-                if variant == "weights":
-                    continue  # the oracle weights bins by transmit magnitude only
                 factor = plan.factors[m] if plan is not None else 1.0
                 ref_dn, ref_mse, _ = brute_force_delay_search(
                     {"rx": rx, "tx": tx}, m * sched.sub_len, sched.sub_len, 10, factor
                 )
                 assert res.best_delay == ref_dn
-                assert res.fit.mse == pytest.approx(ref_mse, rel=1e-6, abs=1e-12)
+                assert res.mse == pytest.approx(ref_mse, rel=1e-6, abs=1e-12)
 
-    def test_weight_override_pads_unequal_beams(self):
-        rx, tx, sched, plan, cfg = self._capture(15, "weights", 0)
-        fits = _delay_search(rx, tx, sched, np.arange(15), cfg, plan, None)
-        usable = (fits.valid & (cfg.weights > 0)).sum(axis=1)
-        assert usable.min() < usable.max()  # the narrower beams are padded
+    def test_unequal_usable_counts_are_padded(self):
+        # The equivalence tests above take the padded path: beams differ in
+        # their usable-bin counts even on a plain capture.
+        rx, tx, sched, plan, cfg = self._capture(15, "plain", 0)
+        usable = _delay_search(rx, tx, sched, np.arange(15), cfg, plan, None).valid.sum(axis=1)
+        assert usable.min() < usable.max()
 
     @pytest.mark.parametrize("accelerated", [True, False])
     @pytest.mark.parametrize("variant", ["plain", "plan", "weights"])
@@ -456,12 +473,14 @@ class TestKernelEquivalence:
             )
 
     def test_single_usable_bin_takes_the_flat_fit(self):
-        rx, tx, sched, _, _ = self._capture(8, "plain", 1)
-        x_f = np.fft.fft(tx[sched.window(2)])
-        weights = np.zeros(sched.sub_len)
-        weights[int(np.argmax(np.abs(x_f)))] = 1.0
-        cfg = DelaySearchConfig(10, weights=weights)
+        rx, tx, sched, _, cfg = self._capture(8, "plain", 1)
+        # window 2 transmits a single tone: one bin above the threshold
+        tone = np.zeros(sched.sub_len, dtype=complex)
+        tone[5] = 1.0
+        tx = tx.copy()
+        tx[sched.window(2)] = np.fft.ifft(tone)
         res = estimate_beam_csi(rx, tx, sched, 2, cfg)
+        assert np.flatnonzero(res.valid).tolist() == [5]
         ref = _seed_beam_search(rx, tx, sched, 2, cfg)
         self._assert_same(res, ref)
-        assert res.fit.slope == 0.0 and res.fit.mse == 0.0 and res.best_delay == 0
+        assert res.slope == 0.0 and res.mse == 0.0 and res.best_delay == 0
