@@ -36,7 +36,7 @@ from .experiments.mobility import MobilityScenario, default_sweep_scenario, run_
 from .experiments.tradeoff import epsilon_sweep
 from .runio import RunDir, fmt, write_csv, write_json, write_pgm
 from .sensing import DelaySearchConfig, OpCounter, estimate_beam_csi
-from .waveform import Numerology, SubSymbolSchedule, generate_slot, write_iq
+from .waveform import Numerology, SubSymbolSchedule, constellation, generate_slot, write_iq
 
 DEFAULT_SEED = 1
 
@@ -132,7 +132,15 @@ def _sweep(cfg: dict, default_count: int = 4) -> list[float]:
     else:
         _check_keys(s, "sweep_deg", ("start", "stop", "count"))
         degs = np.linspace(s["start"], s["stop"], s["count"]).tolist()
+    if not degs:
+        raise ValueError("config: sweep_deg is empty")
     return [math.radians(d) for d in degs]
+
+
+def _modulation(cfg: dict) -> str:
+    modulation = cfg.get("modulation", "64QAM")
+    constellation(modulation)  # fails on an unknown modulation
+    return modulation
 
 
 def _scene(cfg: dict, numerology: Numerology) -> Scene:
@@ -163,15 +171,17 @@ def cmd_codebook(args, cfg: dict, seed: int) -> None:
     opt = _optimizer(cfg)
     users = _users(cfg)
     sweep = _sweep(cfg)
+    moved = None
+    if "moved_users_deg" in cfg:
+        moved_deg = cfg["moved_users_deg"]
+        if len(moved_deg) != len(users):
+            raise ValueError(f"moved_users_deg has {len(moved_deg)} angles for {len(users)} users")
+        moved = [UserLink(math.radians(d), u.base_snr) for d, u in zip(moved_deg, users)]
     run = RunDir(args.out)
     codebook = build_codebook(users, sweep, cfg.get("target_base_snr", 1.0), geometry, opt)
     save_codebook(run.file("codebook.json"), codebook, geometry)
     _print_codebook(codebook, geometry)
-    if "moved_users_deg" in cfg:
-        moved = [
-            UserLink(math.radians(d), u.base_snr)
-            for d, u in zip(cfg["moved_users_deg"], users)
-        ]
+    if moved is not None:
         updated, stats = update_codebook(codebook, moved, geometry, opt)
         save_codebook(run.file("codebook_updated.json"), updated, geometry)
         print(f"update: reused {stats.reused}, re-optimized {stats.reoptimized}")
@@ -239,6 +249,9 @@ def cmd_simulate(args, cfg: dict, seed: int) -> None:
     search = _search(cfg)
     scene = _scene(cfg, numerology)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
+    modulation = _modulation(cfg)
+    if cfg.get("num_slots", 1) < 1:
+        raise ValueError(f"num_slots {cfg['num_slots']} must be >= 1")
     run = RunDir(args.out)
     result = run_link(
         scene,
@@ -248,7 +261,7 @@ def cmd_simulate(args, cfg: dict, seed: int) -> None:
         opt,
         search,
         snr_db=cfg.get("snr_db", 30.0),
-        modulation=cfg.get("modulation", "64QAM"),
+        modulation=modulation,
         seed=seed,
         **_given(cfg, "num_slots", "predistort"),
     )
@@ -295,6 +308,7 @@ def cmd_baseline(args, cfg: dict, seed: int) -> None:
     search = _search(cfg)
     scene = _scene(cfg, numerology)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
+    modulation = _modulation(cfg)
     run = RunDir(args.out)
     sensing_angle = math.radians(cfg.get("sensing_angle_deg", 0.0))
     modes = cfg.get("modes", list(BASELINE_MODES))
@@ -302,7 +316,7 @@ def cmd_baseline(args, cfg: dict, seed: int) -> None:
     for mode in modes:
         res = run_baseline(
             mode, scene, sensing_angle, sweep, geometry, numerology, opt, search,
-            cfg.get("snr_db", 30.0), cfg.get("modulation", "64QAM"), seed,
+            cfg.get("snr_db", 30.0), modulation, seed,
         )
         for u in res["per_user"]:
             rows.append(
@@ -407,6 +421,11 @@ def cmd_mobility(args, cfg: dict, seed: int) -> None:
     else:
         scenario = default_sweep_scenario(**timing)
     base_snrs = mob.get("base_snrs", [1.0] * len(scenario.waypoints))
+    if len(base_snrs) != len(scenario.waypoints):
+        raise ValueError(
+            f"mobility.base_snrs has {len(base_snrs)} values for "
+            f"{len(scenario.waypoints)} trajectories"
+        )
     sweep = _sweep(cfg, default_count=1)
     run = RunDir(args.out)
     result = run_mobility(

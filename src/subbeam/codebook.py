@@ -158,10 +158,6 @@ class Codebook:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def sweep(self) -> np.ndarray:
-        return np.array([e.sensing_angle for e in self.entries])
-
     def beams(self) -> list[Beamformer]:
         return [e.weights for e in self.entries]
 
@@ -169,17 +165,14 @@ class Codebook:
 @dataclass
 class UpdateStats:
     """Reuse decisions of one update, with the re-optimized entries' solver
-    telemetry: stop-reason counts and winning-start iterations summed."""
+    telemetry: stop-reason counts and winning-start iterations summed, and
+    the wall time spent deciding and re-solving entries."""
 
     reused: int = 0
     reoptimized: int = 0
-    entry_seconds: list[float] = field(default_factory=list)
+    seconds: float = 0.0
     stop_reasons: Counter = field(default_factory=Counter)
     iterations: int = 0
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.entry_seconds)
 
 
 def _user_matrix(users, geometry):
@@ -701,7 +694,7 @@ def update_codebook(
                 stats.reoptimized += 1
                 stats.stop_reasons[fresh.stop_reason] += 1
                 stats.iterations += fresh.iterations
-        stats.entry_seconds.append(time.perf_counter() - t0)
+        stats.seconds += time.perf_counter() - t0
     return Codebook(entries=tuple(new_entries), users=tuple(moved_users)), stats
 
 

@@ -19,7 +19,6 @@ from ..codebook import OptimizerConfig, build_codebook, design_data_beam
 from ..sensing import DelaySearchConfig
 from ..waveform import (
     Numerology,
-    PredistortionPlan,
     SubSymbolSchedule,
     build_predistortion_plan,
     generate_slot,
@@ -79,15 +78,14 @@ def run_baseline(
         raise ValueError("baselines need at least one user")
     check_reflector_delays(scene, search)
 
+    plan = None
     if mode == "subf":
         beam = conjugate_beam(geometry, users[0].angle)
         dmrs_beams = [beam]
         data_beam = beam
-        plan = PredistortionPlan.identity(1)
     elif mode == "fixed":
         dmrs_beams = [conjugate_beam(geometry, sensing_angle)]
         data_beam = design_data_beam(users, geometry, cfg)
-        plan = PredistortionPlan.identity(1)
     else:
         codebook = build_codebook(users, sweep, 1.0, geometry, cfg)
         dmrs_beams = codebook.beams()
@@ -98,7 +96,7 @@ def run_baseline(
     bplan = SlotBeamPlan.uniform(numerology, schedule, dmrs_beams, data_beam)
 
     reference = generate_slot(numerology, modulation, seed=seed)
-    tx = predistort_dmrs(reference, schedule, plan)
+    tx = reference if plan is None else predistort_dmrs(reference, schedule, plan)
 
     per_user = []
     for u_idx, su in enumerate(scene.users):
@@ -123,13 +121,7 @@ def run_baseline(
     res = results[beam_idx]
     level_db = _sensing_profile(res, dmrs_beams[beam_idx], geometry, sensing_angle)
     return {
-        "mode": mode,
         "per_user": per_user,
-        "sensing": {
-            "angle_deg": math.degrees(sensing_angle),
-            "best_delay": res.best_delay,
-            "amplitude_db_normalized": level_db,
-            "bins": int(np.sum(res.valid)),
-        },
+        "sensing": {"amplitude_db_normalized": level_db},
         "beam_switches_per_dmrs": len(dmrs_beams),
     }

@@ -2,8 +2,8 @@
 
 Each DMRS symbol carries one chunk of pixel beams (one per sub-symbol
 window); the received power of every pixel's sensing CSI fills the heatmap.
-Pixel values are gain-normalized by default so brightness tracks
-reflectivity rather than beam-gain variation; raw powers are kept too.
+Pixel values are gain-normalized so brightness tracks reflectivity rather
+than beam-gain variation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class ImagingGrid:
     az_angles: np.ndarray  # radians
     el_angles: np.ndarray  # radians
     power_db: np.ndarray  # (n_el, n_az), gain-normalized
-    raw_power_db: np.ndarray  # (n_el, n_az)
     slots_used: int
     air_time_ms: float  # whole-slot accounting
     air_time_ms_dmrs: float  # partial slot counted by DMRS symbols used
@@ -144,14 +143,12 @@ def run_imaging(
         ]
     )
     shape = (len(el_angles), len(az_angles))
-    raw_db = 10.0 * np.log10(raw_power + 1e-30).reshape(shape)
     norm_db = 10.0 * np.log10(raw_power / norm + 1e-30).reshape(shape)
     slots, air_ms, air_ms_dmrs = air_time(len(pixels), beams_per_symbol, numerology)
     return ImagingGrid(
         az_angles=az_angles,
         el_angles=el_angles,
         power_db=norm_db,
-        raw_power_db=raw_db,
         slots_used=slots,
         air_time_ms=air_ms,
         air_time_ms_dmrs=air_ms_dmrs,

@@ -170,9 +170,7 @@ def run_link(
     beams = codebook.beams()
     schedule = SubSymbolSchedule.for_numerology(numerology, len(beams))
     data_beam = design_data_beam(users, geometry, cfg) if users else beams[0]
-    plan = PredistortionPlan.identity(len(beams))
-    if users and predistort:
-        plan = build_predistortion_plan(beams, data_beam, users, geometry)
+    plan = build_predistortion_plan(beams, data_beam, users, geometry) if predistort else None
     bplan = SlotBeamPlan.uniform(numerology, schedule, beams, data_beam)
 
     per_user_acc = [
@@ -183,7 +181,7 @@ def run_link(
 
     for slot_idx in range(num_slots):
         reference = generate_slot(numerology, modulation, seed=seed + 1000 * slot_idx)
-        tx = predistort_dmrs(reference, schedule, plan) if users else reference
+        tx = reference if plan is None else predistort_dmrs(reference, schedule, plan)
         if slot_idx == 0:
             first_tx = tx
 

@@ -25,6 +25,9 @@ from .link import sense_dmrs
 
 __all__ = ["feature_stack", "calibrate_sp", "run_localization"]
 
+# Reflector distance of the angle task.
+ANGLE_TASK_DISTANCE_M = 3.0
+
 
 def feature_stack(results: list[SensingCsi], sub_len: int) -> np.ndarray:
     """Per beam, power (dB), total phase slope and fit MSE in one regression row."""
@@ -60,7 +63,6 @@ def run_localization(
     seed: int,
     distances_m=None,
     angles_deg=None,
-    angle_task_distance_m: float = 3.0,
     slots_per_position: int = 25,
     sweep_deg=None,
     noise_power: float = 1e-7,
@@ -68,8 +70,8 @@ def run_localization(
     """Calibrate and evaluate both regressors on disjoint seeded splits.
 
     Distance task: reflector broadside on a 1..8 m grid. Angle task:
-    reflector at a fixed distance across +/-15 degrees. Returns medians of
-    absolute test errors and the two calibrated weight vectors
+    reflector at ``ANGLE_TASK_DISTANCE_M`` across +/-15 degrees. Returns
+    medians of absolute test errors and the two calibrated weight vectors
     ``distance_weights`` and ``angle_weights`` (3 per beam, bias last).
     Raises ValueError before any simulation when a task has fewer training
     rows than regression columns, or a distance's round-trip delay falls
@@ -94,7 +96,7 @@ def run_localization(
                 f"rank-deficient design matrix for the {task} task: "
                 f"{rows} training rows < {columns} columns (3*beams+1)"
             )
-    for distance_m in (*distances_m, angle_task_distance_m):
+    for distance_m in (*distances_m, ANGLE_TASK_DISTANCE_M):
         cfg_search.check_delay(round_trip_delay(distance_m), f"distance {float(distance_m)} m")
 
     beams = [conjugate_beam(geometry, math.radians(a)) for a in sweep_deg]
@@ -153,7 +155,7 @@ def run_localization(
     w_dist, median_dist = split_eval(dist_samples)
 
     angle_samples = gather(
-        angles_deg, lambda a: scene_for(angle_task_distance_m, a), lambda a: float(a)
+        angles_deg, lambda a: scene_for(ANGLE_TASK_DISTANCE_M, a), lambda a: float(a)
     )
     w_angle, median_angle = split_eval(angle_samples)
 
@@ -162,5 +164,4 @@ def run_localization(
         "median_angle_error_deg": median_angle,
         "distance_weights": w_dist,
         "angle_weights": w_angle,
-        "sweep_deg": sweep_deg,
     }

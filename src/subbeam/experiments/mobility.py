@@ -138,7 +138,7 @@ def run_mobility(
         total_reoptimized += stats.reoptimized
         stop_reasons.update(stats.stop_reasons)
         solver_iterations += stats.iterations
-        wall_times.append(stats.total_seconds)
+        wall_times.append(stats.seconds)
         entry = codebook.entries[0]
         records.append(
             {

@@ -49,7 +49,6 @@ def epsilon_sweep(
                     10.0 * math.log10(beamforming_gain(entry.weights, geometry, u.angle) + 1e-30)
                     for u in users
                 ],
-                "converged": entry.converged,
             }
         )
     return rows

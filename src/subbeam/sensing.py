@@ -84,7 +84,6 @@ class SensingCsi:
     pre-distortion factor); ``mse`` is the weighted mean squared residual.
     """
 
-    beam_index: int
     csi: np.ndarray  # zero on unusable bins
     best_delay: int
     slope: float
@@ -136,7 +135,6 @@ def sliding_dft_step(spectrum: np.ndarray, y_in, y_out) -> np.ndarray:
 class _CandidateFits(NamedTuple):
     """Phase-line fits of every (candidate delay, beam) pair of one search."""
 
-    beams: np.ndarray  # (B,) beam indices
     csi: np.ndarray  # (C, B, L), zero on invalid bins
     valid: np.ndarray  # (B, L) per-bin usability mask
     slope: np.ndarray  # (C, B)
@@ -145,13 +143,13 @@ class _CandidateFits(NamedTuple):
 
     def best(self) -> list[SensingCsi]:
         """Per beam, the least-MSE candidate; argmin ties go to the smaller delay."""
-        cols = np.arange(len(self.beams))
         picks = np.argmin(self.mse, axis=0)
+        cols = np.arange(len(picks))
         csi = self.csi[picks, cols]
         fits = zip(*(a[picks, cols].tolist() for a in (self.slope, self.intercept, self.mse)))
         return [
-            SensingCsi(int(m), csi[b], int(dn), *fit, self.valid[b])
-            for b, (m, dn, fit) in enumerate(zip(self.beams, picks, fits))
+            SensingCsi(csi[b], int(dn), *fit, self.valid[b])
+            for b, (dn, fit) in enumerate(zip(picks, fits))
         ]
 
 
@@ -234,7 +232,7 @@ def _delay_search(
     intercept = (s_y - slope * s_k) / norm
     resid = phases - (slope[..., None] * k + intercept[..., None])
     mse = np.sum(w2 * resid**2, axis=-1) / norm
-    return _CandidateFits(beams, csi, valid, slope, intercept, mse)
+    return _CandidateFits(csi, valid, slope, intercept, mse)
 
 
 def estimate_beam_csi(
@@ -272,7 +270,8 @@ def estimate_symbol_csi(
     """Delay search for every beam window of one DMRS symbol.
 
     The same search as ``estimate_beam_csi`` per beam (the per-beam
-    searches are independent), run for all beams at once.
+    searches are independent), run for all beams at once. Results come in
+    schedule order, so a result's beam is its position in the list.
     """
     if plan is not None and len(plan) != schedule.num_beams:
         raise ValueError("plan length does not match the schedule")

@@ -252,7 +252,8 @@ class PredistortionPlan:
     that equalizes the received DMRS power with the data symbols.
     ``phase[m]`` additionally aligns the user-averaged complex response of
     beam m with the data beamformer, so the full-symbol channel estimate at
-    the user is not scrambled by per-window phase jumps.
+    the user is not scrambled by per-window phase jumps. A slot sent
+    without pre-distortion has no plan: callers pass ``None``.
     """
 
     amplitude: np.ndarray
@@ -275,27 +276,23 @@ class PredistortionPlan:
     def factors(self) -> np.ndarray:
         return self.amplitude * np.exp(1j * self.phase)
 
-    @classmethod
-    def identity(cls, num_beams: int) -> "PredistortionPlan":
-        return cls(amplitude=np.ones(num_beams))
-
 
 def build_predistortion_plan(
     dmrs_beams: list[Beamformer],
     data_beam: Beamformer,
     users,
     geometry: ArrayGeometry,
-) -> PredistortionPlan:
+) -> PredistortionPlan | None:
     """Gain-ratio factors for each sub-symbol beam.
 
     The simulated channel applies magnitude beam gains, so amplitude-only
     factors make the received DMRS level match the data symbols exactly,
     and the plan's phases stay zero. With no users there is nothing to
-    compensate and the identity plan is returned.
+    compensate and no plan (``None``) is returned.
     """
-    m_beams = len(dmrs_beams)
     if not users:
-        return PredistortionPlan.identity(m_beams)
+        return None
+    m_beams = len(dmrs_beams)
     s_users = np.array([steering_vector(geometry, u.angle) for u in users])
     inner_data = s_users @ data_beam.weights
     g_data = np.abs(inner_data) ** 2
@@ -380,21 +377,16 @@ def demodulate_and_score(
     rx_grids: np.ndarray,
     tx_slot: SlotWaveform,
     csi: np.ndarray,
-    modulation: str | None = None,
 ) -> dict:
     """Equalize the data symbols, slice, and report EVM (%) and uncoded BER.
 
     ``rx_grids`` holds the received frequency grids for the data symbols in
     slot order, shape (num_data_symbols, fft_size). EVM is the RMS error
-    vector relative to the transmitted constellation points, in percent.
+    vector relative to the transmitted constellation points, in percent,
+    sliced with the slot's own modulation.
     """
-    modulation = modulation or tx_slot.modulation
-    if modulation != tx_slot.modulation:
-        raise ValueError(
-            f"modulation {modulation!r} does not match the slot ({tx_slot.modulation!r})"
-        )
-    levels, norm = constellation(modulation)
-    bits_axis = MODULATIONS[modulation] // 2
+    levels, norm = constellation(tx_slot.modulation)
+    bits_axis = MODULATIONS[tx_slot.modulation] // 2
     num = tx_slot.numerology
     bins = num.occupied_bins()
     data_pos = num.data_positions()

@@ -17,7 +17,9 @@ from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenari
 from subbeam.sensing import DelaySearchConfig
 from subbeam.waveform import Numerology, generate_slot, read_iq
 
-from cli_cases import BENCH_CFG, CASES, CODEBOOK_CFG, IMG_CFG, LOC_CFG, MOB_CFG, SIM_CFG
+from cli_cases import (
+    BASE_CFG, BENCH_CFG, CASES, CODEBOOK_CFG, IMG_CFG, LOC_CFG, MOB_CFG, SIM_CFG,
+)
 
 def run_cmd(tmp_path, name, cfg, out, extra=()):
     cfg_path = tmp_path / f"{name}_{out}.json"
@@ -167,6 +169,20 @@ BAD_VALUES = [
     ("image_beams_too_many", "image", {**IMG_CFG, "num_beams": 2000}, "num_beams 2000"),
     ("image_empty_grid", "image", {**IMG_CFG, "grid_deg": {"start": -8, "stop": 8, "count": 0}},
      "grid_deg.count 0"),
+    ("simulate_no_slots", "simulate", {**SIM_CFG, "num_slots": 0}, "num_slots 0"),
+    ("sweep_count_zero", "codebook",
+     {**CODEBOOK_CFG, "sweep_deg": {"start": 0, "stop": 10, "count": 0}}, "sweep_deg is empty"),
+    ("sweep_empty_list", "simulate", {**SIM_CFG, "sweep_deg": []}, "sweep_deg is empty"),
+    ("sweep_empty_mobility", "mobility", {**MOB_CFG, "sweep_deg": []}, "sweep_deg is empty"),
+    ("moved_users_short", "codebook", {**CODEBOOK_CFG, "moved_users_deg": [-28]},
+     "moved_users_deg has 1 angles for 2 users"),
+    ("moved_users_long", "codebook", {**CODEBOOK_CFG, "moved_users_deg": [-28, 30, 5]},
+     "moved_users_deg has 3 angles for 2 users"),
+    ("mobility_base_snrs", "mobility",
+     {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "base_snrs": [1.0, 1.0]}},
+     "mobility.base_snrs has 2 values for 4 trajectories"),
+    ("simulate_modulation", "simulate", {**SIM_CFG, "modulation": "8PSK"}, "'8PSK'"),
+    ("baseline_modulation", "baseline", {**BASE_CFG, "modulation": "8PSK"}, "'8PSK'"),
 ]
 
 

@@ -478,7 +478,7 @@ class TestCodebookBuildUpdate:
         sweep = [math.radians(a) for a in (0, 5, 10, 15)]
         cb = build_codebook(TWO_USERS, sweep, 1.0, GEO16, OptimizerConfig(epsilon=0.5))
         assert len(cb) == 4
-        assert np.allclose(cb.sweep, sweep)
+        assert np.allclose([e.sensing_angle for e in cb.entries], sweep)
         # every entry keeps a strong sensing beam and serves both users
         for e in cb.entries:
             assert db(beamforming_gain(e.weights, GEO16, e.sensing_angle)) > 24.08 - 3.0

@@ -26,7 +26,6 @@ from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenari
 from subbeam.sensing import DelaySearchConfig, estimate_symbol_csi
 from subbeam.waveform import (
     Numerology,
-    PredistortionPlan,
     SubSymbolSchedule,
     build_predistortion_plan,
     generate_slot,
@@ -135,7 +134,7 @@ class TestImaging:
 
         (cb,) = built
         row_geo = ArrayGeometry.ula(8)
-        assert np.array_equal(cb.sweep, az)
+        assert np.array_equal([e.sensing_angle for e in cb.entries], az)
         for e in cb.entries:
             anchor = np.conj(steering_vector(row_geo, e.sensing_angle))
             w = e.weights.weights
@@ -259,13 +258,15 @@ class TestLocalization:
         self, monkeypatch, distances, angle_task_distance
     ):
         self._no_simulation(monkeypatch)
+        monkeypatch.setattr(
+            "subbeam.experiments.localization.ANGLE_TASK_DISTANCE_M", angle_task_distance
+        )
         # 12 m is a 10-sample round trip at 122.88 MHz: past candidates 0..9
         with pytest.raises(ValueError, match="12.0 m has round-trip delay 10 samples"):
             run_localization(
                 ArrayGeometry.ula(16), NUM, SEARCH, seed=1,
                 distances_m=distances,
                 angles_deg=np.arange(-15.0, 15.1, 3.0),
-                angle_task_distance_m=angle_task_distance,
                 slots_per_position=4,
                 sweep_deg=np.linspace(-12, 12, 9),
             )
@@ -554,11 +555,10 @@ class TestSenseDmrs:
         self.assert_same(got, self.inline(tx, reference, bplan, self.SCENE, self.GEO, plan, 11))
 
     def test_identity_plan_slot(self):
-        # Imaging and localization pass None where they used the identity plan.
+        # Imaging, localization and the link without pre-distortion pass None.
         beams = [conjugate_beam(self.GEO, math.radians(a)) for a in np.linspace(-15, 15, 7)]
         schedule = SubSymbolSchedule.for_numerology(NUM, len(beams))
         bplan = SlotBeamPlan.uniform(NUM, schedule, beams, beams[0])
         slot = generate_slot(NUM, "QPSK", seed=5, dmrs_seed=5)
-        identity = PredistortionPlan.identity(len(beams))
         got = sense_dmrs(slot, slot, bplan, self.SCENE, self.GEO, SEARCH, None, 12)
-        self.assert_same(got, self.inline(slot, slot, bplan, self.SCENE, self.GEO, identity, 12))
+        self.assert_same(got, self.inline(slot, slot, bplan, self.SCENE, self.GEO, None, 12))

@@ -253,7 +253,6 @@ class TestSymbolBatch:
 class TestFeatures:
     def test_flat_unit_csi(self):
         csi = SensingCsi(
-            beam_index=0,
             csi=np.ones(30, dtype=complex),
             best_delay=0,
             slope=0.0,
@@ -443,7 +442,7 @@ class TestKernelEquivalence:
         for seed in range(3):
             rx, tx, sched, plan, cfg = self._capture(num_beams, variant, seed)
             batch = estimate_symbol_csi(rx, tx, sched, cfg, plan)
-            assert [r.beam_index for r in batch] == list(range(num_beams))
+            assert len(batch) == num_beams
             for m, res in enumerate(batch):
                 self._assert_same(res, _seed_beam_search(rx, tx, sched, m, cfg, plan))
                 factor = plan.factors[m] if plan is not None else 1.0
@@ -467,7 +466,6 @@ class TestKernelEquivalence:
         rx, tx, sched, plan, cfg = self._capture(num_beams, variant, 7)
         for m in sorted({0, num_beams // 2, num_beams - 1}):
             res = estimate_beam_csi(rx, tx, sched, m, cfg, plan, accelerated=accelerated)
-            assert res.beam_index == m
             self._assert_same(
                 res, _seed_beam_search(rx, tx, sched, m, cfg, plan, accelerated=accelerated)
             )

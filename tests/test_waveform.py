@@ -97,8 +97,8 @@ class TestPredistortion:
 
     def test_equal_gains_give_unit_factor(self):
         beams, _ = self._plan()
-        plan = build_predistortion_plan(beams, beams[0], [], self.GEO)
-        assert np.allclose(plan.factors, 1.0)
+        # With no users there is nothing to equalize: no plan at all.
+        assert build_predistortion_plan(beams, beams[0], [], self.GEO) is None
 
     def test_single_user_factor_is_sqrt_ratio(self):
         # g_data = 4, g_dmrs = 1 -> factor 2, built from explicit weights
@@ -254,12 +254,6 @@ class TestScoring:
         out = demodulate_and_score(np.array(rx), slot, np.ones(768))
         assert out["evm_percent"] == pytest.approx(100 * 10 ** (-snr_db / 20.0), abs=0.3)
         assert out["ber"] == 0.0  # 30 dB is far above the 64QAM threshold
-
-    def test_modulation_mismatch_rejected(self):
-        slot = generate_slot(NUM, "QPSK", seed=1)
-        rx = np.array([slot.grid(p) for p in NUM.data_positions()])
-        with pytest.raises(ValueError):
-            demodulate_and_score(rx, slot, np.ones(768), modulation="64QAM")
 
     def test_evm_snr_relation_over_range(self):
         rng = np.random.default_rng(17)
