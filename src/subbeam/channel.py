@@ -8,11 +8,13 @@ so reflections straddling a beam switch are modeled faithfully.
 The co-located sensing receiver is a fixed 4x4 half-wavelength planar
 array with a broadside conjugate beam; ``rx_gain`` is its power gain toward
 a direction, and ``apply_monostatic`` applies it to every reflection.
+
+This module holds only the physics; scene configs are read and converted
+to these types in ``subbeam.cli``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,7 +39,6 @@ __all__ = [
     "SlotBeamPlan",
     "apply_downlink",
     "apply_monostatic",
-    "load_scene",
     "rx_gain",
 ]
 
@@ -230,98 +231,3 @@ def apply_monostatic(
             out += math.sqrt(leak_power / mean_power) * slot.samples
     rng = np.random.default_rng(seed)
     return out + _complex_noise(rng, len(out), scene.noise_power)
-
-
-# ---------------------------------------------------------------------------
-# Scene files (JSON; angles in degrees, attenuation in dB, delay in samples
-# or meters — meters are converted with the supplied sample rate, one-way
-# for users and round-trip for reflectors)
-# ---------------------------------------------------------------------------
-
-
-# The keys scene_from_dict reads: of the scene, of each user or reflector, of a path.
-_SCENE_KEYS = ("users", "reflectors", "noise_power", "noise_power_db", "self_interference_inr_db")
-USER_KEYS = ("angle_deg", "base_snr", "base_snr_db")
-_ITEM_KEYS = {
-    "users": (*USER_KEYS, "path"),
-    "reflectors": ("azimuth_deg", "elevation_deg", "path", "label"),
-}
-_PATH_KEYS = ("delay_samples", "delay_meters", "attenuation_db", "phase_deg")
-
-
-def _check_scene_keys(d: dict) -> None:
-    """Raise ValueError naming every key of a scene dict that nothing reads."""
-    objects = [("", d, _SCENE_KEYS)]
-    for kind, keys in _ITEM_KEYS.items():
-        for i, item in enumerate(d.get(kind, [])):
-            objects.append((f"{kind}[{i}].", item, keys))
-            objects.append((f"{kind}[{i}].path.", item.get("path", {}), _PATH_KEYS))
-    unknown = [where + k for where, obj, keys in objects for k in obj if k not in keys]
-    if unknown:
-        raise ValueError(f"unknown scene key(s): {', '.join(unknown)}")
-
-
-def _path_from_dict(d: dict, sample_rate: float, round_trip: bool) -> PathModel:
-    if ("delay_samples" in d) == ("delay_meters" in d):
-        raise ValueError("specify exactly one of delay_samples / delay_meters")
-    if "delay_samples" in d:
-        delay = int(d["delay_samples"])
-    else:
-        trips = 2.0 if round_trip else 1.0
-        delay = round(sample_rate * trips * float(d["delay_meters"]) / SPEED_OF_LIGHT)
-    return PathModel(
-        attenuation=10.0 ** (float(d.get("attenuation_db", 0.0)) / 20.0),
-        phase_shift=math.radians(float(d.get("phase_deg", 0.0))),
-        delay_samples=delay,
-    )
-
-
-def user_link_from_dict(d: dict) -> UserLink:
-    """A user's angle and linear base SNR (``base_snr`` or ``base_snr_db``, else 1)."""
-    if "base_snr" in d and "base_snr_db" in d:
-        raise ValueError("specify at most one of base_snr / base_snr_db")
-    if "base_snr" in d:
-        base_snr = d["base_snr"]
-    elif "base_snr_db" in d:
-        base_snr = 10.0 ** (d["base_snr_db"] / 10.0)
-    else:
-        base_snr = 1.0
-    return UserLink(math.radians(d["angle_deg"]), base_snr)
-
-
-def scene_from_dict(d: dict, sample_rate: float) -> Scene:
-    _check_scene_keys(d)
-    if "noise_power" in d and "noise_power_db" in d:
-        raise ValueError("specify at most one of noise_power / noise_power_db")
-    users = [
-        SceneUser(
-            link=user_link_from_dict(u),
-            path=_path_from_dict(u.get("path", {"delay_samples": 0}), sample_rate, False),
-        )
-        for u in d.get("users", [])
-    ]
-    reflectors = [
-        Reflector(
-            azimuth=math.radians(r["azimuth_deg"]),
-            elevation=math.radians(r.get("elevation_deg", 0.0)),
-            path=_path_from_dict(r["path"], sample_rate, True),
-            label=r.get("label", ""),
-        )
-        for r in d.get("reflectors", [])
-    ]
-    noise_power = (
-        d["noise_power"]
-        if "noise_power" in d
-        else 10.0 ** (d.get("noise_power_db", -30.0) / 10.0)
-    )
-    return Scene(
-        users=tuple(users),
-        reflectors=tuple(reflectors),
-        noise_power=noise_power,
-        self_interference_inr_db=d.get("self_interference_inr_db", 20.0),
-    )
-
-
-def load_scene(path, sample_rate: float) -> Scene:
-    with open(path) as f:
-        return scene_from_dict(json.load(f), sample_rate)

@@ -1,9 +1,16 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner and the one reader of its configs.
 
 Each subcommand reads one JSON config, runs deterministically from the
 resolved seed, and writes its outputs (plus a manifest echoing the resolved
 config) under the run directory. Re-running with the same config and seed
 reproduces every output byte for byte.
+
+``load_config`` checks every key of a config against one key tree, and
+``load_scene`` a scene file against its subtree, so one ``ValueError`` names
+every unknown or missing key by its full path before any work starts. Scene
+dicts become ``channel.Scene`` objects here, with degrees and dB converted
+at this boundary. ``main`` owns the run directory, which is created at the
+first output written: a run that fails before that leaves none.
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from .arrays import ArrayGeometry, beamforming_gain
-from .channel import USER_KEYS, Scene, load_scene, scene_from_dict, user_link_from_dict
+from .channel import SPEED_OF_LIGHT, PathModel, Reflector, Scene, SceneUser
 from .codebook import (
     Codebook,
     OptimizerConfig,
@@ -30,7 +38,7 @@ from .codebook import (
 )
 from .experiments.baselines import BASELINE_MODES, run_baseline
 from .experiments.imaging import run_imaging
-from .experiments.link import run_link
+from .experiments.link import check_reflector_delays, run_link
 from .experiments.localization import run_localization
 from .experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
 from .experiments.tradeoff import epsilon_sweep
@@ -40,55 +48,81 @@ from .waveform import Numerology, SubSymbolSchedule, constellation, generate_slo
 
 DEFAULT_SEED = 1
 
-# The config schema: the keys read inside each section (optimizer, search and
-# numerology keys are fields of OptimizerConfig, DelaySearchConfig and
-# Numerology, localization keys are run_localization arguments), and every
-# top-level key some subcommand reads. One schema serves all subcommands
-# because configs are shared between them.
+# The keys read inside each section: optimizer, search and numerology keys
+# are the fields of OptimizerConfig, DelaySearchConfig and Numerology, and
+# localization keys are run_localization arguments.
 CONFIG_SECTIONS = {
     "geometry": {"layout", "num_elements", "planar_shape", "spacing"},
-    "numerology": {
-        "fft_size", "occupied_subcarriers", "cp_length", "sample_rate",
-        "symbols_per_slot", "dmrs_symbol_indices",
-    },
-    "optimizer": {"epsilon", "sensing_weight", "grad_tol", "max_iters", "snr_match_tol"},
-    "search": {"num_candidates"},
+    "numerology": {f.name for f in fields(Numerology)},
+    "optimizer": {f.name for f in fields(OptimizerConfig)},
+    "search": {f.name for f in fields(DelaySearchConfig)},
     "localization": {"distances_m", "angles_deg", "slots_per_position", "sweep_deg", "noise_power"},
     "mobility": {"waypoints", "duration", "tick_interval", "base_snrs", "validate_ticks"},
 }
-CONFIG_KEYS = {
-    *CONFIG_SECTIONS, "seed", "users", "sweep_deg", "scene", "scene_file", "target_base_snr",
-    "moved_users_deg", "codebook_file", "pattern_grid_deg", "sensing_angle_deg", "epsilons",
-    "num_beams", "snr_db", "modulation", "num_slots", "predistort", "save_iq", "modes",
-    "grid_deg", "candidate_grid", "repeats",
+
+# The key tree of a config. A node maps each key some subcommand reads to
+# its child: None for a value, _REQUIRED for a value that must be given, a
+# node for an object, a one-node list for a list of objects. One tree serves
+# all subcommands because configs are shared between them. A list
+# ``sweep_deg`` is a value; a dict one is checked as an object.
+_REQUIRED = "required"
+_PATH = dict.fromkeys(("delay_samples", "delay_meters", "attenuation_db", "phase_deg"))
+_USER = {"angle_deg": _REQUIRED, "base_snr": None, "base_snr_db": None}
+_SCENE = {
+    "users": [{**_USER, "path": _PATH}],
+    "reflectors": [{"azimuth_deg": _REQUIRED, "elevation_deg": None, "path": _PATH, "label": None}],
+    **dict.fromkeys(("noise_power", "noise_power_db", "self_interference_inr_db")),
+}
+_RANGE = dict.fromkeys(("start", "stop", "count"), _REQUIRED)
+_CONFIG = {
+    **dict.fromkeys((
+        "seed", "scene_file", "target_base_snr", "moved_users_deg", "codebook_file",
+        "sensing_angle_deg", "epsilons", "num_beams", "snr_db", "modulation", "num_slots",
+        "predistort", "save_iq", "modes", "candidate_grid", "repeats",
+    )),
+    **{section: dict.fromkeys(keys) for section, keys in CONFIG_SECTIONS.items()},
+    "users": [_USER],
+    "sweep_deg": _RANGE,
+    "grid_deg": _RANGE,
+    "pattern_grid_deg": dict.fromkeys(("start", "stop", "step"), _REQUIRED),
+    "scene": _SCENE,
 }
 
 
+def _key_errors(obj: dict, node: dict, where: str = "") -> list[str]:
+    """Each key of ``obj`` outside ``node`` and each required key it lacks, by full path."""
+    errors = []
+    for key, value in obj.items():
+        if key not in node:
+            errors.append(f"unknown {where}{key}")
+        elif isinstance(node[key], dict) and isinstance(value, dict):
+            errors += _key_errors(value, node[key], f"{where}{key}.")
+        elif isinstance(node[key], list) and isinstance(value, list):
+            for i, item in enumerate(value):
+                errors += _key_errors(item, node[key][0], f"{where}{key}[{i}].")
+    errors += [f"missing {where}{k}" for k, v in node.items() if v is _REQUIRED and k not in obj]
+    return errors
+
+
+def _check_key_tree(obj: dict, node: dict, source: str) -> None:
+    errors = _key_errors(obj, node)
+    if errors:
+        raise ValueError(f"bad key(s) in {source}: {', '.join(errors)}")
+
+
 def load_config(path: str | None) -> dict:
-    """Read a JSON config; raise ValueError naming every key no subcommand reads."""
+    """Read a JSON config; raise ValueError naming every key outside the key tree."""
     if not path:
         return {}
     with open(path) as f:
         cfg = json.load(f)
-    unknown = [k for k in cfg if k not in CONFIG_KEYS] + [
-        f"{s}.{k}" for s, keys in CONFIG_SECTIONS.items() for k in cfg.get(s, {}) if k not in keys
-    ]
-    if unknown:
-        raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    _check_key_tree(cfg, _CONFIG, path)
     return cfg
 
 
 def _given(section: dict, *keys: str) -> dict:
     """The entries of ``keys`` that ``section`` sets, so callees keep their defaults."""
     return {k: section[k] for k in keys if k in section}
-
-
-def _check_keys(d: dict, where: str, required: tuple, optional: tuple = ()) -> None:
-    """Raise ValueError naming each key of ``d`` outside both tuples and each missing one."""
-    bad = [f"unknown key {where}.{k}" for k in d if k not in (*required, *optional)]
-    bad += [f"missing key {where}.{k}" for k in required if k not in d]
-    if bad:
-        raise ValueError(f"config: {', '.join(bad)}")
 
 
 def _geometry(cfg: dict, default: dict | None = None) -> ArrayGeometry:
@@ -118,20 +152,84 @@ def _search(cfg: dict) -> DelaySearchConfig:
     return DelaySearchConfig(**cfg.get("search", {}))
 
 
+def user_link_from_dict(d: dict) -> UserLink:
+    """A user's angle and linear base SNR (``base_snr`` or ``base_snr_db``, else 1)."""
+    if "base_snr" in d and "base_snr_db" in d:
+        raise ValueError("specify at most one of base_snr / base_snr_db")
+    if "base_snr" in d:
+        base_snr = d["base_snr"]
+    elif "base_snr_db" in d:
+        base_snr = 10.0 ** (d["base_snr_db"] / 10.0)
+    else:
+        base_snr = 1.0
+    return UserLink(math.radians(d["angle_deg"]), base_snr)
+
+
+def _path_from_dict(d: dict, sample_rate: float, round_trip: bool) -> PathModel:
+    """A path with its delay in samples; ``delay_meters`` converts one-way for
+    users and round-trip for reflectors at ``sample_rate``."""
+    if ("delay_samples" in d) == ("delay_meters" in d):
+        raise ValueError("specify exactly one of delay_samples / delay_meters")
+    if "delay_samples" in d:
+        delay = int(d["delay_samples"])
+    else:
+        trips = 2.0 if round_trip else 1.0
+        delay = round(sample_rate * trips * float(d["delay_meters"]) / SPEED_OF_LIGHT)
+    return PathModel(
+        attenuation=10.0 ** (float(d.get("attenuation_db", 0.0)) / 20.0),
+        phase_shift=math.radians(float(d.get("phase_deg", 0.0))),
+        delay_samples=delay,
+    )
+
+
+def scene_from_dict(d: dict, sample_rate: float) -> Scene:
+    """A scene from a dict whose keys have been checked against the scene subtree."""
+    if "noise_power" in d and "noise_power_db" in d:
+        raise ValueError("specify at most one of noise_power / noise_power_db")
+    users = [
+        SceneUser(
+            link=user_link_from_dict(u),
+            path=_path_from_dict(u.get("path", {"delay_samples": 0}), sample_rate, False),
+        )
+        for u in d.get("users", [])
+    ]
+    reflectors = [
+        Reflector(
+            azimuth=math.radians(r["azimuth_deg"]),
+            elevation=math.radians(r.get("elevation_deg", 0.0)),
+            path=_path_from_dict(r.get("path", {}), sample_rate, True),
+            label=r.get("label", ""),
+        )
+        for r in d.get("reflectors", [])
+    ]
+    noise_power = (
+        d["noise_power"]
+        if "noise_power" in d
+        else 10.0 ** (d.get("noise_power_db", -30.0) / 10.0)
+    )
+    return Scene(
+        users=tuple(users),
+        reflectors=tuple(reflectors),
+        noise_power=noise_power,
+        self_interference_inr_db=d.get("self_interference_inr_db", 20.0),
+    )
+
+
+def load_scene(path, sample_rate: float) -> Scene:
+    """Read a JSON scene file; raise ValueError naming every key outside the scene subtree."""
+    with open(path) as f:
+        d = json.load(f)
+    _check_key_tree(d, _SCENE, path)
+    return scene_from_dict(d, sample_rate)
+
+
 def _users(cfg: dict) -> list[UserLink]:
-    users = cfg.get("users", [])
-    for i, u in enumerate(users):
-        _check_keys(u, f"users[{i}]", ("angle_deg",), USER_KEYS)
-    return [user_link_from_dict(u) for u in users]
+    return [user_link_from_dict(u) for u in cfg.get("users", [])]
 
 
 def _sweep(cfg: dict, default_count: int = 4) -> list[float]:
     s = cfg.get("sweep_deg", {"start": 0.0, "stop": 15.0, "count": default_count})
-    if isinstance(s, list):
-        degs = s
-    else:
-        _check_keys(s, "sweep_deg", ("start", "stop", "count"))
-        degs = np.linspace(s["start"], s["stop"], s["count"]).tolist()
+    degs = s if isinstance(s, list) else np.linspace(s["start"], s["stop"], s["count"]).tolist()
     if not degs:
         raise ValueError("config: sweep_deg is empty")
     return [math.radians(d) for d in degs]
@@ -143,16 +241,14 @@ def _modulation(cfg: dict) -> str:
     return modulation
 
 
-def _scene(cfg: dict, numerology: Numerology) -> Scene:
+def _scene(cfg: dict, numerology: Numerology, search: DelaySearchConfig) -> Scene:
+    """The config's scene, its reflector delays checked against the delay search."""
     if "scene_file" in cfg:
-        return load_scene(cfg["scene_file"], numerology.sample_rate)
-    return scene_from_dict(cfg.get("scene", {}), numerology.sample_rate)
-
-
-def _resolved(cfg: dict, seed: int) -> dict:
-    out = dict(cfg)
-    out["seed"] = seed
-    return out
+        scene = load_scene(cfg["scene_file"], numerology.sample_rate)
+    else:
+        scene = scene_from_dict(cfg.get("scene", {}), numerology.sample_rate)
+    check_reflector_delays(scene, search)
+    return scene
 
 
 def _print_codebook(codebook: Codebook, geometry: ArrayGeometry) -> None:
@@ -166,7 +262,7 @@ def _print_codebook(codebook: Codebook, geometry: ArrayGeometry) -> None:
         )
 
 
-def cmd_codebook(args, cfg: dict, seed: int) -> None:
+def cmd_codebook(args, cfg: dict, seed: int, run: RunDir) -> None:
     geometry = _geometry(cfg)
     opt = _optimizer(cfg)
     users = _users(cfg)
@@ -177,7 +273,6 @@ def cmd_codebook(args, cfg: dict, seed: int) -> None:
         if len(moved_deg) != len(users):
             raise ValueError(f"moved_users_deg has {len(moved_deg)} angles for {len(users)} users")
         moved = [UserLink(math.radians(d), u.base_snr) for d, u in zip(moved_deg, users)]
-    run = RunDir(args.out)
     codebook = build_codebook(users, sweep, cfg.get("target_base_snr", 1.0), geometry, opt)
     save_codebook(run.file("codebook.json"), codebook, geometry)
     _print_codebook(codebook, geometry)
@@ -186,17 +281,16 @@ def cmd_codebook(args, cfg: dict, seed: int) -> None:
         save_codebook(run.file("codebook_updated.json"), updated, geometry)
         print(f"update: reused {stats.reused}, re-optimized {stats.reoptimized}")
         _print_codebook(updated, geometry)
-    run.finish("codebook", _resolved(cfg, seed))
 
 
-def cmd_pattern(args, cfg: dict, seed: int) -> None:
+def cmd_pattern(args, cfg: dict, seed: int, run: RunDir) -> None:
     geometry = _geometry(cfg)
     opt = _optimizer(cfg)
     users = _users(cfg)
     sweep = _sweep(cfg)
     grid_cfg = cfg.get("pattern_grid_deg", {"start": -60.0, "stop": 60.0, "step": 0.5})
-    _check_keys(grid_cfg, "pattern_grid_deg", ("start", "stop", "step"))
-    run = RunDir(args.out)
+    if grid_cfg["step"] <= 0:
+        raise ValueError(f"pattern_grid_deg.step {grid_cfg['step']} must be > 0")
     if "codebook_file" in cfg:
         codebook, geometry = load_codebook(cfg["codebook_file"])
     else:
@@ -214,15 +308,13 @@ def cmd_pattern(args, cfg: dict, seed: int) -> None:
         ]
         rows.append(row)
     write_csv(run.file("pattern.csv"), header, rows)
-    run.finish("pattern", _resolved(cfg, seed))
     print(f"wrote pattern.csv with {len(rows)} angles x {len(beams)} entries")
 
 
-def cmd_tradeoff(args, cfg: dict, seed: int) -> None:
+def cmd_tradeoff(args, cfg: dict, seed: int, run: RunDir) -> None:
     geometry = _geometry(cfg)
     opt = _optimizer(cfg)
     users = _users(cfg)
-    run = RunDir(args.out)
     target = SensingTarget(math.radians(cfg.get("sensing_angle_deg", 0.0)))
     epsilons = cfg.get("epsilons", [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5])
     rows = epsilon_sweep(users, target, geometry, epsilons, opt)
@@ -234,7 +326,6 @@ def cmd_tradeoff(args, cfg: dict, seed: int) -> None:
         for r in rows
     ]
     write_csv(run.file("tradeoff.csv"), header, table)
-    run.finish("tradeoff", _resolved(cfg, seed))
     for r in rows:
         print(
             f"eps={r['epsilon']:.2f} sensing {r['sensing_gain_db']:6.2f} dB "
@@ -242,17 +333,16 @@ def cmd_tradeoff(args, cfg: dict, seed: int) -> None:
         )
 
 
-def cmd_simulate(args, cfg: dict, seed: int) -> None:
+def cmd_simulate(args, cfg: dict, seed: int, run: RunDir) -> None:
     geometry = _geometry(cfg)
     numerology = _numerology(cfg)
     opt = _optimizer(cfg)
     search = _search(cfg)
-    scene = _scene(cfg, numerology)
+    scene = _scene(cfg, numerology, search)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
     modulation = _modulation(cfg)
     if cfg.get("num_slots", 1) < 1:
         raise ValueError(f"num_slots {cfg['num_slots']} must be >= 1")
-    run = RunDir(args.out)
     result = run_link(
         scene,
         geometry,
@@ -293,7 +383,6 @@ def cmd_simulate(args, cfg: dict, seed: int) -> None:
             run.file("tx_slot.iq"), result.tx.samples, numerology,
             extra={"modulation": result.tx.modulation, "num_beams": len(result.codebook)},
         )
-    run.finish("simulate", _resolved(cfg, seed))
     for u in result.per_user:
         print(
             f"user {u['user']} @ {u['angle_deg']:+.1f} deg: EVM {u['evm_percent']:.2f}% "
@@ -301,15 +390,14 @@ def cmd_simulate(args, cfg: dict, seed: int) -> None:
         )
 
 
-def cmd_baseline(args, cfg: dict, seed: int) -> None:
+def cmd_baseline(args, cfg: dict, seed: int, run: RunDir) -> None:
     geometry = _geometry(cfg)
     numerology = _numerology(cfg)
     opt = _optimizer(cfg)
     search = _search(cfg)
-    scene = _scene(cfg, numerology)
+    scene = _scene(cfg, numerology, search)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
     modulation = _modulation(cfg)
-    run = RunDir(args.out)
     sensing_angle = math.radians(cfg.get("sensing_angle_deg", 0.0))
     modes = cfg.get("modes", list(BASELINE_MODES))
     rows = []
@@ -339,24 +427,21 @@ def cmd_baseline(args, cfg: dict, seed: int) -> None:
         ],
         rows,
     )
-    run.finish("baseline", _resolved(cfg, seed))
 
 
-def cmd_image(args, cfg: dict, seed: int) -> None:
+def cmd_image(args, cfg: dict, seed: int, run: RunDir) -> None:
     geometry = _geometry(cfg, {"layout": "planar"})
     numerology = _numerology(cfg)
     opt = _optimizer(cfg)
     search = _search(cfg)
-    scene = _scene(cfg, numerology)
+    scene = _scene(cfg, numerology, search)
     num_beams = cfg.get("num_beams", 34)
     g = cfg.get("grid_deg", {"start": -15.0, "stop": 15.0, "count": 31})
-    _check_keys(g, "grid_deg", ("start", "stop", "count"))
     if g["count"] < 1:
         raise ValueError(f"grid_deg.count {g['count']} must be >= 1")
     az = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     el = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     SubSymbolSchedule.for_numerology(numerology, num_beams)  # fails on a bad num_beams
-    run = RunDir(args.out)
     grid = run_imaging(scene, az, el, numerology, geometry, num_beams, opt, search, seed)
     header = ["el_deg\\az_deg"] + [fmt(float(a)) for a in np.degrees(grid.az_angles)]
     rows = [
@@ -375,18 +460,16 @@ def cmd_image(args, cfg: dict, seed: int) -> None:
             "air_time_ms_dmrs_counted": grid.air_time_ms_dmrs,
         },
     )
-    run.finish("image", _resolved(cfg, seed))
     print(
         f"{len(az)}x{len(el)} pixels in {grid.slots_used} slots "
         f"({grid.air_time_ms:.3f} ms whole-slot, {grid.air_time_ms_dmrs:.3f} ms DMRS-counted)"
     )
 
 
-def cmd_localize(args, cfg: dict, seed: int) -> None:
+def cmd_localize(args, cfg: dict, seed: int, run: RunDir) -> None:
     geometry = _geometry(cfg)
     numerology = _numerology(cfg)
     search = _search(cfg)
-    run = RunDir(args.out)
     result = run_localization(geometry, numerology, search, seed, **cfg.get("localization", {}))
     write_json(
         run.file("localization.json"),
@@ -403,14 +486,13 @@ def cmd_localize(args, cfg: dict, seed: int) -> None:
             for i, (d, a) in enumerate(zip(result["distance_weights"], result["angle_weights"]))
         ],
     )
-    run.finish("localize", _resolved(cfg, seed))
     print(
         f"median distance error {result['median_distance_error_m']:.3f} m; "
         f"median angle error {result['median_angle_error_deg']:.3f} deg"
     )
 
 
-def cmd_mobility(args, cfg: dict, seed: int) -> None:
+def cmd_mobility(args, cfg: dict, seed: int, run: RunDir) -> None:
     geometry = _geometry(cfg, {"num_elements": 32})
     opt = _optimizer(cfg)
     mob = cfg.get("mobility", {})
@@ -427,7 +509,6 @@ def cmd_mobility(args, cfg: dict, seed: int) -> None:
             f"{len(scenario.waypoints)} trajectories"
         )
     sweep = _sweep(cfg, default_count=1)
-    run = RunDir(args.out)
     result = run_mobility(
         scenario, base_snrs, sweep, geometry, opt, **_given(mob, "validate_ticks")
     )
@@ -454,7 +535,6 @@ def cmd_mobility(args, cfg: dict, seed: int) -> None:
         )
     if result["validation"] is not None:
         write_json(run.file("reuse_validation.json"), result["validation"])
-    run.finish("mobility", _resolved(cfg, seed))
     print(
         f"{stats['ticks']} ticks: re-optimized on "
         f"{stats['reoptimized_tick_fraction']*100:.1f}% of ticks "
@@ -462,14 +542,13 @@ def cmd_mobility(args, cfg: dict, seed: int) -> None:
     )
 
 
-def cmd_bench(args, cfg: dict, seed: int) -> None:
+def cmd_bench(args, cfg: dict, seed: int, run: RunDir) -> None:
     numerology = _numerology(cfg)
     schedule = SubSymbolSchedule.for_numerology(numerology, cfg.get("num_beams", 34))
     searches = [DelaySearchConfig(n) for n in cfg.get("candidate_grid", [2, 4, 6, 8, 10, 12, 16])]
     repeats = cfg.get("repeats", 20)
     if repeats < 1:
         raise ValueError(f"repeats {repeats} must be >= 1")
-    run = RunDir(args.out)
     slot = generate_slot(numerology, "QPSK", seed=seed)
     body = slot.symbol_body(numerology.dmrs_positions()[0])
     rng = np.random.default_rng(seed)
@@ -500,7 +579,6 @@ def cmd_bench(args, cfg: dict, seed: int) -> None:
         ["num_candidates", "ops_accelerated", "ops_recompute", "ratio"],
         rows,
     )
-    run.finish("bench", _resolved(cfg, seed))
 
 
 COMMANDS = {
@@ -536,7 +614,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
-    COMMANDS[args.command](args, cfg, seed)
+    run = RunDir(args.out)
+    COMMANDS[args.command](args, cfg, seed, run)
+    run.finish(args.command, {**cfg, "seed": seed})
     return 0
 
 

@@ -113,6 +113,8 @@ def run_mobility(
     """
     if len(base_snrs) != len(scenario.waypoints):
         raise ValueError("one base SNR per trajectory required")
+    if validate_ticks < 0:
+        raise ValueError(f"validate_ticks {validate_ticks} must be >= 0")
 
     def users_at(t: float) -> list[UserLink]:
         return [

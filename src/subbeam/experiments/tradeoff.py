@@ -23,12 +23,13 @@ def epsilon_sweep(
     Solutions nest (a feasible point for one radius stays feasible for any
     larger one), so each radius also tries the previous solution as a warm
     start and keeps the better result; the achieved minimum user SNR is then
-    non-decreasing in the radius up to float noise.
+    non-decreasing in the radius up to float noise. Every radius is checked
+    before the first solve.
     """
+    configs = [replace(cfg, epsilon=float(eps)) for eps in epsilons]
     rows = []
     prev = None
-    for eps in epsilons:
-        cfg_eps = replace(cfg, epsilon=float(eps))
+    for cfg_eps in configs:
         entry = optimize_max_min(users, target, geometry, cfg_eps)
         if prev is not None and prev.min_snr > entry.min_snr:
             warm = optimize_max_min(
@@ -40,7 +41,7 @@ def epsilon_sweep(
         sensing_gain = beamforming_gain(entry.weights, geometry, target.angle)
         rows.append(
             {
-                "epsilon": float(eps),
+                "epsilon": cfg_eps.epsilon,
                 "sensing_gain_db": 10.0 * math.log10(sensing_gain + 1e-30),
                 "min_snr_db": 10.0 * math.log10(entry.min_snr + 1e-30)
                 if not math.isinf(entry.min_snr)

@@ -52,23 +52,28 @@ def write_pgm(path, matrix: np.ndarray) -> None:
 
 
 class RunDir:
-    """Collects output files for one experiment run and writes a manifest."""
+    """Collects output files for one experiment run and writes a manifest.
+
+    The directory is created at the first file path handed out, so a run
+    that fails before writing anything leaves no directory behind.
+    """
 
     def __init__(self, path):
         self.path = str(path)
-        os.makedirs(self.path, exist_ok=True)
         self._files: list[str] = []
+
+    def _path(self, name: str) -> str:
+        os.makedirs(self.path, exist_ok=True)
+        return os.path.join(self.path, name)
 
     def file(self, name: str) -> str:
         self._files.append(name)
-        return os.path.join(self.path, name)
+        return self._path(name)
 
-    def finish(self, command: str, config: dict) -> str:
+    def finish(self, command: str, config: dict) -> None:
         manifest = {
             "command": command,
             "config": config,
             "outputs": sorted(self._files),
         }
-        path = os.path.join(self.path, "manifest.json")
-        write_json(path, manifest)
-        return path
+        write_json(self._path("manifest.json"), manifest)

@@ -17,10 +17,9 @@ from subbeam.channel import (
     SlotBeamPlan,
     apply_downlink,
     apply_monostatic,
-    load_scene,
     rx_gain,
-    scene_from_dict,
 )
+from subbeam.cli import load_scene, scene_from_dict
 from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot
 
 NUM = Numerology()
@@ -260,16 +259,18 @@ class TestSceneIo:
         with pytest.raises(ValueError, match=re.escape(keys)):
             scene_from_dict(scene, NUM.sample_rate)
 
-    def test_unknown_keys_named_together(self):
-        bad = {
+    def test_unknown_keys_named_together(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
             "users": [{"angle_deg": 0.0, "path": {"delay_samples": 1, "attenuation": -6}}],
             "reflectors": [{"azimuth": 5.0, "path": {"delay_samples": 2}}],
             "noise_powr": 1e-6,
-        }
+        }))
         with pytest.raises(ValueError) as err:
-            scene_from_dict(bad, NUM.sample_rate)
+            load_scene(path, NUM.sample_rate)
         assert str(err.value) == (
-            "unknown scene key(s): noise_powr, users[0].path.attenuation, reflectors[0].azimuth"
+            f"bad key(s) in {path}: unknown users[0].path.attenuation, "
+            "unknown reflectors[0].azimuth, missing reflectors[0].azimuth_deg, unknown noise_powr"
         )
 
 

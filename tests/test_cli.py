@@ -18,7 +18,7 @@ from subbeam.sensing import DelaySearchConfig
 from subbeam.waveform import Numerology, generate_slot, read_iq
 
 from cli_cases import (
-    BASE_CFG, BENCH_CFG, CASES, CODEBOOK_CFG, IMG_CFG, LOC_CFG, MOB_CFG, SIM_CFG,
+    BASE_CFG, BENCH_CFG, CASES, CODEBOOK_CFG, IMG_CFG, LOC_CFG, MOB_CFG, SIM_CFG, TRADE_CFG,
 )
 
 def run_cmd(tmp_path, name, cfg, out, extra=()):
@@ -86,14 +86,14 @@ def test_image_pgm_well_formed(tmp_path):
     assert stats["slots_used"] == 1
 
 
-def _with_scene(where, key, value):
-    """SIM_CFG with ``key`` set on the scene object reached by the ``where`` indices."""
-    scene = json.loads(json.dumps(SIM_CFG["scene"]))
+def _with_scene(where, key, value, cfg=SIM_CFG):
+    """``cfg`` with ``key`` set on the scene object reached by the ``where`` indices."""
+    scene = json.loads(json.dumps(cfg["scene"]))
     obj = scene
     for part in where:
         obj = obj[part]
     obj[key] = value
-    return {**SIM_CFG, "scene": scene}
+    return {**cfg, "scene": scene}
 
 
 TYPOS = [
@@ -115,12 +115,13 @@ TYPOS = [
     ("angle_task_distance_m", "localize",
      {**LOC_CFG, "localization": {**LOC_CFG["localization"], "angle_task_distance_m": 2.0}},
      "localization.angle_task_distance_m"),
-    ("scene", "simulate", _with_scene((), "noise_powr_db", -80), "noise_powr_db"),
-    ("user", "simulate", _with_scene(("users", 1), "base_snr_dB", 3), "users[1].base_snr_dB"),
+    ("scene", "simulate", _with_scene((), "noise_powr_db", -80), "scene.noise_powr_db"),
+    ("user", "simulate", _with_scene(("users", 1), "base_snr_dB", 3),
+     "scene.users[1].base_snr_dB"),
     ("reflector", "baseline", _with_scene(("reflectors", 0), "elevation", 0),
-     "reflectors[0].elevation"),
+     "scene.reflectors[0].elevation"),
     ("path", "simulate", _with_scene(("reflectors", 0, "path"), "attenuation", -6),
-     "reflectors[0].path.attenuation"),
+     "scene.reflectors[0].path.attenuation"),
 ]
 
 
@@ -134,7 +135,7 @@ def test_unknown_key_fails_before_any_work(tmp_path, monkeypatch, name, cfg, key
         monkeypatch.setattr(f"subbeam.cli.{fn}", fail)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    with pytest.raises(ValueError, match=r"unknown \w+ key\(s\).*: (.*, )?" + re.escape(key)):
+    with pytest.raises(ValueError, match=r"bad key\(s\) in .*: (.*, )?unknown " + re.escape(key)):
         main([name, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 
@@ -183,6 +184,27 @@ BAD_VALUES = [
      "mobility.base_snrs has 2 values for 4 trajectories"),
     ("simulate_modulation", "simulate", {**SIM_CFG, "modulation": "8PSK"}, "'8PSK'"),
     ("baseline_modulation", "baseline", {**BASE_CFG, "modulation": "8PSK"}, "'8PSK'"),
+    ("localize_rank", "localize",
+     {**LOC_CFG, "localization": {"distances_m": [1, 2], "angles_deg": [-5, 5],
+                                  "sweep_deg": [-12, 0, 12], "slots_per_position": 1}},
+     "rank-deficient"),
+    *[(f"{name}_reflector_delay", name,
+       _with_scene(("reflectors", 0, "path"), "delay_samples", 30, cfg),
+       "round-trip delay 30 samples")
+      for name, cfg in (("simulate", SIM_CFG), ("baseline", BASE_CFG), ("image", IMG_CFG))],
+    ("pattern_no_codebook_file", "pattern",
+     {**CODEBOOK_CFG, "codebook_file": "no_such_codebook.json"}, "no_such_codebook.json"),
+    ("tradeoff_negative_radius", "tradeoff", {**TRADE_CFG, "epsilons": [0.5, -1.0]},
+     "epsilon must be >= 0"),
+    ("pattern_zero_step", "pattern",
+     {**CODEBOOK_CFG, "pattern_grid_deg": {"start": -60, "stop": 60, "step": 0}},
+     "pattern_grid_deg.step 0"),
+    ("pattern_negative_step", "pattern",
+     {**CODEBOOK_CFG, "pattern_grid_deg": {"start": -60, "stop": 60, "step": -1}},
+     "pattern_grid_deg.step -1"),
+    ("mobility_negative_validate_ticks", "mobility",
+     {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "validate_ticks": -2}},
+     "validate_ticks -2"),
 ]
 
 
@@ -192,11 +214,12 @@ def test_bad_value_fails_before_any_work(tmp_path, monkeypatch, name, cfg, value
     def fail(*args, **kwargs):
         raise AssertionError("the run started before the config was checked")
 
-    for fn in ("build_codebook", "run_link", "run_imaging", "RunDir"):
+    for fn in ("build_codebook", "run_link", "run_imaging"):
         monkeypatch.setattr(f"subbeam.cli.{fn}", fail)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    with pytest.raises(ValueError, match=re.escape(value)):
+    # A codebook_file that does not exist raises FileNotFoundError.
+    with pytest.raises((ValueError, FileNotFoundError), match=re.escape(value)):
         main([name, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 
@@ -209,8 +232,12 @@ def test_top_level_user_reads_base_snr_db():
 
 def test_every_unknown_key_named(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**SIM_CFG, "sead": 1, "optimizer": {"epsilom": 0.3}}))
-    with pytest.raises(ValueError, match="sead, optimizer.epsilom$"):
+    cfg = {**_with_scene(("reflectors", 0), "azimuth", 5), "sead": 1,
+           "optimizer": {"epsilom": 0.3}}
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=re.escape(
+        ": unknown scene.reflectors[0].azimuth, unknown sead, unknown optimizer.epsilom"
+    ) + "$"):
         load_config(str(cfg_path))
 
 

@@ -584,6 +584,16 @@ class TestTradeoffProperties:
         assert diffs[0] > 0  # sensing starts on top
         assert any(d < 0 for d in diffs)  # and is overtaken before 1.5
 
+    def test_bad_radius_fails_before_any_solve(self, monkeypatch):
+        from subbeam.experiments import tradeoff
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a radius was solved before every radius was checked")
+
+        monkeypatch.setattr(tradeoff, "optimize_max_min", fail)
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            tradeoff.epsilon_sweep(TWO_USERS, BROADSIDE, GEO16, [0.5, -1.0], OptimizerConfig())
+
 
 class TestDataBeam:
     def test_single_user_is_conjugate(self):

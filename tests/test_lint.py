@@ -9,6 +9,21 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "subbeam"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
+def _exports(tree: ast.Module) -> list[str]:
+    """The names the module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Every name the module reads."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but neither reads nor lists in ``__all__``."""
     tree = ast.parse(source)
@@ -18,14 +33,7 @@ def unused_imports(source: str) -> list[str]:
             imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {alias.asname or alias.name for alias in node.names}
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
-    return sorted(name for name in imported if name not in read | exported)
+    return sorted(name for name in imported if name not in _read(tree) | set(_exports(tree)))
 
 
 def test_detects_an_unused_import():
@@ -36,3 +44,51 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """``__all__`` entries that the module neither defines nor imports at its top level."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return [name for name in _exports(tree) if name not in bound]
+
+
+def unused_private_functions(source: str) -> list[str]:
+    """Module-level ``_private`` functions whose name the module never reads."""
+    tree = ast.parse(source)
+    read = _read(tree)
+    return [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__") and node.name not in read
+    ]
+
+
+def test_detects_an_undefined_export():
+    source = "import os\nfrom m import y\nX = 1\ndef f(): pass\nclass C: pass\n"
+    assert undefined_exports(source + "__all__ = ['os', 'y', 'X', 'f', 'C', 'gone']\n") == ["gone"]
+    assert undefined_exports("x = 1\n") == []
+
+
+def test_detects_an_unused_private_function():
+    source = "def _used(): pass\ndef _unused(): pass\ndef public(): return _used()\n"
+    assert unused_private_functions(source) == ["_unused"]
+    assert unused_private_functions("def __getattr__(name): pass\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_unused_private_functions(path):
+    assert unused_private_functions(path.read_text()) == []
