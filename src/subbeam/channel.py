@@ -161,8 +161,12 @@ class SlotBeamPlan:
 
 
 def _complex_noise(rng, n, power):
-    scale = math.sqrt(power / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    """n complex AWGN samples of total ``power``: real parts drawn first, then imaginary."""
+    noise = np.empty(n, dtype=complex)
+    noise.real = rng.standard_normal(n)
+    noise.imag = rng.standard_normal(n)
+    noise *= math.sqrt(power / 2.0)
+    return noise
 
 
 def _delayed(signal: np.ndarray, delay: int) -> np.ndarray:

@@ -7,10 +7,11 @@ reproduces every output byte for byte.
 
 ``load_config`` checks every key of a config against one key tree, and
 ``load_scene`` a scene file against its subtree, so one ``ValueError`` names
-every unknown or missing key by its full path before any work starts. Scene
-dicts become ``channel.Scene`` objects here, with degrees and dB converted
-at this boundary. ``main`` owns the run directory, which is created at the
-first output written: a run that fails before that leaves none.
+every unknown or missing key and every entry of the wrong kind by its full
+path before any work starts. Scene dicts become ``channel.Scene`` objects
+here, with degrees and dB converted at this boundary. ``main`` owns the run
+directory, which is created at the first output written: a run that fails
+before that leaves none.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .codebook import (
 )
 from .experiments.baselines import BASELINE_MODES, run_baseline
 from .experiments.imaging import run_imaging
-from .experiments.link import check_reflector_delays, run_link
+from .experiments.link import run_link
 from .experiments.localization import run_localization
 from .experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
 from .experiments.tradeoff import epsilon_sweep
@@ -63,9 +64,15 @@ CONFIG_SECTIONS = {
 # The key tree of a config. A node maps each key some subcommand reads to
 # its child: None for a value, _REQUIRED for a value that must be given, a
 # node for an object, a one-node list for a list of objects. One tree serves
-# all subcommands because configs are shared between them. A list
-# ``sweep_deg`` is a value; a dict one is checked as an object.
+# all subcommands because configs are shared between them. ``sweep_deg`` is
+# either a list of angles (a value) or a range object (_ListOr).
 _REQUIRED = "required"
+
+
+class _ListOr(dict):
+    """An object node whose value may instead be a plain list."""
+
+
 _PATH = dict.fromkeys(("delay_samples", "delay_meters", "attenuation_db", "phase_deg"))
 _USER = {"angle_deg": _REQUIRED, "base_snr": None, "base_snr_db": None}
 _SCENE = {
@@ -82,36 +89,46 @@ _CONFIG = {
     )),
     **{section: dict.fromkeys(keys) for section, keys in CONFIG_SECTIONS.items()},
     "users": [_USER],
-    "sweep_deg": _RANGE,
+    "sweep_deg": _ListOr(_RANGE),
     "grid_deg": _RANGE,
     "pattern_grid_deg": dict.fromkeys(("start", "stop", "step"), _REQUIRED),
     "scene": _SCENE,
 }
 
 
-def _key_errors(obj: dict, node: dict, where: str = "") -> list[str]:
-    """Each key of ``obj`` outside ``node`` and each required key it lacks, by full path."""
+def _key_errors(obj, node: dict, where: str = "") -> list[str]:
+    """Each key of the object ``obj`` outside ``node``, each required key it
+    lacks and each entry of the wrong kind, by full path."""
+    if not isinstance(obj, dict):
+        return [f"{where or 'top level'}: expected an object"]
+    prefix = f"{where}." if where else ""
     errors = []
     for key, value in obj.items():
+        child = node.get(key)
         if key not in node:
-            errors.append(f"unknown {where}{key}")
-        elif isinstance(node[key], dict) and isinstance(value, dict):
-            errors += _key_errors(value, node[key], f"{where}{key}.")
-        elif isinstance(node[key], list) and isinstance(value, list):
+            errors.append(f"unknown {prefix}{key}")
+        elif isinstance(child, list) and not isinstance(value, list):
+            errors.append(f"{prefix}{key}: expected a list")
+        elif isinstance(child, list):
             for i, item in enumerate(value):
-                errors += _key_errors(item, node[key][0], f"{where}{key}[{i}].")
-    errors += [f"missing {where}{k}" for k, v in node.items() if v is _REQUIRED and k not in obj]
+                errors += _key_errors(item, child[0], f"{prefix}{key}[{i}]")
+        elif isinstance(child, _ListOr) and isinstance(value, list):
+            continue  # a plain list is a value
+        elif isinstance(child, dict):
+            errors += _key_errors(value, child, f"{prefix}{key}")
+    errors += [f"missing {prefix}{k}" for k, v in node.items() if v is _REQUIRED and k not in obj]
     return errors
 
 
-def _check_key_tree(obj: dict, node: dict, source: str) -> None:
+def _check_key_tree(obj, node: dict, source: str) -> None:
     errors = _key_errors(obj, node)
     if errors:
         raise ValueError(f"bad key(s) in {source}: {', '.join(errors)}")
 
 
 def load_config(path: str | None) -> dict:
-    """Read a JSON config; raise ValueError naming every key outside the key tree."""
+    """Read a JSON config; raise ValueError naming every key outside the key tree
+    and every entry of the wrong kind."""
     if not path:
         return {}
     with open(path) as f:
@@ -241,14 +258,11 @@ def _modulation(cfg: dict) -> str:
     return modulation
 
 
-def _scene(cfg: dict, numerology: Numerology, search: DelaySearchConfig) -> Scene:
-    """The config's scene, its reflector delays checked against the delay search."""
+def _scene(cfg: dict, numerology: Numerology) -> Scene:
+    """The config's scene, from ``scene_file`` or the inline ``scene``."""
     if "scene_file" in cfg:
-        scene = load_scene(cfg["scene_file"], numerology.sample_rate)
-    else:
-        scene = scene_from_dict(cfg.get("scene", {}), numerology.sample_rate)
-    check_reflector_delays(scene, search)
-    return scene
+        return load_scene(cfg["scene_file"], numerology.sample_rate)
+    return scene_from_dict(cfg.get("scene", {}), numerology.sample_rate)
 
 
 def _print_codebook(codebook: Codebook, geometry: ArrayGeometry) -> None:
@@ -338,7 +352,7 @@ def cmd_simulate(args, cfg: dict, seed: int, run: RunDir) -> None:
     numerology = _numerology(cfg)
     opt = _optimizer(cfg)
     search = _search(cfg)
-    scene = _scene(cfg, numerology, search)
+    scene = _scene(cfg, numerology)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
     modulation = _modulation(cfg)
     if cfg.get("num_slots", 1) < 1:
@@ -395,7 +409,7 @@ def cmd_baseline(args, cfg: dict, seed: int, run: RunDir) -> None:
     numerology = _numerology(cfg)
     opt = _optimizer(cfg)
     search = _search(cfg)
-    scene = _scene(cfg, numerology, search)
+    scene = _scene(cfg, numerology)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
     modulation = _modulation(cfg)
     sensing_angle = math.radians(cfg.get("sensing_angle_deg", 0.0))
@@ -434,14 +448,13 @@ def cmd_image(args, cfg: dict, seed: int, run: RunDir) -> None:
     numerology = _numerology(cfg)
     opt = _optimizer(cfg)
     search = _search(cfg)
-    scene = _scene(cfg, numerology, search)
+    scene = _scene(cfg, numerology)
     num_beams = cfg.get("num_beams", 34)
     g = cfg.get("grid_deg", {"start": -15.0, "stop": 15.0, "count": 31})
     if g["count"] < 1:
         raise ValueError(f"grid_deg.count {g['count']} must be >= 1")
     az = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     el = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
-    SubSymbolSchedule.for_numerology(numerology, num_beams)  # fails on a bad num_beams
     grid = run_imaging(scene, az, el, numerology, geometry, num_beams, opt, search, seed)
     header = ["el_deg\\az_deg"] + [fmt(float(a)) for a in np.degrees(grid.az_angles)]
     rows = [

@@ -12,7 +12,11 @@ arrays: the spectra of all beams advance together, each beam's usable bins
 are compacted to the front and padded to the widest beam by repeating its
 last usable bin at zero weight, and a single unwrap plus array reductions
 fit every candidate of every beam. ``estimate_symbol_csi`` (all beams) and
-``estimate_beam_csi`` (one beam) both call it.
+``estimate_beam_csi`` (one beam) both call it. The spectra of all candidates
+come from one ``sliding_dft`` run, and the unwrap computes numpy's
+correction only at the steps that wrap (|jump| >= pi), so its phases equal
+``np.unwrap``'s bit for bit. The unwrapped phases keep the memory order of
+the gathered CSI, because the least-squares sums round by memory layout.
 
 Each beam's result is one ``SensingCsi``: the CSI at the best delay, that
 delay, the phase line's slope, intercept and weighted MSE, the usable-bin
@@ -37,7 +41,7 @@ __all__ = [
     "DelaySearchConfig",
     "SensingCsi",
     "OpCounter",
-    "sliding_dft_step",
+    "sliding_dft",
     "estimate_beam_csi",
     "estimate_symbol_csi",
 ]
@@ -119,17 +123,41 @@ class OpCounter:
         return self.fft_ops + self.slide_ops
 
 
-def sliding_dft_step(spectrum: np.ndarray, y_in, y_out) -> np.ndarray:
-    """Spectrum of the window advanced by one sample.
+def sliding_dft(spectrum: np.ndarray, entering, leaving) -> np.ndarray:
+    """Spectra of a stack of windows advanced through a run of one-sample steps.
 
-    ``spectrum`` is the DFT of the previous window along its last axis,
-    ``y_out`` the sample leaving at the front, ``y_in`` the sample entering
-    at the back. A stack of windows (``spectrum`` of shape (..., L)) takes
-    one entering and one leaving sample per window.
+    ``spectrum`` (..., L) is the DFT of each window along its last axis.
+    Step s takes ``leaving[s]`` out at the front of each window and
+    ``entering[s]`` in at the back, both of shape (S, ...) for a run of S
+    steps. Returns the (S + 1, ..., L) spectra: the starting one, then the
+    one after each step.
     """
     n = spectrum.shape[-1]
     twiddle = np.exp(2j * np.pi * np.arange(n) / n)
-    return (spectrum + np.asarray(y_in - y_out)[..., None]) * twiddle
+    jumps = np.asarray(entering) - np.asarray(leaving)
+    spectra = np.empty((len(jumps) + 1, *spectrum.shape), dtype=complex)
+    spectra[0] = spectrum
+    for s, jump in enumerate(jumps, 1):
+        np.add(spectra[s - 1], jump[..., None], out=spectra[s])
+        spectra[s] *= twiddle
+    return spectra
+
+
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """``np.unwrap(p, axis=-1)`` bit for bit, its correction computed only where a step wraps.
+
+    The copy keeps ``p``'s memory order, as ``np.unwrap``'s does.
+    """
+    dd = np.diff(p, axis=-1)
+    wraps = ~(np.abs(dd) < np.pi)
+    jump = dd[wraps]
+    fix = np.mod(jump + np.pi, 2 * np.pi) - np.pi
+    fix[(fix == -np.pi) & (jump > 0)] = np.pi
+    correction = np.zeros_like(dd)
+    correction[wraps] = fix - jump
+    up = np.array(p, copy=True)
+    up[..., 1:] += np.cumsum(correction, axis=-1)
+    return up
 
 
 class _CandidateFits(NamedTuple):
@@ -191,12 +219,12 @@ def _delay_search(
     rxp = np.zeros(int(starts.max()) + n_cand + length, dtype=complex)
     rxp[: min(len(rx_symbol), len(rxp))] = rx_symbol[: len(rxp)]
     if accelerated:
-        y_f = np.empty((n_cand, n_beams, length), dtype=complex)
-        y_f[0] = np.fft.fft(rxp[starts[:, None] + offsets], axis=1)
-        for dn in range(1, n_cand):
-            y_f[dn] = sliding_dft_step(
-                y_f[dn - 1], rxp[starts + dn - 1 + length], rxp[starts + dn - 1]
-            )
+        leaving = starts + np.arange(n_cand - 1)[:, None]
+        y_f = sliding_dft(
+            np.fft.fft(rxp[starts[:, None] + offsets], axis=1),
+            rxp[leaving + length],
+            rxp[leaving],
+        )
         if counter is not None:
             counter.count_fft(length, times=n_beams)
             counter.count_slide(length, times=n_beams * (n_cand - 1))
@@ -215,15 +243,16 @@ def _delay_search(
     bins = np.where(pad, np.take_along_axis(packed, counts[:, None] - 1, axis=1), packed)
     w2 = np.where(pad, 0.0, weights[rows, bins]) ** 2
     k = bins.astype(float)
-    phases = np.unwrap(np.angle(csi[:, rows, bins]), axis=-1)
+    phases = _unwrap(np.angle(csi[:, rows, bins]))
 
     # Closed-form weighted least squares of phase = slope*k + intercept; the
     # weights multiply the residuals, so w2 are the least-squares weights.
+    w2k = w2 * k
     s_w = np.sum(w2, axis=-1)
-    s_k = np.sum(w2 * k, axis=-1)
-    s_kk = np.sum(w2 * k * k, axis=-1)
+    s_k = np.sum(w2k, axis=-1)
+    s_kk = np.sum(w2k * k, axis=-1)
     s_y = np.sum(w2 * phases, axis=-1)
-    s_ky = np.sum(w2 * k * phases, axis=-1)
+    s_ky = np.sum(w2k * phases, axis=-1)
     denom = s_w * s_kk - s_k * s_k
     flat = denom <= 1e-30 * np.maximum(s_w * s_kk, 1e-300)
     slope = np.where(flat, 0.0, (s_w * s_ky - s_k * s_y) / np.where(flat, 1.0, denom))

@@ -3,7 +3,10 @@
 Nothing here shares code with the package beyond plain numpy: the max-min
 reference is a random-restart coordinate ascent with per-element grid
 candidates, the delay-search oracle recomputes every candidate spectrum with
-a direct FFT and fits with numpy's own weighted polyfit.
+a direct FFT and fits with numpy's own weighted polyfit. The batched
+delay-search reference is the package's kernel as it stood with
+``np.unwrap`` and one sliding-DFT call per candidate step, kept to pin the
+current kernel byte for byte.
 """
 
 import math
@@ -115,3 +118,63 @@ def brute_force_delay_search(rx, tx_window_start, window_len, num_candidates,
         if best is None or mse < best[1]:
             best = (dn, mse, coeffs)
     return best
+
+
+def stepwise_delay_search(rx_symbol, tx_symbol, sub_len, num_beams, num_candidates,
+                          factors=None):
+    """(csi, valid, slope, intercept, mse) of every (candidate, beam) of one symbol.
+
+    The batched kernel with each candidate's spectra from a per-step
+    sliding-DFT update (twiddle rebuilt per step) and phases from
+    ``np.unwrap``; usable bins compacted to the front of each beam and padded
+    with the last usable bin at zero weight. Bins at or below 30% of the
+    window RMS (or 1e-12) are invalid.
+    """
+    def step(spectrum, y_in, y_out):
+        n = spectrum.shape[-1]
+        twiddle = np.exp(2j * np.pi * np.arange(n) / n)
+        return (spectrum + np.asarray(y_in - y_out)[..., None]) * twiddle
+
+    length, n_cand, n_beams = sub_len, num_candidates, num_beams
+    offsets = np.arange(length)
+    starts = np.arange(n_beams) * length
+    x_f = np.fft.fft(tx_symbol[starts[:, None] + offsets], axis=1)
+    if factors is None:
+        factors = np.ones(n_beams, dtype=complex)
+    weights = np.abs(factors[:, None] * x_f)
+    mag = np.abs(x_f)
+    rms = np.sqrt(np.mean(mag**2, axis=1, keepdims=True))
+    valid = mag > np.maximum(1e-12, 0.3 * rms)
+    usable = valid & (weights > 0)
+    counts = usable.sum(axis=1)
+
+    rxp = np.zeros(int(starts.max()) + n_cand + length, dtype=complex)
+    rxp[: min(len(rx_symbol), len(rxp))] = rx_symbol[: len(rxp)]
+    y_f = np.empty((n_cand, n_beams, length), dtype=complex)
+    y_f[0] = np.fft.fft(rxp[starts[:, None] + offsets], axis=1)
+    for dn in range(1, n_cand):
+        y_f[dn] = step(y_f[dn - 1], rxp[starts + dn - 1 + length], rxp[starts + dn - 1])
+    csi = np.zeros_like(y_f)
+    np.divide(y_f, factors[:, None] * x_f, out=csi, where=valid)
+
+    rows = np.arange(n_beams)[:, None]
+    width = int(counts.max())
+    packed = np.argsort(~usable, axis=1, kind="stable")[:, :width]
+    pad = np.arange(width) >= counts[:, None]
+    bins = np.where(pad, np.take_along_axis(packed, counts[:, None] - 1, axis=1), packed)
+    w2 = np.where(pad, 0.0, weights[rows, bins]) ** 2
+    k = bins.astype(float)
+    phases = np.unwrap(np.angle(csi[:, rows, bins]), axis=-1)
+    s_w = np.sum(w2, axis=-1)
+    s_k = np.sum(w2 * k, axis=-1)
+    s_kk = np.sum(w2 * k * k, axis=-1)
+    s_y = np.sum(w2 * phases, axis=-1)
+    s_ky = np.sum(w2 * k * phases, axis=-1)
+    denom = s_w * s_kk - s_k * s_k
+    flat = denom <= 1e-30 * np.maximum(s_w * s_kk, 1e-300)
+    slope = np.where(flat, 0.0, (s_w * s_ky - s_k * s_y) / np.where(flat, 1.0, denom))
+    norm = np.where(s_w > 0, s_w, np.inf)
+    intercept = (s_y - slope * s_k) / norm
+    resid = phases - (slope[..., None] * k + intercept[..., None])
+    mse = np.sum(w2 * resid**2, axis=-1) / norm
+    return csi, valid, slope, intercept, mse

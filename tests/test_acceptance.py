@@ -31,7 +31,7 @@ from subbeam.sensing import (
     DelaySearchConfig,
     OpCounter,
     estimate_beam_csi,
-    sliding_dft_step,
+    sliding_dft,
 )
 from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot
 
@@ -118,9 +118,7 @@ def test_accept_04_sliding_dft():
         for seed in range(100):
             rng = np.random.default_rng(seed)
             buf = rng.standard_normal(length + 64) + 1j * rng.standard_normal(length + 64)
-            spec = np.fft.fft(buf[:length])
-            for step in range(64):
-                spec = sliding_dft_step(spec, buf[step + length], buf[step])
+            spec = sliding_dft(np.fft.fft(buf[:length]), buf[length : length + 64], buf[:64])[-1]
             direct = np.fft.fft(buf[64 : 64 + length])
             worst = max(worst, float(np.max(np.abs(spec - direct)) / np.max(np.abs(direct))))
     tx = generate_slot(NUM, "QPSK", seed=0).symbol_body(NUM.dmrs_positions()[0])

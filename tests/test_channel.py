@@ -15,6 +15,7 @@ from subbeam.channel import (
     Scene,
     SceneUser,
     SlotBeamPlan,
+    _complex_noise,
     apply_downlink,
     apply_monostatic,
     rx_gain,
@@ -84,6 +85,16 @@ def test_empty_scene_noise_power_calibrated():
     measured = float(np.mean(np.abs(rx) ** 2))
     assert len(rx) > 1e4
     assert measured == pytest.approx(2.5e-4, rel=0.05)
+
+
+@pytest.mark.parametrize("n", [1, 15344])
+def test_noise_matches_the_sum_of_draws(n):
+    # Filling one complex array in place gives the bytes of the plain expression.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        want = math.sqrt(2.5e-4 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        got = _complex_noise(np.random.default_rng(seed), n, 2.5e-4)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_noise_tighter_calibration_100k_samples():

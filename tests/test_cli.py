@@ -205,6 +205,26 @@ BAD_VALUES = [
     ("mobility_negative_validate_ticks", "mobility",
      {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "validate_ticks": -2}},
      "validate_ticks -2"),
+    # Entries of the wrong kind are named by path like unknown keys.
+    ("user_not_object", "codebook", {**CODEBOOK_CFG, "users": [30]},
+     "users[0]: expected an object"),
+    ("users_not_list", "codebook", {**CODEBOOK_CFG, "users": 30}, "users: expected a list"),
+    ("reflector_not_object", "simulate", _with_scene((), "reflectors", [5]),
+     "scene.reflectors[0]: expected an object"),
+    ("geometry_not_object", "simulate", {**SIM_CFG, "geometry": 5},
+     "geometry: expected an object"),
+]
+
+# The bindings through which each subcommand starts its expensive work.
+WORK = [
+    ("cli", "build_codebook"),
+    *[(f"experiments.{module}", fn)
+      for module in ("link", "baselines", "imaging")
+      for fn in ("build_codebook", "sense_dmrs")],
+    ("experiments.localization", "sense_dmrs"),
+    ("experiments.mobility", "build_codebook"),
+    ("experiments.mobility", "optimize_max_min"),
+    ("experiments.tradeoff", "optimize_max_min"),
 ]
 
 
@@ -214,8 +234,8 @@ def test_bad_value_fails_before_any_work(tmp_path, monkeypatch, name, cfg, value
     def fail(*args, **kwargs):
         raise AssertionError("the run started before the config was checked")
 
-    for fn in ("build_codebook", "run_link", "run_imaging"):
-        monkeypatch.setattr(f"subbeam.cli.{fn}", fail)
+    for module, fn in WORK:
+        monkeypatch.setattr(f"subbeam.{module}.{fn}", fail)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     # A codebook_file that does not exist raises FileNotFoundError.

@@ -16,11 +16,19 @@ from subbeam.sensing import (
     _delay_search,
     estimate_beam_csi,
     estimate_symbol_csi,
-    sliding_dft_step,
+    sliding_dft,
 )
-from subbeam.waveform import Numerology, PredistortionPlan, SubSymbolSchedule, generate_slot
+from subbeam.arrays import ArrayGeometry, conjugate_beam
+from subbeam.channel import PathModel, Reflector, Scene, SlotBeamPlan, apply_monostatic
+from subbeam.waveform import (
+    Numerology,
+    PredistortionPlan,
+    SubSymbolSchedule,
+    generate_slot,
+    predistort_dmrs,
+)
 
-from reference import brute_force_delay_search
+from reference import brute_force_delay_search, stepwise_delay_search
 
 NUM = Numerology()
 
@@ -48,13 +56,14 @@ class TestSlidingDft:
     def test_constant_window_only_dc(self):
         buf = np.full(40, 2.0 + 1.0j)
         spec = np.fft.fft(buf[:30])
-        stepped = sliding_dft_step(spec, buf[30], buf[0])
-        assert stepped[0] == pytest.approx(spec[0])
-        assert np.allclose(stepped[1:], 0.0, atol=1e-12)
+        spectra = sliding_dft(spec, buf[30:31], buf[:1])
+        assert np.array_equal(spectra[0], spec)
+        assert spectra[1, 0] == pytest.approx(spec[0])
+        assert np.allclose(spectra[1, 1:], 0.0, atol=1e-12)
 
     def test_single_step_matches_direct(self):
         buf = random_window_signal(30, 1, seed=1)
-        spec = sliding_dft_step(np.fft.fft(buf[:30]), buf[30], buf[0])
+        spec = sliding_dft(np.fft.fft(buf[:30]), buf[30:31], buf[:1])[-1]
         direct = np.fft.fft(buf[1:31])
         err = np.max(np.abs(spec - direct)) / np.max(np.abs(direct))
         assert err < 1e-12
@@ -62,22 +71,62 @@ class TestSlidingDft:
     @pytest.mark.parametrize("length", [16, 30, 64])
     def test_many_steps_low_drift(self, length):
         buf = random_window_signal(length, 30, seed=length)
-        spec = np.fft.fft(buf[:length])
+        spectra = sliding_dft(np.fft.fft(buf[:length]), buf[length : length + 30], buf[:30])
+        assert spectra.shape == (31, length)
         worst = 0.0
-        for step in range(30):
-            spec = sliding_dft_step(spec, buf[step + length], buf[step])
-            direct = np.fft.fft(buf[step + 1 : step + 1 + length])
+        for step, spec in enumerate(spectra[1:], 1):
+            direct = np.fft.fft(buf[step : step + length])
             worst = max(worst, np.max(np.abs(spec - direct)) / np.max(np.abs(direct)))
         assert worst < 1e-7
+
+    def test_run_equals_single_steps(self):
+        # A run of S steps gives, bit for bit, the spectra of S runs of one.
+        buf = random_window_signal(30, 12, seed=3)
+        spectra = sliding_dft(np.fft.fft(buf[:30]), buf[30:40], buf[:10])
+        spec = spectra[0]
+        for step in range(10):
+            spec = sliding_dft(spec, buf[30 + step : 31 + step], buf[step : step + 1])[-1]
+            assert np.array_equal(spec, spectra[step + 1])
 
     def test_stack_of_windows_steps_each_window(self):
         buf = random_window_signal(30, 40, seed=2)
         starts = np.array([0, 7, 19])
         spec = np.fft.fft(buf[starts[:, None] + np.arange(30)], axis=1)
-        stepped = sliding_dft_step(spec, buf[starts + 30], buf[starts])
+        stepped = sliding_dft(spec, buf[starts + 30][None], buf[starts][None])[-1]
         for row, start in zip(stepped, starts):
             single = np.fft.fft(buf[start : start + 30])
-            assert np.array_equal(row, sliding_dft_step(single, buf[start + 30], buf[start]))
+            assert np.array_equal(row, sliding_dft(single, [buf[start + 30]], [buf[start]])[-1])
+
+
+class TestUnwrap:
+    """``_unwrap`` against ``np.unwrap``, values and memory order."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 55), (10, 15, 55)])
+    @pytest.mark.parametrize("step", [1.0, 5.0], ids=["no_wraps", "wraps"])
+    def test_c_ordered_stacks(self, shape, step):
+        rng = np.random.default_rng(len(shape))
+        p = np.cumsum(rng.uniform(-step, step, shape), axis=-1)
+        self.assert_same(sensing._unwrap(p), np.unwrap(p, axis=-1))
+
+    def test_advanced_indexed_stack(self):
+        # The kernel's gather: (candidate, beam, packed bin), not C-contiguous.
+        rng = np.random.default_rng(4)
+        csi = rng.standard_normal((10, 15, 60)) + 1j * rng.standard_normal((10, 15, 60))
+        rows = np.arange(15)[:, None]
+        bins = np.sort(rng.choice(60, (15, 40)), axis=1)
+        p = np.angle(csi[:, rows, bins])
+        assert not p.flags.c_contiguous
+        self.assert_same(sensing._unwrap(p), np.unwrap(p, axis=-1))
+
+    def test_exact_pi_steps(self):
+        p = np.array([[0.0, np.pi, 0.0, -np.pi, 0.0, 3 * np.pi, -np.pi, 2 * np.pi - 1e-3]])
+        self.assert_same(sensing._unwrap(p), np.unwrap(p, axis=-1))
+        self.assert_same(sensing._unwrap(p.T.copy().T), np.unwrap(p.T.copy().T, axis=-1))
 
 
 class TestSubSymbolCsi:
@@ -482,3 +531,56 @@ class TestKernelEquivalence:
         ref = _seed_beam_search(rx, tx, sched, 2, cfg)
         self._assert_same(res, ref)
         assert res.slope == 0.0 and res.mse == 0.0 and res.best_delay == 0
+
+
+class TestKernelMatchesStepwise:
+    """``_delay_search`` against ``reference.stepwise_delay_search``, byte for byte.
+
+    Captures go through the monostatic channel as in ``sense_dmrs``: a
+    conjugate-beam sweep on a 16-element ULA, two reflectors inside the
+    delay search, noise and TX leakage drawn from the seed. With a plan the
+    DMRS is pre-distorted by random per-window factors.
+    """
+
+    GEO = ArrayGeometry.ula(16)
+    SCENE = Scene(
+        reflectors=(
+            Reflector(math.radians(4), PathModel(0.5, 0.3, 3)),
+            Reflector(math.radians(-9), PathModel(0.2, -1.1, 7)),
+        ),
+        noise_power=1e-4,
+        self_interference_inr_db=20.0,
+    )
+
+    def _captures(self, num_beams, with_plan, seed):
+        rng = np.random.default_rng([num_beams, seed])
+        sched = SubSymbolSchedule.for_numerology(NUM, num_beams)
+        beams = [conjugate_beam(self.GEO, a) for a in np.radians(np.linspace(-14, 14, num_beams))]
+        bplan = SlotBeamPlan.uniform(NUM, sched, beams, beams[0])
+        reference = generate_slot(NUM, "QPSK", seed=30 + seed)
+        plan = None
+        if with_plan:
+            plan = PredistortionPlan(
+                amplitude=rng.uniform(0.5, 2.0, num_beams),
+                phase=rng.uniform(-np.pi, np.pi, num_beams),
+            )
+        tx = predistort_dmrs(reference, sched, plan) if plan is not None else reference
+        rx = apply_monostatic(tx, bplan, self.SCENE, self.GEO, seed=seed)
+        for pos in NUM.dmrs_positions():
+            body = rx[NUM.symbol_slice(pos, include_cp=False)]
+            yield body, reference.symbol_body(pos), sched, plan
+
+    @pytest.mark.parametrize("with_plan", [False, True], ids=["no_plan", "plan"])
+    @pytest.mark.parametrize("num_beams", [15, 34])
+    def test_byte_equal(self, num_beams, with_plan):
+        cfg = DelaySearchConfig(10)
+        for seed in range(3):
+            for rx, tx, sched, plan in self._captures(num_beams, with_plan, seed):
+                got = _delay_search(rx, tx, sched, np.arange(num_beams), cfg, plan, None)
+                want = stepwise_delay_search(
+                    rx, tx, sched.sub_len, num_beams, cfg.num_candidates,
+                    plan.factors if plan is not None else None,
+                )
+                for name, a, b in zip(("csi", "valid", "slope", "intercept", "mse"), got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
