@@ -12,6 +12,11 @@ path before any work starts. Scene dicts become ``channel.Scene`` objects
 here, with degrees and dB converted at this boundary. ``main`` owns the run
 directory, which is created at the first output written: a run that fails
 before that leaves none.
+
+The experiments return their output tables (``users.csv``, ``sensing.csv``,
+``baselines.csv``, ``timeseries.csv``, ``tradeoff.csv`` and the ``timing.csv``
+of ``mobility --timing``) as ``runio.Table`` objects that name and order their
+own columns, so a subcommand writes each with one ``write_table`` call.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .experiments.link import run_link
 from .experiments.localization import run_localization
 from .experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
 from .experiments.tradeoff import epsilon_sweep
-from .runio import RunDir, fmt, write_csv, write_json, write_pgm
+from .runio import RunDir, fmt, write_csv, write_json, write_pgm, write_table
 from .sensing import DelaySearchConfig, OpCounter, estimate_beam_csi
 from .waveform import Numerology, SubSymbolSchedule, constellation, generate_slot, write_iq
 
@@ -331,20 +336,8 @@ def cmd_tradeoff(args, cfg: dict, seed: int, run: RunDir) -> None:
     users = _users(cfg)
     target = SensingTarget(math.radians(cfg.get("sensing_angle_deg", 0.0)))
     epsilons = cfg.get("epsilons", [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5])
-    rows = epsilon_sweep(users, target, geometry, epsilons, opt)
-    header = ["epsilon", "sensing_gain_db", "min_snr_db"] + [
-        f"user{i}_gain_db" for i in range(len(users))
-    ]
-    table = [
-        [r["epsilon"], r["sensing_gain_db"], r["min_snr_db"], *r["user_gains_db"]]
-        for r in rows
-    ]
-    write_csv(run.file("tradeoff.csv"), header, table)
-    for r in rows:
-        print(
-            f"eps={r['epsilon']:.2f} sensing {r['sensing_gain_db']:6.2f} dB "
-            f"min-user {r['min_snr_db']:6.2f} dB"
-        )
+    table = epsilon_sweep(users, target, geometry, epsilons, opt)
+    write_table(run.file("tradeoff.csv"), table)
 
 
 def cmd_simulate(args, cfg: dict, seed: int, run: RunDir) -> None:
@@ -369,38 +362,13 @@ def cmd_simulate(args, cfg: dict, seed: int, run: RunDir) -> None:
         seed=seed,
         **_given(cfg, "num_slots", "predistort"),
     )
-    write_csv(
-        run.file("users.csv"),
-        ["user", "angle_deg", "evm_percent", "evm_percent_genie", "ber"],
-        [
-            [u["user"], u["angle_deg"], u["evm_percent"], u["evm_percent_genie"], u["ber"]]
-            for u in result.per_user
-        ],
-    )
-    write_csv(
-        run.file("sensing.csv"),
-        [
-            "slot", "symbol", "beam_index", "angle_deg", "best_delay",
-            "power_db", "power_db_normalized", "slope", "loss",
-        ],
-        [
-            [
-                r["slot"], r["symbol"], r["beam_index"], r["angle_deg"], r["best_delay"],
-                r["power_db"], r["power_db_normalized"], r["slope"], r["loss"],
-            ]
-            for r in result.sensing_rows
-        ],
-    )
+    write_table(run.file("users.csv"), result.per_user)
+    write_table(run.file("sensing.csv"), result.sensing_rows)
     save_codebook(run.file("codebook.json"), result.codebook, geometry)
     if cfg.get("save_iq", False):
         write_iq(
             run.file("tx_slot.iq"), result.tx.samples, numerology,
             extra={"modulation": result.tx.modulation, "num_beams": len(result.codebook)},
-        )
-    for u in result.per_user:
-        print(
-            f"user {u['user']} @ {u['angle_deg']:+.1f} deg: EVM {u['evm_percent']:.2f}% "
-            f"(genie {u['evm_percent_genie']:.2f}%), BER {u['ber']:.2e}"
         )
 
 
@@ -413,34 +381,11 @@ def cmd_baseline(args, cfg: dict, seed: int, run: RunDir) -> None:
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
     modulation = _modulation(cfg)
     sensing_angle = math.radians(cfg.get("sensing_angle_deg", 0.0))
-    modes = cfg.get("modes", list(BASELINE_MODES))
-    rows = []
-    for mode in modes:
-        res = run_baseline(
-            mode, scene, sensing_angle, sweep, geometry, numerology, opt, search,
-            cfg.get("snr_db", 30.0), modulation, seed,
-        )
-        for u in res["per_user"]:
-            rows.append(
-                [
-                    mode, u["user"], u["evm_percent"], u["evm_percent_genie"], u["ber"],
-                    res["sensing"]["amplitude_db_normalized"], res["beam_switches_per_dmrs"],
-                ]
-            )
-        print(
-            f"{mode}: user EVM "
-            + ", ".join(f"{u['evm_percent']:.2f}%" for u in res["per_user"])
-            + f"; sensing level {res['sensing']['amplitude_db_normalized']:.2f} dB; "
-            + f"{res['beam_switches_per_dmrs']} switch(es)/DMRS"
-        )
-    write_csv(
-        run.file("baselines.csv"),
-        [
-            "mode", "user", "evm_percent", "evm_percent_genie", "ber",
-            "sensing_amplitude_db", "beam_switches_per_dmrs",
-        ],
-        rows,
+    table = run_baseline(
+        cfg.get("modes", BASELINE_MODES), scene, sensing_angle, sweep, geometry, numerology,
+        opt, search, cfg.get("snr_db", 30.0), modulation, seed,
     )
+    write_table(run.file("baselines.csv"), table)
 
 
 def cmd_image(args, cfg: dict, seed: int, run: RunDir) -> None:
@@ -525,27 +470,11 @@ def cmd_mobility(args, cfg: dict, seed: int, run: RunDir) -> None:
     result = run_mobility(
         scenario, base_snrs, sweep, geometry, opt, **_given(mob, "validate_ticks")
     )
-    n_users = len(scenario.waypoints)
-    header = (
-        ["tick", "t"]
-        + [f"user{i}_deg" for i in range(n_users)]
-        + ["reused", "reoptimized", "min_snr", "sensing_gain_db"]
-    )
-    rows = [
-        [r["tick"], r["t"], *r["angles_deg"], r["reused"], r["reoptimized"],
-         r["min_snr"], r["sensing_gain_db"]]
-        for r in result["records"]
-    ]
-    write_csv(run.file("timeseries.csv"), header, rows)
-    stats = dict(result["stats"])
-    wall = stats.pop("update_wall_seconds")
+    write_table(run.file("timeseries.csv"), result["records"])
+    stats = result["stats"]
     write_json(run.file("mobility_stats.json"), stats)
     if args.timing:
-        write_csv(
-            run.file("timing.csv"),
-            ["tick", "update_seconds"],
-            [[i + 1, w] for i, w in enumerate(wall)],
-        )
+        write_table(run.file("timing.csv"), result["timing"])
     if result["validation"] is not None:
         write_json(run.file("reuse_validation.json"), result["validation"])
     print(

@@ -51,7 +51,7 @@ import math
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -117,7 +117,6 @@ class SensingTarget:
 @dataclass(frozen=True)
 class OptimizerConfig:
     epsilon: float = 0.5
-    sensing_weight: float = 1.0  # weighted-sum solver only
     grad_tol: float = 1e-2
     max_iters: int = 2000
     snr_match_tol: float = 1e-2  # linear-SNR absolute tolerance for entry reuse
@@ -125,8 +124,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.sensing_weight < 0:
-            raise ValueError("sensing_weight must be >= 0")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be > 0")
         if self.max_iters < 1:
@@ -173,6 +170,10 @@ class UpdateStats:
     seconds: float = 0.0
     stop_reasons: Counter = field(default_factory=Counter)
     iterations: int = 0
+
+    def __add__(self, other: UpdateStats) -> UpdateStats:
+        """Field-wise sum, so ``sum(per_update, UpdateStats())`` totals a run."""
+        return UpdateStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 def _user_matrix(users, geometry):
@@ -463,6 +464,8 @@ def optimize_weighted_sum(
     geometry: ArrayGeometry,
     cfg: OptimizerConfig,
     trace: list | None = None,
+    *,
+    sensing_weight: float = 1.0,
 ) -> Beamformer:
     """Joint beamformer maximizing sensing_weight*sensing SNR + mean user SNR.
 
@@ -472,6 +475,8 @@ def optimize_weighted_sum(
     """
     if not users:
         raise ValueError("at least one user is required")
+    if sensing_weight < 0:
+        raise ValueError("sensing_weight must be >= 0")
     _warn_close_angles(users, geometry)
     s_users, gamma = _user_matrix(users, geometry)
     s_t = steering_vector(geometry, target.angle)
@@ -479,7 +484,7 @@ def optimize_weighted_sum(
 
     s_all = np.vstack([s_t[None, :], s_users])
     gamma_all = np.concatenate([[target.base_snr], gamma])
-    coef = np.concatenate([[cfg.sensing_weight], np.full(n_users, 1.0 / n_users)])
+    coef = np.concatenate([[sensing_weight], np.full(n_users, 1.0 / n_users)])
     s_conj = np.conj(s_all)
 
     evaluate = _evaluator(s_all, gamma_all, lambda x: (coef * x).sum(axis=-1))

@@ -16,6 +16,7 @@ import numpy as np
 from ..arrays import ArrayGeometry, beamforming_gain, conjugate_beam
 from ..channel import Scene, SlotBeamPlan, rx_gain
 from ..codebook import OptimizerConfig, build_codebook, design_data_beam
+from ..runio import Table
 from ..sensing import DelaySearchConfig
 from ..waveform import (
     Numerology,
@@ -53,7 +54,7 @@ def _conjugate_reference_noise(su, geometry, numerology, snr_db):
 
 
 def run_baseline(
-    mode: str,
+    modes,
     scene: Scene,
     sensing_angle: float,
     sweep: list[float],
@@ -64,64 +65,65 @@ def run_baseline(
     snr_db: float,
     modulation: str,
     seed: int,
-) -> dict:
-    """Run one mode over the scene; returns per-user EVM and sensing CSI quality.
+) -> Table:
+    """Run each of ``modes`` over the scene; one row per mode and user.
 
-    All modes transmit the same number of slots and are scored identically:
-    EVM per user from estimated CSI, and the gain-normalized sensing CSI
-    amplitude toward ``sensing_angle``.
+    All modes transmit the same slot and are scored identically: EVM per
+    user from estimated and from genie CSI, and the gain-normalized sensing
+    CSI amplitude toward ``sensing_angle``. Every mode and the scene are
+    checked before the first mode runs.
     """
-    if mode not in BASELINE_MODES:
-        raise ValueError(f"unknown baseline mode {mode!r}")
+    for mode in modes:
+        if mode not in BASELINE_MODES:
+            raise ValueError(f"unknown baseline mode {mode!r}")
     users = [su.link for su in scene.users]
     if not users:
         raise ValueError("baselines need at least one user")
     check_reflector_delays(scene, search)
 
-    plan = None
-    if mode == "subf":
-        beam = conjugate_beam(geometry, users[0].angle)
-        dmrs_beams = [beam]
-        data_beam = beam
-    elif mode == "fixed":
-        dmrs_beams = [conjugate_beam(geometry, sensing_angle)]
-        data_beam = design_data_beam(users, geometry, cfg)
-    else:
-        codebook = build_codebook(users, sweep, 1.0, geometry, cfg)
-        dmrs_beams = codebook.beams()
-        data_beam = design_data_beam(users, geometry, cfg)
-        plan = build_predistortion_plan(dmrs_beams, data_beam, users, geometry)
+    table = Table(
+        ["mode", "user", "evm_percent", "evm_percent_genie", "ber",
+         "sensing_amplitude_db", "beam_switches_per_dmrs"],
+        line="{mode} user {user}: EVM {evm_percent:.2f}%; sensing level "
+        "{sensing_amplitude_db:.2f} dB; {beam_switches_per_dmrs} switch(es)/DMRS",
+    )
+    for mode in modes:
+        plan = None
+        if mode == "subf":
+            beam = conjugate_beam(geometry, users[0].angle)
+            dmrs_beams = [beam]
+            data_beam = beam
+        elif mode == "fixed":
+            dmrs_beams = [conjugate_beam(geometry, sensing_angle)]
+            data_beam = design_data_beam(users, geometry, cfg)
+        else:
+            codebook = build_codebook(users, sweep, 1.0, geometry, cfg)
+            dmrs_beams = codebook.beams()
+            data_beam = design_data_beam(users, geometry, cfg)
+            plan = build_predistortion_plan(dmrs_beams, data_beam, users, geometry)
 
-    schedule = SubSymbolSchedule.for_numerology(numerology, len(dmrs_beams))
-    bplan = SlotBeamPlan.uniform(numerology, schedule, dmrs_beams, data_beam)
+        schedule = SubSymbolSchedule.for_numerology(numerology, len(dmrs_beams))
+        bplan = SlotBeamPlan.uniform(numerology, schedule, dmrs_beams, data_beam)
 
-    reference = generate_slot(numerology, modulation, seed=seed)
-    tx = reference if plan is None else predistort_dmrs(reference, schedule, plan)
+        reference = generate_slot(numerology, modulation, seed=seed)
+        tx = reference if plan is None else predistort_dmrs(reference, schedule, plan)
 
-    per_user = []
-    for u_idx, su in enumerate(scene.users):
-        noise = _conjugate_reference_noise(su, geometry, numerology, snr_db)
-        est, gen = score_user(tx, reference, bplan, su, geometry, noise, seed + u_idx)
-        per_user.append(
-            {
-                "user": u_idx,
-                "evm_percent": est["evm_percent"],
-                "evm_percent_genie": gen["evm_percent"],
-                "ber": est["ber"],
-            }
+        # Sensing: estimate at the DMRS beam matching the requested angle,
+        # on the slot's first DMRS symbol.
+        results = sense_dmrs(tx, reference, bplan, scene, geometry, search, plan, seed + 97)[0]
+        if mode == "switched":
+            beam_idx = int(np.argmin([abs(a - sensing_angle) for a in sweep]))
+        else:
+            beam_idx = 0
+        level_db = _sensing_profile(
+            results[beam_idx], dmrs_beams[beam_idx], geometry, sensing_angle
         )
 
-    # Sensing: estimate at the DMRS beam matching the requested angle, on
-    # the slot's first DMRS symbol.
-    results = sense_dmrs(tx, reference, bplan, scene, geometry, search, plan, seed + 97)[0]
-    if mode == "switched":
-        beam_idx = int(np.argmin([abs(a - sensing_angle) for a in sweep]))
-    else:
-        beam_idx = 0
-    res = results[beam_idx]
-    level_db = _sensing_profile(res, dmrs_beams[beam_idx], geometry, sensing_angle)
-    return {
-        "per_user": per_user,
-        "sensing": {"amplitude_db_normalized": level_db},
-        "beam_switches_per_dmrs": len(dmrs_beams),
-    }
+        for u_idx, su in enumerate(scene.users):
+            noise = _conjugate_reference_noise(su, geometry, numerology, snr_db)
+            est, gen = score_user(tx, reference, bplan, su, geometry, noise, seed + u_idx)
+            table.add(
+                mode, u_idx, est["evm_percent"], gen["evm_percent"], est["ber"],
+                level_db, len(dmrs_beams),
+            )
+    return table

@@ -16,6 +16,7 @@ import numpy as np
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain
 from ..channel import Scene, SceneUser, SlotBeamPlan, apply_downlink, apply_monostatic, rx_gain
 from ..codebook import Codebook, OptimizerConfig, build_codebook, design_data_beam
+from ..runio import Table
 from ..sensing import DelaySearchConfig, SensingCsi, estimate_symbol_csi
 from ..waveform import (
     Numerology,
@@ -35,8 +36,8 @@ __all__ = ["LinkResult", "noise_power_for_user_snr", "genie_csi", "check_reflect
 
 @dataclass
 class LinkResult:
-    per_user: list[dict]
-    sensing_rows: list[dict]
+    per_user: Table
+    sensing_rows: Table
     codebook: Codebook
     tx: SlotWaveform  # slot 0 as transmitted
 
@@ -177,7 +178,10 @@ def run_link(
         {"evm_sq_est": 0.0, "evm_sq_genie": 0.0, "bit_errors": 0, "bits": 0}
         for _ in scene.users
     ]
-    sensing_rows: list[dict] = []
+    sensing_rows = Table([
+        "slot", "symbol", "beam_index", "angle_deg", "best_delay",
+        "power_db", "power_db_normalized", "slope", "loss",
+    ])
 
     for slot_idx in range(num_slots):
         reference = generate_slot(numerology, modulation, seed=seed + 1000 * slot_idx)
@@ -194,18 +198,11 @@ def run_link(
                 power = res.power
                 angle = codebook.entries[m].sensing_angle
                 g_norm = beamforming_gain(beams[m], geometry, angle) * rx_gain(angle)
-                sensing_rows.append(
-                    {
-                        "slot": slot_idx,
-                        "symbol": sym_row,
-                        "beam_index": m,
-                        "angle_deg": math.degrees(angle),
-                        "best_delay": res.best_delay,
-                        "power_db": 10.0 * math.log10(power + 1e-30),
-                        "power_db_normalized": 10.0 * math.log10(power / g_norm + 1e-30),
-                        "slope": res.slope,
-                        "loss": res.mse,
-                    }
+                sensing_rows.add(
+                    slot_idx, sym_row, m, math.degrees(angle), res.best_delay,
+                    10.0 * math.log10(power + 1e-30),
+                    10.0 * math.log10(power / g_norm + 1e-30),
+                    res.slope, res.mse,
                 )
 
         # Communication side (per-user noise)
@@ -220,16 +217,18 @@ def run_link(
             acc["bit_errors"] += round(est["ber"] * est["bits"])
             acc["bits"] += est["bits"]
 
-    per_user = []
+    per_user = Table(
+        ["user", "angle_deg", "evm_percent", "evm_percent_genie", "ber"],
+        line="user {user} @ {angle_deg:+.1f} deg: EVM {evm_percent:.2f}% "
+        "(genie {evm_percent_genie:.2f}%), BER {ber:.2e}",
+    )
     for u_idx, acc in enumerate(per_user_acc):
-        per_user.append(
-            {
-                "user": u_idx,
-                "angle_deg": math.degrees(scene.users[u_idx].link.angle),
-                "evm_percent": 100.0 * math.sqrt(acc["evm_sq_est"] / num_slots),
-                "evm_percent_genie": 100.0 * math.sqrt(acc["evm_sq_genie"] / num_slots),
-                "ber": acc["bit_errors"] / acc["bits"] if acc["bits"] else 0.0,
-            }
+        per_user.add(
+            u_idx,
+            math.degrees(scene.users[u_idx].link.angle),
+            100.0 * math.sqrt(acc["evm_sq_est"] / num_slots),
+            100.0 * math.sqrt(acc["evm_sq_genie"] / num_slots),
+            acc["bit_errors"] / acc["bits"] if acc["bits"] else 0.0,
         )
     return LinkResult(
         per_user=per_user,

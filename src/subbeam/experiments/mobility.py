@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -25,11 +24,13 @@ from ..arrays import (
 from ..codebook import (
     OptimizerConfig,
     SensingTarget,
+    UpdateStats,
     UserLink,
     build_codebook,
     optimize_max_min,
     update_codebook,
 )
+from ..runio import Table
 
 __all__ = ["MobilityScenario", "run_mobility", "default_sweep_scenario"]
 
@@ -97,19 +98,19 @@ def run_mobility(
 ) -> dict:
     """Tick through the scenario, updating the codebook each interval.
 
-    Returns the per-tick time series (reuse decisions, minimum user SNR and
-    sensing gain of the first entry), aggregate statistics, and, when
-    ``validate_ticks`` > 0, a reuse validation on that many sampled reuse
-    ticks. A reused entry is confirmed by (a) independently recomputing the
-    reuse premise (its stored minimum SNR is still achieved at the current
-    angles within the match tolerance), (b) rechecking feasibility of its
-    weights (within ``epsilon`` of the anchor and within the unit disk),
-    and (c) a from-scratch solve that must reach at least the stored value
-    minus 1 dB (cold restarts on crossing-user configurations land within
-    ~0.7 dB of a warm-tracked solution). A fresh solve may
-    legitimately exceed the stored value when the bottleneck user moved
-    somewhere better: skipping that headroom is exactly the latency the
-    update rule trades away.
+    Returns the per-tick time series (user angles, reuse decisions, minimum
+    user SNR and sensing gain of the first entry), aggregate statistics, the
+    wall time of each tick's update, and, when ``validate_ticks`` > 0, a
+    reuse validation on that many sampled reuse ticks. A reused entry is
+    confirmed by (a) independently recomputing the reuse premise (its stored
+    minimum SNR is still achieved at the current angles within the match
+    tolerance), (b) rechecking feasibility of its weights (within
+    ``epsilon`` of the anchor and within the unit disk), and (c) a
+    from-scratch solve that must reach at least the stored value minus 1 dB
+    (cold restarts on crossing-user configurations land within ~0.7 dB of a
+    warm-tracked solution). A fresh solve may legitimately exceed the stored
+    value when the bottleneck user moved somewhere better: skipping that
+    headroom is exactly the latency the update rule trades away.
     """
     if len(base_snrs) != len(scenario.waypoints):
         raise ValueError("one base SNR per trajectory required")
@@ -124,37 +125,25 @@ def run_mobility(
 
     with _quiet_proximity_warnings():
         codebook = build_codebook(users_at(0.0), sweep, 1.0, geometry, cfg)
-    records = []
+    records = Table([
+        "tick", "t", *(f"user{i}_deg" for i in range(len(scenario.waypoints))),
+        "reused", "reoptimized", "min_snr", "sensing_gain_db",
+    ])
+    timing = Table(["tick", "update_seconds"])
     reuse_ticks = []
-    total_reused = 0
-    total_reoptimized = 0
-    stop_reasons = Counter()
-    solver_iterations = 0
-    wall_times = []
+    per_tick = []
     for tick in range(1, scenario.num_ticks + 1):
         t = tick * scenario.tick_interval
         moved = users_at(t)
         with _quiet_proximity_warnings():
             codebook, stats = update_codebook(codebook, moved, geometry, cfg)
-        total_reused += stats.reused
-        total_reoptimized += stats.reoptimized
-        stop_reasons.update(stats.stop_reasons)
-        solver_iterations += stats.iterations
-        wall_times.append(stats.seconds)
+        per_tick.append(stats)
+        timing.add(tick, stats.seconds)
         entry = codebook.entries[0]
-        records.append(
-            {
-                "tick": tick,
-                "t": t,
-                "angles_deg": [math.degrees(u.angle) for u in moved],
-                "reused": stats.reused,
-                "reoptimized": stats.reoptimized,
-                "min_snr": entry.min_snr,
-                "sensing_gain_db": 10.0
-                * math.log10(
-                    beamforming_gain(entry.weights, geometry, entry.sensing_angle)
-                ),
-            }
+        records.add(
+            tick, t, *(math.degrees(u.angle) for u in moved),
+            stats.reused, stats.reoptimized, entry.min_snr,
+            10.0 * math.log10(beamforming_gain(entry.weights, geometry, entry.sensing_angle)),
         )
         if stats.reoptimized == 0:
             reuse_ticks.append((tick, t, codebook))
@@ -200,18 +189,18 @@ def run_mobility(
             )
         validation = checks
 
-    ticks = scenario.num_ticks
-    reopt_ticks = sum(1 for r in records if r["reoptimized"] > 0)
+    total = sum(per_tick, UpdateStats())
     return {
         "records": records,
         "stats": {
-            "ticks": ticks,
-            "entries_reused": total_reused,
-            "entries_reoptimized": total_reoptimized,
-            "reoptimized_stop_reasons": dict(stop_reasons),
-            "reoptimized_iterations": solver_iterations,
-            "reoptimized_tick_fraction": reopt_ticks / ticks,
-            "update_wall_seconds": wall_times,
+            "ticks": scenario.num_ticks,
+            "entries_reused": total.reused,
+            "entries_reoptimized": total.reoptimized,
+            "reoptimized_stop_reasons": dict(total.stop_reasons),
+            "reoptimized_iterations": total.iterations,
+            "reoptimized_tick_fraction": sum(s.reoptimized > 0 for s in per_tick)
+            / scenario.num_ticks,
         },
+        "timing": timing,
         "validation": validation,
     }

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from ..arrays import ArrayGeometry, beamforming_gain
 from ..codebook import OptimizerConfig, SensingTarget, UserLink, optimize_max_min
+from ..runio import Table
 
 __all__ = ["epsilon_sweep"]
 
@@ -17,7 +18,7 @@ def epsilon_sweep(
     geometry: ArrayGeometry,
     epsilons,
     cfg: OptimizerConfig,
-) -> list[dict]:
+) -> Table:
     """Solve the codebook entry across a radius grid, warm-starting upward.
 
     Solutions nest (a feasible point for one radius stays feasible for any
@@ -27,7 +28,12 @@ def epsilon_sweep(
     before the first solve.
     """
     configs = [replace(cfg, epsilon=float(eps)) for eps in epsilons]
-    rows = []
+    table = Table(
+        ["epsilon", "sensing_gain_db", "min_snr_db",
+         *(f"user{i}_gain_db" for i in range(len(users)))],
+        line="eps={epsilon:.2f} sensing {sensing_gain_db:6.2f} dB "
+        "min-user {min_snr_db:6.2f} dB",
+    )
     prev = None
     for cfg_eps in configs:
         entry = optimize_max_min(users, target, geometry, cfg_eps)
@@ -39,17 +45,13 @@ def epsilon_sweep(
                 entry = warm
         prev = entry
         sensing_gain = beamforming_gain(entry.weights, geometry, target.angle)
-        rows.append(
-            {
-                "epsilon": cfg_eps.epsilon,
-                "sensing_gain_db": 10.0 * math.log10(sensing_gain + 1e-30),
-                "min_snr_db": 10.0 * math.log10(entry.min_snr + 1e-30)
-                if not math.isinf(entry.min_snr)
-                else math.inf,
-                "user_gains_db": [
-                    10.0 * math.log10(beamforming_gain(entry.weights, geometry, u.angle) + 1e-30)
-                    for u in users
-                ],
-            }
+        table.add(
+            cfg_eps.epsilon,
+            10.0 * math.log10(sensing_gain + 1e-30),
+            10.0 * math.log10(entry.min_snr + 1e-30) if not math.isinf(entry.min_snr) else math.inf,
+            *(
+                10.0 * math.log10(beamforming_gain(entry.weights, geometry, u.angle) + 1e-30)
+                for u in users
+            ),
         )
-    return rows
+    return table

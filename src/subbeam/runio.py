@@ -4,16 +4,20 @@ Every experiment writes its artifacts under one directory with a manifest
 echoing the resolved configuration. Outputs must be byte-identical across
 re-runs with the same config and seed, so writers use repr-based float
 formatting, sorted JSON keys, and no timestamps.
+
+An experiment that fills an output table returns it as a ``Table``, which
+names and orders its columns, so the writer needs no column list of its own.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["fmt", "write_csv", "write_json", "write_pgm", "RunDir"]
+__all__ = ["fmt", "Table", "write_csv", "write_table", "write_json", "write_pgm", "RunDir"]
 
 
 def fmt(value) -> str:
@@ -30,6 +34,31 @@ def write_csv(path, header: list[str], rows) -> None:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(fmt(v) for v in row) + "\n")
+
+
+@dataclass
+class Table:
+    """Rows of one output CSV, each a dict keyed by ``columns`` in order.
+
+    The columns are fixed before any row is added, so a table with no rows
+    still has its header. ``line``, when set, formats one row for the console.
+    """
+
+    columns: list[str]
+    line: str = ""
+    rows: list[dict] = field(default_factory=list)
+
+    def add(self, *values) -> None:
+        """Append one row: ``values`` in column order."""
+        self.rows.append(dict(zip(self.columns, values, strict=True)))
+
+
+def write_table(path, table: Table) -> None:
+    """Write ``table`` as CSV, then print each row's console ``line``."""
+    write_csv(path, table.columns, ([row[c] for c in table.columns] for row in table.rows))
+    if table.line:
+        for row in table.rows:
+            print(table.line.format(**row))
 
 
 def write_json(path, obj) -> None:

@@ -239,6 +239,8 @@ def optimize_weighted_sum(
     geometry: ArrayGeometry,
     cfg: OptimizerConfig,
     trace: list | None = None,
+    *,
+    sensing_weight: float = 1.0,
 ) -> Beamformer:
     """Joint beamformer maximizing sensing_weight*sensing SNR + mean user SNR.
 
@@ -254,7 +256,7 @@ def optimize_weighted_sum(
 
     s_all = np.vstack([s_t[None, :], s_users])
     gamma_all = np.concatenate([[target.base_snr], gamma])
-    coef = np.concatenate([[cfg.sensing_weight], np.full(n_users, 1.0 / n_users)])
+    coef = np.concatenate([[sensing_weight], np.full(n_users, 1.0 / n_users)])
 
     def objective(w):
         return float(np.sum(coef * _snrs(w, s_all, gamma_all)))

@@ -74,9 +74,7 @@ def test_accept_02_solver_parity():
         geo = ArrayGeometry.ula(n)
         users = [UserLink(math.radians(a), 1.0) for a in user_degs]
         target = SensingTarget(0.0, 1.0)
-        w_sum = optimize_weighted_sum(
-            users, target, geo, OptimizerConfig(sensing_weight=alpha)
-        )
+        w_sum = optimize_weighted_sum(users, target, geo, OptimizerConfig(), sensing_weight=alpha)
         entry = optimize_max_min(users, target, geo, OptimizerConfig(epsilon=eps))
         angles = [0.0] + [u.angle for u in users]
         diffs = [
@@ -96,8 +94,8 @@ def test_accept_03_epsilon_tradeoff():
         users, SensingTarget(0.0, 1.0), geo,
         [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5], OptimizerConfig(),
     )
-    sens = [r["sensing_gain_db"] for r in rows]
-    comm = [r["min_snr_db"] for r in rows]
+    sens = [r["sensing_gain_db"] for r in rows.rows]
+    comm = [r["min_snr_db"] for r in rows.rows]
     tol = 0.2
     mono_s = all(b <= a + tol for a, b in zip(sens, sens[1:]))
     mono_c = all(b >= a - tol for a, b in zip(comm, comm[1:]))
@@ -191,10 +189,10 @@ def test_accept_06_predistortion_evm():
         scene, geo, sweep, NUM, OptimizerConfig(), DelaySearchConfig(10),
         predistort=False, **kwargs,
     )
-    inflation = [u["evm_percent"] - u["evm_percent_genie"] for u in on.per_user]
+    inflation = [u["evm_percent"] - u["evm_percent_genie"] for u in on.per_user.rows]
     ordered = all(
         u_off["evm_percent"] > u_on["evm_percent"]
-        for u_on, u_off in zip(on.per_user, off.per_user)
+        for u_on, u_off in zip(on.per_user.rows, off.per_user.rows)
     )
     ok = all(i < 1.0 for i in inflation) and ordered
     report(
@@ -202,7 +200,7 @@ def test_accept_06_predistortion_evm():
         ok,
         f"EVM inflation {['%.2f%%' % i for i in inflation]} (<1% abs); "
         f"no-predistortion strictly worse={ordered} "
-        f"({['%.1f%%' % u['evm_percent'] for u in off.per_user]})",
+        f"({['%.1f%%' % u['evm_percent'] for u in off.per_user.rows]})",
     )
 
 
@@ -259,7 +257,7 @@ def test_accept_08_mobility():
     cfg = OptimizerConfig(epsilon=0.5, snr_match_tol=2.0)
     out = run_mobility(scenario, [1.0] * 4, [0.0], geo, cfg, validate_ticks=20)
     stats = out["stats"]
-    gains = [r["sensing_gain_db"] for r in out["records"]]
+    gains = [r["sensing_gain_db"] for r in out["records"].rows]
     band = max(gains) - min(gains)
     validated = out["validation"] is not None and all(c["sound"] for c in out["validation"])
     frac = stats["reoptimized_tick_fraction"]

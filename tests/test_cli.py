@@ -112,6 +112,8 @@ TYPOS = [
      "search.min_tx_fraction"),
     ("slot_duration_s", "image", {**IMG_CFG, "numerology": {"slot_duration_s": 1e-4}},
      "numerology.slot_duration_s"),
+    ("sensing_weight", "codebook", {**CODEBOOK_CFG, "optimizer": {"sensing_weight": 0.5}},
+     "optimizer.sensing_weight"),
     ("angle_task_distance_m", "localize",
      {**LOC_CFG, "localization": {**LOC_CFG["localization"], "angle_task_distance_m": 2.0}},
      "localization.angle_task_distance_m"),
@@ -184,6 +186,8 @@ BAD_VALUES = [
      "mobility.base_snrs has 2 values for 4 trajectories"),
     ("simulate_modulation", "simulate", {**SIM_CFG, "modulation": "8PSK"}, "'8PSK'"),
     ("baseline_modulation", "baseline", {**BASE_CFG, "modulation": "8PSK"}, "'8PSK'"),
+    ("baseline_unknown_mode", "baseline", {**BASE_CFG, "modes": ["subf", "fixd"]},
+     "unknown baseline mode 'fixd'"),
     ("localize_rank", "localize",
      {**LOC_CFG, "localization": {"distances_m": [1, 2], "angles_deg": [-5, 5],
                                   "sweep_deg": [-12, 0, 12], "slots_per_position": 1}},
@@ -306,3 +310,41 @@ def test_saved_iq_is_the_transmitted_slot_without_predistortion(tmp_path):
     sent = generate_slot(Numerology(), cfg["modulation"], seed=cfg["seed"]).samples
     assert meta["modulation"] == "64QAM"
     np.testing.assert_allclose(samples, sent, rtol=0, atol=1e-6 * np.max(np.abs(sent)))
+
+
+USERS_HEADER = "user,angle_deg,evm_percent,evm_percent_genie,ber"
+SENSING_HEADER = (
+    "slot,symbol,beam_index,angle_deg,best_delay,power_db,power_db_normalized,slope,loss"
+)
+BASELINES_HEADER = (
+    "mode,user,evm_percent,evm_percent_genie,ber,sensing_amplitude_db,beam_switches_per_dmrs"
+)
+TRADEOFF_HEADER = "epsilon,sensing_gain_db,min_snr_db,user0_gain_db,user1_gain_db"
+TABLES = [
+    ("simulate", "simulate", SIM_CFG,
+     {"users.csv": (USERS_HEADER, 2), "sensing.csv": (SENSING_HEADER, 32)}),
+    ("baseline", "baseline", BASE_CFG, {"baselines.csv": (BASELINES_HEADER, 6)}),
+    ("mobility", "mobility", MOB_CFG,
+     {"timeseries.csv": ("tick,t,user0_deg,user1_deg,user2_deg,user3_deg,"
+                         "reused,reoptimized,min_snr,sensing_gain_db", 50),
+      "timing.csv": ("tick,update_seconds", 50)}),
+    ("tradeoff", "tradeoff", TRADE_CFG, {"tradeoff.csv": (TRADEOFF_HEADER, 3)}),
+    # A table with no rows keeps its header.
+    ("simulate_no_users", "simulate", _with_scene((), "users", []),
+     {"users.csv": (USERS_HEADER, 0)}),
+    ("baseline_no_modes", "baseline", {**BASE_CFG, "modes": []},
+     {"baselines.csv": (BASELINES_HEADER, 0)}),
+    ("tradeoff_no_epsilons", "tradeoff", {**TRADE_CFG, "epsilons": []},
+     {"tradeoff.csv": (TRADEOFF_HEADER, 0)}),
+]
+
+
+@pytest.mark.parametrize("name,cfg,tables", [t[1:] for t in TABLES], ids=[t[0] for t in TABLES])
+def test_table_header_and_row_count(tmp_path, name, cfg, tables):
+    # Re-runs compare the code with itself, so they cannot see a column that
+    # moved or was renamed; these pins can.
+    extra = ("--timing",) if "timing.csv" in tables else ()
+    out = run_cmd(tmp_path, name, cfg, "run", extra)
+    for table, (header, rows) in tables.items():
+        lines = (out / table).read_text().splitlines()
+        assert (lines[0], len(lines) - 1) == (header, rows), table

@@ -45,9 +45,10 @@ class TestWeightedSum:
     def test_coincident_user_and_sensing(self):
         angle = math.radians(10.0)
         users = [UserLink(angle, 2.0)]
-        cfg = OptimizerConfig(sensing_weight=1.0)
         trace = []
-        w = optimize_weighted_sum(users, SensingTarget(angle, 2.0), GEO16, cfg, trace)
+        w = optimize_weighted_sum(
+            users, SensingTarget(angle, 2.0), GEO16, OptimizerConfig(), trace, sensing_weight=1.0
+        )
         conj = conjugate_beam(GEO16, angle)
         align = abs(np.vdot(conj.weights, w.weights)) / 16
         assert align == pytest.approx(1.0, abs=1e-6)
@@ -69,16 +70,24 @@ class TestWeightedSum:
         assert np.array_equal(traced.weights, plain.weights)
 
     def test_alpha_zero_is_pure_multi_user(self):
-        cfg = OptimizerConfig(sensing_weight=0.0)
-        w = optimize_weighted_sum(TWO_USERS, BROADSIDE, GEO16, cfg)
+        w = optimize_weighted_sum(
+            TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(), sensing_weight=0.0
+        )
         g_users = [beamforming_gain(w, GEO16, u.angle) for u in TWO_USERS]
         # all the aperture goes to the users; each can reach N^2/2
         assert min(g_users) > 0.5 * 128.0
 
+    def test_negative_sensing_weight_rejected(self):
+        with pytest.raises(ValueError, match="sensing_weight must be >= 0"):
+            optimize_weighted_sum(
+                TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(), sensing_weight=-0.5
+            )
+
     def test_three_beams_near_max_min_result(self):
         # sensing weighted like one average user: balanced allocation
-        cfg = OptimizerConfig(sensing_weight=0.5)
-        w = optimize_weighted_sum(TWO_USERS, BROADSIDE, GEO16, cfg)
+        w = optimize_weighted_sum(
+            TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(), sensing_weight=0.5
+        )
         entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.9))
         angles = [BROADSIDE.angle] + [u.angle for u in TWO_USERS]
         for angle in angles:
@@ -251,11 +260,13 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("sensing_weight", [0.0, 1.0])
     def test_weighted_sum(self, sensing_weight):
         # A short cap keeps the fair-point seeding cheap.
-        cfg = OptimizerConfig(sensing_weight=sensing_weight, max_iters=500)
+        cfg = OptimizerConfig(max_iters=500)
         target = SensingTarget(math.radians(6.0), 2.0)
         users = _layout(2, -3.0)
-        new = optimize_weighted_sum(users, target, GEO16, cfg)
-        old = seed_codebook.optimize_weighted_sum(users, target, GEO16, cfg)
+        new = optimize_weighted_sum(users, target, GEO16, cfg, sensing_weight=sensing_weight)
+        old = seed_codebook.optimize_weighted_sum(
+            users, target, GEO16, cfg, sensing_weight=sensing_weight
+        )
         f_new = _weighted_sum_objective(new, users, target, GEO16, sensing_weight)
         f_old = _weighted_sum_objective(old, users, target, GEO16, sensing_weight)
         assert abs(db(f_new) - db(f_old)) < 0.01
@@ -575,8 +586,8 @@ class TestTradeoffProperties:
             TWO_USERS, BROADSIDE, GEO16,
             [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5], OptimizerConfig(),
         )
-        sens = [r["sensing_gain_db"] for r in rows]
-        comm = [r["min_snr_db"] for r in rows]
+        sens = [r["sensing_gain_db"] for r in rows.rows]
+        comm = [r["min_snr_db"] for r in rows.rows]
         tol = 0.2
         assert all(b <= a + tol for a, b in zip(sens, sens[1:]))
         assert all(b >= a - tol for a, b in zip(comm, comm[1:]))

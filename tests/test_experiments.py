@@ -311,7 +311,7 @@ class TestMobility:
         scenario = default_sweep_scenario(duration=0.5, tick_interval=5e-3)
         cfg = OptimizerConfig(epsilon=0.5, snr_match_tol=2.0)
         out = run_mobility(scenario, [1.0] * 4, [0.0], self.GEO, cfg, validate_ticks=4)
-        gains = [r["sensing_gain_db"] for r in out["records"]]
+        gains = [r["sensing_gain_db"] for r in out["records"].rows]
         assert max(gains) - min(gains) < 1.5
         assert all(c["sound"] for c in out["validation"])
 
@@ -360,30 +360,36 @@ class TestBaselines:
 
     def test_mode_comparison(self):
         sweep = [math.radians(a) for a in np.linspace(-15, 15, 8)]
-        results = {}
-        for mode in ("subf", "fixed", "switched"):
-            results[mode] = run_baseline(
-                mode, self._scene(), 0.0, sweep, self.GEO, NUM,
-                OptimizerConfig(), SEARCH, 30.0, "64QAM", seed=5,
-            )
+        table = run_baseline(
+            ("subf", "fixed", "switched"), self._scene(), 0.0, sweep, self.GEO, NUM,
+            OptimizerConfig(), SEARCH, 30.0, "64QAM", seed=5,
+        )
+        assert [(r["mode"], r["user"]) for r in table.rows] == [
+            (m, u) for m in ("subf", "fixed", "switched") for u in (0, 1)
+        ]
+        first = {r["mode"]: r for r in table.rows if r["user"] == 0}
         # dedicated single-user beam gives the best first-user EVM
-        evm0 = {m: r["per_user"][0]["evm_percent"] for m, r in results.items()}
-        assert evm0["subf"] <= evm0["switched"]
-        assert evm0["subf"] <= evm0["fixed"]
+        assert first["subf"]["evm_percent"] <= first["switched"]["evm_percent"]
+        assert first["subf"]["evm_percent"] <= first["fixed"]["evm_percent"]
         # full-symbol and sub-symbol sensing CSI levels agree within 1 dB
-        fixed_level = results["fixed"]["sensing"]["amplitude_db_normalized"]
-        switched_level = results["switched"]["sensing"]["amplitude_db_normalized"]
+        fixed_level = first["fixed"]["sensing_amplitude_db"]
+        switched_level = first["switched"]["sensing_amplitude_db"]
         assert abs(fixed_level - switched_level) < 1.0
         # both recover the reflection level 20*log10(0.6)
         assert fixed_level == pytest.approx(20 * math.log10(0.6), abs=1.0)
         # switching-rate arithmetic
-        assert results["switched"]["beam_switches_per_dmrs"] == 8
-        assert results["fixed"]["beam_switches_per_dmrs"] == 1
+        assert first["switched"]["beam_switches_per_dmrs"] == 8
+        assert first["fixed"]["beam_switches_per_dmrs"] == 1
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+    def test_unknown_mode_rejected(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a mode ran before every mode was checked")
+
+        monkeypatch.setattr("subbeam.experiments.baselines.score_user", fail)
+        monkeypatch.setattr("subbeam.experiments.baselines.sense_dmrs", fail)
+        with pytest.raises(ValueError, match="unknown baseline mode 'other'"):
             run_baseline(
-                "other", self._scene(), 0.0, [0.0], self.GEO, NUM,
+                ["subf", "other"], self._scene(), 0.0, [0.0], self.GEO, NUM,
                 OptimizerConfig(), SEARCH, 30.0, "64QAM", seed=1,
             )
 
@@ -435,7 +441,7 @@ class TestReflectorDelayCheck:
         self._no_solver(monkeypatch)
         with pytest.raises(ValueError, match="reflector far has round-trip delay 12 samples"):
             run_baseline(
-                mode, self._scene(12), 0.0, [0.0], self.GEO, NUM,
+                [mode], self._scene(12), 0.0, [0.0], self.GEO, NUM,
                 OptimizerConfig(), SEARCH, 30.0, "QPSK", seed=1,
             )
 
@@ -454,7 +460,7 @@ class TestReflectorDelayCheck:
         self._no_solver(monkeypatch)
         with pytest.raises(AssertionError, match="solved before the input check"):
             run_baseline(
-                "fixed", self._scene(9), 0.0, [0.0], self.GEO, NUM,
+                ["fixed"], self._scene(9), 0.0, [0.0], self.GEO, NUM,
                 OptimizerConfig(), SEARCH, 30.0, "QPSK", seed=1,
             )
 
@@ -472,14 +478,14 @@ class TestLinkPipeline:
             scene, geo, sweep, NUM, OptimizerConfig(), SEARCH,
             snr_db=30.0, modulation="64QAM", seed=3, num_slots=2,
         )
-        for u in res.per_user:
+        for u in res.per_user.rows:
             assert u["evm_percent"] - u["evm_percent_genie"] < 1.0
             assert u["ber"] == 0.0
         res_off = run_link(
             scene, geo, sweep, NUM, OptimizerConfig(), SEARCH,
             snr_db=30.0, modulation="64QAM", seed=3, num_slots=2, predistort=False,
         )
-        for u_on, u_off in zip(res.per_user, res_off.per_user):
+        for u_on, u_off in zip(res.per_user.rows, res_off.per_user.rows):
             assert u_off["evm_percent"] > u_on["evm_percent"] + 1.0
 
     def test_sensing_rows_cover_all_beams(self):
@@ -494,9 +500,9 @@ class TestLinkPipeline:
             scene, geo, sweep, NUM, OptimizerConfig(), SEARCH,
             snr_db=30.0, modulation="QPSK", seed=4,
         )
-        assert len(res.sensing_rows) == 3 * len(NUM.dmrs_positions())
+        assert len(res.sensing_rows.rows) == 3 * len(NUM.dmrs_positions())
         at_zero = [
-            r for r in res.sensing_rows if r["beam_index"] == 1 and r["symbol"] == 0
+            r for r in res.sensing_rows.rows if r["beam_index"] == 1 and r["symbol"] == 0
         ]
         assert at_zero[0]["best_delay"] == 5
 
