@@ -24,6 +24,8 @@ __all__ = [
 # Angular field of view of the simulated front end (degrees, symmetric).
 FIELD_OF_VIEW_DEG = 60.0
 
+LAYOUTS = ("ula", "planar")
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -51,7 +53,7 @@ class ArrayGeometry:
             raise ValueError(f"num_elements must be >= 1, got {self.num_elements}")
         if self.spacing <= 0:
             raise ValueError(f"spacing must be > 0, got {self.spacing}")
-        if self.layout not in ("ula", "planar"):
+        if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.layout == "planar":
             if self.planar_shape is None:

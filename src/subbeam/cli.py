@@ -5,11 +5,13 @@ resolved seed, and writes its outputs (plus a manifest echoing the resolved
 config) under the run directory. Re-running with the same config and seed
 reproduces every output byte for byte.
 
-``load_config`` checks every key of a config against one key tree, and
-``load_scene`` a scene file against its subtree, so one ``ValueError`` names
-every unknown or missing key and every entry of the wrong kind by its full
-path before any work starts. Scene dicts become ``channel.Scene`` objects
-here, with degrees and dB converted at this boundary. ``main`` owns the run
+``load_config`` checks a config against one key tree, and ``load_scene`` a
+scene file against its subtree. Each leaf of the tree is the kind of its
+value, with a bound where no callee checks the value before its work, so one
+``ValueError`` names every unknown or missing key and every value of the
+wrong kind by its full path before any work starts, and no subcommand checks
+a value itself. Scene dicts become ``channel.Scene`` objects here, with
+degrees and dB converted at this boundary. ``main`` owns the run
 directory, which is created at the first output written: a run that fails
 before that leaves none.
 
@@ -26,11 +28,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, replace
+from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .arrays import ArrayGeometry, beamforming_gain
+from .arrays import LAYOUTS, ArrayGeometry, beamforming_gain
 from .channel import SPEED_OF_LIGHT, PathModel, Reflector, Scene, SceneUser
 from .codebook import (
     Codebook,
@@ -50,90 +53,129 @@ from .experiments.mobility import MobilityScenario, default_sweep_scenario, run_
 from .experiments.tradeoff import epsilon_sweep
 from .runio import RunDir, fmt, write_csv, write_json, write_pgm, write_table
 from .sensing import DelaySearchConfig, OpCounter, estimate_beam_csi
-from .waveform import Numerology, SubSymbolSchedule, constellation, generate_slot, write_iq
+from .waveform import MODULATIONS, Numerology, SubSymbolSchedule, generate_slot, write_iq
 
 DEFAULT_SEED = 1
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A leaf of the key tree: the values ``test`` accepts, and whether the key is ``required``."""
+
+    expected: str
+    test: Callable[[object], bool]
+    required: bool = False
+
+
+def _one_of(names: tuple) -> _Kind:
+    return _Kind(f"one of {', '.join(map(repr, names))}", lambda x: x in names)
+
+
+# A JSON true or false is neither a number nor an integer.
+_NUMBER = _Kind("a number", lambda x: isinstance(x, (int, float)) and not isinstance(x, bool))
+_INTEGER = _Kind("an integer", lambda x: isinstance(x, int) and not isinstance(x, bool))
+_COUNT = _Kind("an integer >= 1", lambda x: _INTEGER.test(x) and x >= 1)
+_BOOL = _Kind("a boolean", lambda x: isinstance(x, bool))
+_STRING = _Kind("a string", lambda x: isinstance(x, str))
+_GIVEN_NUMBER = replace(_NUMBER, required=True)
+_PAIR = _Kind("a [t, deg] pair of numbers",
+              lambda x: isinstance(x, list) and len(x) == 2 and all(map(_NUMBER.test, x)))
+
+
+def _kinds_of(cls) -> dict:
+    """Each field of the dataclass ``cls`` with the kind of its annotation."""
+    by_type = {int: _INTEGER, float: _NUMBER, frozenset: [_INTEGER]}
+    return {name: by_type[t] for name, t in get_type_hints(cls).items()}
+
 
 # The keys read inside each section: optimizer, search and numerology keys
 # are the fields of OptimizerConfig, DelaySearchConfig and Numerology, and
 # localization keys are run_localization arguments.
 CONFIG_SECTIONS = {
-    "geometry": {"layout", "num_elements", "planar_shape", "spacing"},
-    "numerology": {f.name for f in fields(Numerology)},
-    "optimizer": {f.name for f in fields(OptimizerConfig)},
-    "search": {f.name for f in fields(DelaySearchConfig)},
-    "localization": {"distances_m", "angles_deg", "slots_per_position", "sweep_deg", "noise_power"},
-    "mobility": {"waypoints", "duration", "tick_interval", "base_snrs", "validate_ticks"},
+    "geometry": {"layout": _one_of(LAYOUTS), "num_elements": _INTEGER,
+                 "planar_shape": [_INTEGER], "spacing": _NUMBER},
+    "numerology": _kinds_of(Numerology),
+    "optimizer": _kinds_of(OptimizerConfig),
+    "search": _kinds_of(DelaySearchConfig),
+    "localization": {**dict.fromkeys(("distances_m", "angles_deg", "sweep_deg"), [_NUMBER]),
+                     "slots_per_position": _INTEGER, "noise_power": _NUMBER},
+    "mobility": {"waypoints": [[_PAIR]], "duration": _NUMBER, "tick_interval": _NUMBER,
+                 "base_snrs": [_NUMBER], "validate_ticks": _INTEGER},
 }
 
 # The key tree of a config. A node maps each key some subcommand reads to
-# its child: None for a value, _REQUIRED for a value that must be given, a
-# node for an object, a one-node list for a list of objects. One tree serves
-# all subcommands because configs are shared between them. ``sweep_deg`` is
-# either a list of angles (a value) or a range object (_ListOr).
-_REQUIRED = "required"
-
-
-class _ListOr(dict):
-    """An object node whose value may instead be a plain list."""
-
-
-_PATH = dict.fromkeys(("delay_samples", "delay_meters", "attenuation_db", "phase_deg"))
-_USER = {"angle_deg": _REQUIRED, "base_snr": None, "base_snr_db": None}
+# its child: a _Kind for a value, a node for an object, a one-item list for a
+# list of that child, and a (kind, node) pair for a value that is either a
+# list of that kind or that object. One tree serves all subcommands because
+# configs are shared between them. A bound sits here only where no callee
+# checks the value before the work starts.
+_PATH = {"delay_samples": _INTEGER,
+         **dict.fromkeys(("delay_meters", "attenuation_db", "phase_deg"), _NUMBER)}
+_USER = {"angle_deg": _GIVEN_NUMBER, "base_snr": _NUMBER, "base_snr_db": _NUMBER}
 _SCENE = {
     "users": [{**_USER, "path": _PATH}],
-    "reflectors": [{"azimuth_deg": _REQUIRED, "elevation_deg": None, "path": _PATH, "label": None}],
-    **dict.fromkeys(("noise_power", "noise_power_db", "self_interference_inr_db")),
+    "reflectors": [{"azimuth_deg": _GIVEN_NUMBER, "elevation_deg": _NUMBER, "path": _PATH,
+                    "label": _STRING}],
+    **dict.fromkeys(("noise_power", "noise_power_db"), _NUMBER),
+    "self_interference_inr_db": _Kind("a number or null", lambda x: x is None or _NUMBER.test(x)),
 }
-_RANGE = dict.fromkeys(("start", "stop", "count"), _REQUIRED)
+_RANGE = {"start": _GIVEN_NUMBER, "stop": _GIVEN_NUMBER, "count": replace(_COUNT, required=True)}
 _CONFIG = {
-    **dict.fromkeys((
-        "seed", "scene_file", "target_base_snr", "moved_users_deg", "codebook_file",
-        "sensing_angle_deg", "epsilons", "num_beams", "snr_db", "modulation", "num_slots",
-        "predistort", "save_iq", "modes", "candidate_grid", "repeats",
-    )),
-    **{section: dict.fromkeys(keys) for section, keys in CONFIG_SECTIONS.items()},
+    "seed": _Kind("an integer >= 0", lambda x: _INTEGER.test(x) and x >= 0),
+    **dict.fromkeys(("scene_file", "codebook_file"), _STRING),
+    **dict.fromkeys(("target_base_snr", "sensing_angle_deg", "snr_db"), _NUMBER),
+    **dict.fromkeys(("moved_users_deg", "epsilons"), [_NUMBER]),
+    **dict.fromkeys(("num_beams", "num_slots", "repeats"), _COUNT),
+    **dict.fromkeys(("predistort", "save_iq"), _BOOL),
+    "modulation": _one_of(tuple(MODULATIONS)),
+    "modes": [_STRING],
+    "candidate_grid": [_INTEGER],
+    **CONFIG_SECTIONS,
     "users": [_USER],
-    "sweep_deg": _ListOr(_RANGE),
+    "sweep_deg": (_Kind("a non-empty list of numbers",
+                        lambda x: bool(x) and all(map(_NUMBER.test, x))), _RANGE),
     "grid_deg": _RANGE,
-    "pattern_grid_deg": dict.fromkeys(("start", "stop", "step"), _REQUIRED),
+    "pattern_grid_deg": {
+        "start": _GIVEN_NUMBER, "stop": _GIVEN_NUMBER,
+        "step": _Kind("a number > 0", lambda x: _NUMBER.test(x) and x > 0, required=True),
+    },
     "scene": _SCENE,
 }
 
 
-def _key_errors(obj, node: dict, where: str = "") -> list[str]:
-    """Each key of the object ``obj`` outside ``node``, each required key it
-    lacks and each entry of the wrong kind, by full path."""
-    if not isinstance(obj, dict):
-        return [f"{where or 'top level'}: expected an object"]
-    prefix = f"{where}." if where else ""
+def _errors(value, node, path: str = "") -> list[str]:
+    """Each key of ``value`` outside the tree ``node``, each required key it
+    lacks and each value or entry of the wrong kind, by full path."""
+    if isinstance(node, tuple):
+        node = node[0] if isinstance(value, list) else node[1]
+    if isinstance(node, _Kind):
+        return [] if node.test(value) else [f"{path}: expected {node.expected}, got {value!r}"]
+    if isinstance(node, list):
+        if not isinstance(value, list):
+            return [f"{path}: expected a list, got {value!r}"]
+        return [e for i, item in enumerate(value) for e in _errors(item, node[0], f"{path}[{i}]")]
+    if not isinstance(value, dict):
+        return [f"{path or 'top level'}: expected an object, got {value!r}"]
+    prefix = f"{path}." if path else ""
     errors = []
-    for key, value in obj.items():
-        child = node.get(key)
-        if key not in node:
+    for key, item in value.items():
+        if key in node:
+            errors += _errors(item, node[key], prefix + key)
+        else:
             errors.append(f"unknown {prefix}{key}")
-        elif isinstance(child, list) and not isinstance(value, list):
-            errors.append(f"{prefix}{key}: expected a list")
-        elif isinstance(child, list):
-            for i, item in enumerate(value):
-                errors += _key_errors(item, child[0], f"{prefix}{key}[{i}]")
-        elif isinstance(child, _ListOr) and isinstance(value, list):
-            continue  # a plain list is a value
-        elif isinstance(child, dict):
-            errors += _key_errors(value, child, f"{prefix}{key}")
-    errors += [f"missing {prefix}{k}" for k, v in node.items() if v is _REQUIRED and k not in obj]
-    return errors
+    required = [k for k, v in node.items() if isinstance(v, _Kind) and v.required]
+    return errors + [f"missing {prefix}{k}" for k in required if k not in value]
 
 
 def _check_key_tree(obj, node: dict, source: str) -> None:
-    errors = _key_errors(obj, node)
+    errors = _errors(obj, node)
     if errors:
         raise ValueError(f"bad key(s) in {source}: {', '.join(errors)}")
 
 
 def load_config(path: str | None) -> dict:
     """Read a JSON config; raise ValueError naming every key outside the key tree
-    and every entry of the wrong kind."""
+    and every value or entry of the wrong kind."""
     if not path:
         return {}
     with open(path) as f:
@@ -193,13 +235,13 @@ def _path_from_dict(d: dict, sample_rate: float, round_trip: bool) -> PathModel:
     if ("delay_samples" in d) == ("delay_meters" in d):
         raise ValueError("specify exactly one of delay_samples / delay_meters")
     if "delay_samples" in d:
-        delay = int(d["delay_samples"])
+        delay = d["delay_samples"]
     else:
         trips = 2.0 if round_trip else 1.0
-        delay = round(sample_rate * trips * float(d["delay_meters"]) / SPEED_OF_LIGHT)
+        delay = round(sample_rate * trips * d["delay_meters"] / SPEED_OF_LIGHT)
     return PathModel(
-        attenuation=10.0 ** (float(d.get("attenuation_db", 0.0)) / 20.0),
-        phase_shift=math.radians(float(d.get("phase_deg", 0.0))),
+        attenuation=10.0 ** (d.get("attenuation_db", 0.0) / 20.0),
+        phase_shift=math.radians(d.get("phase_deg", 0.0)),
         delay_samples=delay,
     )
 
@@ -252,15 +294,7 @@ def _users(cfg: dict) -> list[UserLink]:
 def _sweep(cfg: dict, default_count: int = 4) -> list[float]:
     s = cfg.get("sweep_deg", {"start": 0.0, "stop": 15.0, "count": default_count})
     degs = s if isinstance(s, list) else np.linspace(s["start"], s["stop"], s["count"]).tolist()
-    if not degs:
-        raise ValueError("config: sweep_deg is empty")
     return [math.radians(d) for d in degs]
-
-
-def _modulation(cfg: dict) -> str:
-    modulation = cfg.get("modulation", "64QAM")
-    constellation(modulation)  # fails on an unknown modulation
-    return modulation
 
 
 def _scene(cfg: dict, numerology: Numerology) -> Scene:
@@ -308,8 +342,6 @@ def cmd_pattern(args, cfg: dict, seed: int, run: RunDir) -> None:
     users = _users(cfg)
     sweep = _sweep(cfg)
     grid_cfg = cfg.get("pattern_grid_deg", {"start": -60.0, "stop": 60.0, "step": 0.5})
-    if grid_cfg["step"] <= 0:
-        raise ValueError(f"pattern_grid_deg.step {grid_cfg['step']} must be > 0")
     if "codebook_file" in cfg:
         codebook, geometry = load_codebook(cfg["codebook_file"])
     else:
@@ -347,9 +379,6 @@ def cmd_simulate(args, cfg: dict, seed: int, run: RunDir) -> None:
     search = _search(cfg)
     scene = _scene(cfg, numerology)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
-    modulation = _modulation(cfg)
-    if cfg.get("num_slots", 1) < 1:
-        raise ValueError(f"num_slots {cfg['num_slots']} must be >= 1")
     result = run_link(
         scene,
         geometry,
@@ -358,7 +387,7 @@ def cmd_simulate(args, cfg: dict, seed: int, run: RunDir) -> None:
         opt,
         search,
         snr_db=cfg.get("snr_db", 30.0),
-        modulation=modulation,
+        modulation=cfg.get("modulation", "64QAM"),
         seed=seed,
         **_given(cfg, "num_slots", "predistort"),
     )
@@ -379,11 +408,10 @@ def cmd_baseline(args, cfg: dict, seed: int, run: RunDir) -> None:
     search = _search(cfg)
     scene = _scene(cfg, numerology)
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
-    modulation = _modulation(cfg)
     sensing_angle = math.radians(cfg.get("sensing_angle_deg", 0.0))
     table = run_baseline(
         cfg.get("modes", BASELINE_MODES), scene, sensing_angle, sweep, geometry, numerology,
-        opt, search, cfg.get("snr_db", 30.0), modulation, seed,
+        opt, search, cfg.get("snr_db", 30.0), cfg.get("modulation", "64QAM"), seed,
     )
     write_table(run.file("baselines.csv"), table)
 
@@ -396,8 +424,6 @@ def cmd_image(args, cfg: dict, seed: int, run: RunDir) -> None:
     scene = _scene(cfg, numerology)
     num_beams = cfg.get("num_beams", 34)
     g = cfg.get("grid_deg", {"start": -15.0, "stop": 15.0, "count": 31})
-    if g["count"] < 1:
-        raise ValueError(f"grid_deg.count {g['count']} must be >= 1")
     az = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     el = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     grid = run_imaging(scene, az, el, numerology, geometry, num_beams, opt, search, seed)
@@ -461,11 +487,6 @@ def cmd_mobility(args, cfg: dict, seed: int, run: RunDir) -> None:
     else:
         scenario = default_sweep_scenario(**timing)
     base_snrs = mob.get("base_snrs", [1.0] * len(scenario.waypoints))
-    if len(base_snrs) != len(scenario.waypoints):
-        raise ValueError(
-            f"mobility.base_snrs has {len(base_snrs)} values for "
-            f"{len(scenario.waypoints)} trajectories"
-        )
     sweep = _sweep(cfg, default_count=1)
     result = run_mobility(
         scenario, base_snrs, sweep, geometry, opt, **_given(mob, "validate_ticks")
@@ -489,8 +510,6 @@ def cmd_bench(args, cfg: dict, seed: int, run: RunDir) -> None:
     schedule = SubSymbolSchedule.for_numerology(numerology, cfg.get("num_beams", 34))
     searches = [DelaySearchConfig(n) for n in cfg.get("candidate_grid", [2, 4, 6, 8, 10, 12, 16])]
     repeats = cfg.get("repeats", 20)
-    if repeats < 1:
-        raise ValueError(f"repeats {repeats} must be >= 1")
     slot = generate_slot(numerology, "QPSK", seed=seed)
     body = slot.symbol_body(numerology.dmrs_positions()[0])
     rng = np.random.default_rng(seed)
@@ -555,6 +574,8 @@ def main(argv=None) -> int:
             )
     args = parser.parse_args(argv)
     cfg = load_config(args.config)
+    if args.seed is not None:  # the override takes the kind of the config seed
+        _check_key_tree({"seed": args.seed}, _CONFIG, "--seed")
     seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
     run = RunDir(args.out)
     COMMANDS[args.command](args, cfg, seed, run)

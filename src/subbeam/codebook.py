@@ -51,7 +51,7 @@ import math
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -708,25 +708,6 @@ def update_codebook(
 # ---------------------------------------------------------------------------
 
 
-def _geometry_to_dict(geometry: ArrayGeometry) -> dict:
-    return {
-        "layout": geometry.layout,
-        "num_elements": geometry.num_elements,
-        "spacing": geometry.spacing,
-        "planar_shape": list(geometry.planar_shape) if geometry.planar_shape else None,
-    }
-
-
-def _geometry_from_dict(d: dict) -> ArrayGeometry:
-    shape = d.get("planar_shape")
-    return ArrayGeometry(
-        num_elements=d["num_elements"],
-        spacing=d["spacing"],
-        layout=d["layout"],
-        planar_shape=tuple(shape) if shape else None,
-    )
-
-
 def codebook_to_dict(codebook: Codebook, geometry: ArrayGeometry) -> dict:
     entries = []
     for e in codebook.entries:
@@ -750,7 +731,7 @@ def codebook_to_dict(codebook: Codebook, geometry: ArrayGeometry) -> dict:
     return {
         "format": "subbeam-codebook",
         "version": 1,
-        "geometry": _geometry_to_dict(geometry),
+        "geometry": asdict(geometry),
         "users": [
             {"angle_deg": math.degrees(u.angle), "base_snr": u.base_snr}
             for u in codebook.users
@@ -764,7 +745,8 @@ def codebook_from_dict(d: dict) -> tuple[Codebook, ArrayGeometry]:
         raise ValueError("not a codebook file")
     if d.get("version") != 1:
         raise ValueError(f"unsupported codebook version {d.get('version')!r}")
-    geometry = _geometry_from_dict(d["geometry"])
+    shape = d["geometry"].get("planar_shape")
+    geometry = ArrayGeometry(**{**d["geometry"], "planar_shape": tuple(shape) if shape else None})
     users = tuple(
         UserLink(math.radians(u["angle_deg"]), u["base_snr"]) for u in d["users"]
     )

@@ -113,7 +113,9 @@ def run_mobility(
     headroom is exactly the latency the update rule trades away.
     """
     if len(base_snrs) != len(scenario.waypoints):
-        raise ValueError("one base SNR per trajectory required")
+        raise ValueError(
+            f"base_snrs has {len(base_snrs)} values for {len(scenario.waypoints)} trajectories"
+        )
     if validate_ticks < 0:
         raise ValueError(f"validate_ticks {validate_ticks} must be >= 0")
 

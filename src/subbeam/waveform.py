@@ -246,35 +246,28 @@ def generate_slot(
 
 @dataclass(frozen=True)
 class PredistortionPlan:
-    """Per-sub-symbol scaling applied to the DMRS waveform at the transmitter.
+    """Per-sub-symbol amplitude scaling applied to the DMRS waveform at the transmitter.
 
     ``amplitude[m]`` is the gain-ratio sqrt(sum_u g_data_u / sum_u g_dmrs_mu)
-    that equalizes the received DMRS power with the data symbols.
-    ``phase[m]`` additionally aligns the user-averaged complex response of
-    beam m with the data beamformer, so the full-symbol channel estimate at
-    the user is not scrambled by per-window phase jumps. A slot sent
-    without pre-distortion has no plan: callers pass ``None``.
+    that equalizes the received DMRS power with the data symbols. A slot
+    sent without pre-distortion has no plan: callers pass ``None``.
     """
 
     amplitude: np.ndarray
-    phase: np.ndarray = None
 
     def __post_init__(self):
         amp = np.asarray(self.amplitude, dtype=float)
         if np.any(amp <= 0):
             raise ValueError("pre-distortion amplitudes must be > 0")
         object.__setattr__(self, "amplitude", amp)
-        ph = np.zeros_like(amp) if self.phase is None else np.asarray(self.phase, float)
-        if ph.shape != amp.shape:
-            raise ValueError("phase and amplitude shapes differ")
-        object.__setattr__(self, "phase", ph)
 
     def __len__(self) -> int:
         return len(self.amplitude)
 
     @property
     def factors(self) -> np.ndarray:
-        return self.amplitude * np.exp(1j * self.phase)
+        """The amplitudes as complex factors, the form the sensing kernel divides by."""
+        return self.amplitude.astype(complex)
 
 
 def build_predistortion_plan(
@@ -286,9 +279,9 @@ def build_predistortion_plan(
     """Gain-ratio factors for each sub-symbol beam.
 
     The simulated channel applies magnitude beam gains, so amplitude-only
-    factors make the received DMRS level match the data symbols exactly,
-    and the plan's phases stay zero. With no users there is nothing to
-    compensate and no plan (``None``) is returned.
+    factors make the received DMRS level match the data symbols exactly.
+    With no users there is nothing to compensate and no plan (``None``) is
+    returned.
     """
     if not users:
         return None

@@ -166,24 +166,30 @@ BAD_VALUES = [
      "base_snr / base_snr_db"),
     ("noise_twice", "simulate", _with_scene((), "noise_power", 1e-3),
      "noise_power / noise_power_db"),
-    ("bench_repeats", "bench", {**BENCH_CFG, "repeats": 0}, "repeats 0"),
+    ("bench_repeats", "bench", {**BENCH_CFG, "repeats": 0},
+     "repeats: expected an integer >= 1, got 0"),
     ("bench_candidates", "bench", {**BENCH_CFG, "candidate_grid": [0]}, "num_candidates 0"),
-    ("image_no_beams", "image", {**IMG_CFG, "num_beams": 0}, "num_beams 0"),
+    ("image_no_beams", "image", {**IMG_CFG, "num_beams": 0},
+     "num_beams: expected an integer >= 1, got 0"),
     ("image_beams_too_many", "image", {**IMG_CFG, "num_beams": 2000}, "num_beams 2000"),
     ("image_empty_grid", "image", {**IMG_CFG, "grid_deg": {"start": -8, "stop": 8, "count": 0}},
-     "grid_deg.count 0"),
-    ("simulate_no_slots", "simulate", {**SIM_CFG, "num_slots": 0}, "num_slots 0"),
+     "grid_deg.count: expected an integer >= 1, got 0"),
+    ("simulate_no_slots", "simulate", {**SIM_CFG, "num_slots": 0},
+     "num_slots: expected an integer >= 1, got 0"),
     ("sweep_count_zero", "codebook",
-     {**CODEBOOK_CFG, "sweep_deg": {"start": 0, "stop": 10, "count": 0}}, "sweep_deg is empty"),
-    ("sweep_empty_list", "simulate", {**SIM_CFG, "sweep_deg": []}, "sweep_deg is empty"),
-    ("sweep_empty_mobility", "mobility", {**MOB_CFG, "sweep_deg": []}, "sweep_deg is empty"),
+     {**CODEBOOK_CFG, "sweep_deg": {"start": 0, "stop": 10, "count": 0}},
+     "sweep_deg.count: expected an integer >= 1, got 0"),
+    ("sweep_empty_list", "simulate", {**SIM_CFG, "sweep_deg": []},
+     "sweep_deg: expected a non-empty list of numbers, got []"),
+    ("sweep_empty_mobility", "mobility", {**MOB_CFG, "sweep_deg": []},
+     "sweep_deg: expected a non-empty list of numbers, got []"),
     ("moved_users_short", "codebook", {**CODEBOOK_CFG, "moved_users_deg": [-28]},
      "moved_users_deg has 1 angles for 2 users"),
     ("moved_users_long", "codebook", {**CODEBOOK_CFG, "moved_users_deg": [-28, 30, 5]},
      "moved_users_deg has 3 angles for 2 users"),
     ("mobility_base_snrs", "mobility",
      {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "base_snrs": [1.0, 1.0]}},
-     "mobility.base_snrs has 2 values for 4 trajectories"),
+     "base_snrs has 2 values for 4 trajectories"),
     ("simulate_modulation", "simulate", {**SIM_CFG, "modulation": "8PSK"}, "'8PSK'"),
     ("baseline_modulation", "baseline", {**BASE_CFG, "modulation": "8PSK"}, "'8PSK'"),
     ("baseline_unknown_mode", "baseline", {**BASE_CFG, "modes": ["subf", "fixd"]},
@@ -202,10 +208,10 @@ BAD_VALUES = [
      "epsilon must be >= 0"),
     ("pattern_zero_step", "pattern",
      {**CODEBOOK_CFG, "pattern_grid_deg": {"start": -60, "stop": 60, "step": 0}},
-     "pattern_grid_deg.step 0"),
+     "pattern_grid_deg.step: expected a number > 0, got 0"),
     ("pattern_negative_step", "pattern",
      {**CODEBOOK_CFG, "pattern_grid_deg": {"start": -60, "stop": 60, "step": -1}},
-     "pattern_grid_deg.step -1"),
+     "pattern_grid_deg.step: expected a number > 0, got -1"),
     ("mobility_negative_validate_ticks", "mobility",
      {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "validate_ticks": -2}},
      "validate_ticks -2"),
@@ -217,6 +223,36 @@ BAD_VALUES = [
      "scene.reflectors[0]: expected an object"),
     ("geometry_not_object", "simulate", {**SIM_CFG, "geometry": 5},
      "geometry: expected an object"),
+    # Values of the wrong kind are named by path too.
+    ("predistort_string", "simulate", {**SIM_CFG, "predistort": "false"},
+     "predistort: expected a boolean, got 'false'"),
+    ("user_angle_bool", "codebook",
+     {**CODEBOOK_CFG, "users": [{"angle_deg": True}, {"angle_deg": 30}]},
+     "users[0].angle_deg: expected a number, got True"),
+    ("candidates_float", "simulate", {**SIM_CFG, "search": {"num_candidates": 10.5}},
+     "search.num_candidates: expected an integer, got 10.5"),
+    ("snr_string", "simulate", {**SIM_CFG, "snr_db": "30"}, "snr_db: expected a number, got '30'"),
+    ("max_iters_float", "codebook", {**CODEBOOK_CFG, "optimizer": {"max_iters": 20.5}},
+     "optimizer.max_iters: expected an integer, got 20.5"),
+    ("seed_float", "simulate", {**SIM_CFG, "seed": 1.5}, "seed: expected an integer >= 0, got 1.5"),
+    ("seed_negative", "simulate", {**SIM_CFG, "seed": -1},
+     "seed: expected an integer >= 0, got -1"),
+    ("epsilon_string", "codebook", {**CODEBOOK_CFG, "optimizer": {"epsilon": "0.5"}},
+     "optimizer.epsilon: expected a number, got '0.5'"),
+    ("num_slots_string", "simulate", {**SIM_CFG, "num_slots": "2"},
+     "num_slots: expected an integer >= 1, got '2'"),
+    ("repeats_float", "bench", {**BENCH_CFG, "repeats": 1.5},
+     "repeats: expected an integer >= 1, got 1.5"),
+    ("sweep_count_float", "codebook",
+     {**CODEBOOK_CFG, "sweep_deg": {"start": 0, "stop": 10, "count": 2.0}},
+     "sweep_deg.count: expected an integer >= 1, got 2.0"),
+    ("waypoints_not_pairs", "mobility",
+     {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "waypoints": [[0.0, 10.0]]}},
+     "mobility.waypoints[0][0]: expected a [t, deg] pair of numbers, got 0.0"),
+    ("dmrs_indices_string", "simulate", {**SIM_CFG, "numerology": {"dmrs_symbol_indices": "3"}},
+     "numerology.dmrs_symbol_indices: expected a list, got '3'"),
+    ("reflector_label_number", "simulate", _with_scene(("reflectors", 0), "label", 5),
+     "scene.reflectors[0].label: expected a string, got 5"),
 ]
 
 # The bindings through which each subcommand starts its expensive work.
@@ -232,19 +268,32 @@ WORK = [
 ]
 
 
-@pytest.mark.parametrize("name,cfg,value", [b[1:] for b in BAD_VALUES],
-                         ids=[b[0] for b in BAD_VALUES])
-def test_bad_value_fails_before_any_work(tmp_path, monkeypatch, name, cfg, value):
+@pytest.fixture
+def no_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the run started before the config was checked")
 
     for module, fn in WORK:
         monkeypatch.setattr(f"subbeam.{module}.{fn}", fail)
+
+
+@pytest.mark.parametrize("name,cfg,value", [b[1:] for b in BAD_VALUES],
+                         ids=[b[0] for b in BAD_VALUES])
+def test_bad_value_fails_before_any_work(tmp_path, no_work, name, cfg, value):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     # A codebook_file that does not exist raises FileNotFoundError.
     with pytest.raises((ValueError, FileNotFoundError), match=re.escape(value)):
         main([name, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_override_takes_the_config_seed_kind(tmp_path, no_work):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SIM_CFG))
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    with pytest.raises(ValueError, match=re.escape("--seed: seed: expected an integer >= 0")):
+        main([*argv, "--seed", "-1"])
     assert not (tmp_path / "out").exists()
 
 
@@ -292,12 +341,12 @@ def test_section_keys_are_parameters_of_their_callees():
         return set(inspect.signature(fn).parameters)
 
     # Every field of these config dataclasses is settable from the config.
-    assert CONFIG_SECTIONS["optimizer"] == fields(OptimizerConfig)
-    assert CONFIG_SECTIONS["search"] == fields(DelaySearchConfig)
-    assert CONFIG_SECTIONS["numerology"] == fields(Numerology)
-    assert CONFIG_SECTIONS["localization"] <= params(run_localization)
+    assert set(CONFIG_SECTIONS["optimizer"]) == fields(OptimizerConfig)
+    assert set(CONFIG_SECTIONS["search"]) == fields(DelaySearchConfig)
+    assert set(CONFIG_SECTIONS["numerology"]) == fields(Numerology)
+    assert set(CONFIG_SECTIONS["localization"]) <= params(run_localization)
     timing = {"duration", "tick_interval"}
-    assert timing <= CONFIG_SECTIONS["mobility"]
+    assert timing <= set(CONFIG_SECTIONS["mobility"])
     assert timing <= fields(MobilityScenario) and timing <= params(default_sweep_scenario)
     assert "validate_ticks" in params(run_mobility)
 

@@ -446,7 +446,7 @@ def _seed_beam_search(rx_symbol, tx_symbol, schedule, beam_index, cfg, plan=None
 class TestKernelEquivalence:
     """The batched kernel against the seed's per-beam loop and the oracle.
 
-    Variants: ``plain``; ``plan``, a random pre-distortion plan; ``weights``,
+    Variants: ``plain``; ``plan``, random pre-distortion amplitudes; ``weights``,
     uneven fit weights |X[k]| from a transmit spectrum scaled bin by bin in
     every window, with a quarter of each window's bins zeroed (unusable).
     """
@@ -469,10 +469,7 @@ class TestKernelEquivalence:
         rx += 0.1 * (rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
         plan = None
         if variant == "plan":
-            plan = PredistortionPlan(
-                amplitude=rng.uniform(0.5, 2.0, num_beams),
-                phase=rng.uniform(-np.pi, np.pi, num_beams),
-            )
+            plan = PredistortionPlan(amplitude=rng.uniform(0.5, 2.0, num_beams))
         return rx, tx, sched, plan, DelaySearchConfig(10)
 
     @staticmethod
@@ -539,7 +536,7 @@ class TestKernelMatchesStepwise:
     Captures go through the monostatic channel as in ``sense_dmrs``: a
     conjugate-beam sweep on a 16-element ULA, two reflectors inside the
     delay search, noise and TX leakage drawn from the seed. With a plan the
-    DMRS is pre-distorted by random per-window factors.
+    DMRS is pre-distorted by random per-window amplitudes.
     """
 
     GEO = ArrayGeometry.ula(16)
@@ -560,10 +557,7 @@ class TestKernelMatchesStepwise:
         reference = generate_slot(NUM, "QPSK", seed=30 + seed)
         plan = None
         if with_plan:
-            plan = PredistortionPlan(
-                amplitude=rng.uniform(0.5, 2.0, num_beams),
-                phase=rng.uniform(-np.pi, np.pi, num_beams),
-            )
+            plan = PredistortionPlan(amplitude=rng.uniform(0.5, 2.0, num_beams))
         tx = predistort_dmrs(reference, sched, plan) if plan is not None else reference
         rx = apply_monostatic(tx, bplan, self.SCENE, self.GEO, seed=seed)
         for pos in NUM.dmrs_positions():
