@@ -58,6 +58,11 @@ class ArrayGeometry:
         if self.layout == "planar":
             if self.planar_shape is None:
                 raise ValueError("planar layout requires planar_shape")
+            if len(self.planar_shape) != 2:
+                raise ValueError(
+                    f"planar_shape {tuple(self.planar_shape)} must have two entries "
+                    "(columns, rows)"
+                )
             n_az, n_el = self.planar_shape
             if n_az * n_el != self.num_elements:
                 raise ValueError(

@@ -7,7 +7,9 @@ so reflections straddling a beam switch are modeled faithfully.
 
 The co-located sensing receiver is a fixed 4x4 half-wavelength planar
 array with a broadside conjugate beam; ``rx_gain`` is its power gain toward
-a direction, and ``apply_monostatic`` applies it to every reflection.
+a direction. ``monostatic_echoes`` takes each reflector's transmit and
+receive gains once per scene and beam plan, and ``apply_monostatic``
+applies them to every slot captured there.
 
 This module holds only the physics; scene configs are read and converted
 to these types in ``subbeam.cli``.
@@ -37,7 +39,9 @@ __all__ = [
     "SceneUser",
     "Scene",
     "SlotBeamPlan",
+    "Echo",
     "apply_downlink",
+    "monostatic_echoes",
     "apply_monostatic",
     "rx_gain",
 ]
@@ -204,30 +208,55 @@ def rx_gain(azimuth: float, elevation: float = 0.0) -> float:
     return beamforming_gain(_RX_BEAM, _RX_GEOMETRY, azimuth, elevation)
 
 
+@dataclass(frozen=True)
+class Echo:
+    """One reflector's round trip under a beam plan, as the sensing receiver sees it.
+
+    ``tx_amp`` is sqrt(tx gain) toward the reflector for every slot sample
+    (``SlotBeamPlan.tx_amplitude``), ``rx_amp`` sqrt(``rx_gain``) from it.
+    """
+
+    coefficient: complex
+    rx_amp: float
+    tx_amp: np.ndarray
+    delay: int
+
+
+def monostatic_echoes(
+    plan: SlotBeamPlan, scene: Scene, geometry: ArrayGeometry
+) -> tuple[Echo, ...]:
+    """Each reflector's ``Echo``: the gains every capture of ``scene`` under ``plan`` shares."""
+    elevation_aware = geometry.layout == "planar"
+    return tuple(
+        Echo(
+            coefficient=refl.path.coefficient,
+            rx_amp=math.sqrt(rx_gain(refl.azimuth, refl.elevation)),
+            tx_amp=plan.tx_amplitude(
+                geometry, refl.azimuth, refl.elevation if elevation_aware else None
+            ),
+            delay=refl.path.delay_samples,
+        )
+        for refl in scene.reflectors
+    )
+
+
 def apply_monostatic(
     slot: SlotWaveform,
-    plan: SlotBeamPlan,
+    echoes: tuple[Echo, ...],
     scene: Scene,
-    geometry: ArrayGeometry,
     seed: int = 0,
 ) -> np.ndarray:
     """Round-trip reflections captured at the co-located sensing receiver.
 
-    Sums the per-reflector responses (TX gain taken at each sample's
-    transmit time, RX gain from ``rx_gain``), adds AWGN at the scene noise
-    power, and, when configured, direct TX leakage at the scene's
-    interference-to-noise ratio with zero delay.
+    Sums the ``echoes`` of the scene's reflectors (``monostatic_echoes``),
+    adds AWGN at the scene noise power, and, when configured, direct TX
+    leakage at the scene's interference-to-noise ratio with zero delay.
+    The noise covers the whole slot, so a capture's noise depends only on
+    ``seed`` and the slot length.
     """
-    elevation_aware = geometry.layout == "planar"
     out = np.zeros(len(slot.samples), dtype=complex)
-    for refl in scene.reflectors:
-        el = refl.elevation if elevation_aware else None
-        amp = plan.tx_amplitude(geometry, refl.azimuth, el)
-        rx_amp = math.sqrt(rx_gain(refl.azimuth, refl.elevation))
-        contribution = refl.path.coefficient * rx_amp * _delayed(
-            amp * slot.samples, refl.path.delay_samples
-        )
-        out += contribution
+    for echo in echoes:
+        out += echo.coefficient * echo.rx_amp * _delayed(echo.tx_amp * slot.samples, echo.delay)
     if scene.self_interference_inr_db is not None:
         mean_power = float(np.mean(np.abs(slot.samples) ** 2))
         if mean_power > 0:

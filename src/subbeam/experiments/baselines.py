@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..arrays import ArrayGeometry, beamforming_gain, conjugate_beam
-from ..channel import Scene, SlotBeamPlan, rx_gain
+from ..channel import Scene, SlotBeamPlan, monostatic_echoes, rx_gain
 from ..codebook import OptimizerConfig, build_codebook, design_data_beam
 from ..runio import Table
 from ..sensing import DelaySearchConfig
@@ -110,7 +110,8 @@ def run_baseline(
 
         # Sensing: estimate at the DMRS beam matching the requested angle,
         # on the slot's first DMRS symbol.
-        results = sense_dmrs(tx, reference, bplan, scene, geometry, search, plan, seed + 97)[0]
+        echoes = monostatic_echoes(bplan, scene, geometry)
+        results = sense_dmrs(tx, reference, bplan, echoes, scene, search, plan, seed + 97)[0]
         if mode == "switched":
             beam_idx = int(np.argmin([abs(a - sensing_angle) for a in sweep]))
         else:

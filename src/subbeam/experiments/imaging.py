@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain, conjugate_beam, steering_vector
-from ..channel import Scene, SlotBeamPlan, rx_gain
+from ..channel import Scene, SlotBeamPlan, monostatic_echoes, rx_gain
 from ..codebook import OptimizerConfig, build_codebook
 from ..sensing import DelaySearchConfig
 from ..waveform import SLOT_DURATION_S, Numerology, SubSymbolSchedule, generate_slot
@@ -129,9 +129,8 @@ def run_imaging(
             # per-window bin weights and bias pixels relative to each other.
             slot_seed = seed + 31 * slot_idx + 1_000_003 * sweep_idx
             slot = generate_slot(numerology, "QPSK", seed=slot_seed, dmrs_seed=slot_seed)
-            captures = sense_dmrs(
-                slot, slot, bplan, scene, geometry, search, None, slot_seed + 7919
-            )
+            echoes = monostatic_echoes(bplan, scene, geometry)
+            captures = sense_dmrs(slot, slot, bplan, echoes, scene, search, None, slot_seed + 7919)
             powers += [r.power for results in captures for r in results]
         raw_power += powers[: len(pixels)]
     raw_power /= repeats

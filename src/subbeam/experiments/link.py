@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain
-from ..channel import Scene, SceneUser, SlotBeamPlan, apply_downlink, apply_monostatic, rx_gain
+from ..channel import (
+    Echo,
+    Scene,
+    SceneUser,
+    SlotBeamPlan,
+    apply_downlink,
+    apply_monostatic,
+    monostatic_echoes,
+    rx_gain,
+)
 from ..codebook import Codebook, OptimizerConfig, build_codebook, design_data_beam
 from ..runio import Table
 from ..sensing import DelaySearchConfig, SensingCsi, estimate_symbol_csi
@@ -117,22 +126,25 @@ def sense_dmrs(
     tx: SlotWaveform,
     reference: SlotWaveform,
     plan: SlotBeamPlan,
+    echoes: tuple[Echo, ...],
     scene: Scene,
-    geometry: ArrayGeometry,
     search: DelaySearchConfig,
     predistortion: PredistortionPlan | None,
     seed: int,
 ) -> list[list[SensingCsi]]:
     """Capture one slot at the sensing receiver and search each DMRS symbol.
 
-    The monostatic capture applies the fixed receive gain ``rx_gain`` and
-    adds the scene's noise drawn from ``seed``. Returns, per DMRS symbol in
-    slot order, the delay-search result of every beam window of
+    The monostatic capture applies the scene's ``echoes`` under ``plan``
+    (``monostatic_echoes``, computed once per scene and plan) and adds the
+    scene's noise drawn from ``seed``. Returns, per DMRS symbol in slot
+    order, the delay-search result of every beam window of
     ``plan.schedule``, searched on the CP-stripped body against
-    ``reference``'s body.
+    ``reference``'s body. A body reads only its own symbol's samples while
+    every echo delay is at most ``cp_length``, so ``tx`` may then be a
+    ``sensing_slot``.
     """
     numerology = reference.numerology
-    rx = apply_monostatic(tx, plan, scene, geometry, seed=seed)
+    rx = apply_monostatic(tx, echoes, scene, seed=seed)
     return [
         estimate_symbol_csi(
             rx[numerology.symbol_slice(pos, include_cp=False)],
@@ -173,6 +185,7 @@ def run_link(
     data_beam = design_data_beam(users, geometry, cfg) if users else beams[0]
     plan = build_predistortion_plan(beams, data_beam, users, geometry) if predistort else None
     bplan = SlotBeamPlan.uniform(numerology, schedule, beams, data_beam)
+    echoes = monostatic_echoes(bplan, scene, geometry)
 
     per_user_acc = [
         {"evm_sq_est": 0.0, "evm_sq_genie": 0.0, "bit_errors": 0, "bits": 0}
@@ -191,7 +204,7 @@ def run_link(
 
         # Sensing side (monostatic, scene noise)
         captures = sense_dmrs(
-            tx, reference, bplan, scene, geometry, search, plan, seed + 7919 * slot_idx
+            tx, reference, bplan, echoes, scene, search, plan, seed + 7919 * slot_idx
         )
         for sym_row, results in enumerate(captures):
             for m, res in enumerate(results):

@@ -5,6 +5,13 @@ symbol the beam sweep yields three features per beam, and two linear
 regressors (calibrated by least squares on a disjoint training split) map
 the stacked features to distance and angle.
 
+The features read only the DMRS symbols, so every capture sends a
+sensing-only slot (``waveform.sensing_slot``: no data payload, data
+symbols zero) and takes each position's reflector gains once
+(``channel.monostatic_echoes``). Its DMRS bodies equal those of a full data
+slot bit for bit as long as every round-trip delay is at most the
+numerology's ``cp_length``, which ``run_localization`` checks up front.
+
 The feature stack uses power in dB and the *total* phase slope
 (fit slope minus 2*pi*best_delay/window), which folds the integer window
 alignment back into the slope so one linear feature carries the full
@@ -18,9 +25,16 @@ import math
 import numpy as np
 
 from ..arrays import ArrayGeometry, conjugate_beam
-from ..channel import SPEED_OF_LIGHT, PathModel, Reflector, Scene, SlotBeamPlan
+from ..channel import (
+    SPEED_OF_LIGHT,
+    PathModel,
+    Reflector,
+    Scene,
+    SlotBeamPlan,
+    monostatic_echoes,
+)
 from ..sensing import DelaySearchConfig, SensingCsi
-from ..waveform import Numerology, SubSymbolSchedule, generate_slot
+from ..waveform import Numerology, SubSymbolSchedule, sensing_slot
 from .link import sense_dmrs
 
 __all__ = ["feature_stack", "calibrate_sp", "run_localization"]
@@ -30,12 +44,22 @@ ANGLE_TASK_DISTANCE_M = 3.0
 
 
 def feature_stack(results: list[SensingCsi], sub_len: int) -> np.ndarray:
-    """Per beam, power (dB), total phase slope and fit MSE in one regression row."""
-    row = []
-    for res in results:
-        total_slope = res.slope - 2.0 * np.pi * res.best_delay / sub_len
-        row.extend([10.0 * math.log10(res.power + 1e-30), total_slope, res.mse])
-    return np.array(row)
+    """Per beam, power (dB), total phase slope and fit MSE in one regression row.
+
+    The power is each beam's ``SensingCsi.power``: |H|^2 summed over its
+    usable bins, compacted and in bin order, one sum per beam (a masked or
+    padded sum over all beams would round differently).
+    """
+    valid = np.array([r.valid for r in results])
+    squares = np.abs(np.array([r.csi for r in results])[valid]) ** 2
+    ends = np.cumsum(valid.sum(axis=1)).tolist()
+    power_db = [
+        10.0 * math.log10(float(squares[start:end].sum()) + 1e-30)
+        for start, end in zip([0, *ends], ends)
+    ]
+    delays = np.array([r.best_delay for r in results])
+    total_slope = np.array([r.slope for r in results]) - 2.0 * np.pi * delays / sub_len
+    return np.column_stack((power_db, total_slope, [r.mse for r in results])).ravel()
 
 
 def calibrate_sp(training_runs: list[tuple[np.ndarray, float]]) -> np.ndarray:
@@ -75,7 +99,9 @@ def run_localization(
     ``distance_weights`` and ``angle_weights`` (3 per beam, bias last).
     Raises ValueError before any simulation when a task has fewer training
     rows than regression columns, or a distance's round-trip delay falls
-    outside the delay search (it would land on the last candidate).
+    outside the delay search (it would land on the last candidate) or
+    exceeds ``numerology.cp_length`` (a DMRS body of a sensing-only slot
+    would then miss the data samples a full slot delays into it).
     """
     distances_m = np.round(np.arange(1.0, 8.0 + 1e-9, 0.1), 3) if distances_m is None else np.asarray(distances_m)
     angles_deg = np.arange(-15.0, 15.0 + 1e-9, 1.0) if angles_deg is None else np.asarray(angles_deg)
@@ -97,7 +123,14 @@ def run_localization(
                 f"{rows} training rows < {columns} columns (3*beams+1)"
             )
     for distance_m in (*distances_m, ANGLE_TASK_DISTANCE_M):
-        cfg_search.check_delay(round_trip_delay(distance_m), f"distance {float(distance_m)} m")
+        delay = round_trip_delay(distance_m)
+        cfg_search.check_delay(delay, f"distance {float(distance_m)} m")
+        if delay > numerology.cp_length:
+            raise ValueError(
+                f"distance {float(distance_m)} m has round-trip delay {delay} samples, "
+                f"beyond the cp_length of {numerology.cp_length} samples that keeps "
+                "each DMRS body free of the data symbols"
+            )
 
     beams = [conjugate_beam(geometry, math.radians(a)) for a in sweep_deg]
     schedule = SubSymbolSchedule.for_numerology(numerology, len(beams))
@@ -123,13 +156,13 @@ def run_localization(
         samples = []
         for idx, value in enumerate(task_values):
             scene, truth = make_scene(value), truth_of(value)
+            echoes = monostatic_echoes(bplan, scene, geometry)
             position_seed = seed + 100_003 * (idx + 1)
             stacks = []
             for slot_idx in range(slots_per_position):
-                slot_seed = position_seed + 613 * slot_idx
-                slot = generate_slot(numerology, "QPSK", seed=slot_seed, dmrs_seed=slot_seed)
+                slot = sensing_slot(numerology, dmrs_seed=position_seed + 613 * slot_idx)
                 captures = sense_dmrs(
-                    slot, slot, bplan, scene, geometry, cfg_search, None,
+                    slot, slot, bplan, echoes, scene, cfg_search, None,
                     position_seed + 7919 * slot_idx,
                 )
                 stacks.extend((feature_stack(r, schedule.sub_len), truth) for r in captures)

@@ -1,10 +1,10 @@
 """Slot waveform generation, DMRS pre-distortion, and user-side demodulation.
 
 A slot holds 14 OFDM symbols (CP + body each); four of them carry known
-reference (DMRS) grids used for channel estimation, the rest carry random
-QAM data. Only the middle block of subcarriers is occupied. Frequency grids
-use the natural FFT bin order; "occupied" bins are the centered block around
-DC after fftshift.
+reference (DMRS) grids used for channel estimation and sensing, the rest
+carry random QAM data (zeros in a sensing-only slot). Only the middle block
+of subcarriers is occupied. Frequency grids use the natural FFT bin order;
+"occupied" bins are the centered block around DC after fftshift.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "PredistortionPlan",
     "MODULATIONS",
     "generate_slot",
+    "sensing_slot",
     "build_predistortion_plan",
     "predistort_dmrs",
     "estimate_user_csi",
@@ -68,6 +69,10 @@ class Numerology:
             raise ValueError("occupied_subcarriers exceeds fft_size")
         if self.cp_length < 0:
             raise ValueError("cp_length must be >= 0")
+        if not self.sample_rate > 0:
+            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not self.dmrs_symbol_indices:
+            raise ValueError("dmrs_symbol_indices must name at least one DMRS symbol")
         bad = [i for i in self.dmrs_symbol_indices if not 1 <= i <= self.symbols_per_slot]
         if bad:
             raise ValueError(f"DMRS symbol indices out of range: {bad}")
@@ -187,7 +192,7 @@ class SlotWaveform:
     """One slot: concatenated (CP + body) samples plus per-symbol grids."""
 
     numerology: Numerology
-    modulation: str
+    modulation: str | None  # None for a sensing-only slot
     grids: np.ndarray  # (symbols_per_slot, fft_size) complex
     samples: np.ndarray  # (slot_len,) complex
 
@@ -198,12 +203,28 @@ class SlotWaveform:
         return self.grids[position]
 
 
-def _assemble_samples(numerology: Numerology, grids: np.ndarray) -> np.ndarray:
-    bodies = np.fft.ifft(grids, axis=1)
-    out = np.empty(numerology.slot_len, dtype=np.complex128)
-    for pos in range(numerology.symbols_per_slot):
-        out[numerology.symbol_slice(pos)] = numerology.with_cp(bodies[pos])
+def _assemble_samples(numerology: Numerology, grids: np.ndarray, positions) -> np.ndarray:
+    """Slot samples of the symbols at ``positions``; every other symbol stays zero."""
+    bodies = np.fft.ifft(grids[positions], axis=1)
+    out = np.zeros(numerology.slot_len, dtype=np.complex128)
+    for pos, body in zip(positions, bodies):
+        out[numerology.symbol_slice(pos)] = numerology.with_cp(body)
     return out
+
+
+def _dmrs_grids(numerology: Numerology, dmrs_seed: int | None) -> np.ndarray:
+    """Slot grids holding the DMRS rows, unit modulus on every occupied bin; data rows zero.
+
+    Each DMRS symbol draws its own sequence from ``dmrs_seed`` (a fixed
+    default when ``None``) plus its position.
+    """
+    bins = numerology.occupied_bins()
+    base = DEFAULT_DMRS_SEED if dmrs_seed is None else dmrs_seed
+    grids = np.zeros((numerology.symbols_per_slot, numerology.fft_size), dtype=complex)
+    for pos in numerology.dmrs_positions():
+        quad = np.random.default_rng(base + pos).integers(0, 4, size=len(bins))
+        grids[pos, bins] = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quad))
+    return grids
 
 
 def generate_slot(
@@ -214,33 +235,40 @@ def generate_slot(
 ) -> SlotWaveform:
     """Build a slot: random QAM data symbols plus known unit-modulus DMRS.
 
-    ``seed`` drives the data payload only. The DMRS sequence is drawn from
-    ``dmrs_seed`` (a fixed default), so waveforms generated for different
-    users share identical reference symbols. Unoccupied bins are exactly
-    zero.
+    ``seed`` drives the data payload only. The DMRS rows are those of
+    ``sensing_slot(numerology, dmrs_seed)``, so waveforms generated for
+    different users share identical reference symbols. Unoccupied bins are
+    exactly zero.
     """
     levels, norm = constellation(modulation)
     bins = numerology.occupied_bins()
     rng = np.random.default_rng(seed)
-    base_dmrs = DEFAULT_DMRS_SEED if dmrs_seed is None else dmrs_seed
-
-    grids = np.zeros((numerology.symbols_per_slot, numerology.fft_size), dtype=complex)
-    for pos in range(numerology.symbols_per_slot):
-        if pos in numerology.dmrs_positions():
-            # Per-symbol sequence; unit modulus on every occupied bin.
-            rng_d = np.random.default_rng(base_dmrs + pos)
-            quad = rng_d.integers(0, 4, size=len(bins))
-            grids[pos, bins] = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quad))
-        else:
-            i_idx = rng.integers(0, len(levels), size=len(bins))
-            q_idx = rng.integers(0, len(levels), size=len(bins))
-            grids[pos, bins] = _symbols_from_indices(i_idx, q_idx, levels, norm)
-
+    grids = _dmrs_grids(numerology, dmrs_seed)
+    for pos in numerology.data_positions():
+        i_idx = rng.integers(0, len(levels), size=len(bins))
+        q_idx = rng.integers(0, len(levels), size=len(bins))
+        grids[pos, bins] = _symbols_from_indices(i_idx, q_idx, levels, norm)
     return SlotWaveform(
         numerology=numerology,
         modulation=modulation,
         grids=grids,
-        samples=_assemble_samples(numerology, grids),
+        samples=_assemble_samples(numerology, grids, list(range(numerology.symbols_per_slot))),
+    )
+
+
+def sensing_slot(numerology: Numerology, dmrs_seed: int | None = None) -> SlotWaveform:
+    """A sensing-only slot: ``generate_slot``'s DMRS symbols and all-zero data symbols.
+
+    No payload is drawn and only the DMRS rows are transformed; each DMRS
+    symbol's samples equal those of any ``generate_slot`` with the same
+    ``dmrs_seed`` bit for bit. The slot has no modulation to demodulate.
+    """
+    grids = _dmrs_grids(numerology, dmrs_seed)
+    return SlotWaveform(
+        numerology=numerology,
+        modulation=None,
+        grids=grids,
+        samples=_assemble_samples(numerology, grids, numerology.dmrs_positions()),
     )
 
 

@@ -16,12 +16,14 @@ from subbeam.channel import (
     SceneUser,
     SlotBeamPlan,
     _complex_noise,
+    _delayed,
     apply_downlink,
     apply_monostatic,
+    monostatic_echoes,
     rx_gain,
 )
 from subbeam.cli import load_scene, scene_from_dict
-from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot
+from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot, sensing_slot
 
 NUM = Numerology()
 GEO = ArrayGeometry.ula(8)
@@ -33,6 +35,11 @@ def unity_plan(num_beams=2):
     beam = Beamformer(np.ones(1))
     sched = SubSymbolSchedule.for_numerology(NUM, num_beams)
     return geo1, SlotBeamPlan.uniform(NUM, sched, [beam] * num_beams, beam)
+
+
+def capture(slot, plan, scene, geometry, seed):
+    """One monostatic capture of ``slot``, the scene's echoes taken under ``plan``."""
+    return apply_monostatic(slot, monostatic_echoes(plan, scene, geometry), scene, seed=seed)
 
 
 def test_identity_path_is_passthrough():
@@ -81,7 +88,7 @@ def test_empty_scene_noise_power_calibrated():
     geo1, plan = unity_plan()
     slot = generate_slot(NUM, "QPSK", seed=5)
     scene = Scene(noise_power=2.5e-4, self_interference_inr_db=None)
-    rx = apply_monostatic(slot, plan, scene, geo1, seed=9)
+    rx = capture(slot, plan, scene, geo1, seed=9)
     measured = float(np.mean(np.abs(rx) ** 2))
     assert len(rx) > 1e4
     assert measured == pytest.approx(2.5e-4, rel=0.05)
@@ -103,7 +110,7 @@ def test_noise_tighter_calibration_100k_samples():
     slot = generate_slot(NUM, "QPSK", seed=6)
     samples = []
     for seed in range(7):
-        rx = apply_monostatic(slot, plan, rng_scene, geo1, seed=seed)
+        rx = capture(slot, plan, rng_scene, geo1, seed=seed)
         samples.append(rx)
     allrx = np.concatenate(samples)
     assert len(allrx) > 1e5
@@ -122,7 +129,7 @@ def test_reflector_copies_aligned_window():
     d = 4
     refl = Reflector(angles[1], PathModel(0.7, 0.3, d), label="x")
     scene = Scene(reflectors=(refl,), noise_power=1e-30, self_interference_inr_db=None)
-    rx = apply_monostatic(slot, plan, scene, geo, seed=1)
+    rx = capture(slot, plan, scene, geo, seed=1)
     pos = NUM.dmrs_positions()[0]
     tx_body = slot.symbol_body(pos)
     sl = sched.window(1)
@@ -153,7 +160,7 @@ def test_orthogonal_reflectors_track_in_beam_power():
         noise_power=1e-30,
         self_interference_inr_db=None,
     )
-    rx = apply_monostatic(slot, plan, scene, geo, seed=2)
+    rx = capture(slot, plan, scene, geo, seed=2)
     pos = NUM.dmrs_positions()[0]
     rx_body = rx[NUM.symbol_slice(pos, include_cp=False)]
     tx_body = slot.symbol_body(pos)
@@ -175,9 +182,9 @@ def test_linearity_of_reflector_responses():
     r2 = Reflector(math.radians(-7), PathModel(0.3, -0.9, 6))
     kw = dict(seed=0)
     quiet = dict(noise_power=1e-30, self_interference_inr_db=None)
-    rx1 = apply_monostatic(slot, plan, Scene(reflectors=(r1,), **quiet), geo, **kw)
-    rx2 = apply_monostatic(slot, plan, Scene(reflectors=(r2,), **quiet), geo, **kw)
-    rx12 = apply_monostatic(slot, plan, Scene(reflectors=(r1, r2), **quiet), geo, **kw)
+    rx1 = capture(slot, plan, Scene(reflectors=(r1,), **quiet), geo, **kw)
+    rx2 = capture(slot, plan, Scene(reflectors=(r2,), **quiet), geo, **kw)
+    rx12 = capture(slot, plan, Scene(reflectors=(r1, r2), **quiet), geo, **kw)
     assert np.allclose(rx12, rx1 + rx2, atol=1e-9)
 
 
@@ -186,11 +193,11 @@ def test_amplitude_doubling_quadruples_power():
     slot = generate_slot(NUM, "QPSK", seed=11)
     quiet = dict(noise_power=1e-30, self_interference_inr_db=None)
     kw = dict(seed=0)
-    rx_a = apply_monostatic(
+    rx_a = capture(
         slot, plan, Scene(reflectors=(Reflector(0.0, PathModel(0.4, 0.0, 3)),), **quiet),
         geo1, **kw,
     )
-    rx_b = apply_monostatic(
+    rx_b = capture(
         slot, plan, Scene(reflectors=(Reflector(0.0, PathModel(0.8, 0.0, 3)),), **quiet),
         geo1, **kw,
     )
@@ -204,10 +211,75 @@ def test_self_interference_level():
     slot = generate_slot(NUM, "QPSK", seed=12)
     noise = 1e-6
     scene = Scene(noise_power=noise, self_interference_inr_db=20.0)
-    rx = apply_monostatic(slot, plan, scene, geo1, seed=3)
+    rx = capture(slot, plan, scene, geo1, seed=3)
     # leak should dominate the noise by ~20 dB
     leak_power = float(np.mean(np.abs(rx) ** 2)) - noise
     assert 10 * math.log10(leak_power / noise) == pytest.approx(20.0, abs=0.5)
+
+
+def _monostatic_per_slot(slot, plan, scene, geometry, seed):
+    """The capture as computed before echoes: every gain taken again for each slot."""
+    elevation_aware = geometry.layout == "planar"
+    out = np.zeros(len(slot.samples), dtype=complex)
+    for refl in scene.reflectors:
+        el = refl.elevation if elevation_aware else None
+        amp = plan.tx_amplitude(geometry, refl.azimuth, el)
+        rx_amp = math.sqrt(rx_gain(refl.azimuth, refl.elevation))
+        delayed = _delayed(amp * slot.samples, refl.path.delay_samples)
+        out += refl.path.coefficient * rx_amp * delayed
+    if scene.self_interference_inr_db is not None:
+        mean_power = float(np.mean(np.abs(slot.samples) ** 2))
+        leak_power = scene.noise_power * 10.0 ** (scene.self_interference_inr_db / 10.0)
+        out += math.sqrt(leak_power / mean_power) * slot.samples
+    return out + _complex_noise(np.random.default_rng(seed), len(out), scene.noise_power)
+
+
+@pytest.mark.parametrize("layout", ["ula", "planar"])
+def test_echoes_reused_over_slots_match_per_slot_gains(layout):
+    geo = ArrayGeometry.ula(8) if layout == "ula" else ArrayGeometry.planar(4, 2)
+    el = 0.0 if layout == "planar" else None
+    beams = [conjugate_beam(geo, math.radians(a), el) for a in (-12, 0, 9)]
+    sched = SubSymbolSchedule.for_numerology(NUM, len(beams))
+    plan = SlotBeamPlan.uniform(NUM, sched, beams, conjugate_beam(geo, 0.2, el))
+    scene = Scene(
+        reflectors=(
+            Reflector(math.radians(4), PathModel(0.5, 0.3, 3), elevation=math.radians(2)),
+            Reflector(math.radians(-9), PathModel(0.2, -1.1, 7)),
+        ),
+        noise_power=1e-4,
+        self_interference_inr_db=20.0,
+    )
+    echoes = monostatic_echoes(plan, scene, geo)
+    for seed in range(3):
+        slot = generate_slot(NUM, "16QAM", seed=seed)
+        got = apply_monostatic(slot, echoes, scene, seed=seed)
+        assert got.tobytes() == _monostatic_per_slot(slot, plan, scene, geo, seed).tobytes()
+
+
+def test_sensing_slot_bodies_match_data_slot_up_to_cp_delay():
+    # A CP-stripped DMRS body reads only its own symbol while the delay is
+    # at most cp_length; one sample more pulls in the previous symbol.
+    geo = ArrayGeometry.ula(8)
+    beams = [conjugate_beam(geo, math.radians(a)) for a in (-10, 0, 10)]
+    sched = SubSymbolSchedule.for_numerology(NUM, len(beams))
+    plan = SlotBeamPlan.uniform(NUM, sched, beams, beams[0])
+    full = generate_slot(NUM, "QPSK", seed=4, dmrs_seed=4)
+    sensing = sensing_slot(NUM, dmrs_seed=4)
+    after_data = [p for p in NUM.dmrs_positions() if p - 1 in NUM.data_positions()]
+    assert after_data
+    for delay in range(NUM.cp_length + 2):
+        scene = Scene(
+            reflectors=(Reflector(math.radians(3), PathModel(0.5, 0.3, delay)),),
+            noise_power=1e-6,
+            self_interference_inr_db=None,
+        )
+        echoes = monostatic_echoes(plan, scene, geo)
+        rx_full = apply_monostatic(full, echoes, scene, seed=delay)
+        rx_sensing = apply_monostatic(sensing, echoes, scene, seed=delay)
+        for pos in NUM.dmrs_positions():
+            body = NUM.symbol_slice(pos, include_cp=False)
+            same = rx_full[body].tobytes() == rx_sensing[body].tobytes()
+            assert same == (delay <= NUM.cp_length or pos not in after_data), (delay, pos)
 
 
 def test_rx_gain_peak():

@@ -161,6 +161,14 @@ BAD_VALUES = [
      "num_elements 16"),
     ("ula_shape", "codebook", {**CODEBOOK_CFG, "geometry": {"planar_shape": [4, 4]}},
      "planar_shape (4, 4)"),
+    ("planar_shape_three", "image",
+     {**IMG_CFG, "geometry": {"layout": "planar", "planar_shape": [4, 4, 1]}},
+     "planar_shape (4, 4, 1) must have two entries"),
+    ("dmrs_indices_empty", "simulate", {**SIM_CFG, "numerology": {"dmrs_symbol_indices": []}},
+     "dmrs_symbol_indices must name at least one DMRS symbol"),
+    *[(f"sample_rate_{name}", "simulate", {**SIM_CFG, "numerology": {"sample_rate": rate}},
+       f"sample_rate must be > 0, got {rate}")
+      for name, rate in (("negative", -5.0), ("zero", 0))],
     ("user_snr_twice", "codebook",
      {**CODEBOOK_CFG, "users": [{"angle_deg": 0, "base_snr": 2, "base_snr_db": 10}]},
      "base_snr / base_snr_db"),

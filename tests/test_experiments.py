@@ -15,6 +15,7 @@ from subbeam.channel import (
     SceneUser,
     SlotBeamPlan,
     apply_monostatic,
+    monostatic_echoes,
 )
 from subbeam.codebook import Codebook, OptimizerConfig, UpdateStats, UserLink
 from subbeam.experiments import mobility
@@ -271,6 +272,48 @@ class TestLocalization:
                 sweep_deg=np.linspace(-12, 12, 9),
             )
 
+    def test_delay_beyond_cp_checked_before_simulating(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a capture was simulated before the input check")
+
+        monkeypatch.setattr("subbeam.experiments.localization.sense_dmrs", fail)
+        # 8 m is a 7-sample round trip at 122.88 MHz: inside the 10 delay
+        # candidates, beyond a 4-sample cyclic prefix.
+        with pytest.raises(ValueError, match="8.0 m has round-trip delay 7 samples, "
+                                             "beyond the cp_length of 4 samples"):
+            run_localization(
+                ArrayGeometry.ula(16), Numerology(cp_length=4), SEARCH, seed=1,
+                distances_m=[1.0, 2.0, 4.0, 8.0],
+                angles_deg=np.arange(-15.0, 15.1, 3.0),
+                slots_per_position=4,
+                sweep_deg=np.linspace(-12, 12, 9),
+            )
+
+    def test_reflector_gains_taken_once_per_scene(self, monkeypatch):
+        import subbeam.channel as channel
+
+        calls = Counter()
+        tx_amplitude, rx_gain = SlotBeamPlan.tx_amplitude, channel.rx_gain
+
+        def counted_tx(plan, *args):
+            calls["tx_amplitude"] += 1
+            return tx_amplitude(plan, *args)
+
+        def counted_rx(*args):
+            calls["rx_gain"] += 1
+            return rx_gain(*args)
+
+        monkeypatch.setattr(SlotBeamPlan, "tx_amplitude", counted_tx)
+        monkeypatch.setattr(channel, "rx_gain", counted_rx)
+        distances, angles = [1.0, 2.0, 3.0, 4.0], [-8.0, 0.0, 8.0]
+        run_localization(
+            ArrayGeometry.ula(16), NUM, SEARCH, seed=2,
+            distances_m=distances, angles_deg=angles, slots_per_position=4,
+            sweep_deg=np.linspace(-12, 12, 5),
+        )
+        scenes = len(distances) + len(angles)
+        assert calls == {"tx_amplitude": scenes, "rx_gain": scenes}
+
 
 class TestMobility:
     GEO = ArrayGeometry.ula(32)
@@ -526,7 +569,7 @@ class TestSenseDmrs:
 
     @staticmethod
     def inline(tx, reference, bplan, scene, geometry, predistortion, seed):
-        rx = apply_monostatic(tx, bplan, scene, geometry, seed=seed)
+        rx = apply_monostatic(tx, monostatic_echoes(bplan, scene, geometry), scene, seed=seed)
         return [
             estimate_symbol_csi(
                 rx[NUM.symbol_slice(pos, include_cp=False)],
@@ -557,7 +600,8 @@ class TestSenseDmrs:
         bplan = SlotBeamPlan.uniform(NUM, schedule, beams, data_beam)
         reference = generate_slot(NUM, "64QAM", seed=3)
         tx = predistort_dmrs(reference, schedule, plan)
-        got = sense_dmrs(tx, reference, bplan, self.SCENE, self.GEO, SEARCH, plan, 11)
+        echoes = monostatic_echoes(bplan, self.SCENE, self.GEO)
+        got = sense_dmrs(tx, reference, bplan, echoes, self.SCENE, SEARCH, plan, 11)
         self.assert_same(got, self.inline(tx, reference, bplan, self.SCENE, self.GEO, plan, 11))
 
     def test_identity_plan_slot(self):
@@ -566,5 +610,6 @@ class TestSenseDmrs:
         schedule = SubSymbolSchedule.for_numerology(NUM, len(beams))
         bplan = SlotBeamPlan.uniform(NUM, schedule, beams, beams[0])
         slot = generate_slot(NUM, "QPSK", seed=5, dmrs_seed=5)
-        got = sense_dmrs(slot, slot, bplan, self.SCENE, self.GEO, SEARCH, None, 12)
+        echoes = monostatic_echoes(bplan, self.SCENE, self.GEO)
+        got = sense_dmrs(slot, slot, bplan, echoes, self.SCENE, SEARCH, None, 12)
         self.assert_same(got, self.inline(slot, slot, bplan, self.SCENE, self.GEO, None, 12))

@@ -19,7 +19,14 @@ from subbeam.sensing import (
     sliding_dft,
 )
 from subbeam.arrays import ArrayGeometry, conjugate_beam
-from subbeam.channel import PathModel, Reflector, Scene, SlotBeamPlan, apply_monostatic
+from subbeam.channel import (
+    PathModel,
+    Reflector,
+    Scene,
+    SlotBeamPlan,
+    apply_monostatic,
+    monostatic_echoes,
+)
 from subbeam.waveform import (
     Numerology,
     PredistortionPlan,
@@ -559,7 +566,8 @@ class TestKernelMatchesStepwise:
         if with_plan:
             plan = PredistortionPlan(amplitude=rng.uniform(0.5, 2.0, num_beams))
         tx = predistort_dmrs(reference, sched, plan) if plan is not None else reference
-        rx = apply_monostatic(tx, bplan, self.SCENE, self.GEO, seed=seed)
+        echoes = monostatic_echoes(bplan, self.SCENE, self.GEO)
+        rx = apply_monostatic(tx, echoes, self.SCENE, seed=seed)
         for pos in NUM.dmrs_positions():
             body = rx[NUM.symbol_slice(pos, include_cp=False)]
             yield body, reference.symbol_body(pos), sched, plan

@@ -19,6 +19,7 @@ from subbeam.waveform import (
     generate_slot,
     predistort_dmrs,
     read_iq,
+    sensing_slot,
     slot_user_csi,
     write_iq,
 )
@@ -38,6 +39,20 @@ def test_dmrs_shared_across_data_seeds():
     b = generate_slot(NUM, "16QAM", seed=2)
     for pos in NUM.dmrs_positions():
         assert np.array_equal(a.grid(pos), b.grid(pos))
+
+
+def test_sensing_slot_is_the_dmrs_of_a_data_slot():
+    for dmrs_seed in (None, 7):
+        full = generate_slot(NUM, "64QAM", seed=3, dmrs_seed=dmrs_seed)
+        sensing = sensing_slot(NUM, dmrs_seed=dmrs_seed)
+        assert sensing.samples.shape == full.samples.shape
+        for pos in NUM.dmrs_positions():
+            sl = NUM.symbol_slice(pos)
+            assert sensing.samples[sl].tobytes() == full.samples[sl].tobytes()
+            assert sensing.grid(pos).tobytes() == full.grid(pos).tobytes()
+        for pos in NUM.data_positions():
+            assert not np.any(sensing.samples[NUM.symbol_slice(pos)])
+            assert not np.any(sensing.grid(pos))
 
 
 def test_occupied_bin_count():
