@@ -18,7 +18,7 @@ to these types in ``subbeam.cli``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,32 +108,33 @@ class SlotBeamPlan:
     """Which beamformer is active for every sample of a slot.
 
     ``dmrs_beams`` holds one beam list per DMRS symbol (in ascending symbol
-    order); data symbols use the fixed ``data_beam``. CP samples inherit the
-    beam of the body sample they duplicate, and samples in the schedule's
-    unused tail keep the last window's beam.
+    order), all of one length; data symbols use the fixed ``data_beam``. The
+    plan derives its ``schedule`` from the numerology and that length
+    (``SubSymbolSchedule.for_numerology``): one window per beam of a list.
+    CP samples inherit the beam of the body sample they duplicate, and
+    samples in the schedule's unused tail keep the last window's beam.
     """
 
     numerology: Numerology
-    schedule: SubSymbolSchedule
     dmrs_beams: tuple  # tuple[tuple[Beamformer, ...], ...]
     data_beam: Beamformer
+    schedule: SubSymbolSchedule = field(init=False)
 
     def __post_init__(self):
-        per_symbol = []
-        for beams in self.dmrs_beams:
-            beams = tuple(beams)
-            if len(beams) != self.schedule.num_beams:
-                raise ValueError("beam list does not match the schedule size")
-            per_symbol.append(beams)
+        per_symbol = tuple(tuple(beams) for beams in self.dmrs_beams)
         if len(per_symbol) != len(self.numerology.dmrs_positions()):
             raise ValueError("need one beam list per DMRS symbol")
-        object.__setattr__(self, "dmrs_beams", tuple(per_symbol))
+        if len({len(beams) for beams in per_symbol}) != 1:
+            raise ValueError("every DMRS symbol needs the same number of beams")
+        object.__setattr__(self, "dmrs_beams", per_symbol)
+        schedule = SubSymbolSchedule.for_numerology(self.numerology, len(per_symbol[0]))
+        object.__setattr__(self, "schedule", schedule)
 
     @classmethod
-    def uniform(cls, numerology, schedule, beams, data_beam) -> "SlotBeamPlan":
+    def uniform(cls, numerology, beams, data_beam) -> "SlotBeamPlan":
         """Same beam sweep on every DMRS symbol of the slot."""
         reps = len(numerology.dmrs_positions())
-        return cls(numerology, schedule, tuple(tuple(beams) for _ in range(reps)), data_beam)
+        return cls(numerology, tuple(tuple(beams) for _ in range(reps)), data_beam)
 
     def tx_amplitude(self, geometry: ArrayGeometry, azimuth: float,
                      elevation: float | None = None) -> np.ndarray:
@@ -191,8 +192,7 @@ def apply_downlink(
     seed: int,
 ) -> np.ndarray:
     """Received samples at one user through its dominant path plus AWGN."""
-    elevation = 0.0 if geometry.layout == "planar" else None
-    amp = plan.tx_amplitude(geometry, user.link.angle, elevation)
+    amp = plan.tx_amplitude(geometry, user.link.angle)
     faded = user.path.coefficient * _delayed(amp * slot.samples, user.path.delay_samples)
     rng = np.random.default_rng(seed)
     return faded + _complex_noise(rng, len(faded), scene.noise_power)

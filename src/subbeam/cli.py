@@ -38,7 +38,6 @@ from .channel import SPEED_OF_LIGHT, PathModel, Reflector, Scene, SceneUser
 from .codebook import (
     Codebook,
     OptimizerConfig,
-    SensingTarget,
     UserLink,
     build_codebook,
     load_codebook,
@@ -123,7 +122,7 @@ _RANGE = {"start": _GIVEN_NUMBER, "stop": _GIVEN_NUMBER, "count": replace(_COUNT
 _CONFIG = {
     "seed": _Kind("an integer >= 0", lambda x: _INTEGER.test(x) and x >= 0),
     **dict.fromkeys(("scene_file", "codebook_file"), _STRING),
-    **dict.fromkeys(("target_base_snr", "sensing_angle_deg", "snr_db"), _NUMBER),
+    **dict.fromkeys(("sensing_angle_deg", "snr_db"), _NUMBER),
     **dict.fromkeys(("moved_users_deg", "epsilons"), [_NUMBER]),
     **dict.fromkeys(("num_beams", "num_slots", "repeats"), _COUNT),
     **dict.fromkeys(("predistort", "save_iq"), _BOOL),
@@ -326,7 +325,7 @@ def cmd_codebook(args, cfg: dict, seed: int, run: RunDir) -> None:
         if len(moved_deg) != len(users):
             raise ValueError(f"moved_users_deg has {len(moved_deg)} angles for {len(users)} users")
         moved = [UserLink(math.radians(d), u.base_snr) for d, u in zip(moved_deg, users)]
-    codebook = build_codebook(users, sweep, cfg.get("target_base_snr", 1.0), geometry, opt)
+    codebook = build_codebook(users, sweep, geometry, opt)
     save_codebook(run.file("codebook.json"), codebook, geometry)
     _print_codebook(codebook, geometry)
     if moved is not None:
@@ -345,7 +344,7 @@ def cmd_pattern(args, cfg: dict, seed: int, run: RunDir) -> None:
     if "codebook_file" in cfg:
         codebook, geometry = load_codebook(cfg["codebook_file"])
     else:
-        codebook = build_codebook(users, sweep, cfg.get("target_base_snr", 1.0), geometry, opt)
+        codebook = build_codebook(users, sweep, geometry, opt)
     grid = np.arange(grid_cfg["start"], grid_cfg["stop"] + 1e-9, grid_cfg["step"])
     header = ["angle_deg"] + [
         f"entry{i}_gain_db" for i in range(len(codebook.entries))
@@ -366,9 +365,9 @@ def cmd_tradeoff(args, cfg: dict, seed: int, run: RunDir) -> None:
     geometry = _geometry(cfg)
     opt = _optimizer(cfg)
     users = _users(cfg)
-    target = SensingTarget(math.radians(cfg.get("sensing_angle_deg", 0.0)))
+    sensing_angle = math.radians(cfg.get("sensing_angle_deg", 0.0))
     epsilons = cfg.get("epsilons", [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5])
-    table = epsilon_sweep(users, target, geometry, epsilons, opt)
+    table = epsilon_sweep(users, sensing_angle, geometry, epsilons, opt)
     write_table(run.file("tradeoff.csv"), table)
 
 

@@ -35,7 +35,7 @@ fairest ``_fair_point`` (fixed-temperature softmin rounds without step
 memory) over one start set.
 
 At the final temperature an ascent stops when the projected gradient is
-below ``grad_tol`` (``grad``), when no step along the feasible direction
+below ``_GRAD_TOL`` (``grad``), when no step along the feasible direction
 or any probe improves (``stationary``), or when 50 consecutive iterations
 each gain less than 1e-4 relative (about 0.0004 dB) over the stall mark
 (``stalled``); otherwise it runs to ``max_iters``. Codebook entries record
@@ -85,6 +85,8 @@ _TAU_MIN = 1e-3
 # each gaining less than this fraction over the stall mark (~0.0004 dB).
 _STALL_ITERS = 50
 _STALL_REL = 1e-4
+# Grad stop at the final temperature: projected-gradient norm below this.
+_GRAD_TOL = 1e-2
 _DB_FLOOR = -400.0  # serialization floor for a zero linear SNR
 
 
@@ -104,7 +106,8 @@ class UserLink:
 
 @dataclass(frozen=True)
 class SensingTarget:
-    """Desired sensing direction and its baseline round-trip SNR."""
+    """Sensing direction and baseline round-trip SNR, the weighted-sum solver's
+    input; the max-min solver takes only the angle."""
 
     angle: float
     base_snr: float = 1.0
@@ -117,17 +120,16 @@ class SensingTarget:
 @dataclass(frozen=True)
 class OptimizerConfig:
     epsilon: float = 0.5
-    grad_tol: float = 1e-2
     max_iters: int = 2000
     snr_match_tol: float = 1e-2  # linear-SNR absolute tolerance for entry reuse
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.snr_match_tol < 0:
+            raise ValueError(f"snr_match_tol must be >= 0, got {self.snr_match_tol}")
 
 
 @dataclass(frozen=True)
@@ -407,7 +409,7 @@ def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None):
 
     Returns ``(w, f, iterations, stop_reason)``. Every stop but
     ``max_iters`` happens at the final temperature: ``grad`` (projected
-    gradient norm below ``cfg.grad_tol``), ``stationary`` (no improving step
+    gradient norm below ``_GRAD_TOL``), ``stationary`` (no improving step
     along the gradient or any probe) or ``stalled`` (``_STALL_ITERS``
     consecutive iterations each within ``_STALL_REL`` relative of the stall
     mark, the last value that beat it by more).
@@ -428,7 +430,7 @@ def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None):
             # where g points mostly outward: projection cancels most of each
             # step along g, and the ascent creeps along the max-min kink.
             g = project(w + _STEP_INIT * g) - w
-            if math.sqrt(g.real.dot(g.real) + g.imag.dot(g.imag)) / _STEP_INIT < cfg.grad_tol:
+            if math.sqrt(g.real.dot(g.real) + g.imag.dot(g.imag)) / _STEP_INIT < _GRAD_TOL:
                 return w, f, it, "grad"
         d = _normalized_direction(g)
         hit = None if d is None else _line_search(w, f, d, evaluate, project, step_mem)
@@ -535,7 +537,7 @@ def optimize_weighted_sum(
 
 def optimize_max_min(
     users: list[UserLink],
-    target: SensingTarget,
+    sensing_angle: float,
     geometry: ArrayGeometry,
     cfg: OptimizerConfig,
     warm_start: Beamformer | None = None,
@@ -543,7 +545,7 @@ def optimize_max_min(
 ) -> CodebookEntry:
     """Max-min user SNR around the sensing conjugate anchor.
 
-    The weights stay within ``cfg.epsilon`` of conj(s(sensing angle)) per
+    The weights stay within ``cfg.epsilon`` of conj(s(``sensing_angle``)) per
     element and within the unit disk. With no users the anchor itself is
     returned with a +inf min-SNR sentinel. If no feasible step improves the
     minimum SNR, the anchor is returned unchanged (still a valid entry).
@@ -552,9 +554,9 @@ def optimize_max_min(
     """
     if warm_start is not None:
         _check_weight_length("warm_start", len(warm_start), geometry)
-    anchor = np.conj(steering_vector(geometry, target.angle))
+    anchor = np.conj(steering_vector(geometry, sensing_angle))
     if not users:
-        return CodebookEntry(target.angle, Beamformer(anchor), math.inf, True, 0, "anchor")
+        return CodebookEntry(sensing_angle, Beamformer(anchor), math.inf, True, 0, "anchor")
     _warn_close_angles(users, geometry)
     s_users, gamma = _user_matrix(users, geometry)
     s_conj = np.conj(s_users)
@@ -605,7 +607,7 @@ def optimize_max_min(
             w, f = anchor, f_anchor
 
     return CodebookEntry(
-        sensing_angle=target.angle,
+        sensing_angle=sensing_angle,
         weights=Beamformer(w),
         min_snr=f,
         converged=reason != "max_iters",
@@ -631,7 +633,6 @@ def design_data_beam(
 def build_codebook(
     users: list[UserLink],
     sweep: list[float],
-    target_base_snr: float,
     geometry: ArrayGeometry,
     cfg: OptimizerConfig,
 ) -> Codebook:
@@ -653,8 +654,7 @@ def build_codebook(
         if entries:
             carried = anchor + entries[-1].weights.weights - prev_anchor
             warm = Beamformer(_project_ball_then_disk(carried, anchor, cfg.epsilon))
-        target = SensingTarget(angle, target_base_snr)
-        entries.append(optimize_max_min(users, target, geometry, cfg, warm_start=warm))
+        entries.append(optimize_max_min(users, angle, geometry, cfg, warm_start=warm))
         prev_anchor = anchor
     return Codebook(entries=tuple(entries), users=tuple(users))
 
@@ -691,9 +691,8 @@ def update_codebook(
                 new_entries.append(entry)
                 stats.reused += 1
             else:
-                target = SensingTarget(entry.sensing_angle)
                 fresh = optimize_max_min(
-                    moved_users, target, geometry, cfg, warm_start=entry.weights
+                    moved_users, entry.sensing_angle, geometry, cfg, warm_start=entry.weights
                 )
                 new_entries.append(fresh)
                 stats.reoptimized += 1

@@ -18,13 +18,7 @@ from ..channel import Scene, SlotBeamPlan, monostatic_echoes, rx_gain
 from ..codebook import OptimizerConfig, build_codebook, design_data_beam
 from ..runio import Table
 from ..sensing import DelaySearchConfig
-from ..waveform import (
-    Numerology,
-    SubSymbolSchedule,
-    build_predistortion_plan,
-    generate_slot,
-    predistort_dmrs,
-)
+from ..waveform import Numerology, build_predistortion_plan, generate_slot, predistort_dmrs
 from .link import check_reflector_delays, score_user, sense_dmrs
 
 __all__ = ["run_baseline", "BASELINE_MODES"]
@@ -97,16 +91,15 @@ def run_baseline(
             dmrs_beams = [conjugate_beam(geometry, sensing_angle)]
             data_beam = design_data_beam(users, geometry, cfg)
         else:
-            codebook = build_codebook(users, sweep, 1.0, geometry, cfg)
+            codebook = build_codebook(users, sweep, geometry, cfg)
             dmrs_beams = codebook.beams()
             data_beam = design_data_beam(users, geometry, cfg)
             plan = build_predistortion_plan(dmrs_beams, data_beam, users, geometry)
 
-        schedule = SubSymbolSchedule.for_numerology(numerology, len(dmrs_beams))
-        bplan = SlotBeamPlan.uniform(numerology, schedule, dmrs_beams, data_beam)
+        bplan = SlotBeamPlan.uniform(numerology, dmrs_beams, data_beam)
 
         reference = generate_slot(numerology, modulation, seed=seed)
-        tx = reference if plan is None else predistort_dmrs(reference, schedule, plan)
+        tx = reference if plan is None else predistort_dmrs(reference, bplan.schedule, plan)
 
         # Sensing: estimate at the DMRS beam matching the requested angle,
         # on the slot's first DMRS symbol.

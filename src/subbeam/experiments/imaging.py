@@ -92,7 +92,8 @@ def run_imaging(
     if geometry.layout != "planar":
         raise ValueError("imaging requires a planar geometry")
     check_reflector_delays(scene, search)
-    schedule = SubSymbolSchedule.for_numerology(numerology, beams_per_symbol)
+    # Each slot's plan derives this schedule; build it once to fail before solving.
+    SubSymbolSchedule.for_numerology(numerology, beams_per_symbol)
     az_angles = np.asarray(az_angles, dtype=float)
     el_angles = np.asarray(el_angles, dtype=float)
     users = [su.link for su in scene.users]
@@ -100,7 +101,7 @@ def run_imaging(
     az_weights = [None] * len(az_angles)
     if users:
         row_geo = ArrayGeometry.ula(geometry.planar_shape[0], geometry.spacing)
-        codebook = build_codebook(users, list(az_angles), 1.0, row_geo, cfg)
+        codebook = build_codebook(users, list(az_angles), row_geo, cfg)
         az_weights = [w.weights for w in codebook.beams()]
 
     pixels = [(az, el) for el in el_angles for az in az_angles]
@@ -122,9 +123,7 @@ def run_imaging(
         powers = []
         for slot_idx, first in enumerate(range(0, len(chunks), num_dmrs)):
             slot_chunks = chunks[first : first + num_dmrs]
-            bplan = SlotBeamPlan(
-                numerology, schedule, tuple(tuple(c) for c in slot_chunks), slot_chunks[0][0]
-            )
+            bplan = SlotBeamPlan(numerology, slot_chunks, slot_chunks[0][0])
             # Fresh reference sequence per slot: frozen DMRS would freeze the
             # per-window bin weights and bias pixels relative to each other.
             slot_seed = seed + 31 * slot_idx + 1_000_003 * sweep_idx

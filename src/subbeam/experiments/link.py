@@ -31,7 +31,6 @@ from ..waveform import (
     Numerology,
     PredistortionPlan,
     SlotWaveform,
-    SubSymbolSchedule,
     build_predistortion_plan,
     demodulate_and_score,
     generate_slot,
@@ -64,8 +63,7 @@ def noise_power_for_user_snr(
     constellations); an FFT bin collects fft_size times the per-sample
     noise power.
     """
-    elevation = 0.0 if geometry.layout == "planar" else None
-    g = beamforming_gain(data_beam, geometry, user.link.angle, elevation)
+    g = beamforming_gain(data_beam, geometry, user.link.angle)
     snr = 10.0 ** (snr_db / 10.0)
     return g * user.path.attenuation**2 / (numerology.fft_size * snr)
 
@@ -77,8 +75,7 @@ def genie_csi(
     numerology: Numerology,
 ) -> np.ndarray:
     """Exact data-symbol channel at the occupied bins (no estimation error)."""
-    elevation = 0.0 if geometry.layout == "planar" else None
-    g = beamforming_gain(data_beam, geometry, user.link.angle, elevation)
+    g = beamforming_gain(data_beam, geometry, user.link.angle)
     bins = numerology.occupied_bins()
     ramp = np.exp(
         -2j * np.pi * np.fft.fftfreq(numerology.fft_size)[bins] * user.path.delay_samples
@@ -179,12 +176,11 @@ def run_link(
     """
     check_reflector_delays(scene, search)
     users = [su.link for su in scene.users]
-    codebook = build_codebook(users, sweep, 1.0, geometry, cfg)
+    codebook = build_codebook(users, sweep, geometry, cfg)
     beams = codebook.beams()
-    schedule = SubSymbolSchedule.for_numerology(numerology, len(beams))
     data_beam = design_data_beam(users, geometry, cfg) if users else beams[0]
     plan = build_predistortion_plan(beams, data_beam, users, geometry) if predistort else None
-    bplan = SlotBeamPlan.uniform(numerology, schedule, beams, data_beam)
+    bplan = SlotBeamPlan.uniform(numerology, beams, data_beam)
     echoes = monostatic_echoes(bplan, scene, geometry)
 
     per_user_acc = [
@@ -198,7 +194,7 @@ def run_link(
 
     for slot_idx in range(num_slots):
         reference = generate_slot(numerology, modulation, seed=seed + 1000 * slot_idx)
-        tx = reference if plan is None else predistort_dmrs(reference, schedule, plan)
+        tx = reference if plan is None else predistort_dmrs(reference, bplan.schedule, plan)
         if slot_idx == 0:
             first_tx = tx
 

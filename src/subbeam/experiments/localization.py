@@ -34,7 +34,7 @@ from ..channel import (
     monostatic_echoes,
 )
 from ..sensing import DelaySearchConfig, SensingCsi
-from ..waveform import Numerology, SubSymbolSchedule, sensing_slot
+from ..waveform import Numerology, sensing_slot
 from .link import sense_dmrs
 
 __all__ = ["feature_stack", "calibrate_sp", "run_localization"]
@@ -133,8 +133,7 @@ def run_localization(
             )
 
     beams = [conjugate_beam(geometry, math.radians(a)) for a in sweep_deg]
-    schedule = SubSymbolSchedule.for_numerology(numerology, len(beams))
-    bplan = SlotBeamPlan.uniform(numerology, schedule, beams, beams[0])
+    bplan = SlotBeamPlan.uniform(numerology, beams, beams[0])
     rng = np.random.default_rng(seed)
 
     def scene_for(distance_m: float, angle_deg: float) -> Scene:
@@ -165,7 +164,7 @@ def run_localization(
                     slot, slot, bplan, echoes, scene, cfg_search, None,
                     position_seed + 7919 * slot_idx,
                 )
-                stacks.extend((feature_stack(r, schedule.sub_len), truth) for r in captures)
+                stacks.extend((feature_stack(r, bplan.schedule.sub_len), truth) for r in captures)
             samples.append(stacks)
         return samples
 

@@ -23,7 +23,6 @@ from ..arrays import (
 )
 from ..codebook import (
     OptimizerConfig,
-    SensingTarget,
     UpdateStats,
     UserLink,
     build_codebook,
@@ -126,7 +125,7 @@ def run_mobility(
         ]
 
     with _quiet_proximity_warnings():
-        codebook = build_codebook(users_at(0.0), sweep, 1.0, geometry, cfg)
+        codebook = build_codebook(users_at(0.0), sweep, geometry, cfg)
     records = Table([
         "tick", "t", *(f"user{i}_deg" for i in range(len(scenario.waypoints))),
         "reused", "reoptimized", "min_snr", "sensing_gain_db",
@@ -166,9 +165,7 @@ def run_mobility(
             anchor = np.conj(steering_vector(geometry, entry.sensing_angle))
             deviation = np.abs(entry.weights.weights - anchor)
             with _quiet_proximity_warnings():
-                fresh = optimize_max_min(
-                    users_now, SensingTarget(entry.sensing_angle), geometry, cfg
-                )
+                fresh = optimize_max_min(users_now, entry.sensing_angle, geometry, cfg)
             checks.append(
                 {
                     "tick": tick,

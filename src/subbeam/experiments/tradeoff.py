@@ -6,7 +6,7 @@ import math
 from dataclasses import replace
 
 from ..arrays import ArrayGeometry, beamforming_gain
-from ..codebook import OptimizerConfig, SensingTarget, UserLink, optimize_max_min
+from ..codebook import OptimizerConfig, UserLink, optimize_max_min
 from ..runio import Table
 
 __all__ = ["epsilon_sweep"]
@@ -14,7 +14,7 @@ __all__ = ["epsilon_sweep"]
 
 def epsilon_sweep(
     users: list[UserLink],
-    target: SensingTarget,
+    sensing_angle: float,
     geometry: ArrayGeometry,
     epsilons,
     cfg: OptimizerConfig,
@@ -36,15 +36,15 @@ def epsilon_sweep(
     )
     prev = None
     for cfg_eps in configs:
-        entry = optimize_max_min(users, target, geometry, cfg_eps)
+        entry = optimize_max_min(users, sensing_angle, geometry, cfg_eps)
         if prev is not None and prev.min_snr > entry.min_snr:
             warm = optimize_max_min(
-                users, target, geometry, cfg_eps, warm_start=prev.weights
+                users, sensing_angle, geometry, cfg_eps, warm_start=prev.weights
             )
             if warm.min_snr > entry.min_snr:
                 entry = warm
         prev = entry
-        sensing_gain = beamforming_gain(entry.weights, geometry, target.angle)
+        sensing_gain = beamforming_gain(entry.weights, geometry, sensing_angle)
         table.add(
             cfg_eps.epsilon,
             10.0 * math.log10(sensing_gain + 1e-30),

@@ -67,8 +67,8 @@ class Numerology:
             raise ValueError("fft_size and occupied_subcarriers must be positive")
         if self.occupied_subcarriers > self.fft_size:
             raise ValueError("occupied_subcarriers exceeds fft_size")
-        if self.cp_length < 0:
-            raise ValueError("cp_length must be >= 0")
+        if not 0 <= self.cp_length <= self.fft_size:
+            raise ValueError(f"cp_length {self.cp_length} outside 0..fft_size {self.fft_size}")
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
         if not self.dmrs_symbol_indices:

@@ -24,6 +24,7 @@ _STEP_MIN = 1e-7
 _TAU_INIT = 0.5
 _TAU_DECAY = 0.9
 _TAU_MIN = 1e-3
+_GRAD_TOL = 1e-2
 
 
 def _user_matrix(users, geometry):
@@ -190,7 +191,7 @@ def _ascend(w0, objective, gradient, project, cfg, trace=None, probes=None,
         g = gradient(w, tau)
         if at_final_tau:
             gnorm = np.linalg.norm(project(w + _STEP_INIT * g) - w) / _STEP_INIT
-            if gnorm < cfg.grad_tol:
+            if gnorm < _GRAD_TOL:
                 converged = True
                 break
         d = _normalized_direction(g)

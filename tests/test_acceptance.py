@@ -75,7 +75,7 @@ def test_accept_02_solver_parity():
         users = [UserLink(math.radians(a), 1.0) for a in user_degs]
         target = SensingTarget(0.0, 1.0)
         w_sum = optimize_weighted_sum(users, target, geo, OptimizerConfig(), sensing_weight=alpha)
-        entry = optimize_max_min(users, target, geo, OptimizerConfig(epsilon=eps))
+        entry = optimize_max_min(users, target.angle, geo, OptimizerConfig(epsilon=eps))
         angles = [0.0] + [u.angle for u in users]
         diffs = [
             abs(db(beamforming_gain(w_sum, geo, a)) - db(beamforming_gain(entry.weights, geo, a)))
@@ -91,7 +91,7 @@ def test_accept_03_epsilon_tradeoff():
     geo = ArrayGeometry.ula(16)
     users = [UserLink(math.radians(-30), 1.0), UserLink(math.radians(30), 1.0)]
     rows = epsilon_sweep(
-        users, SensingTarget(0.0, 1.0), geo,
+        users, 0.0, geo,
         [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5], OptimizerConfig(),
     )
     sens = [r["sensing_gain_db"] for r in rows.rows]

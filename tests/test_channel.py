@@ -33,8 +33,7 @@ def unity_plan(num_beams=2):
     # single-element "array": every beam has unit gain everywhere
     geo1 = ArrayGeometry.ula(1)
     beam = Beamformer(np.ones(1))
-    sched = SubSymbolSchedule.for_numerology(NUM, num_beams)
-    return geo1, SlotBeamPlan.uniform(NUM, sched, [beam] * num_beams, beam)
+    return geo1, SlotBeamPlan.uniform(NUM, [beam] * num_beams, beam)
 
 
 def capture(slot, plan, scene, geometry, seed):
@@ -54,8 +53,7 @@ def test_identity_path_is_passthrough():
 def test_gain_four_doubles_amplitude():
     geo2 = ArrayGeometry.ula(2)
     beam = Beamformer(np.ones(2))  # broadside gain 4
-    sched = SubSymbolSchedule.for_numerology(NUM, 2)
-    plan = SlotBeamPlan.uniform(NUM, sched, [beam, beam], beam)
+    plan = SlotBeamPlan.uniform(NUM, [beam, beam], beam)
     slot = generate_slot(NUM, "QPSK", seed=2)
     su = SceneUser(UserLink(0.0, 1.0), PathModel(1.0, 0.0, 0))
     scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
@@ -124,7 +122,7 @@ def test_reflector_copies_aligned_window():
     angles = [math.radians(-20), math.radians(15)]
     beams = [conjugate_beam(geo, a) for a in angles]
     sched = SubSymbolSchedule.for_numerology(NUM, 2)
-    plan = SlotBeamPlan.uniform(NUM, sched, beams, beams[0])
+    plan = SlotBeamPlan.uniform(NUM, beams, beams[0])
     slot = generate_slot(NUM, "QPSK", seed=8)
     d = 4
     refl = Reflector(angles[1], PathModel(0.7, 0.3, d), label="x")
@@ -150,7 +148,7 @@ def test_orthogonal_reflectors_track_in_beam_power():
     null_angle = math.asin(2.0 / 8.0)
     beams = [conjugate_beam(geo, 0.0), conjugate_beam(geo, null_angle)]
     sched = SubSymbolSchedule.for_numerology(NUM, 2)
-    plan = SlotBeamPlan.uniform(NUM, sched, beams, beams[0])
+    plan = SlotBeamPlan.uniform(NUM, beams, beams[0])
     slot = generate_slot(NUM, "QPSK", seed=9)
     scene = Scene(
         reflectors=(
@@ -175,8 +173,7 @@ def test_orthogonal_reflectors_track_in_beam_power():
 def test_linearity_of_reflector_responses():
     geo = ArrayGeometry.ula(8)
     beams = [conjugate_beam(geo, 0.0), conjugate_beam(geo, math.radians(10))]
-    sched = SubSymbolSchedule.for_numerology(NUM, 2)
-    plan = SlotBeamPlan.uniform(NUM, sched, beams, beams[0])
+    plan = SlotBeamPlan.uniform(NUM, beams, beams[0])
     slot = generate_slot(NUM, "QPSK", seed=10)
     r1 = Reflector(math.radians(3), PathModel(0.6, 0.5, 2))
     r2 = Reflector(math.radians(-7), PathModel(0.3, -0.9, 6))
@@ -239,8 +236,7 @@ def test_echoes_reused_over_slots_match_per_slot_gains(layout):
     geo = ArrayGeometry.ula(8) if layout == "ula" else ArrayGeometry.planar(4, 2)
     el = 0.0 if layout == "planar" else None
     beams = [conjugate_beam(geo, math.radians(a), el) for a in (-12, 0, 9)]
-    sched = SubSymbolSchedule.for_numerology(NUM, len(beams))
-    plan = SlotBeamPlan.uniform(NUM, sched, beams, conjugate_beam(geo, 0.2, el))
+    plan = SlotBeamPlan.uniform(NUM, beams, conjugate_beam(geo, 0.2, el))
     scene = Scene(
         reflectors=(
             Reflector(math.radians(4), PathModel(0.5, 0.3, 3), elevation=math.radians(2)),
@@ -261,8 +257,7 @@ def test_sensing_slot_bodies_match_data_slot_up_to_cp_delay():
     # at most cp_length; one sample more pulls in the previous symbol.
     geo = ArrayGeometry.ula(8)
     beams = [conjugate_beam(geo, math.radians(a)) for a in (-10, 0, 10)]
-    sched = SubSymbolSchedule.for_numerology(NUM, len(beams))
-    plan = SlotBeamPlan.uniform(NUM, sched, beams, beams[0])
+    plan = SlotBeamPlan.uniform(NUM, beams, beams[0])
     full = generate_slot(NUM, "QPSK", seed=4, dmrs_seed=4)
     sensing = sensing_slot(NUM, dmrs_seed=4)
     after_data = [p for p in NUM.dmrs_positions() if p - 1 in NUM.data_positions()]
@@ -378,11 +373,10 @@ class TestTxAmplitude:
     def _plans(self):
         beams = [conjugate_beam(GEO, math.radians(a)) for a in (-20, -7, 3, 14, 25)]
         data = conjugate_beam(GEO, math.radians(5))
-        sched = SubSymbolSchedule.for_numerology(NUM, len(beams))
-        uniform = SlotBeamPlan.uniform(NUM, sched, beams, data)
+        uniform = SlotBeamPlan.uniform(NUM, beams, data)
         rows = len(NUM.dmrs_positions())
         mixed = SlotBeamPlan(
-            NUM, sched, tuple(tuple(beams[r:] + beams[:r]) for r in range(rows)), beams[0]
+            NUM, tuple(tuple(beams[r:] + beams[:r]) for r in range(rows)), beams[0]
         )
         return uniform, mixed
 
@@ -410,3 +404,13 @@ class TestTxAmplitude:
         calls.clear()
         mixed.tx_amplitude(GEO, 0.1)
         assert len(calls) == 5  # the data beam is one of the sweep beams
+
+    def test_schedule_derived_from_the_beams_per_symbol(self):
+        uniform, mixed = self._plans()
+        for plan in (uniform, mixed):
+            assert plan.schedule == SubSymbolSchedule.for_numerology(NUM, 5)
+        beams = uniform.dmrs_beams[0]
+        with pytest.raises(ValueError, match="same number of beams"):
+            SlotBeamPlan(NUM, (beams, beams, beams, beams[:4]), beams[0])
+        with pytest.raises(ValueError, match="one beam list per DMRS symbol"):
+            SlotBeamPlan(NUM, (beams,), beams[0])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import hashlib
 import inspect
 import json
 import os
@@ -38,11 +39,28 @@ def dirs_identical(a, b):
     return not mismatch and not errors
 
 
+# The sha256 of every output of each case, by case and file name, recorded
+# from known-good outputs. A change meant to alter an output re-records it.
+with open(os.path.join(os.path.dirname(__file__), "cli_hashes.json")) as f:
+    RECORDED_SHA256 = json.load(f)
+
+
+def files_unlike_recorded(run_dir, recorded):
+    """Files whose sha256 differs from ``recorded``, and files only one side has."""
+    names = sorted(set(os.listdir(run_dir)) | set(recorded))
+    return [
+        name for name in names
+        if name not in recorded or not (run_dir / name).exists()
+        or hashlib.sha256((run_dir / name).read_bytes()).hexdigest() != recorded[name]
+    ]
+
+
 @pytest.mark.parametrize("name,cfg", CASES, ids=[c[0] for c in CASES])
 def test_rerun_is_byte_identical(tmp_path, name, cfg):
     a = run_cmd(tmp_path, name, cfg, "a")
     b = run_cmd(tmp_path, name, cfg, "b")
     assert dirs_identical(a, b)
+    assert files_unlike_recorded(a, RECORDED_SHA256[name]) == []
 
 
 def test_manifest_lists_outputs(tmp_path):
@@ -114,6 +132,11 @@ TYPOS = [
      "numerology.slot_duration_s"),
     ("sensing_weight", "codebook", {**CODEBOOK_CFG, "optimizer": {"sensing_weight": 0.5}},
      "optimizer.sensing_weight"),
+    # Inputs no output depends on are rejected the same way.
+    ("target_base_snr", "codebook", {**CODEBOOK_CFG, "target_base_snr": 1000.0},
+     "target_base_snr"),
+    ("grad_tol", "codebook", {**CODEBOOK_CFG, "optimizer": {"grad_tol": 1e-3}},
+     "optimizer.grad_tol"),
     ("angle_task_distance_m", "localize",
      {**LOC_CFG, "localization": {**LOC_CFG["localization"], "angle_task_distance_m": 2.0}},
      "localization.angle_task_distance_m"),
@@ -166,6 +189,10 @@ BAD_VALUES = [
      "planar_shape (4, 4, 1) must have two entries"),
     ("dmrs_indices_empty", "simulate", {**SIM_CFG, "numerology": {"dmrs_symbol_indices": []}},
      "dmrs_symbol_indices must name at least one DMRS symbol"),
+    ("cp_length_over_fft_size", "simulate", {**SIM_CFG, "numerology": {"cp_length": 2000}},
+     "cp_length 2000 outside 0..fft_size 1024"),
+    ("snr_match_tol_negative", "codebook", {**CODEBOOK_CFG, "optimizer": {"snr_match_tol": -1.0}},
+     "snr_match_tol must be >= 0, got -1.0"),
     *[(f"sample_rate_{name}", "simulate", {**SIM_CFG, "numerology": {"sample_rate": rate}},
        f"sample_rate must be > 0, got {rate}")
       for name, rate in (("negative", -5.0), ("zero", 0))],

@@ -88,7 +88,7 @@ class TestWeightedSum:
         w = optimize_weighted_sum(
             TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(), sensing_weight=0.5
         )
-        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.9))
+        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.9))
         angles = [BROADSIDE.angle] + [u.angle for u in TWO_USERS]
         for angle in angles:
             g_base = db(beamforming_gain(w, GEO16, angle))
@@ -99,31 +99,31 @@ class TestWeightedSum:
 class TestMaxMin:
     def test_zero_radius_returns_conjugate(self):
         cfg = OptimizerConfig(epsilon=0.0)
-        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, cfg)
+        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, cfg)
         assert np.array_equal(entry.weights.weights, conjugate_beam(GEO16, 0.0).weights)
         assert beamforming_gain(entry.weights, GEO16, 0.0) == pytest.approx(256.0)
         assert entry.converged
 
     def test_large_radius_single_user_reaches_conjugate(self):
         users = [UserLink(math.radians(25), 1.0)]
-        entry = optimize_max_min(users, BROADSIDE, GEO16, OptimizerConfig(epsilon=2.0))
+        entry = optimize_max_min(users, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=2.0))
         assert entry.min_snr == pytest.approx(256.0, rel=1e-3)
 
     def test_empty_users_sentinel(self):
-        entry = optimize_max_min([], BROADSIDE, GEO16, OptimizerConfig())
+        entry = optimize_max_min([], BROADSIDE.angle, GEO16, OptimizerConfig())
         assert math.isinf(entry.min_snr)
         assert np.array_equal(entry.weights.weights, conjugate_beam(GEO16, 0.0).weights)
 
     def test_feasibility_at_return(self):
         for eps in (0.25, 0.5, 1.0):
-            entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=eps))
+            entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=eps))
             w = entry.weights.weights
             anchor = conjugate_beam(GEO16, 0.0).weights
             assert np.all(np.abs(w) <= 1.0 + 1e-9)
             assert np.all(np.abs(w - anchor) <= eps + 1e-9)
 
     def test_min_snr_recomputable(self):
-        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
+        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.5))
         recomputed = min(
             u.base_snr * beamforming_gain(entry.weights, GEO16, u.angle) for u in TWO_USERS
         )
@@ -131,7 +131,7 @@ class TestMaxMin:
 
     def test_against_random_restart_reference(self):
         # canonical scenario: the independent reference solver sets the bar
-        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
+        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.5))
         _, ref_val = reference_max_min(
             [u.angle for u in TWO_USERS], [1.0, 1.0], 0.0, 16, 0.5, seed=1
         )
@@ -145,14 +145,14 @@ class TestMaxMin:
 
     def test_anchor_entries_report_anchor(self):
         for users, cfg in ((TWO_USERS, OptimizerConfig(epsilon=0.0)), ([], OptimizerConfig())):
-            entry = optimize_max_min(users, BROADSIDE, GEO16, cfg)
+            entry = optimize_max_min(users, BROADSIDE.angle, GEO16, cfg)
             assert (entry.iterations, entry.stop_reason, entry.converged) == (0, "anchor", True)
 
     def test_stop_reason_matches_converged(self):
         cfg = OptimizerConfig(epsilon=0.5, max_iters=20)
-        capped = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, cfg)
+        capped = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, cfg)
         assert (capped.stop_reason, capped.iterations, capped.converged) == ("max_iters", 20, False)
-        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
+        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.5))
         assert entry.stop_reason in ("grad", "stationary", "stalled")
         assert entry.converged and 0 < entry.iterations < 2000
 
@@ -160,13 +160,13 @@ class TestMaxMin:
         monkeypatch.setattr(codebook, "_ascend", _no_ascent)
         with pytest.raises(ValueError, match="1 weights but the array has 16 elements"):
             optimize_max_min(
-                TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(), warm_start=Beamformer([0.1])
+                TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(), warm_start=Beamformer([0.1])
             )
 
     def test_close_user_angles_warn(self):
         users = [UserLink(math.radians(10.0), 1.0), UserLink(math.radians(11.0), 1.0)]
         with pytest.warns(UserWarning, match="HPBW"):
-            optimize_max_min(users, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
+            optimize_max_min(users, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.5))
 
 
 def _no_ascent(*args, **kwargs):
@@ -230,7 +230,7 @@ class TestEngineEquivalence:
         target = SensingTarget(math.radians(-4.0))
         cfg = OptimizerConfig(epsilon=0.5)
         trace_new, trace_old = [], []
-        new = optimize_max_min(users, target, geo, cfg, trace=trace_new)
+        new = optimize_max_min(users, target.angle, geo, cfg, trace=trace_new)
         old = seed_codebook.optimize_max_min(users, target, geo, cfg, trace=trace_old)
         k = _anneal_prefix()
         assert k == 60
@@ -240,7 +240,7 @@ class TestEngineEquivalence:
 
         # Both engines refine the same warm start (the first solver's entry).
         moved = _layout(n_users, 1.4)
-        new_w = optimize_max_min(moved, target, geo, cfg, old.weights)
+        new_w = optimize_max_min(moved, target.angle, geo, cfg, old.weights)
         old_w = seed_codebook.optimize_max_min(moved, target, geo, cfg, old.weights)
         self._assert_close(new_w, old_w, geo, cfg)
 
@@ -253,7 +253,7 @@ class TestEngineEquivalence:
     def test_zero_radius_and_no_users(self):
         for users, cfg in ((TWO_USERS, OptimizerConfig(epsilon=0.0)), ([], OptimizerConfig())):
             _same_entry(
-                optimize_max_min(users, BROADSIDE, GEO16, cfg),
+                optimize_max_min(users, BROADSIDE.angle, GEO16, cfg),
                 seed_codebook.optimize_max_min(users, BROADSIDE, GEO16, cfg),
             )
 
@@ -283,7 +283,7 @@ class TestStallStop:
         cfg = OptimizerConfig()
         old = seed_codebook.optimize_max_min(users, target, GEO16, cfg)
         assert not old.converged
-        new = optimize_max_min(users, target, GEO16, cfg)
+        new = optimize_max_min(users, target.angle, GEO16, cfg)
         assert new.stop_reason in ("grad", "stationary") and new.converged
         assert new.iterations < 300
         assert abs(db(new.min_snr) - db(old.min_snr)) < 0.01
@@ -445,13 +445,13 @@ class TestCodebookBuildUpdate:
         solve = codebook.optimize_max_min
 
         def counted(*args, **kwargs):
-            calls.append((args[1].angle, kwargs.get("warm_start")))
+            calls.append((args[1], kwargs.get("warm_start")))
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(codebook, "optimize_max_min", counted)
         sweep = [math.radians(a) for a in (-10, 0, 10)]
         cfg = OptimizerConfig(epsilon=0.5)
-        build_codebook(TWO_USERS, sweep, 1.0, GEO16, cfg)
+        build_codebook(TWO_USERS, sweep, GEO16, cfg)
         assert [angle for angle, _ in calls] == sweep
         # The first entry is solved cold; each later one starts warm from a
         # point feasible for its own anchor.
@@ -466,8 +466,8 @@ class TestCodebookBuildUpdate:
         # the start-choice spread, and every entry must stay feasible.
         sweep = np.radians(np.linspace(-16.5, 16.5, 34))
         cfg = OptimizerConfig(epsilon=0.5)
-        cb = build_codebook(TWO_USERS, list(sweep), 1.0, GEO16, cfg)
-        cold = [optimize_max_min(TWO_USERS, SensingTarget(a), GEO16, cfg) for a in sweep]
+        cb = build_codebook(TWO_USERS, list(sweep), GEO16, cfg)
+        cold = [optimize_max_min(TWO_USERS, a, GEO16, cfg) for a in sweep]
 
         def sensing_db(entries):
             gains = [beamforming_gain(e.weights, GEO16, e.sensing_angle) for e in entries]
@@ -487,7 +487,7 @@ class TestCodebookBuildUpdate:
 
     def test_build_sizes_and_angles(self):
         sweep = [math.radians(a) for a in (0, 5, 10, 15)]
-        cb = build_codebook(TWO_USERS, sweep, 1.0, GEO16, OptimizerConfig(epsilon=0.5))
+        cb = build_codebook(TWO_USERS, sweep, GEO16, OptimizerConfig(epsilon=0.5))
         assert len(cb) == 4
         assert np.allclose([e.sensing_angle for e in cb.entries], sweep)
         # every entry keeps a strong sensing beam and serves both users
@@ -498,18 +498,18 @@ class TestCodebookBuildUpdate:
     def test_build_deterministic(self):
         sweep = [0.0, math.radians(7.0)]
         cfg = OptimizerConfig(epsilon=0.5)
-        cb1 = build_codebook(TWO_USERS, sweep, 1.0, GEO16, cfg)
-        cb2 = build_codebook(TWO_USERS, sweep, 1.0, GEO16, cfg)
+        cb1 = build_codebook(TWO_USERS, sweep, GEO16, cfg)
+        cb2 = build_codebook(TWO_USERS, sweep, GEO16, cfg)
         for e1, e2 in zip(cb1.entries, cb2.entries):
             assert np.array_equal(e1.weights.weights, e2.weights.weights)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
-            build_codebook(TWO_USERS, [], 1.0, GEO16, OptimizerConfig())
+            build_codebook(TWO_USERS, [], GEO16, OptimizerConfig())
 
     def test_empty_users_conjugate_codebook(self):
         sweep = [0.0, math.radians(5.0)]
-        cb = build_codebook([], sweep, 1.0, GEO16, OptimizerConfig())
+        cb = build_codebook([], sweep, GEO16, OptimizerConfig())
         for e, angle in zip(cb.entries, sweep):
             assert np.array_equal(e.weights.weights, conjugate_beam(GEO16, angle).weights)
             assert math.isinf(e.min_snr)
@@ -517,7 +517,7 @@ class TestCodebookBuildUpdate:
     def test_static_users_reuse_everything(self):
         sweep = [0.0, math.radians(10.0)]
         cfg = OptimizerConfig(epsilon=0.5)
-        cb = build_codebook(TWO_USERS, sweep, 1.0, GEO16, cfg)
+        cb = build_codebook(TWO_USERS, sweep, GEO16, cfg)
         updated, stats = update_codebook(cb, list(TWO_USERS), GEO16, cfg)
         assert stats.reused == 2 and stats.reoptimized == 0
         for e_old, e_new in zip(cb.entries, updated.entries):
@@ -528,7 +528,7 @@ class TestCodebookBuildUpdate:
         # bottleneck, so its entry survives verbatim
         users = [TWO_USERS[0], TWO_USERS[1], UserLink(math.radians(10.0), 16.0)]
         cfg = OptimizerConfig(epsilon=0.5, snr_match_tol=1e-2)
-        cb = build_codebook(users, [0.0], 1.0, GEO16, cfg)
+        cb = build_codebook(users, [0.0], GEO16, cfg)
         entry = cb.entries[0]
         moved = [users[0], users[1], UserLink(math.radians(11.0), 16.0)]
         new_snr = moved[2].base_snr * beamforming_gain(entry.weights, GEO16, moved[2].angle)
@@ -542,7 +542,7 @@ class TestCodebookBuildUpdate:
         # update rule; warm re-optimization must stay competitive with a
         # fresh solve at that configuration
         cfg = OptimizerConfig(epsilon=0.5, snr_match_tol=1e-2)
-        cb = build_codebook(TWO_USERS, [0.0], 1.0, GEO16, cfg)
+        cb = build_codebook(TWO_USERS, [0.0], GEO16, cfg)
         first_min = cb.entries[0].min_snr
         reoptimized = 0
         for step in range(1, 11):
@@ -550,7 +550,7 @@ class TestCodebookBuildUpdate:
             cb, stats = update_codebook(cb, moved, GEO16, cfg)
             reoptimized += stats.reoptimized
             if stats.reoptimized:
-                fresh = optimize_max_min(moved, SensingTarget(0.0), GEO16, cfg)
+                fresh = optimize_max_min(moved, 0.0, GEO16, cfg)
                 assert cb.entries[0].min_snr >= fresh.min_snr * 10 ** (-1.0 / 10.0)
         assert reoptimized >= 1
         assert cb.entries[0].min_snr != first_min
@@ -559,19 +559,19 @@ class TestCodebookBuildUpdate:
         # with no movement, a fresh solve cannot beat a reused entry beyond
         # the solver tolerance
         cfg = OptimizerConfig(epsilon=0.5)
-        cb = build_codebook(TWO_USERS, [0.0], 1.0, GEO16, cfg)
+        cb = build_codebook(TWO_USERS, [0.0], GEO16, cfg)
         updated, stats = update_codebook(cb, list(TWO_USERS), GEO16, cfg)
         assert stats.reused == 1
-        fresh = optimize_max_min(TWO_USERS, SensingTarget(0.0), GEO16, cfg)
+        fresh = optimize_max_min(TWO_USERS, 0.0, GEO16, cfg)
         assert fresh.min_snr <= updated.entries[0].min_snr * 10 ** (0.2 / 10.0) + cfg.snr_match_tol
 
     def test_cardinality_mismatch(self):
-        cb = build_codebook(TWO_USERS, [0.0], 1.0, GEO16, OptimizerConfig())
+        cb = build_codebook(TWO_USERS, [0.0], GEO16, OptimizerConfig())
         with pytest.raises(ValueError):
             update_codebook(cb, [TWO_USERS[0]], GEO16, OptimizerConfig())
 
     def test_weight_length_mismatch(self, monkeypatch):
-        cb = build_codebook(TWO_USERS, [0.0], 1.0, ArrayGeometry.ula(8), OptimizerConfig())
+        cb = build_codebook(TWO_USERS, [0.0], ArrayGeometry.ula(8), OptimizerConfig())
         monkeypatch.setattr(codebook, "_ascend", _no_ascent)
         moved = [UserLink(math.radians(-25), 1.0), TWO_USERS[1]]
         with pytest.raises(ValueError, match="8 weights but the array has 16 elements"):
@@ -583,7 +583,7 @@ class TestTradeoffProperties:
         from subbeam.experiments.tradeoff import epsilon_sweep
 
         rows = epsilon_sweep(
-            TWO_USERS, BROADSIDE, GEO16,
+            TWO_USERS, BROADSIDE.angle, GEO16,
             [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5], OptimizerConfig(),
         )
         sens = [r["sensing_gain_db"] for r in rows.rows]
@@ -603,7 +603,7 @@ class TestTradeoffProperties:
 
         monkeypatch.setattr(tradeoff, "optimize_max_min", fail)
         with pytest.raises(ValueError, match="epsilon must be >= 0"):
-            tradeoff.epsilon_sweep(TWO_USERS, BROADSIDE, GEO16, [0.5, -1.0], OptimizerConfig())
+            tradeoff.epsilon_sweep(TWO_USERS, BROADSIDE.angle, GEO16, [0.5, -1.0], OptimizerConfig())
 
 
 class TestDataBeam:
@@ -622,7 +622,7 @@ class TestDataBeam:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         sweep = [0.0, math.radians(5.0)]
-        cb = build_codebook(TWO_USERS, sweep, 1.0, GEO16, OptimizerConfig(epsilon=0.5))
+        cb = build_codebook(TWO_USERS, sweep, GEO16, OptimizerConfig(epsilon=0.5))
         path = tmp_path / "cb.json"
         save_codebook(path, cb, GEO16)
         loaded, geo = load_codebook(path)
@@ -633,7 +633,7 @@ class TestSerialization:
             assert e2.min_snr == pytest.approx(e1.min_snr, rel=1e-9)
 
     def test_solver_telemetry_round_trip(self, tmp_path):
-        cb = build_codebook(TWO_USERS, [0.0, math.radians(5.0)], 1.0, GEO16, OptimizerConfig())
+        cb = build_codebook(TWO_USERS, [0.0, math.radians(5.0)], GEO16, OptimizerConfig())
         path = tmp_path / "cb.json"
         save_codebook(path, cb, GEO16)
         loaded, _ = load_codebook(path)
@@ -642,7 +642,7 @@ class TestSerialization:
             assert isinstance(e2.iterations, int) and e2.stop_reason is not None
 
     def test_file_without_telemetry_loads(self):
-        cb = build_codebook(TWO_USERS, [0.0], 1.0, GEO16, OptimizerConfig())
+        cb = build_codebook(TWO_USERS, [0.0], GEO16, OptimizerConfig())
         d = codebook_to_dict(cb, GEO16)
         for e in d["entries"]:
             del e["iterations"], e["stop_reason"]
@@ -652,14 +652,14 @@ class TestSerialization:
         assert entry.converged == cb.entries[0].converged
 
     def test_infinite_sentinel_round_trip(self, tmp_path):
-        cb = build_codebook([], [0.0], 1.0, GEO16, OptimizerConfig())
+        cb = build_codebook([], [0.0], GEO16, OptimizerConfig())
         path = tmp_path / "cb.json"
         save_codebook(path, cb, GEO16)
         loaded, _ = load_codebook(path)
         assert math.isinf(loaded.entries[0].min_snr)
 
     def test_serialization_deterministic(self, tmp_path):
-        cb = build_codebook(TWO_USERS, [0.0], 1.0, GEO16, OptimizerConfig())
+        cb = build_codebook(TWO_USERS, [0.0], GEO16, OptimizerConfig())
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_codebook(p1, cb, GEO16)
         save_codebook(p2, cb, GEO16)

@@ -597,7 +597,7 @@ class TestSenseDmrs:
         data_beam = conjugate_beam(self.GEO, 0.0)
         schedule = SubSymbolSchedule.for_numerology(NUM, len(beams))
         plan = build_predistortion_plan(beams, data_beam, users, self.GEO)
-        bplan = SlotBeamPlan.uniform(NUM, schedule, beams, data_beam)
+        bplan = SlotBeamPlan.uniform(NUM, beams, data_beam)
         reference = generate_slot(NUM, "64QAM", seed=3)
         tx = predistort_dmrs(reference, schedule, plan)
         echoes = monostatic_echoes(bplan, self.SCENE, self.GEO)
@@ -607,8 +607,7 @@ class TestSenseDmrs:
     def test_identity_plan_slot(self):
         # Imaging, localization and the link without pre-distortion pass None.
         beams = [conjugate_beam(self.GEO, math.radians(a)) for a in np.linspace(-15, 15, 7)]
-        schedule = SubSymbolSchedule.for_numerology(NUM, len(beams))
-        bplan = SlotBeamPlan.uniform(NUM, schedule, beams, beams[0])
+        bplan = SlotBeamPlan.uniform(NUM, beams, beams[0])
         slot = generate_slot(NUM, "QPSK", seed=5, dmrs_seed=5)
         echoes = monostatic_echoes(bplan, self.SCENE, self.GEO)
         got = sense_dmrs(slot, slot, bplan, echoes, self.SCENE, SEARCH, None, 12)

@@ -560,7 +560,7 @@ class TestKernelMatchesStepwise:
         rng = np.random.default_rng([num_beams, seed])
         sched = SubSymbolSchedule.for_numerology(NUM, num_beams)
         beams = [conjugate_beam(self.GEO, a) for a in np.radians(np.linspace(-14, 14, num_beams))]
-        bplan = SlotBeamPlan.uniform(NUM, sched, beams, beams[0])
+        bplan = SlotBeamPlan.uniform(NUM, beams, beams[0])
         reference = generate_slot(NUM, "QPSK", seed=30 + seed)
         plan = None
         if with_plan:

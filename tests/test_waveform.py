@@ -137,7 +137,7 @@ class TestPredistortion:
         from subbeam.codebook import OptimizerConfig, build_codebook, design_data_beam
 
         cfg = OptimizerConfig(epsilon=0.5)
-        cb = build_codebook(self.USERS, [0.0, math.radians(8)], 1.0, self.GEO, cfg)
+        cb = build_codebook(self.USERS, [0.0, math.radians(8)], self.GEO, cfg)
         data = design_data_beam(self.USERS, self.GEO, cfg)
         plan = build_predistortion_plan(cb.beams(), data, self.USERS, self.GEO)
         g_data = sum(beamforming_gain(data, self.GEO, u.angle) for u in self.USERS)
@@ -179,7 +179,7 @@ class TestPredistortion:
 
         cfg = OptimizerConfig(epsilon=0.5)
         sweep = [0.0, math.radians(6), math.radians(12)]
-        cb = build_codebook(self.USERS, sweep, 1.0, self.GEO, cfg)
+        cb = build_codebook(self.USERS, sweep, self.GEO, cfg)
         data = design_data_beam(self.USERS, self.GEO, cfg)
         plan = build_predistortion_plan(cb.beams(), data, self.USERS, self.GEO)
         sched = SubSymbolSchedule.for_numerology(NUM, len(sweep))
@@ -187,7 +187,7 @@ class TestPredistortion:
         tx = predistort_dmrs(slot, sched, plan)
         su = SceneUser(self.USERS[0], PathModel(1.0, 0.0, 0))
         scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
-        bplan = SlotBeamPlan.uniform(NUM, sched, cb.beams(), data)
+        bplan = SlotBeamPlan.uniform(NUM, cb.beams(), data)
         rx = apply_downlink(tx, bplan, su, self.GEO, scene, seed=0)
 
         g_du = beamforming_gain(data, self.GEO, su.link.angle)
