@@ -19,8 +19,10 @@ final temperature it runs along the feasible direction
 Bertsekas, Nonlinear Programming, 2nd ed., sec. 2.3), the same vector the
 ``grad`` stop test measures, so the search costs no extra projection. Each
 line search projects and evaluates its whole halving ladder in one batch
-(one call each, not one per step) and takes the first improving step; the
-picks are bit for bit those of a sequential search. Each objective
+and takes the first improving step, and the starts of a solve climb in
+lockstep, one stacked projection and evaluation per step for all their
+ladders; each pick is bit for bit that of one start alone trying one step
+at a time. Each objective
 evaluation hands back the inner products ``s @ w`` and SNRs it computed,
 and the next gradient and probe directions reuse them. Max-min user SNR
 (max-min-fair multicast) has many local optima, so a max-min solve runs
@@ -76,8 +78,11 @@ __all__ = [
 # Solver constants (deterministic; see module docstring).
 _STEP_INIT = 0.1
 _STEP_MIN = 1e-7
-# Exact powers of two: the line-search ladder is its first step times these.
-_HALVINGS = np.ldexp(1.0, -np.arange(int(math.log2(_STEP_INIT / _STEP_MIN)) + 1))
+# Halving steps from _STEP_INIT down to _STEP_MIN. A line search starts at
+# _STEP_INIT or twice an accepted step, so its ladder (a column) is a tail.
+_STEPS = _STEP_INIT * np.ldexp(1.0, -np.arange(int(math.log2(_STEP_INIT / _STEP_MIN)) + 1))
+_LADDERS = {float(step): _STEPS[k:, None] for k, step in enumerate(_STEPS)}
+_LADDERS[2.0 * _STEP_INIT] = _LADDERS[_STEP_INIT]
 _TAU_INIT = 0.5
 _TAU_DECAY = 0.9
 _TAU_MIN = 1e-3
@@ -214,8 +219,8 @@ def _evaluator(s, gamma, score):
 def _softmin_ascent(ev, t, gamma, s_conj):
     """Gradient of the temperature-``t`` softmin of the SNRs, from cached ``ev``."""
     inner, x = ev
-    lam = np.exp(-(x - x.min()) / t)
-    lam /= lam.sum()
+    lam = np.exp(-(x - np.minimum.reduce(x)) / t)
+    lam /= np.add.reduce(lam)
     return (lam * gamma * inner) @ s_conj
 
 
@@ -227,7 +232,7 @@ def _single_target_directions(ev, gamma, s_conj):
 
 def _project_polydisk(w):
     amp = np.abs(w)
-    if amp.max() > 1.0:
+    if np.maximum.reduce(amp, axis=None) > 1.0:
         w = np.where(amp > 1.0, w / np.maximum(amp, 1e-300), w)
     return w
 
@@ -242,7 +247,7 @@ def _project_ball_then_disk(w, anchor, eps):
     """
     d = w - anchor
     dabs = np.abs(d)
-    if dabs.max() > eps:
+    if np.maximum.reduce(dabs, axis=None) > eps:
         w = np.where(dabs > eps, anchor + d * (eps / np.maximum(dabs, 1e-300)), w)
     return _project_polydisk(w)
 
@@ -268,7 +273,7 @@ def _warn_close_angles(users, geometry):
 
 
 def _normalized_direction(g):
-    peak = np.abs(g).max()
+    peak = np.maximum.reduce(np.abs(g))
     if peak <= 0:
         return None
     return g / peak
@@ -285,28 +290,19 @@ def _line_search(w, f, d, evaluate, project, step0=_STEP_INIT):
     improves. ``step0`` carries the last accepted step across iterations so
     the search rarely has to halve far.
     """
-    steps = min(step0, _STEP_INIT) * _HALVINGS
-    steps = steps[steps >= _STEP_MIN]
-    if not steps.size:
-        return None
-    w_try = project(w + steps[:, None] * d)
-    f_try, (inner, x) = evaluate(w_try)
-    better = np.flatnonzero(f_try > f * (1.0 + 1e-12) + 1e-15)
-    if not better.size:
-        return None
-    i = better[0]
-    return w_try[i], float(f_try[i]), (inner[i], x[i]), float(steps[i])
+    steps = _LADDERS[step0]
+    w_try = project(w + steps * d)
+    return _pick(f, steps, w_try, *evaluate(w_try))
 
 
-def _first_improving(w, f, directions, evaluate, project):
-    """Line-search each direction in turn from the full step; first hit or None."""
-    for g in directions:
-        d = _normalized_direction(g)
-        if d is not None:
-            hit = _line_search(w, f, d, evaluate, project)
-            if hit is not None:
-                return hit
-    return None
+def _pick(f, steps, w_try, f_try, ev, lo=0):
+    """``(w, f, ev, step)`` at the first rung (row ``lo`` on) that beats ``f``, or None."""
+    better = f_try[lo : lo + len(steps)] > f * (1.0 + 1e-12) + 1e-15
+    k = better.argmax()
+    if not better[k]:
+        return None
+    i = lo + k
+    return w_try[i], float(f_try[i]), (ev[0][i], ev[1][i]), float(steps[k, 0])
 
 
 def _dither(w0, scale):
@@ -352,7 +348,11 @@ def _fair_point(s_all, gamma_all, w0, cfg):
         for _ in range(max(cfg.max_iters // 10, 50)):
             dirs = [_softmin_ascent(ev, t, gamma_all, s_conj)]
             dirs += _single_target_directions(ev, gamma_all, s_conj)
-            hit = _first_improving(w, f, dirs, evaluate, _project_polydisk)
+            for g in dirs:
+                d = _normalized_direction(g)
+                hit = None if d is None else _line_search(w, f, d, evaluate, _project_polydisk)
+                if hit is not None:
+                    break
             if hit is None:
                 break
             w, f, ev, _ = hit
@@ -388,36 +388,70 @@ def _fairest(s, gamma, mixture, cfg):
     return best_w, best_val
 
 
-def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None):
-    """Monotone projected gradient ascent with halving backtracking.
+def _ascend(starts, evaluate, gradient, project, cfg, probes=None):
+    """Monotone projected gradient ascent with halving backtracking, from each start.
 
     ``evaluate(w)`` returns ``(f, ev)`` as built by ``_evaluator``, for one
     point or row-wise for a stack; ``gradient(ev, tau)`` and ``probes(ev)``
     read the cache ``ev`` of the current iterate, so it is not evaluated
-    again. Each line search evaluates its whole halving ladder in one batch
-    (``_line_search``) and takes the first improving step. ``gradient`` may
-    depend on an annealed temperature. When the combined direction yields
-    no improving step, the ``probes`` directions are tried before annealing
-    further; kinked or symmetric objectives need these because the combined
-    (sub)gradient can vanish at saddle points that single-target directions
-    escape.
+    again. Each line search takes the first improving step of its halving
+    ladder. ``gradient`` may depend on an annealed temperature. When the
+    combined direction yields no improving step, the ``probes`` directions
+    are tried before annealing further; kinked or symmetric objectives need
+    these because the combined (sub)gradient can vanish at saddle points
+    that single-target directions escape.
 
     Until the temperature reaches ``_TAU_MIN`` the line search runs along
     the gradient; from then on it runs along the feasible direction
     ``project(w + _STEP_INIT * g) - w``, the vector whose norm the ``grad``
     stop tests. Both directions are scaled to a unit largest element.
 
-    Returns ``(w, f, iterations, stop_reason)``. Every stop but
-    ``max_iters`` happens at the final temperature: ``grad`` (projected
-    gradient norm below ``_GRAD_TOL``), ``stationary`` (no improving step
-    along the gradient or any probe) or ``stalled`` (``_STALL_ITERS``
-    consecutive iterations each within ``_STALL_REL`` relative of the stall
-    mark, the last value that beat it by more).
+    The starts climb in lockstep: each step stacks every live start's
+    pending ladder into one ``project`` and one ``evaluate`` call. Both act
+    row by row with the bits of a one-point call, so each start takes, bit
+    for bit, the path it would take alone.
+
+    Returns one ``(w, f, iterations, stop_reason, trace)`` per start, in
+    start order; ``trace`` holds the start's objective at its first point
+    and after every iteration. Every stop but ``max_iters`` happens at the
+    final temperature: ``grad`` (projected gradient norm below
+    ``_GRAD_TOL``), ``stationary`` (no improving step along the gradient or
+    any probe) or ``stalled`` (``_STALL_ITERS`` consecutive iterations each
+    within ``_STALL_REL`` relative of the stall mark, the last value that
+    beat it by more).
     """
+    climbs = [_climb(w0, evaluate, gradient, project, cfg, probes) for w0 in starts]
+    runs = [None] * len(climbs)
+    pending = {}
+
+    def advance(i, hit):
+        try:
+            pending[i] = climbs[i].send(hit)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            runs[i] = stop.value
+
+    for i in range(len(climbs)):
+        advance(i, None)
+    while pending:
+        searches = list(pending.items())
+        ladders = [_LADDERS[step0] for _, (_, _, _, step0) in searches]
+        rows = [w + steps * d for (_, (w, _, d, _)), steps in zip(searches, ladders)]
+        w_try = project(rows[0] if len(rows) == 1 else np.concatenate(rows))
+        f_try, ev = evaluate(w_try)
+        lo = 0
+        for (i, (_, f, _, _)), steps in zip(searches, ladders):
+            advance(i, _pick(f, steps, w_try, f_try, ev, lo))
+            lo += len(steps)
+    return runs
+
+
+def _climb(w0, evaluate, gradient, project, cfg, probes):
+    """One start's ascent for ``_ascend``: yields each line search as
+    ``(w, f, d, step0)``, is sent its pick, and returns the start's result."""
     w = project(w0)
     f, ev = evaluate(w)
-    if trace is not None:
-        trace.append(f)
+    trace = [f]
     tau = _TAU_INIT
     at_final_tau = False
     stall_mark, stall_count = f, 0
@@ -431,33 +465,36 @@ def _ascend(w0, evaluate, gradient, project, cfg, trace=None, probes=None):
             # step along g, and the ascent creeps along the max-min kink.
             g = project(w + _STEP_INIT * g) - w
             if math.sqrt(g.real.dot(g.real) + g.imag.dot(g.imag)) / _STEP_INIT < _GRAD_TOL:
-                return w, f, it, "grad"
+                return w, f, it, "grad", trace
         d = _normalized_direction(g)
-        hit = None if d is None else _line_search(w, f, d, evaluate, project, step_mem)
+        hit = None if d is None else (yield w, f, d, step_mem)
         if hit is not None:
             step_mem = hit[3] * 2.0
         elif probes is not None:
-            hit = _first_improving(w, f, probes(ev), evaluate, project)
+            for p in probes(ev):
+                d = _normalized_direction(p)
+                hit = None if d is None else (yield w, f, d, _STEP_INIT)
+                if hit is not None:
+                    break
         if hit is not None:
             w, f, ev, _ = hit
-        if trace is not None:
-            trace.append(f)
+        trace.append(f)
         if hit is None:
             step_mem = _STEP_INIT
             if not at_final_tau:
                 tau = max(tau * 0.5, _TAU_MIN)
                 at_final_tau = tau <= _TAU_MIN
                 continue
-            return w, f, it, "stationary"
+            return w, f, it, "stationary", trace
         if f <= stall_mark * (1.0 + _STALL_REL):
             stall_count += 1
             if stall_count >= _STALL_ITERS and at_final_tau:
-                return w, f, it, "stalled"
+                return w, f, it, "stalled", trace
         else:
             stall_mark, stall_count = f, 0
         tau = max(tau * _TAU_DECAY, _TAU_MIN)
         at_final_tau = tau <= _TAU_MIN
-    return w, f, cfg.max_iters, "max_iters"
+    return w, f, cfg.max_iters, "max_iters", trace
 
 
 def optimize_weighted_sum(
@@ -512,11 +549,11 @@ def optimize_weighted_sum(
     s_act, gamma_act = s_all[active], gamma_all[active]
     fair_start, fair_val = _fairest(s_act, gamma_act, phase_only, cfg)
 
-    finals = []
-    for w0 in [mixture, phase_only, _dither(mixture, 0.05), _dither(phase_only, 0.05)]:
-        run_trace = []
-        w_i, f_i, _, _ = _ascend(w0, evaluate, gradient, _project_polydisk, cfg, run_trace)
-        finals.append((f_i, float(np.min(_snrs(w_i, s_act, gamma_act))), w_i, run_trace))
+    starts = [mixture, phase_only, _dither(mixture, 0.05), _dither(phase_only, 0.05)]
+    finals = [
+        (f_i, float(np.min(_snrs(w_i, s_act, gamma_act))), w_i, run_trace)
+        for w_i, f_i, _, _, run_trace in _ascend(starts, evaluate, gradient, _project_polydisk, cfg)
+    ]
     f_fair = evaluate(fair_start)[0]
     finals.append((f_fair, fair_val, fair_start, [f_fair]))
     f_best = max(cand[0] for cand in finals)
@@ -565,11 +602,11 @@ def optimize_max_min(
     def project(w):
         return _project_ball_then_disk(w, anchor, eps)
 
-    evaluate = _evaluator(s_users, gamma, lambda x: x.min(axis=-1))
+    evaluate = _evaluator(s_users, gamma, lambda x: np.minimum.reduce(x, axis=-1))
 
     def gradient(ev, tau):
         x = ev[1]
-        return _softmin_ascent(ev, tau * max(x.sum() / len(x), 1e-30), gamma, s_conj)
+        return _softmin_ascent(ev, tau * max(np.add.reduce(x) / len(x), 1e-30), gamma, s_conj)
 
     def probes(ev):
         # Single-user gradient directions, weakest user first. Users at
@@ -600,9 +637,12 @@ def optimize_max_min(
                 _dither(anchor + min(eps, 0.5) * nudge, min(eps, 0.4)),
                 _dither(anchor, min(eps, 0.3)),
             ]
-        runs = [_ascend(w0, evaluate, gradient, project, cfg, trace, probes) for w0 in starts]
+        runs = _ascend(starts, evaluate, gradient, project, cfg, probes)
+        if trace is not None:
+            for run in runs:
+                trace.extend(run[4])
         # max() keeps the first of equal finals, so ties go to the earlier start.
-        w, f, iterations, reason = max(runs, key=lambda run: run[1])
+        w, f, iterations, reason, _ = max(runs, key=lambda run: run[1])
         if f <= f_anchor + 1e-15:
             w, f = anchor, f_anchor
 

@@ -18,7 +18,9 @@ from ..channel import Scene, SlotBeamPlan, monostatic_echoes, rx_gain
 from ..codebook import OptimizerConfig, build_codebook, design_data_beam
 from ..runio import Table
 from ..sensing import DelaySearchConfig
-from ..waveform import Numerology, build_predistortion_plan, generate_slot, predistort_dmrs
+from ..waveform import (
+    Numerology, SubSymbolSchedule, build_predistortion_plan, generate_slot, predistort_dmrs,
+)
 from .link import check_reflector_delays, score_user, sense_dmrs
 
 __all__ = ["run_baseline", "BASELINE_MODES"]
@@ -74,6 +76,8 @@ def run_baseline(
     if not users:
         raise ValueError("baselines need at least one user")
     check_reflector_delays(scene, search)
+    if "switched" in modes:  # its plan's schedule, built to fail before solving
+        SubSymbolSchedule.for_numerology(numerology, len(sweep))
 
     table = Table(
         ["mode", "user", "evm_percent", "evm_percent_genie", "ber",

@@ -31,6 +31,7 @@ from ..waveform import (
     Numerology,
     PredistortionPlan,
     SlotWaveform,
+    SubSymbolSchedule,
     build_predistortion_plan,
     demodulate_and_score,
     generate_slot,
@@ -175,6 +176,7 @@ def run_link(
     received samples.
     """
     check_reflector_delays(scene, search)
+    SubSymbolSchedule.for_numerology(numerology, len(sweep))  # bplan's, checked before solving
     users = [su.link for su in scene.users]
     codebook = build_codebook(users, sweep, geometry, cfg)
     beams = codebook.beams()

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ..arrays import ArrayGeometry, conjugate_beam
+from ..arrays import FIELD_OF_VIEW_DEG, ArrayGeometry, conjugate_beam
 from ..channel import (
     SPEED_OF_LIGHT,
     PathModel,
@@ -113,6 +113,11 @@ def run_localization(
     # Fail before simulating anything. Each task calibrates on half of every
     # position's captures, and its design matrix has 3 features per beam
     # plus a bias column.
+    if not len(sweep_deg):
+        raise ValueError("sweep_deg [] names no beam")
+    for angle_deg in angles_deg:  # the bound the angle task's Reflector applies
+        if abs(math.radians(angle_deg)) > math.radians(FIELD_OF_VIEW_DEG) + 1e-12:
+            raise ValueError(f"angles_deg {float(angle_deg)} outside the field of view")
     columns = 3 * len(sweep_deg) + 1
     captures = slots_per_position * len(numerology.dmrs_positions())
     for task, positions in (("distance", distances_m), ("angle", angles_deg)):

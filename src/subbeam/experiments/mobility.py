@@ -45,7 +45,13 @@ class MobilityScenario:
     def __post_init__(self):
         if self.tick_interval <= 0 or self.duration <= 0:
             raise ValueError("tick_interval and duration must be > 0")
+        if self.num_ticks < 1:
+            raise ValueError(f"duration {self.duration} s is under half a tick_interval of "
+                             f"{self.tick_interval} s: no ticks")
         for user_wp in self.waypoints:
+            times = [t for t, _ in user_wp]
+            if any(b <= a for a, b in zip(times, times[1:])):
+                raise ValueError(f"waypoint times {times} must strictly increase")
             for _, deg in user_wp:
                 if abs(deg) > FIELD_OF_VIEW_DEG + 1e-9:
                     raise ValueError("trajectory leaves the field of view")

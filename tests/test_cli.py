@@ -229,6 +229,18 @@ BAD_VALUES = [
     ("baseline_modulation", "baseline", {**BASE_CFG, "modulation": "8PSK"}, "'8PSK'"),
     ("baseline_unknown_mode", "baseline", {**BASE_CFG, "modes": ["subf", "fixd"]},
      "unknown baseline mode 'fixd'"),
+    ("mobility_no_ticks", "mobility",
+     {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "duration": 0.002}},
+     "duration 0.002 s is under half a tick_interval of 0.005 s"),
+    ("mobility_waypoints_backwards", "mobility",
+     {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "waypoints": [[[1, -10], [0, 10]]]}},
+     "waypoint times [1, 0] must strictly increase"),
+    ("localize_empty_sweep", "localize",
+     {**LOC_CFG, "localization": {**LOC_CFG["localization"], "sweep_deg": []}},
+     "sweep_deg [] names no beam"),
+    ("localize_angle_outside_fov", "localize",
+     {**LOC_CFG, "localization": {**LOC_CFG["localization"], "angles_deg": [-10, 0, 70]}},
+     "angles_deg 70.0 outside the field of view"),
     ("localize_rank", "localize",
      {**LOC_CFG, "localization": {"distances_m": [1, 2], "angles_deg": [-5, 5],
                                   "sweep_deg": [-12, 0, 12], "slots_per_position": 1}},

@@ -272,6 +272,59 @@ class TestEngineEquivalence:
         assert abs(db(f_new) - db(f_old)) < 0.01
 
 
+class TestLockstep:
+    """Starts climbing in lockstep against each start climbing alone, bit for bit."""
+
+    @staticmethod
+    def _checked(monkeypatch):
+        """Make every ``_ascend`` call also run each start alone and compare;
+        returns the list of start counts seen."""
+        lockstep, counts = codebook._ascend, []
+
+        def checked(starts, *args):
+            runs = lockstep(starts, *args)
+            for run, w0 in zip(runs, starts, strict=True):
+                [alone] = lockstep([w0], *args)
+                assert run[0].tobytes() == alone[0].tobytes()
+                assert run[1:] == alone[1:]  # f, iterations, stop reason, trace
+            counts.append(len(starts))
+            return runs
+
+        monkeypatch.setattr(codebook, "_ascend", checked)
+        return counts
+
+    @pytest.mark.parametrize("max_iters", [2000, 20])
+    def test_max_min_cold_and_warm(self, monkeypatch, max_iters):
+        counts = self._checked(monkeypatch)
+        geo = ArrayGeometry.ula(32)
+        cfg = OptimizerConfig(epsilon=0.5, max_iters=max_iters)
+        cold = optimize_max_min(_layout(4, 1.0), math.radians(-4.0), geo, cfg)
+        warm = optimize_max_min(_layout(4, 1.4), math.radians(-4.0), geo, cfg, cold.weights)
+        assert counts == [3, 2]
+        if max_iters == 20:
+            assert cold.stop_reason == warm.stop_reason == "max_iters"
+
+    def test_weighted_sum(self, monkeypatch):
+        counts = self._checked(monkeypatch)
+        target = SensingTarget(math.radians(6.0), 2.0)
+        optimize_weighted_sum(_layout(3, -3.0), target, GEO16, OptimizerConfig(max_iters=500))
+        assert counts == [4]
+
+    def test_trace_is_each_start_in_order(self, monkeypatch):
+        runs = []
+        lockstep = codebook._ascend
+
+        def recorded(*args):
+            runs[:] = lockstep(*args)
+            return runs
+
+        monkeypatch.setattr(codebook, "_ascend", recorded)
+        trace = []
+        optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(), trace=trace)
+        assert len(runs) == 3
+        assert trace == [f for run in runs for f in run[4]]
+
+
 class TestStallStop:
     def test_formerly_capped_solve_converges(self):
         # At -1.5 deg the first solver's winning start creeps along the
@@ -301,8 +354,8 @@ class TestStallStop:
             return np.ones(4, dtype=complex)
 
         cfg = OptimizerConfig()
-        w, f, iterations, reason = codebook._ascend(
-            np.zeros(4, dtype=complex), evaluate, gradient, lambda w: w, cfg
+        [(w, f, iterations, reason, _)] = codebook._ascend(
+            [np.zeros(4, dtype=complex)], evaluate, gradient, lambda w: w, cfg
         )
         assert reason == "stalled"
         assert iterations == _anneal_prefix() > codebook._STALL_ITERS
@@ -425,8 +478,20 @@ class TestBatchedLineSearch:
         assert codebook._line_search(anchor, f, d, batched_eval, project, step0) is None
         assert _sequential_line_search(anchor, f, d, sequential_eval, project, step0) is None
 
+    def test_ladders_are_the_sequential_steps(self):
+        for step0, ladder in codebook._LADDERS.items():
+            steps, step = [], min(step0, codebook._STEP_INIT)
+            while step >= codebook._STEP_MIN:
+                steps.append(step)
+                step *= 0.5
+            assert ladder[:, 0].tolist() == steps
+        # A search starts at _STEP_INIT or at twice an accepted step.
+        assert codebook._STEP_INIT in codebook._LADDERS
+        assert all(2.0 * step in codebook._LADDERS for step in codebook._STEPS)
+
+    # m up to the tallest lockstep batch: 4 weighted-sum starts x 20 rungs.
     @pytest.mark.parametrize("n_users", [2, 4, 6])
-    @pytest.mark.parametrize("m", [1, 20])
+    @pytest.mark.parametrize("m", [1, 20, 47, 80])
     def test_batched_matmul_matches_one_point_products(self, n_users, m):
         # _evaluator relies on this: a stacked matmul gives every row the
         # same bits as its own s @ w (plain W @ s.T does not).

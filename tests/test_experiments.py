@@ -508,6 +508,28 @@ class TestReflectorDelayCheck:
             )
 
 
+class TestSweepLongerThanFft:
+    """A sweep with more beams than DMRS body samples fails before any solve."""
+
+    @pytest.mark.parametrize("run", ["link", "baseline"])
+    def test_rejected_before_solving(self, monkeypatch, run):
+        from subbeam import codebook
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a solve started before the input check")
+
+        monkeypatch.setattr(codebook, "optimize_max_min", fail)
+        scene = TestReflectorDelayCheck._scene(9)
+        sweep = list(np.radians(np.linspace(-15.0, 15.0, 1025)))
+        geo = ArrayGeometry.ula(16)
+        with pytest.raises(ValueError, match=r"num_beams 1025 outside 1\.\.1024"):
+            if run == "link":
+                run_link(scene, geo, sweep, NUM, OptimizerConfig(), SEARCH, 30.0, "QPSK", 1)
+            else:
+                run_baseline(["subf", "switched"], scene, 0.0, sweep, geo, NUM,
+                             OptimizerConfig(), SEARCH, 30.0, "QPSK", seed=1)
+
+
 class TestLinkPipeline:
     def test_predistortion_keeps_evm_near_genie(self):
         geo = ArrayGeometry.ula(16)
