@@ -15,10 +15,11 @@ degrees and dB converted at this boundary. ``main`` owns the run
 directory, which is created at the first output written: a run that fails
 before that leaves none.
 
-The experiments return their output tables (``users.csv``, ``sensing.csv``,
-``baselines.csv``, ``timeseries.csv``, ``tradeoff.csv`` and the ``timing.csv``
-of ``mobility --timing``) as ``runio.Table`` objects that name and order their
-own columns, so a subcommand writes each with one ``write_table`` call.
+Every output table (``users.csv``, ``sensing.csv``, ``baselines.csv``,
+``timeseries.csv``, ``tradeoff.csv``, ``pattern.csv``, ``heatmap.csv``,
+``weights.csv``, ``bench.csv`` and the ``timing.csv`` of ``mobility --timing``)
+is a ``runio.Table`` filled where its rows are produced, which names and
+orders its own columns, so a subcommand writes each with one ``write_table`` call.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .experiments.imaging import run_imaging
 from .experiments.link import run_link
 from .experiments.localization import run_localization
 from .experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
-from .experiments.tradeoff import epsilon_sweep
-from .runio import RunDir, fmt, write_csv, write_json, write_pgm, write_table
+from .experiments.tradeoff import beam_patterns, epsilon_sweep
+from .runio import RunDir, Table, write_json, write_pgm, write_table
 from .sensing import DelaySearchConfig, OpCounter, estimate_beam_csi
 from .waveform import MODULATIONS, Numerology, SubSymbolSchedule, generate_slot, write_iq
 
@@ -346,19 +347,8 @@ def cmd_pattern(args, cfg: dict, seed: int, run: RunDir) -> None:
     else:
         codebook = build_codebook(users, sweep, geometry, opt)
     grid = np.arange(grid_cfg["start"], grid_cfg["stop"] + 1e-9, grid_cfg["step"])
-    header = ["angle_deg"] + [
-        f"entry{i}_gain_db" for i in range(len(codebook.entries))
-    ]
-    rows = []
-    beams = codebook.beams()
-    for deg in grid:
-        angle = math.radians(float(deg))
-        row = [float(deg)] + [
-            10.0 * math.log10(beamforming_gain(b, geometry, angle) + 1e-30) for b in beams
-        ]
-        rows.append(row)
-    write_csv(run.file("pattern.csv"), header, rows)
-    print(f"wrote pattern.csv with {len(rows)} angles x {len(beams)} entries")
+    write_table(run.file("pattern.csv"), beam_patterns(codebook, geometry, grid))
+    print(f"wrote pattern.csv with {len(grid)} angles x {len(codebook)} entries")
 
 
 def cmd_tradeoff(args, cfg: dict, seed: int, run: RunDir) -> None:
@@ -426,12 +416,7 @@ def cmd_image(args, cfg: dict, seed: int, run: RunDir) -> None:
     az = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     el = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     grid = run_imaging(scene, az, el, numerology, geometry, num_beams, opt, search, seed)
-    header = ["el_deg\\az_deg"] + [fmt(float(a)) for a in np.degrees(grid.az_angles)]
-    rows = [
-        [fmt(float(np.degrees(grid.el_angles[j])))] + [grid.power_db[j, i] for i in range(len(az))]
-        for j in range(len(el))
-    ]
-    write_csv(run.file("heatmap.csv"), header, rows)
+    write_table(run.file("heatmap.csv"), grid.heatmap())
     write_pgm(run.file("heatmap.pgm"), grid.power_db)
     write_json(
         run.file("imaging_stats.json"),
@@ -454,21 +439,8 @@ def cmd_localize(args, cfg: dict, seed: int, run: RunDir) -> None:
     numerology = _numerology(cfg)
     search = _search(cfg)
     result = run_localization(geometry, numerology, search, seed, **cfg.get("localization", {}))
-    write_json(
-        run.file("localization.json"),
-        {
-            "median_distance_error_m": result["median_distance_error_m"],
-            "median_angle_error_deg": result["median_angle_error_deg"],
-        },
-    )
-    write_csv(
-        run.file("weights.csv"),
-        ["index", "distance_weight", "angle_weight"],
-        [
-            [i, float(d), float(a)]
-            for i, (d, a) in enumerate(zip(result["distance_weights"], result["angle_weights"]))
-        ],
-    )
+    write_table(run.file("weights.csv"), result.pop("weights"))
+    write_json(run.file("localization.json"), result)
     print(
         f"median distance error {result['median_distance_error_m']:.3f} m; "
         f"median angle error {result['median_angle_error_deg']:.3f} deg"
@@ -513,7 +485,7 @@ def cmd_bench(args, cfg: dict, seed: int, run: RunDir) -> None:
     body = slot.symbol_body(numerology.dmrs_positions()[0])
     rng = np.random.default_rng(seed)
     rx = body + 0.01 * (rng.standard_normal(len(body)) + 1j * rng.standard_normal(len(body)))
-    rows = []
+    table = Table(["num_candidates", "ops_accelerated", "ops_recompute", "ratio"])
     for search in searches:
         n_cand = search.num_candidates
         ops = {}
@@ -528,17 +500,13 @@ def cmd_bench(args, cfg: dict, seed: int, run: RunDir) -> None:
                 )
             secs[accelerated] = (time.perf_counter() - t0) / repeats
             ops[accelerated] = counter.total // repeats
-        rows.append([n_cand, ops[True], ops[False], ops[False] / ops[True]])
+        table.add(n_cand, ops[True], ops[False], ops[False] / ops[True])
         print(
             f"candidates={n_cand:3d}: ops {ops[True]:6d} vs {ops[False]:6d} "
             f"(x{ops[False]/ops[True]:.2f}); wall {secs[True]*1e6:7.1f} us vs "
             f"{secs[False]*1e6:7.1f} us"
         )
-    write_csv(
-        run.file("bench.csv"),
-        ["num_candidates", "ops_accelerated", "ops_recompute", "ratio"],
-        rows,
-    )
+    write_table(run.file("bench.csv"), table)
 
 
 COMMANDS = {

@@ -16,6 +16,7 @@ import numpy as np
 from ..arrays import ArrayGeometry, Beamformer, beamforming_gain, conjugate_beam, steering_vector
 from ..channel import Scene, SlotBeamPlan, monostatic_echoes, rx_gain
 from ..codebook import OptimizerConfig, build_codebook
+from ..runio import Table, fmt
 from ..sensing import DelaySearchConfig
 from ..waveform import SLOT_DURATION_S, Numerology, SubSymbolSchedule, generate_slot
 from .link import check_reflector_delays, sense_dmrs
@@ -31,6 +32,13 @@ class ImagingGrid:
     slots_used: int
     air_time_ms: float  # whole-slot accounting
     air_time_ms_dmrs: float  # partial slot counted by DMRS symbols used
+
+    def heatmap(self) -> Table:
+        """``power_db`` with one row per elevation and one column per azimuth, in degrees."""
+        table = Table(["el_deg\\az_deg", *(fmt(float(a)) for a in np.degrees(self.az_angles))])
+        for el, row in zip(np.degrees(self.el_angles), self.power_db):
+            table.add(float(el), *row)
+        return table
 
 
 def air_time(num_pixels: int, beams_per_symbol: int, numerology: Numerology):

@@ -33,6 +33,7 @@ from ..channel import (
     SlotBeamPlan,
     monostatic_echoes,
 )
+from ..runio import Table
 from ..sensing import DelaySearchConfig, SensingCsi
 from ..waveform import Numerology, sensing_slot
 from .link import sense_dmrs
@@ -95,10 +96,11 @@ def run_localization(
 
     Distance task: reflector broadside on a 1..8 m grid. Angle task:
     reflector at ``ANGLE_TASK_DISTANCE_M`` across +/-15 degrees. Returns
-    medians of absolute test errors and the two calibrated weight vectors
-    ``distance_weights`` and ``angle_weights`` (3 per beam, bias last).
-    Raises ValueError before any simulation when a task has fewer training
-    rows than regression columns, or a distance's round-trip delay falls
+    medians of absolute test errors and the calibrated weights as one
+    ``Table``, ``weights``: a distance and an angle weight per row, 3 rows
+    per beam, bias last. Raises ValueError before any simulation when a
+    task has fewer than 2 distinct truth values or fewer training rows than
+    regression columns, or a distance's round-trip delay falls
     outside the delay search (it would land on the last candidate) or
     exceeds ``numerology.cp_length`` (a DMRS body of a sensing-only slot
     would then miss the data samples a full slot delays into it).
@@ -121,6 +123,8 @@ def run_localization(
     columns = 3 * len(sweep_deg) + 1
     captures = slots_per_position * len(numerology.dmrs_positions())
     for task, positions in (("distance", distances_m), ("angle", angles_deg)):
+        if len(set(positions)) < 2:
+            raise ValueError(f"{task} task: need 2 distinct truth values, got {positions.tolist()}")
         rows = len(positions) * (captures // 2)
         if rows < columns:
             raise ValueError(
@@ -196,9 +200,11 @@ def run_localization(
     )
     w_angle, median_angle = split_eval(angle_samples)
 
+    weights = Table(["index", "distance_weight", "angle_weight"])
+    for i, (d, a) in enumerate(zip(w_dist, w_angle)):
+        weights.add(i, float(d), float(a))
     return {
         "median_distance_error_m": median_dist,
         "median_angle_error_deg": median_angle,
-        "distance_weights": w_dist,
-        "angle_weights": w_angle,
+        "weights": weights,
     }

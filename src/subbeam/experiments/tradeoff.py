@@ -1,4 +1,5 @@
-"""Sensing/communication trade-off versus the perturbation radius."""
+"""Sensing/communication trade-off versus the perturbation radius, and the
+beam patterns of a codebook."""
 
 from __future__ import annotations
 
@@ -6,10 +7,14 @@ import math
 from dataclasses import replace
 
 from ..arrays import ArrayGeometry, beamforming_gain
-from ..codebook import OptimizerConfig, UserLink, optimize_max_min
+from ..codebook import Codebook, OptimizerConfig, UserLink, optimize_max_min
 from ..runio import Table
 
-__all__ = ["epsilon_sweep"]
+__all__ = ["epsilon_sweep", "beam_patterns"]
+
+
+def _gain_db(weights, geometry: ArrayGeometry, angle: float) -> float:
+    return 10.0 * math.log10(beamforming_gain(weights, geometry, angle) + 1e-30)
 
 
 def epsilon_sweep(
@@ -44,14 +49,20 @@ def epsilon_sweep(
             if warm.min_snr > entry.min_snr:
                 entry = warm
         prev = entry
-        sensing_gain = beamforming_gain(entry.weights, geometry, sensing_angle)
         table.add(
             cfg_eps.epsilon,
-            10.0 * math.log10(sensing_gain + 1e-30),
+            _gain_db(entry.weights, geometry, sensing_angle),
             10.0 * math.log10(entry.min_snr + 1e-30) if not math.isinf(entry.min_snr) else math.inf,
-            *(
-                10.0 * math.log10(beamforming_gain(entry.weights, geometry, u.angle) + 1e-30)
-                for u in users
-            ),
+            *(_gain_db(entry.weights, geometry, u.angle) for u in users),
         )
+    return table
+
+
+def beam_patterns(codebook: Codebook, geometry: ArrayGeometry, angles_deg) -> Table:
+    """Each entry's radiated gain (dB) at every azimuth of ``angles_deg``, one row per angle."""
+    beams = codebook.beams()
+    table = Table(["angle_deg", *(f"entry{i}_gain_db" for i in range(len(beams)))])
+    for deg in angles_deg:
+        angle = math.radians(float(deg))
+        table.add(float(deg), *(_gain_db(b, geometry, angle) for b in beams))
     return table

@@ -5,8 +5,9 @@ echoing the resolved configuration. Outputs must be byte-identical across
 re-runs with the same config and seed, so writers use repr-based float
 formatting, sorted JSON keys, and no timestamps.
 
-An experiment that fills an output table returns it as a ``Table``, which
-names and orders its columns, so the writer needs no column list of its own.
+Every CSV is a ``Table``, filled by the code that produces its rows, which
+names and orders its columns, so ``write_table`` needs no column list of its
+own and is the one CSV writer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["fmt", "Table", "write_csv", "write_table", "write_json", "write_pgm", "RunDir"]
+__all__ = ["fmt", "Table", "write_table", "write_json", "write_pgm", "RunDir"]
 
 
 def fmt(value) -> str:
@@ -29,33 +30,38 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(fmt(v) for v in row) + "\n")
-
-
 @dataclass
 class Table:
-    """Rows of one output CSV, each a dict keyed by ``columns`` in order.
+    """Rows of one output CSV, each a tuple of values in ``columns`` order.
 
     The columns are fixed before any row is added, so a table with no rows
-    still has its header. ``line``, when set, formats one row for the console.
+    still has its header. Column names may repeat (a heatmap over one angle),
+    so ``values`` keeps each row as a tuple; ``rows`` gives them as dicts for
+    readers that look values up by name. ``line``, when set, formats one row
+    for the console.
     """
 
     columns: list[str]
     line: str = ""
-    rows: list[dict] = field(default_factory=list)
+    values: list[tuple] = field(default_factory=list)
 
     def add(self, *values) -> None:
         """Append one row: ``values`` in column order."""
-        self.rows.append(dict(zip(self.columns, values, strict=True)))
+        if len(values) != len(self.columns):
+            raise ValueError(f"{len(values)} values for {len(self.columns)} columns")
+        self.values.append(values)
+
+    @property
+    def rows(self) -> list[dict]:
+        return [dict(zip(self.columns, values)) for values in self.values]
 
 
 def write_table(path, table: Table) -> None:
     """Write ``table`` as CSV, then print each row's console ``line``."""
-    write_csv(path, table.columns, ([row[c] for c in table.columns] for row in table.rows))
+    with open(path, "w") as f:
+        f.write(",".join(table.columns) + "\n")
+        for values in table.values:
+            f.write(",".join(map(fmt, values)) + "\n")
     if table.line:
         for row in table.rows:
             print(table.line.format(**row))

@@ -77,16 +77,24 @@ BASE_CFG = {
 
 BENCH_CFG = {"candidate_grid": [4, 10], "repeats": 2, "seed": 1}
 
+# A grid of one angle: the heatmap's three columns share the name 0.0.
+IMG_ONE_ANGLE_CFG = {
+    **IMG_CFG,
+    "scene": {**IMG_CFG["scene"],
+              "reflectors": [{**IMG_CFG["scene"]["reflectors"][0], "azimuth_deg": 0}]},
+    "grid_deg": {"start": 0, "stop": 0, "count": 3},
+}
 
-
+# (case, subcommand, config); each case's outputs are hashed in cli_hashes.json.
 CASES = [
-    ("simulate", SIM_CFG),
-    ("image", IMG_CFG),
-    ("mobility", MOB_CFG),
-    ("localize", LOC_CFG),
-    ("tradeoff", TRADE_CFG),
-    ("codebook", CODEBOOK_CFG),
-    ("baseline", BASE_CFG),
-    ("bench", BENCH_CFG),
-    ("pattern", CODEBOOK_CFG),
+    ("simulate", "simulate", SIM_CFG),
+    ("image", "image", IMG_CFG),
+    ("mobility", "mobility", MOB_CFG),
+    ("localize", "localize", LOC_CFG),
+    ("tradeoff", "tradeoff", TRADE_CFG),
+    ("codebook", "codebook", CODEBOOK_CFG),
+    ("baseline", "baseline", BASE_CFG),
+    ("bench", "bench", BENCH_CFG),
+    ("pattern", "pattern", CODEBOOK_CFG),
+    ("image_one_angle", "image", IMG_ONE_ANGLE_CFG),
 ]

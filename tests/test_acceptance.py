@@ -284,21 +284,21 @@ def test_accept_09_sp_localization():
 
 def test_accept_10_cli_determinism(tmp_path):
     mismatches = []
-    for name, cfg in CASES:
-        cfg_path = tmp_path / f"{name}.json"
+    for case, name, cfg in CASES:
+        cfg_path = tmp_path / f"{case}.json"
         cfg_path.write_text(json.dumps(cfg))
         outs = []
         for run in ("a", "b"):
-            out = tmp_path / f"{name}_{run}"
+            out = tmp_path / f"{case}_{run}"
             assert cli_main([name, "--config", str(cfg_path), "--out", str(out)]) == 0
             outs.append(out)
         names = sorted(os.listdir(outs[0]))
         if names != sorted(os.listdir(outs[1])):
-            mismatches.append(name)
+            mismatches.append(case)
             continue
         _, bad, err = filecmp.cmpfiles(outs[0], outs[1], names, shallow=False)
         if bad or err:
-            mismatches.append(name)
+            mismatches.append(case)
     ok = not mismatches
     report(
         "ACCEPT-10 cli-determinism",

@@ -15,6 +15,7 @@ from subbeam.cli import CONFIG_SECTIONS, _users, load_config, main
 from subbeam.codebook import OptimizerConfig
 from subbeam.experiments.localization import run_localization
 from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
+from subbeam.runio import Table, write_table
 from subbeam.sensing import DelaySearchConfig
 from subbeam.waveform import Numerology, generate_slot, read_iq
 
@@ -55,12 +56,12 @@ def files_unlike_recorded(run_dir, recorded):
     ]
 
 
-@pytest.mark.parametrize("name,cfg", CASES, ids=[c[0] for c in CASES])
-def test_rerun_is_byte_identical(tmp_path, name, cfg):
+@pytest.mark.parametrize("case,name,cfg", CASES, ids=[c[0] for c in CASES])
+def test_rerun_is_byte_identical(tmp_path, case, name, cfg):
     a = run_cmd(tmp_path, name, cfg, "a")
     b = run_cmd(tmp_path, name, cfg, "b")
     assert dirs_identical(a, b)
-    assert files_unlike_recorded(a, RECORDED_SHA256[name]) == []
+    assert files_unlike_recorded(a, RECORDED_SHA256[case]) == []
 
 
 def test_manifest_lists_outputs(tmp_path):
@@ -241,6 +242,10 @@ BAD_VALUES = [
     ("localize_angle_outside_fov", "localize",
      {**LOC_CFG, "localization": {**LOC_CFG["localization"], "angles_deg": [-10, 0, 70]}},
      "angles_deg 70.0 outside the field of view"),
+    *[(f"localize_one_{task}", "localize",
+       {**LOC_CFG, "localization": {**LOC_CFG["localization"], key: [3] * 5}},
+       f"{task} task: need 2 distinct truth values, got [3, 3, 3, 3, 3]")
+      for task, key in (("distance", "distances_m"), ("angle", "angles_deg"))],
     ("localize_rank", "localize",
      {**LOC_CFG, "localization": {"distances_m": [1, 2], "angles_deg": [-5, 5],
                                   "sweep_deg": [-12, 0, 12], "slots_per_position": 1}},
@@ -371,8 +376,8 @@ def test_scene_file_keys_checked(tmp_path):
         main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
 
 
-@pytest.mark.parametrize("name,cfg", CASES, ids=[c[0] for c in CASES])
-def test_case_configs_load(tmp_path, name, cfg):
+@pytest.mark.parametrize("cfg", [c[2] for c in CASES], ids=[c[0] for c in CASES])
+def test_case_configs_load(tmp_path, cfg):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert load_config(str(cfg_path)) == json.loads(json.dumps(cfg))
@@ -432,6 +437,9 @@ TABLES = [
      {"baselines.csv": (BASELINES_HEADER, 0)}),
     ("tradeoff_no_epsilons", "tradeoff", {**TRADE_CFG, "epsilons": []},
      {"tradeoff.csv": (TRADEOFF_HEADER, 0)}),
+    ("pattern_no_angles", "pattern",
+     {**CODEBOOK_CFG, "pattern_grid_deg": {"start": 10, "stop": -10, "step": 1}},
+     {"pattern.csv": ("angle_deg,entry0_gain_db,entry1_gain_db,entry2_gain_db", 0)}),
 ]
 
 
@@ -444,3 +452,12 @@ def test_table_header_and_row_count(tmp_path, name, cfg, tables):
     for table, (header, rows) in tables.items():
         lines = (out / table).read_text().splitlines()
         assert (lines[0], len(lines) - 1) == (header, rows), table
+
+
+def test_table_keeps_repeated_columns_and_checks_row_length(tmp_path):
+    table = Table(["angle", "angle"])
+    table.add(0.0, 1.5)
+    with pytest.raises(ValueError, match="1 values for 2 columns"):
+        table.add(0.0)
+    write_table(tmp_path / "t.csv", table)
+    assert (tmp_path / "t.csv").read_text() == "angle,angle\n0.0,1.5\n"

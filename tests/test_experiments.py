@@ -207,9 +207,11 @@ class TestLocalization:
         )
         assert res["median_distance_error_m"] <= 0.5
         assert res["median_angle_error_deg"] <= 2.0
-        for key in ("distance_weights", "angle_weights"):
-            assert res[key].shape == (3 * 16 + 1,)
-            assert np.all(np.isfinite(res[key]))
+        weights = res["weights"]
+        assert weights.columns == ["index", "distance_weight", "angle_weight"]
+        assert len(weights.rows) == 3 * 16 + 1
+        for column in ("distance_weight", "angle_weight"):
+            assert np.all(np.isfinite([r[column] for r in weights.rows]))
 
     def test_training_point_fed_back(self):
         geo = ArrayGeometry.ula(16)
