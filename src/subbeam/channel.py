@@ -9,7 +9,9 @@ The co-located sensing receiver is a fixed 4x4 half-wavelength planar
 array with a broadside conjugate beam; ``rx_gain`` is its power gain toward
 a direction. ``monostatic_echoes`` takes each reflector's transmit and
 receive gains once per scene and beam plan, and ``apply_monostatic``
-applies them to every slot captured there.
+applies them to every slot captured there, only on the slot's signal spans
+(its runs of non-zero symbols, each extended by the largest echo delay):
+elsewhere the capture is its whole-slot noise draw alone.
 
 This module holds only the physics; scene configs are read and converted
 to these types in ``subbeam.cli``.
@@ -240,6 +242,26 @@ def monostatic_echoes(
     )
 
 
+def _signal_spans(slot: SlotWaveform, reach: int) -> list[slice]:
+    """The sample runs of ``slot`` that an echo reaching ``reach`` samples late can touch.
+
+    Each run of consecutive symbols with a non-zero sample is extended by
+    ``reach`` samples (up to the slot end); runs whose extensions touch are
+    merged. Read from the samples themselves, so no signal goes unseen.
+    """
+    num = slot.numerology
+    busy = slot.samples.reshape(num.symbols_per_slot, num.symbol_len).any(axis=1)
+    spans = []
+    for pos in np.flatnonzero(busy).tolist():
+        start = pos * num.symbol_len
+        stop = min(start + num.symbol_len + reach, num.slot_len)
+        if spans and spans[-1][1] >= start:
+            spans[-1][1] = stop
+        else:
+            spans.append([start, stop])
+    return [slice(start, stop) for start, stop in spans]
+
+
 def apply_monostatic(
     slot: SlotWaveform,
     echoes: tuple[Echo, ...],
@@ -252,15 +274,28 @@ def apply_monostatic(
     adds AWGN at the scene noise power, and, when configured, direct TX
     leakage at the scene's interference-to-noise ratio with zero delay.
     The noise covers the whole slot, so a capture's noise depends only on
-    ``seed`` and the slot length.
+    ``seed`` and the slot length. The echoes and the leakage are applied
+    only on the signal spans: each run of symbols that carry a non-zero
+    sample, extended by the largest echo delay. Everywhere else they would
+    add exact zeros, so the capture there is the noise alone, bit for bit.
     """
-    out = np.zeros(len(slot.samples), dtype=complex)
-    for echo in echoes:
-        out += echo.coefficient * echo.rx_amp * _delayed(echo.tx_amp * slot.samples, echo.delay)
+    samples = slot.samples
+    leak = 0.0
     if scene.self_interference_inr_db is not None:
-        mean_power = float(np.mean(np.abs(slot.samples) ** 2))
+        mean_power = float(np.mean(np.abs(samples) ** 2))
         if mean_power > 0:
             leak_power = scene.noise_power * 10.0 ** (scene.self_interference_inr_db / 10.0)
-            out += math.sqrt(leak_power / mean_power) * slot.samples
+            leak = math.sqrt(leak_power / mean_power)
     rng = np.random.default_rng(seed)
-    return out + _complex_noise(rng, len(out), scene.noise_power)
+    rx = _complex_noise(rng, len(samples), scene.noise_power)
+    for span in _signal_spans(slot, max((echo.delay for echo in echoes), default=0)):
+        out = np.zeros(span.stop - span.start, dtype=complex)
+        for echo in echoes:
+            if echo.delay < len(out):
+                src = slice(span.start, span.stop - echo.delay)
+                sent = echo.tx_amp[src] * samples[src]
+                out[echo.delay:] += echo.coefficient * echo.rx_amp * sent
+        if leak:
+            out += leak * samples[span]
+        rx[span] += out
+    return rx

@@ -297,8 +297,17 @@ def _sweep(cfg: dict, default_count: int = 4) -> list[float]:
     return [math.radians(d) for d in degs]
 
 
+def _one_source(cfg: dict, file_key: str, *inline_keys: str) -> None:
+    """Raise ValueError when ``file_key`` is set together with any of the
+    ``inline_keys`` it replaces: their values would be checked and ignored."""
+    both = [k for k in inline_keys if k in cfg]
+    if file_key in cfg and both:
+        raise ValueError(f"{file_key} is set together with {', '.join(both)}, which it replaces")
+
+
 def _scene(cfg: dict, numerology: Numerology) -> Scene:
-    """The config's scene, from ``scene_file`` or the inline ``scene``."""
+    """The config's scene, from ``scene_file`` or the inline ``scene``, not both."""
+    _one_source(cfg, "scene_file", "scene")
     if "scene_file" in cfg:
         return load_scene(cfg["scene_file"], numerology.sample_rate)
     return scene_from_dict(cfg.get("scene", {}), numerology.sample_rate)
@@ -337,15 +346,13 @@ def cmd_codebook(args, cfg: dict, seed: int, run: RunDir) -> None:
 
 
 def cmd_pattern(args, cfg: dict, seed: int, run: RunDir) -> None:
-    geometry = _geometry(cfg)
-    opt = _optimizer(cfg)
-    users = _users(cfg)
-    sweep = _sweep(cfg)
+    _one_source(cfg, "codebook_file", "geometry", "users", "sweep_deg", "optimizer")
     grid_cfg = cfg.get("pattern_grid_deg", {"start": -60.0, "stop": 60.0, "step": 0.5})
     if "codebook_file" in cfg:
         codebook, geometry = load_codebook(cfg["codebook_file"])
     else:
-        codebook = build_codebook(users, sweep, geometry, opt)
+        geometry = _geometry(cfg)
+        codebook = build_codebook(_users(cfg), _sweep(cfg), geometry, _optimizer(cfg))
     grid = np.arange(grid_cfg["start"], grid_cfg["stop"] + 1e-9, grid_cfg["step"])
     write_table(run.file("pattern.csv"), beam_patterns(codebook, geometry, grid))
     print(f"wrote pattern.csv with {len(grid)} angles x {len(codebook)} entries")

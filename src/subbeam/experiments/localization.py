@@ -8,9 +8,11 @@ the stacked features to distance and angle.
 The features read only the DMRS symbols, so every capture sends a
 sensing-only slot (``waveform.sensing_slot``: no data payload, data
 symbols zero) and takes each position's reflector gains once
-(``channel.monostatic_echoes``). Its DMRS bodies equal those of a full data
-slot bit for bit as long as every round-trip delay is at most the
-numerology's ``cp_length``, which ``run_localization`` checks up front.
+(``channel.monostatic_echoes``); the capture applies the echoes only on the
+slot's signal spans, the DMRS symbols and the echo delay after them. Its
+DMRS bodies equal those of a full data slot bit for bit as long as every
+round-trip delay is at most the numerology's ``cp_length``, which
+``run_localization`` checks up front.
 
 The feature stack uses power in dB and the *total* phase slope
 (fit slope minus 2*pi*best_delay/window), which folds the integer window
@@ -48,19 +50,21 @@ def feature_stack(results: list[SensingCsi], sub_len: int) -> np.ndarray:
     """Per beam, power (dB), total phase slope and fit MSE in one regression row.
 
     The power is each beam's ``SensingCsi.power``: |H|^2 summed over its
-    usable bins, compacted and in bin order, one sum per beam (a masked or
-    padded sum over all beams would round differently).
+    usable bins, compacted and in bin order, one pairwise sum per beam (a
+    masked or padded sum over all beams, or ``np.add.reduceat``, which sums
+    each segment sequentially, would round differently).
     """
     valid = np.array([r.valid for r in results])
     squares = np.abs(np.array([r.csi for r in results])[valid]) ** 2
     ends = np.cumsum(valid.sum(axis=1)).tolist()
-    power_db = [
-        10.0 * math.log10(float(squares[start:end].sum()) + 1e-30)
-        for start, end in zip([0, *ends], ends)
-    ]
-    delays = np.array([r.best_delay for r in results])
-    total_slope = np.array([r.slope for r in results]) - 2.0 * np.pi * delays / sub_len
-    return np.column_stack((power_db, total_slope, [r.mse for r in results])).ravel()
+    return np.array([
+        (
+            10.0 * math.log10(np.add.reduce(squares[start:end]) + 1e-30),
+            r.slope - 2.0 * math.pi * r.best_delay / sub_len,
+            r.mse,
+        )
+        for r, start, end in zip(results, [0, *ends], ends)
+    ]).ravel()
 
 
 def calibrate_sp(training_runs: list[tuple[np.ndarray, float]]) -> np.ndarray:

@@ -16,7 +16,9 @@ fit every candidate of every beam. ``estimate_symbol_csi`` (all beams) and
 come from one ``sliding_dft`` run, and the unwrap computes numpy's
 correction only at the steps that wrap (|jump| >= pi), so its phases equal
 ``np.unwrap``'s bit for bit. The unwrapped phases keep the memory order of
-the gathered CSI, because the least-squares sums round by memory layout.
+the gathered CSI, because the least-squares sums round by memory layout:
+the phase sums run over the bins in order (the CSI is gathered bin-major),
+and the residual sums pairwise over each contiguous row.
 
 Each beam's result is one ``SensingCsi``: the CSI at the best delay, that
 delay, the phase line's slope, intercept and weighted MSE, the usable-bin
@@ -148,7 +150,7 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
 
     The copy keeps ``p``'s memory order, as ``np.unwrap``'s does.
     """
-    dd = np.diff(p, axis=-1)
+    dd = p[..., 1:] - p[..., :-1]
     wraps = ~(np.abs(dd) < np.pi)
     jump = dd[wraps]
     fix = np.mod(jump + np.pi, 2 * np.pi) - np.pi
@@ -209,7 +211,7 @@ def _delay_search(
     factors = plan.factors[beams] if plan is not None else np.ones(n_beams, dtype=complex)
     weights = np.abs(factors[:, None] * x_f)
     mag = np.abs(x_f)
-    rms = np.sqrt(np.mean(mag**2, axis=1, keepdims=True))
+    rms = np.sqrt(np.add.reduce(mag**2, axis=1, keepdims=True) / length)  # np.mean's arithmetic
     valid = mag > np.maximum(TX_MAGNITUDE_FLOOR, MIN_TX_FRACTION * rms)
     usable = valid & (weights > 0)
     counts = usable.sum(axis=1)
@@ -238,29 +240,51 @@ def _delay_search(
 
     rows = np.arange(n_beams)[:, None]
     width = int(counts.max())
-    packed = np.argsort(~usable, axis=1, kind="stable")[:, :width]
-    pad = np.arange(width) >= counts[:, None]
-    bins = np.where(pad, np.take_along_axis(packed, counts[:, None] - 1, axis=1), packed)
-    w2 = np.where(pad, 0.0, weights[rows, bins]) ** 2
+    packed = np.argsort(~usable, axis=1, kind="stable")
+    bins = packed[rows, np.minimum(np.arange(width), counts[:, None] - 1)]
+    w2 = weights[rows, bins]
+    w2[np.arange(width) >= counts[:, None]] = 0.0
+    np.square(w2, out=w2)
     k = bins.astype(float)
-    phases = _unwrap(np.angle(csi[:, rows, bins]))
+    if n_cand > 1:
+        # Bin-major (bin, candidate, beam) memory: the phase sums below then
+        # add one contiguous plane per bin, in bin order, which is how they
+        # round over the candidate-minor layout of csi[:, rows, bins] too.
+        # With one candidate that layout has the bins innermost (pairwise
+        # sums), so it is kept.
+        at = (rows * length + bins).T
+        gathered = np.take(csi, at[:, None] + np.arange(n_cand)[:, None] * (n_beams * length))
+        gathered = gathered.transpose(1, 2, 0)
+    else:
+        gathered = csi[:, rows, bins]
+    phases = _unwrap(np.angle(gathered))
 
     # Closed-form weighted least squares of phase = slope*k + intercept; the
     # weights multiply the residuals, so w2 are the least-squares weights.
     w2k = w2 * k
-    s_w = np.sum(w2, axis=-1)
-    s_k = np.sum(w2k, axis=-1)
-    s_kk = np.sum(w2k * k, axis=-1)
-    s_y = np.sum(w2 * phases, axis=-1)
-    s_ky = np.sum(w2k * phases, axis=-1)
+    s_w = np.add.reduce(w2, axis=-1)
+    s_k = np.add.reduce(w2k, axis=-1)
+    s_kk = np.add.reduce(w2k * k, axis=-1)
+    # Both phase sums share one buffer in the phases' memory order; each
+    # weight row is laid out bin-major to match.
+    buf = np.empty_like(phases)
+    s_y, s_ky = (
+        np.add.reduce(np.multiply(np.ascontiguousarray(w.T).T, phases, out=buf), axis=-1)
+        for w in (w2, w2k)
+    )
     denom = s_w * s_kk - s_k * s_k
     flat = denom <= 1e-30 * np.maximum(s_w * s_kk, 1e-300)
     slope = np.where(flat, 0.0, (s_w * s_ky - s_k * s_y) / np.where(flat, 1.0, denom))
     # All-zero weights (underflowed squares) fit 0 with zero loss.
     norm = np.where(s_w > 0, s_w, np.inf)
     intercept = (s_y - slope * s_k) / norm
-    resid = phases - (slope[..., None] * k + intercept[..., None])
-    mse = np.sum(w2 * resid**2, axis=-1) / norm
+    # The residual is C-ordered: mse's sums round by its memory layout.
+    resid = slope[..., None] * k
+    resid += intercept[..., None]
+    np.subtract(phases, resid, out=resid)
+    np.square(resid, out=resid)
+    resid *= w2
+    mse = np.add.reduce(resid, axis=-1) / norm
     return _CandidateFits(csi, valid, slope, intercept, mse)
 
 

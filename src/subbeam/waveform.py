@@ -37,6 +37,8 @@ __all__ = [
 # Default seed for the reference-signal sequence; shared by transmitter and
 # receivers so the DMRS grids are pre-defined and identical across users.
 DEFAULT_DMRS_SEED = 0x5103
+# The DMRS QPSK points exp(j*(pi/4 + pi/2*q)), q = 0..3, looked up by q.
+_DMRS_QPSK = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * np.arange(4)))
 
 # Nominal over-the-air slot duration of numerology 3. A Numerology's
 # uniform-CP sample budget is a hair shorter (the real frame pads the first
@@ -223,7 +225,7 @@ def _dmrs_grids(numerology: Numerology, dmrs_seed: int | None) -> np.ndarray:
     grids = np.zeros((numerology.symbols_per_slot, numerology.fft_size), dtype=complex)
     for pos in numerology.dmrs_positions():
         quad = np.random.default_rng(base + pos).integers(0, 4, size=len(bins))
-        grids[pos, bins] = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quad))
+        grids[pos, bins] = _DMRS_QPSK[quad]
     return grids
 
 

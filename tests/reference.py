@@ -6,7 +6,10 @@ candidates, the delay-search oracle recomputes every candidate spectrum with
 a direct FFT and fits with numpy's own weighted polyfit. The batched
 delay-search reference is the package's kernel as it stood with
 ``np.unwrap`` and one sliding-DFT call per candidate step, kept to pin the
-current kernel byte for byte.
+current kernel byte for byte. The whole-slot monostatic capture and the
+column-stacked localization features are the package's as they stood
+before echoes were applied only on the signal spans and feature rows were
+built per beam, kept to pin the current code byte for byte.
 """
 
 import math
@@ -178,3 +181,44 @@ def stepwise_delay_search(rx_symbol, tx_symbol, sub_len, num_beams, num_candidat
     resid = phases - (slope[..., None] * k + intercept[..., None])
     mse = np.sum(w2 * resid**2, axis=-1) / norm
     return csi, valid, slope, intercept, mse
+
+
+def whole_slot_monostatic(samples, echoes, scene, seed):
+    """The monostatic capture with every echo delayed and added over the whole slot.
+
+    ``echoes`` carry ``coefficient``, ``rx_amp``, per-sample ``tx_amp`` and
+    ``delay``; the noise is the whole-slot draw from ``seed``, real parts
+    first.
+    """
+    n = len(samples)
+    out = np.zeros(n, dtype=complex)
+    for echo in echoes:
+        delayed = np.zeros(n, dtype=complex)
+        if echo.delay < n:
+            delayed[echo.delay:] = (echo.tx_amp * samples)[: n - echo.delay]
+        out += echo.coefficient * echo.rx_amp * delayed
+    if scene.self_interference_inr_db is not None:
+        mean_power = float(np.mean(np.abs(samples) ** 2))
+        if mean_power > 0:
+            leak_power = scene.noise_power * 10.0 ** (scene.self_interference_inr_db / 10.0)
+            out += math.sqrt(leak_power / mean_power) * samples
+    rng = np.random.default_rng(seed)
+    noise = np.empty(n, dtype=complex)
+    noise.real = rng.standard_normal(n)
+    noise.imag = rng.standard_normal(n)
+    noise *= math.sqrt(scene.noise_power / 2.0)
+    return out + noise
+
+
+def column_stacked_features(results, sub_len):
+    """Per beam (power dB, total slope, mse), built column by column and interleaved."""
+    valid = np.array([r.valid for r in results])
+    squares = np.abs(np.array([r.csi for r in results])[valid]) ** 2
+    ends = np.cumsum(valid.sum(axis=1)).tolist()
+    power_db = [
+        10.0 * math.log10(float(squares[start:end].sum()) + 1e-30)
+        for start, end in zip([0, *ends], ends)
+    ]
+    delays = np.array([r.best_delay for r in results])
+    total_slope = np.array([r.slope for r in results]) - 2.0 * np.pi * delays / sub_len
+    return np.column_stack((power_db, total_slope, [r.mse for r in results])).ravel()

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ import pytest
 from subbeam.arrays import ArrayGeometry, Beamformer, conjugate_beam
 from subbeam.codebook import UserLink
 from subbeam.channel import (
+    Echo,
     PathModel,
     Reflector,
     Scene,
     SceneUser,
     SlotBeamPlan,
     _complex_noise,
-    _delayed,
     apply_downlink,
     apply_monostatic,
     monostatic_echoes,
@@ -24,6 +25,8 @@ from subbeam.channel import (
 )
 from subbeam.cli import load_scene, scene_from_dict
 from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot, sensing_slot
+
+from reference import whole_slot_monostatic
 
 NUM = Numerology()
 GEO = ArrayGeometry.ula(8)
@@ -215,20 +218,18 @@ def test_self_interference_level():
 
 
 def _monostatic_per_slot(slot, plan, scene, geometry, seed):
-    """The capture as computed before echoes: every gain taken again for each slot."""
+    """The whole-slot capture with every gain taken again for each slot."""
     elevation_aware = geometry.layout == "planar"
-    out = np.zeros(len(slot.samples), dtype=complex)
-    for refl in scene.reflectors:
-        el = refl.elevation if elevation_aware else None
-        amp = plan.tx_amplitude(geometry, refl.azimuth, el)
-        rx_amp = math.sqrt(rx_gain(refl.azimuth, refl.elevation))
-        delayed = _delayed(amp * slot.samples, refl.path.delay_samples)
-        out += refl.path.coefficient * rx_amp * delayed
-    if scene.self_interference_inr_db is not None:
-        mean_power = float(np.mean(np.abs(slot.samples) ** 2))
-        leak_power = scene.noise_power * 10.0 ** (scene.self_interference_inr_db / 10.0)
-        out += math.sqrt(leak_power / mean_power) * slot.samples
-    return out + _complex_noise(np.random.default_rng(seed), len(out), scene.noise_power)
+    echoes = [
+        Echo(
+            refl.path.coefficient,
+            math.sqrt(rx_gain(refl.azimuth, refl.elevation)),
+            plan.tx_amplitude(geometry, refl.azimuth, refl.elevation if elevation_aware else None),
+            refl.path.delay_samples,
+        )
+        for refl in scene.reflectors
+    ]
+    return whole_slot_monostatic(slot.samples, echoes, scene, seed)
 
 
 @pytest.mark.parametrize("layout", ["ula", "planar"])
@@ -275,6 +276,45 @@ def test_sensing_slot_bodies_match_data_slot_up_to_cp_delay():
             body = NUM.symbol_slice(pos, include_cp=False)
             same = rx_full[body].tobytes() == rx_sensing[body].tobytes()
             assert same == (delay <= NUM.cp_length or pos not in after_data), (delay, pos)
+
+
+class TestEchoesOnSignalSpans:
+    """``apply_monostatic`` byte for byte against the whole-slot capture."""
+
+    SCENE = Scene(
+        reflectors=(
+            Reflector(math.radians(4), PathModel(0.5, 0.3, 0)),
+            Reflector(math.radians(-9), PathModel(0.2, -1.1, NUM.cp_length)),
+        ),
+        noise_power=1e-4,
+        self_interference_inr_db=20.0,
+    )
+
+    def assert_whole_slot(self, slot, seed):
+        beams = [conjugate_beam(GEO, math.radians(a)) for a in (-12, 0, 9)]
+        plan = SlotBeamPlan.uniform(slot.numerology, beams, conjugate_beam(GEO, 0.2))
+        echoes = monostatic_echoes(plan, self.SCENE, GEO)
+        got = apply_monostatic(slot, echoes, self.SCENE, seed=seed)
+        assert got.tobytes() == whole_slot_monostatic(slot.samples, echoes, self.SCENE, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sensing_slot(self, seed):
+        self.assert_whole_slot(sensing_slot(NUM, dmrs_seed=seed), seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_data_slot(self, seed):
+        self.assert_whole_slot(generate_slot(NUM, "16QAM", seed=seed), seed)
+
+    def test_last_symbol_only_with_an_echo_past_the_slot_end(self):
+        num = Numerology(dmrs_symbol_indices=frozenset({NUM.symbols_per_slot}))
+        slot = sensing_slot(num, dmrs_seed=3)
+        last = num.symbol_slice(num.symbols_per_slot - 1)
+        assert np.any(slot.samples[last]) and not np.any(slot.samples[: last.start])
+        self.assert_whole_slot(slot, 4)
+
+    def test_spans_read_from_the_samples_not_the_grids(self):
+        slot = sensing_slot(NUM, dmrs_seed=2)
+        self.assert_whole_slot(replace(slot, grids=np.zeros_like(slot.grids)), 5)
 
 
 def test_rx_gain_peak():

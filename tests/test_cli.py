@@ -255,7 +255,20 @@ BAD_VALUES = [
        "round-trip delay 30 samples")
       for name, cfg in (("simulate", SIM_CFG), ("baseline", BASE_CFG), ("image", IMG_CFG))],
     ("pattern_no_codebook_file", "pattern",
-     {**CODEBOOK_CFG, "codebook_file": "no_such_codebook.json"}, "no_such_codebook.json"),
+     {"codebook_file": "no_such_codebook.json"}, "no_such_codebook.json"),
+    # A file source and the inline values it replaces are not both accepted.
+    *[(f"pattern_codebook_file_and_{key}", "pattern",
+       {"codebook_file": "codebook.json", key: CODEBOOK_CFG[key]},
+       f"codebook_file is set together with {key}, which it replaces")
+      for key in ("geometry", "users", "sweep_deg")],
+    ("pattern_codebook_file_and_optimizer", "pattern",
+     {"codebook_file": "codebook.json", "optimizer": {"epsilon": 0.1}},
+     "codebook_file is set together with optimizer, which it replaces"),
+    ("pattern_codebook_file_and_all", "pattern", {**CODEBOOK_CFG, "codebook_file": "codebook.json"},
+     "codebook_file is set together with geometry, users, sweep_deg, which it replaces"),
+    *[(f"{name}_scene_file_and_scene", name, {**cfg, "scene_file": "scene.json"},
+       "scene_file is set together with scene, which it replaces")
+      for name, cfg in (("simulate", SIM_CFG), ("baseline", BASE_CFG), ("image", IMG_CFG))],
     ("tradeoff_negative_radius", "tradeoff", {**TRADE_CFG, "epsilons": [0.5, -1.0]},
      "epsilon must be >= 0"),
     ("pattern_zero_step", "pattern",

@@ -22,7 +22,7 @@ from subbeam.experiments import mobility
 from subbeam.experiments.baselines import run_baseline
 from subbeam.experiments.imaging import air_time, run_imaging
 from subbeam.experiments.link import run_link, sense_dmrs
-from subbeam.experiments.localization import calibrate_sp, run_localization
+from subbeam.experiments.localization import calibrate_sp, feature_stack, run_localization
 from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
 from subbeam.sensing import DelaySearchConfig, estimate_symbol_csi
 from subbeam.waveform import (
@@ -31,7 +31,10 @@ from subbeam.waveform import (
     build_predistortion_plan,
     generate_slot,
     predistort_dmrs,
+    sensing_slot,
 )
+
+from reference import column_stacked_features
 
 NUM = Numerology()
 SEARCH = DelaySearchConfig(10)
@@ -212,6 +215,23 @@ class TestLocalization:
         assert len(weights.rows) == 3 * 16 + 1
         for column in ("distance_weight", "angle_weight"):
             assert np.all(np.isfinite([r[column] for r in weights.rows]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_feature_rows_match_the_column_stack(self, seed):
+        geo = ArrayGeometry.ula(16)
+        beams = [conjugate_beam(geo, math.radians(a)) for a in np.linspace(-14, 14, 15)]
+        bplan = SlotBeamPlan.uniform(NUM, beams, beams[0])
+        scene = Scene(
+            reflectors=(Reflector(math.radians(3 * seed - 5), PathModel(0.3, 0.0, 2 + seed)),),
+            noise_power=1e-5,
+            self_interference_inr_db=None,
+        )
+        slot = sensing_slot(NUM, dmrs_seed=seed)
+        echoes = monostatic_echoes(bplan, scene, geo)
+        for results in sense_dmrs(slot, slot, bplan, echoes, scene, SEARCH, None, seed):
+            assert len({int(r.valid.sum()) for r in results}) > 1  # beams of unequal width
+            want = column_stacked_features(results, bplan.schedule.sub_len)
+            assert feature_stack(results, bplan.schedule.sub_len).tobytes() == want.tobytes()
 
     def test_training_point_fed_back(self):
         geo = ArrayGeometry.ula(16)

@@ -575,7 +575,15 @@ class TestKernelMatchesStepwise:
     @pytest.mark.parametrize("with_plan", [False, True], ids=["no_plan", "plan"])
     @pytest.mark.parametrize("num_beams", [15, 34])
     def test_byte_equal(self, num_beams, with_plan):
-        cfg = DelaySearchConfig(10)
+        self.assert_byte_equal(num_beams, with_plan, DelaySearchConfig(10))
+
+    @pytest.mark.parametrize("num_candidates", [1, 2])
+    @pytest.mark.parametrize("num_beams", [1, 15])
+    def test_byte_equal_few_candidates(self, num_beams, num_candidates):
+        # One candidate gathers bins innermost, more gather bin-major.
+        self.assert_byte_equal(num_beams, True, DelaySearchConfig(num_candidates))
+
+    def assert_byte_equal(self, num_beams, with_plan, cfg):
         for seed in range(3):
             for rx, tx, sched, plan in self._captures(num_beams, with_plan, seed):
                 got = _delay_search(rx, tx, sched, np.arange(num_beams), cfg, plan, None)

@@ -12,6 +12,7 @@ from subbeam.waveform import (
     Numerology,
     PredistortionPlan,
     SubSymbolSchedule,
+    _dmrs_grids,
     build_predistortion_plan,
     constellation,
     demodulate_and_score,
@@ -53,6 +54,16 @@ def test_sensing_slot_is_the_dmrs_of_a_data_slot():
         for pos in NUM.data_positions():
             assert not np.any(sensing.samples[NUM.symbol_slice(pos)])
             assert not np.any(sensing.grid(pos))
+
+
+def test_dmrs_table_matches_exp():
+    bins = NUM.occupied_bins()
+    for dmrs_seed in range(300):
+        grids = _dmrs_grids(NUM, dmrs_seed)
+        for pos in NUM.dmrs_positions():
+            quad = np.random.default_rng(dmrs_seed + pos).integers(0, 4, size=len(bins))
+            want = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quad))
+            assert grids[pos, bins].tobytes() == want.tobytes()
 
 
 def test_occupied_bin_count():
