@@ -8,10 +8,12 @@ so reflections straddling a beam switch are modeled faithfully.
 The co-located sensing receiver is a fixed 4x4 half-wavelength planar
 array with a broadside conjugate beam; ``rx_gain`` is its power gain toward
 a direction. ``monostatic_echoes`` takes each reflector's transmit and
-receive gains once per scene and beam plan, and ``apply_monostatic``
-applies them to every slot captured there, only on the slot's signal spans
-(its runs of non-zero symbols, each extended by the largest echo delay):
-elsewhere the capture is its whole-slot noise draw alone.
+receive gains once per scene and beam plan. A user's path is one more
+``Echo`` (unit receive gain, the plan's transmit amplitude toward the
+user). Both receivers capture through one code path: ``apply_monostatic``
+and ``apply_downlink`` sum their echoes only on the slot's signal spans
+(its runs of non-zero symbols, each extended by the largest echo delay)
+over a whole-slot noise draw; elsewhere the capture is the noise alone.
 
 This module holds only the physics; scene configs are read and converted
 to these types in ``subbeam.cli``.
@@ -176,30 +178,6 @@ def _complex_noise(rng, n, power):
     return noise
 
 
-def _delayed(signal: np.ndarray, delay: int) -> np.ndarray:
-    out = np.zeros_like(signal)
-    if delay == 0:
-        out[:] = signal
-    elif delay < len(signal):
-        out[delay:] = signal[: len(signal) - delay]
-    return out
-
-
-def apply_downlink(
-    slot: SlotWaveform,
-    plan: SlotBeamPlan,
-    user: SceneUser,
-    geometry: ArrayGeometry,
-    scene: Scene,
-    seed: int,
-) -> np.ndarray:
-    """Received samples at one user through its dominant path plus AWGN."""
-    amp = plan.tx_amplitude(geometry, user.link.angle)
-    faded = user.path.coefficient * _delayed(amp * slot.samples, user.path.delay_samples)
-    rng = np.random.default_rng(seed)
-    return faded + _complex_noise(rng, len(faded), scene.noise_power)
-
-
 # The sensing receiver: a broadside conjugate beam on a 4x4 planar array.
 _RX_GEOMETRY = ArrayGeometry.planar(4, 4, 0.5)
 _RX_BEAM = conjugate_beam(_RX_GEOMETRY, 0.0, 0.0)
@@ -212,9 +190,11 @@ def rx_gain(azimuth: float, elevation: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class Echo:
-    """One reflector's round trip under a beam plan, as the sensing receiver sees it.
+    """One path under a beam plan, as its receiver sees it.
 
-    ``tx_amp`` is sqrt(tx gain) toward the reflector for every slot sample
+    A reflector's round trip to the sensing receiver (``monostatic_echoes``)
+    or a user's downlink path (``apply_downlink``, with ``rx_amp`` 1).
+    ``tx_amp`` is sqrt(tx gain) toward the far end for every slot sample
     (``SlotBeamPlan.tx_amplitude``), ``rx_amp`` sqrt(``rx_gain``) from it.
     """
 
@@ -262,6 +242,39 @@ def _signal_spans(slot: SlotWaveform, reach: int) -> list[slice]:
     return [slice(start, stop) for start, stop in spans]
 
 
+def _capture(
+    slot: SlotWaveform, echoes: tuple[Echo, ...], noise_power: float, leak: float, seed: int
+) -> np.ndarray:
+    """The whole-slot noise draw from ``seed`` plus, on the signal spans, the echoes and leakage."""
+    samples = slot.samples
+    rx = _complex_noise(np.random.default_rng(seed), len(samples), noise_power)
+    for span in _signal_spans(slot, max((echo.delay for echo in echoes), default=0)):
+        out = np.zeros(span.stop - span.start, dtype=complex)
+        for echo in echoes:
+            if echo.delay < len(out):
+                src = slice(span.start, span.stop - echo.delay)
+                sent = echo.tx_amp[src] * samples[src]
+                out[echo.delay:] += echo.coefficient * echo.rx_amp * sent
+        if leak:
+            out += leak * samples[span]
+        rx[span] += out
+    return rx
+
+
+def apply_downlink(
+    slot: SlotWaveform,
+    plan: SlotBeamPlan,
+    user: SceneUser,
+    geometry: ArrayGeometry,
+    noise_power: float,
+    seed: int,
+) -> np.ndarray:
+    """Received samples at one user: its dominant path as one ``Echo`` plus AWGN, no leakage."""
+    amp = plan.tx_amplitude(geometry, user.link.angle)
+    echo = Echo(user.path.coefficient, 1.0, amp, user.path.delay_samples)
+    return _capture(slot, (echo,), noise_power, 0.0, seed)
+
+
 def apply_monostatic(
     slot: SlotWaveform,
     echoes: tuple[Echo, ...],
@@ -279,23 +292,10 @@ def apply_monostatic(
     sample, extended by the largest echo delay. Everywhere else they would
     add exact zeros, so the capture there is the noise alone, bit for bit.
     """
-    samples = slot.samples
     leak = 0.0
     if scene.self_interference_inr_db is not None:
-        mean_power = float(np.mean(np.abs(samples) ** 2))
+        mean_power = float(np.mean(np.abs(slot.samples) ** 2))
         if mean_power > 0:
             leak_power = scene.noise_power * 10.0 ** (scene.self_interference_inr_db / 10.0)
             leak = math.sqrt(leak_power / mean_power)
-    rng = np.random.default_rng(seed)
-    rx = _complex_noise(rng, len(samples), scene.noise_power)
-    for span in _signal_spans(slot, max((echo.delay for echo in echoes), default=0)):
-        out = np.zeros(span.stop - span.start, dtype=complex)
-        for echo in echoes:
-            if echo.delay < len(out):
-                src = slice(span.start, span.stop - echo.delay)
-                sent = echo.tx_amp[src] * samples[src]
-                out[echo.delay:] += echo.coefficient * echo.rx_amp * sent
-        if leak:
-            out += leak * samples[span]
-        rx[span] += out
-    return rx
+    return _capture(slot, echoes, scene.noise_power, leak, seed)

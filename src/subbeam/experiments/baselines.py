@@ -21,7 +21,7 @@ from ..sensing import DelaySearchConfig
 from ..waveform import (
     Numerology, SubSymbolSchedule, build_predistortion_plan, generate_slot, predistort_dmrs,
 )
-from .link import check_reflector_delays, score_user, sense_dmrs
+from .link import check_reflector_delays, noise_power_for_user_snr, score_user, sense_dmrs
 
 __all__ = ["run_baseline", "BASELINE_MODES"]
 
@@ -38,15 +38,6 @@ def _sensing_profile(res, beam, geometry, angle):
     g = max(beamforming_gain(beam, geometry, angle) * rx_gain(angle), 1.0)
     amps = np.abs(res.csi[res.valid]) / math.sqrt(g)
     return 20.0 * math.log10(float(np.mean(amps)) + 1e-30)
-
-
-def _conjugate_reference_noise(su, geometry, numerology, snr_db):
-    """Noise power putting a user at ``snr_db`` under dedicated conjugate
-    beamforming; the same floor is then used for every mode so beamformer
-    quality differences show up in the scores."""
-    g = geometry.num_elements**2
-    snr = 10.0 ** (snr_db / 10.0)
-    return g * su.path.attenuation**2 / (numerology.fft_size * snr)
 
 
 def run_baseline(
@@ -118,7 +109,9 @@ def run_baseline(
         )
 
         for u_idx, su in enumerate(scene.users):
-            noise = _conjugate_reference_noise(su, geometry, numerology, snr_db)
+            # snr_db under dedicated conjugate beamforming (gain N^2), the same
+            # floor in every mode so beamformer quality differences show up.
+            noise = noise_power_for_user_snr(snr_db, geometry.num_elements**2, su, numerology)
             est, gen = score_user(tx, reference, bplan, su, geometry, noise, seed + u_idx)
             table.add(
                 mode, u_idx, est["evm_percent"], gen["evm_percent"], est["ber"],

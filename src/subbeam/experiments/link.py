@@ -3,7 +3,9 @@
 This is the piece the `simulate` command and the baseline comparisons build
 on: optimize the codebook for the scene's users, transmit one or more
 pre-distorted slots, estimate the communication CSI at each user and the
-sensing CSI at the base station, and score both sides.
+sensing CSI at the base station, and score both sides. Users capture
+through the sensing receiver's echo sum, and each user slot is transformed
+once (``symbol_spectra``) for both its CSI estimate and its demodulation.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from ..waveform import (
     generate_slot,
     predistort_dmrs,
     slot_user_csi,
+    symbol_spectra,
 )
 
 __all__ = ["LinkResult", "noise_power_for_user_snr", "genie_csi", "check_reflector_delays",
@@ -53,20 +56,18 @@ class LinkResult:
 
 def noise_power_for_user_snr(
     snr_db: float,
-    data_beam: Beamformer,
-    geometry: ArrayGeometry,
+    gain: float,
     user: SceneUser,
     numerology: Numerology,
 ) -> float:
-    """Noise power giving the requested per-subcarrier data SNR at a user.
+    """Noise power giving the requested per-subcarrier data SNR at a user served with ``gain``.
 
-    Occupied-bin signal power is g_data * attenuation^2 (unit-power
+    Occupied-bin signal power is gain * attenuation^2 (unit-power
     constellations); an FFT bin collects fft_size times the per-sample
     noise power.
     """
-    g = beamforming_gain(data_beam, geometry, user.link.angle)
     snr = 10.0 ** (snr_db / 10.0)
-    return g * user.path.attenuation**2 / (numerology.fft_size * snr)
+    return gain * user.path.attenuation**2 / (numerology.fft_size * snr)
 
 
 def genie_csi(
@@ -104,20 +105,14 @@ def score_user(
     The downlink adds AWGN of ``noise_power`` drawn from ``seed``. Returns
     the ``demodulate_and_score`` results with the CSI estimated from the
     slot's DMRS and with genie CSI for the plan's data beam, both on the
-    same received samples.
+    same received spectra.
     """
     numerology = reference.numerology
-    noise_scene = Scene(noise_power=noise_power, self_interference_inr_db=None)
-    rx = apply_downlink(tx, plan, user, geometry, noise_scene, seed=seed)
-    rx_grids = np.array(
-        [
-            np.fft.fft(rx[numerology.symbol_slice(p, include_cp=False)])
-            for p in numerology.data_positions()
-        ]
-    )
-    est = demodulate_and_score(rx_grids, reference, slot_user_csi(rx, reference, numerology))
+    rx = apply_downlink(tx, plan, user, geometry, noise_power, seed=seed)
+    spectra = symbol_spectra(rx, numerology)
+    est = demodulate_and_score(spectra, reference, slot_user_csi(spectra, reference))
     genie = genie_csi(plan.data_beam, geometry, user, numerology)
-    return est, demodulate_and_score(rx_grids, reference, genie)
+    return est, demodulate_and_score(spectra, reference, genie)
 
 
 def sense_dmrs(
@@ -184,6 +179,10 @@ def run_link(
     plan = build_predistortion_plan(beams, data_beam, users, geometry) if predistort else None
     bplan = SlotBeamPlan.uniform(numerology, beams, data_beam)
     echoes = monostatic_echoes(bplan, scene, geometry)
+    g_norm = [  # each beam's round-trip gain toward its sensing angle
+        beamforming_gain(beam, geometry, entry.sensing_angle) * rx_gain(entry.sensing_angle)
+        for beam, entry in zip(beams, codebook.entries)
+    ]
 
     per_user_acc = [
         {"evm_sq_est": 0.0, "evm_sq_genie": 0.0, "bit_errors": 0, "bits": 0}
@@ -207,18 +206,17 @@ def run_link(
         for sym_row, results in enumerate(captures):
             for m, res in enumerate(results):
                 power = res.power
-                angle = codebook.entries[m].sensing_angle
-                g_norm = beamforming_gain(beams[m], geometry, angle) * rx_gain(angle)
                 sensing_rows.add(
-                    slot_idx, sym_row, m, math.degrees(angle), res.best_delay,
-                    10.0 * math.log10(power + 1e-30),
-                    10.0 * math.log10(power / g_norm + 1e-30),
+                    slot_idx, sym_row, m, math.degrees(codebook.entries[m].sensing_angle),
+                    res.best_delay, 10.0 * math.log10(power + 1e-30),
+                    10.0 * math.log10(power / g_norm[m] + 1e-30),
                     res.slope, res.mse,
                 )
 
         # Communication side (per-user noise)
         for u_idx, su in enumerate(scene.users):
-            noise = noise_power_for_user_snr(snr_db, data_beam, geometry, su, numerology)
+            gain = beamforming_gain(data_beam, geometry, su.link.angle)
+            noise = noise_power_for_user_snr(snr_db, gain, su, numerology)
             est, gen = score_user(
                 tx, reference, bplan, su, geometry, noise, seed + 104729 * slot_idx + u_idx
             )

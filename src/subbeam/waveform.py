@@ -5,6 +5,8 @@ reference (DMRS) grids used for channel estimation and sensing, the rest
 carry random QAM data (zeros in a sensing-only slot). Only the middle block
 of subcarriers is occupied. Frequency grids use the natural FFT bin order;
 "occupied" bins are the centered block around DC after fftshift.
+A user receiver transforms each slot once (``symbol_spectra``, one batched
+FFT of the bodies); ``slot_user_csi`` and ``demodulate_and_score`` read it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = [
     "sensing_slot",
     "build_predistortion_plan",
     "predistort_dmrs",
-    "estimate_user_csi",
+    "symbol_spectra",
     "slot_user_csi",
     "demodulate_and_score",
     "write_iq",
@@ -158,10 +160,6 @@ def _axis_levels(bits_per_axis: int) -> np.ndarray:
     return 2.0 * np.arange(n) - (n - 1)
 
 
-def _gray(n: np.ndarray) -> np.ndarray:
-    return n ^ (n >> 1)
-
-
 def constellation(modulation: str) -> tuple[np.ndarray, float]:
     """(per-axis levels, normalization) for a square Gray-mapped QAM."""
     if modulation not in MODULATIONS:
@@ -181,14 +179,6 @@ def _slice_axis(values: np.ndarray, levels: np.ndarray, norm: float) -> np.ndarr
     return np.clip(idx, 0, len(levels) - 1)
 
 
-def _bits_of_indices(idx: np.ndarray, bits_per_axis: int) -> np.ndarray:
-    codes = _gray(idx)
-    out = np.zeros((len(idx), bits_per_axis), dtype=np.uint8)
-    for b in range(bits_per_axis):
-        out[:, bits_per_axis - 1 - b] = (codes >> b) & 1
-    return out
-
-
 @dataclass(frozen=True)
 class SlotWaveform:
     """One slot: concatenated (CP + body) samples plus per-symbol grids."""
@@ -200,9 +190,6 @@ class SlotWaveform:
 
     def symbol_body(self, position: int) -> np.ndarray:
         return self.samples[self.numerology.symbol_slice(position, include_cp=False)]
-
-    def grid(self, position: int) -> np.ndarray:
-        return self.grids[position]
 
 
 def _assemble_samples(numerology: Numerology, grids: np.ndarray, positions) -> np.ndarray:
@@ -360,78 +347,58 @@ def predistort_dmrs(
     return replace(slot, samples=samples, grids=grids)
 
 
-def estimate_user_csi(
-    rx_symbol: np.ndarray,
-    tx_symbol: np.ndarray,
-    numerology: Numerology,
-) -> np.ndarray:
-    """Per-subcarrier channel estimate Y[k]/X[k] on the occupied bins.
+def symbol_spectra(samples: np.ndarray, numerology: Numerology) -> np.ndarray:
+    """FFT of every CP-stripped symbol body of one slot, shape (symbols_per_slot, fft_size)."""
+    num = numerology
+    if len(samples) != num.slot_len:
+        raise ValueError(f"got {len(samples)} samples, a slot holds {num.slot_len}")
+    bodies = samples.reshape(num.symbols_per_slot, num.symbol_len)[:, num.cp_length:]
+    return np.fft.fft(bodies, axis=1)
 
-    Both inputs are CP-stripped time-domain symbol bodies of fft_size
-    samples.
+
+def slot_user_csi(rx_spectra: np.ndarray, reference: SlotWaveform) -> np.ndarray:
+    """Per-subcarrier channel estimate Y[k]/X[k] on the occupied bins, averaged over the DMRS.
+
+    ``rx_spectra`` is ``symbol_spectra`` of whatever the channel delivered;
+    the reference is the undistorted slot (the sequence users know).
     """
-    if len(rx_symbol) != numerology.fft_size or len(tx_symbol) != numerology.fft_size:
-        raise ValueError("symbol bodies must have fft_size samples")
-    bins = numerology.occupied_bins()
-    rx_f = np.fft.fft(rx_symbol)
-    tx_f = np.fft.fft(tx_symbol)
-    return rx_f[bins] / tx_f[bins]
-
-
-def slot_user_csi(
-    rx_samples: np.ndarray,
-    reference: SlotWaveform,
-    numerology: Numerology,
-) -> np.ndarray:
-    """Average the per-DMRS-symbol estimates over the slot.
-
-    The reference is the undistorted slot (the sequence users know); the
-    received samples are whatever the channel delivered, CPs included.
-    """
-    acc = None
-    for pos in numerology.dmrs_positions():
-        rx_body = rx_samples[numerology.symbol_slice(pos, include_cp=False)]
-        h = estimate_user_csi(rx_body, reference.symbol_body(pos), numerology)
-        acc = h if acc is None else acc + h
-    return acc / len(numerology.dmrs_positions())
+    num = reference.numerology
+    rows = num.dmrs_positions()
+    bins = num.occupied_bins()
+    # np.take keeps the rows C-ordered, so the mean adds them one after another.
+    h = np.take(rx_spectra[rows], bins, axis=1) / np.take(
+        symbol_spectra(reference.samples, num)[rows], bins, axis=1
+    )
+    return np.add.reduce(h, axis=0) / len(rows)
 
 
 def demodulate_and_score(
-    rx_grids: np.ndarray,
+    rx_spectra: np.ndarray,
     tx_slot: SlotWaveform,
     csi: np.ndarray,
 ) -> dict:
     """Equalize the data symbols, slice, and report EVM (%) and uncoded BER.
 
-    ``rx_grids`` holds the received frequency grids for the data symbols in
-    slot order, shape (num_data_symbols, fft_size). EVM is the RMS error
-    vector relative to the transmitted constellation points, in percent,
-    sliced with the slot's own modulation.
+    ``rx_spectra`` holds the received frequency grid of every symbol of the
+    slot (``symbol_spectra``); only the data rows are read. EVM is the RMS
+    error vector relative to the transmitted constellation points, in
+    percent, sliced with the slot's own modulation.
     """
     levels, norm = constellation(tx_slot.modulation)
     bits_axis = MODULATIONS[tx_slot.modulation] // 2
     num = tx_slot.numerology
     bins = num.occupied_bins()
-    data_pos = num.data_positions()
-    if len(rx_grids) != len(data_pos):
-        raise ValueError("rx_grids must cover exactly the data symbols")
-
-    err_power = 0.0
-    ref_power = 0.0
-    bit_errors = 0
-    bit_total = 0
-    for row, pos in enumerate(data_pos):
-        eq = rx_grids[row][bins] / csi
-        ref = tx_slot.grid(pos)[bins]
-        err_power += float(np.sum(np.abs(eq - ref) ** 2))
-        ref_power += float(np.sum(np.abs(ref) ** 2))
-        for part in (np.real, np.imag):
-            rx_idx = _slice_axis(part(eq), levels, norm)
-            tx_idx = _slice_axis(part(ref), levels, norm)
-            rx_bits = _bits_of_indices(rx_idx, bits_axis)
-            tx_bits = _bits_of_indices(tx_idx, bits_axis)
-            bit_errors += int(np.sum(rx_bits != tx_bits))
-            bit_total += rx_bits.size
+    rows = num.data_positions()
+    eq = np.take(rx_spectra[rows], bins, axis=1) / csi
+    ref = np.take(tx_slot.grids[rows], bins, axis=1)
+    # Each row's power sums pairwise, and the rows add in slot order.
+    err_power = sum(np.sum(np.abs(eq - ref) ** 2, axis=1).tolist())
+    ref_power = sum(np.sum(np.abs(ref) ** 2, axis=1).tolist())
+    idx = _slice_axis(np.stack([ref.real, ref.imag, eq.real, eq.imag]), levels, norm)
+    gray = idx ^ (idx >> 1)
+    flips = gray[:2] ^ gray[2:]
+    bit_errors = sum(int(np.count_nonzero((flips >> b) & 1)) for b in range(bits_axis))
+    bit_total = flips.size * bits_axis
     return {
         "evm_percent": 100.0 * math.sqrt(err_power / ref_power),
         "ber": bit_errors / bit_total,

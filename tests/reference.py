@@ -9,7 +9,10 @@ delay-search reference is the package's kernel as it stood with
 current kernel byte for byte. The whole-slot monostatic capture and the
 column-stacked localization features are the package's as they stood
 before echoes were applied only on the signal spans and feature rows were
-built per beam, kept to pin the current code byte for byte.
+built per beam, kept to pin the current code byte for byte. So are the
+whole-slot user downlink and the per-symbol user CSI and scoring loops, as
+they stood before users captured through the sensing echo sum and the
+user receiver transformed each slot once.
 """
 
 import math
@@ -222,3 +225,67 @@ def column_stacked_features(results, sub_len):
     delays = np.array([r.best_delay for r in results])
     total_slope = np.array([r.slope for r in results]) - 2.0 * np.pi * delays / sub_len
     return np.column_stack((power_db, total_slope, [r.mse for r in results])).ravel()
+
+
+def whole_slot_downlink(samples, tx_amp, coefficient, delay, noise_power, seed):
+    """One user's capture: the whole slot scaled by ``tx_amp``, delayed, faded, plus noise.
+
+    The noise is the whole-slot draw from ``seed``, real parts first.
+    """
+    n = len(samples)
+    delayed = np.zeros(n, dtype=complex)
+    if delay == 0:
+        delayed[:] = tx_amp * samples
+    elif delay < n:
+        delayed[delay:] = (tx_amp * samples)[: n - delay]
+    rng = np.random.default_rng(seed)
+    noise = np.empty(n, dtype=complex)
+    noise.real = rng.standard_normal(n)
+    noise.imag = rng.standard_normal(n)
+    noise *= math.sqrt(noise_power / 2.0)
+    return coefficient * delayed + noise
+
+
+def per_symbol_user_csi(rx_samples, ref_samples, fft_size, cp_length, dmrs_positions, bins):
+    """Y[k]/X[k] on ``bins`` of each DMRS body, one FFT per body, summed in slot order."""
+    symbol_len = fft_size + cp_length
+    acc = None
+    for pos in dmrs_positions:
+        body = slice(pos * symbol_len + cp_length, (pos + 1) * symbol_len)
+        h = np.fft.fft(rx_samples[body])[bins] / np.fft.fft(ref_samples[body])[bins]
+        acc = h if acc is None else acc + h
+    return acc / len(dmrs_positions)
+
+
+def per_symbol_scores(rx_grids, tx_grids, csi, data_positions, bins, levels, norm, bits_axis):
+    """EVM (%), BER and bit count of the data rows, one row and one I/Q axis at a time.
+
+    ``rx_grids`` holds one received grid per data symbol, in slot order.
+    """
+    def axis_index(values):
+        idx = np.round((values * norm + len(levels) - 1) / 2.0).astype(int)
+        return np.clip(idx, 0, len(levels) - 1)
+
+    def bits(idx):
+        codes = idx ^ (idx >> 1)
+        out = np.zeros((len(idx), bits_axis), dtype=np.uint8)
+        for b in range(bits_axis):
+            out[:, bits_axis - 1 - b] = (codes >> b) & 1
+        return out
+
+    err_power = ref_power = 0.0
+    bit_errors = bit_total = 0
+    for row, pos in enumerate(data_positions):
+        eq = rx_grids[row][bins] / csi
+        ref = tx_grids[pos][bins]
+        err_power += float(np.sum(np.abs(eq - ref) ** 2))
+        ref_power += float(np.sum(np.abs(ref) ** 2))
+        for part in (np.real, np.imag):
+            rx_bits = bits(axis_index(part(eq)))
+            bit_errors += int(np.sum(rx_bits != bits(axis_index(part(ref)))))
+            bit_total += rx_bits.size
+    return {
+        "evm_percent": 100.0 * math.sqrt(err_power / ref_power),
+        "ber": bit_errors / bit_total,
+        "bits": bit_total,
+    }

@@ -24,9 +24,17 @@ from subbeam.channel import (
     rx_gain,
 )
 from subbeam.cli import load_scene, scene_from_dict
-from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot, sensing_slot
+from subbeam.waveform import (
+    MODULATIONS,
+    Numerology,
+    PredistortionPlan,
+    SubSymbolSchedule,
+    generate_slot,
+    predistort_dmrs,
+    sensing_slot,
+)
 
-from reference import whole_slot_monostatic
+from reference import whole_slot_downlink, whole_slot_monostatic
 
 NUM = Numerology()
 GEO = ArrayGeometry.ula(8)
@@ -49,7 +57,7 @@ def test_identity_path_is_passthrough():
     slot = generate_slot(NUM, "QPSK", seed=0)
     su = SceneUser(UserLink(0.0, 1.0), PathModel(1.0, 0.0, 0))
     scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
-    rx = apply_downlink(slot, plan, su, geo1, scene, seed=1)
+    rx = apply_downlink(slot, plan, su, geo1, scene.noise_power, seed=1)
     assert np.allclose(rx, slot.samples, atol=1e-12)
 
 
@@ -60,7 +68,7 @@ def test_gain_four_doubles_amplitude():
     slot = generate_slot(NUM, "QPSK", seed=2)
     su = SceneUser(UserLink(0.0, 1.0), PathModel(1.0, 0.0, 0))
     scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
-    rx = apply_downlink(slot, plan, su, geo2, scene, seed=1)
+    rx = apply_downlink(slot, plan, su, geo2, scene.noise_power, seed=1)
     assert np.allclose(rx, 2.0 * slot.samples, atol=1e-12)
 
 
@@ -70,7 +78,7 @@ def test_delay_peaks_cross_correlation():
     d = 5
     su = SceneUser(UserLink(0.0, 1.0), PathModel(0.8, 0.4, d))
     scene = Scene(users=(su,), noise_power=1e-12, self_interference_inr_db=None)
-    rx = apply_downlink(slot, plan, su, geo1, scene, seed=7)
+    rx = apply_downlink(slot, plan, su, geo1, scene.noise_power, seed=7)
     lags = range(0, 12)
     corr = [abs(np.vdot(slot.samples[: -lag or None], rx[lag:])) for lag in lags]
     assert int(np.argmax(corr)) == d
@@ -81,7 +89,7 @@ def test_phase_and_attenuation_applied():
     slot = generate_slot(NUM, "QPSK", seed=4)
     su = SceneUser(UserLink(0.0, 1.0), PathModel(0.25, 1.1, 0))
     scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
-    rx = apply_downlink(slot, plan, su, geo1, scene, seed=1)
+    rx = apply_downlink(slot, plan, su, geo1, scene.noise_power, seed=1)
     assert np.allclose(rx, 0.25 * np.exp(1.1j) * slot.samples, atol=1e-12)
 
 
@@ -315,6 +323,32 @@ class TestEchoesOnSignalSpans:
     def test_spans_read_from_the_samples_not_the_grids(self):
         slot = sensing_slot(NUM, dmrs_seed=2)
         self.assert_whole_slot(replace(slot, grids=np.zeros_like(slot.grids)), 5)
+
+
+class TestDownlinkMatchesWholeSlot:
+    """``apply_downlink`` byte for byte against the whole-slot delayed path plus noise."""
+
+    BEAMS = [conjugate_beam(GEO, math.radians(a)) for a in (-20, 0, 20)]
+    PLAN = SlotBeamPlan.uniform(NUM, BEAMS, conjugate_beam(GEO, math.radians(5)))
+
+    @pytest.mark.parametrize("predistorted", [False, True])
+    @pytest.mark.parametrize("delay", [0, NUM.cp_length, NUM.slot_len, NUM.slot_len + 7])
+    @pytest.mark.parametrize("modulation", sorted(MODULATIONS))
+    def test_byte_equal(self, modulation, delay, predistorted):
+        factors = PredistortionPlan(amplitude=np.array([1.0, 2.0, 0.5]))
+        for seed in range(3):
+            slot = generate_slot(NUM, modulation, seed=seed)
+            if predistorted:
+                slot = predistort_dmrs(slot, self.PLAN.schedule, factors)
+            su = SceneUser(UserLink(math.radians(-12 + 9 * seed), 1.0),
+                           PathModel(0.7, 0.3 + seed, delay))
+            noise = 10.0 ** -(3 + seed)
+            got = apply_downlink(slot, self.PLAN, su, GEO, noise, seed=seed + 11)
+            amp = self.PLAN.tx_amplitude(GEO, su.link.angle)
+            want = whole_slot_downlink(
+                slot.samples, amp, su.path.coefficient, delay, noise, seed + 11
+            )
+            assert got.tobytes() == want.tobytes()
 
 
 def test_rx_gain_peak():

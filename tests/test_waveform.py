@@ -16,14 +16,16 @@ from subbeam.waveform import (
     build_predistortion_plan,
     constellation,
     demodulate_and_score,
-    estimate_user_csi,
     generate_slot,
     predistort_dmrs,
     read_iq,
     sensing_slot,
     slot_user_csi,
+    symbol_spectra,
     write_iq,
 )
+
+from reference import per_symbol_scores, per_symbol_user_csi, whole_slot_downlink
 
 NUM = Numerology()
 
@@ -39,7 +41,7 @@ def test_dmrs_shared_across_data_seeds():
     a = generate_slot(NUM, "64QAM", seed=1)
     b = generate_slot(NUM, "16QAM", seed=2)
     for pos in NUM.dmrs_positions():
-        assert np.array_equal(a.grid(pos), b.grid(pos))
+        assert np.array_equal(a.grids[pos], b.grids[pos])
 
 
 def test_sensing_slot_is_the_dmrs_of_a_data_slot():
@@ -50,10 +52,10 @@ def test_sensing_slot_is_the_dmrs_of_a_data_slot():
         for pos in NUM.dmrs_positions():
             sl = NUM.symbol_slice(pos)
             assert sensing.samples[sl].tobytes() == full.samples[sl].tobytes()
-            assert sensing.grid(pos).tobytes() == full.grid(pos).tobytes()
+            assert sensing.grids[pos].tobytes() == full.grids[pos].tobytes()
         for pos in NUM.data_positions():
             assert not np.any(sensing.samples[NUM.symbol_slice(pos)])
-            assert not np.any(sensing.grid(pos))
+            assert not np.any(sensing.grids[pos])
 
 
 def test_dmrs_table_matches_exp():
@@ -69,20 +71,20 @@ def test_dmrs_table_matches_exp():
 def test_occupied_bin_count():
     slot = generate_slot(NUM, "QPSK", seed=0)
     for pos in range(NUM.symbols_per_slot):
-        assert int(np.sum(slot.grid(pos) == 0)) == 1024 - 768
+        assert int(np.sum(slot.grids[pos] == 0)) == 1024 - 768
 
 
 def test_dmrs_unit_modulus():
     slot = generate_slot(NUM, "QPSK", seed=0)
     bins = NUM.occupied_bins()
     for pos in NUM.dmrs_positions():
-        assert np.allclose(np.abs(slot.grid(pos)[bins]), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(slot.grids[pos][bins]), 1.0, atol=1e-12)
 
 
 def test_fft_roundtrip_reproduces_grid():
     slot = generate_slot(NUM, "256QAM", seed=5)
     for pos in range(NUM.symbols_per_slot):
-        assert np.allclose(np.fft.fft(slot.symbol_body(pos)), slot.grid(pos), atol=1e-9)
+        assert np.allclose(np.fft.fft(slot.symbol_body(pos)), slot.grids[pos], atol=1e-9)
 
 
 def test_cp_is_cyclic_prefix():
@@ -180,7 +182,7 @@ class TestPredistortion:
             sl = sched.window(m)
             assert np.allclose(body_out[sl], plan.amplitude[m] * body_in[sl])
         # grid invariant still holds after scaling
-        assert np.allclose(np.fft.fft(body_out), out.grid(pos), atol=1e-9)
+        assert np.allclose(np.fft.fft(body_out), out.grids[pos], atol=1e-9)
 
     def test_received_dmrs_power_ratio(self):
         # after pre-distortion the received DMRS power per window equals the
@@ -199,7 +201,7 @@ class TestPredistortion:
         su = SceneUser(self.USERS[0], PathModel(1.0, 0.0, 0))
         scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
         bplan = SlotBeamPlan.uniform(NUM, cb.beams(), data)
-        rx = apply_downlink(tx, bplan, su, self.GEO, scene, seed=0)
+        rx = apply_downlink(tx, bplan, su, self.GEO, scene.noise_power, seed=0)
 
         g_du = beamforming_gain(data, self.GEO, su.link.angle)
         mean_gd = np.mean([beamforming_gain(data, self.GEO, u.angle) for u in self.USERS])
@@ -225,25 +227,21 @@ class TestPredistortion:
 class TestUserCsi:
     def test_identity_channel(self):
         slot = generate_slot(NUM, "QPSK", seed=0)
-        pos = NUM.dmrs_positions()[0]
-        body = slot.symbol_body(pos)
-        h = estimate_user_csi(body, body, NUM)
+        h = slot_user_csi(symbol_spectra(slot.samples, NUM), slot)
         assert np.allclose(h, 1.0, atol=1e-12)
 
     def test_scalar_channel(self):
         slot = generate_slot(NUM, "QPSK", seed=1)
-        pos = NUM.dmrs_positions()[0]
-        body = slot.symbol_body(pos)
         c = 0.5 * np.exp(1j * np.pi / 3)
-        h = estimate_user_csi(c * body, body, NUM)
+        h = slot_user_csi(symbol_spectra(c * slot.samples, NUM), slot)
         assert np.allclose(h, c, atol=1e-12)
 
     def test_delay_gives_phase_slope(self):
         slot = generate_slot(NUM, "QPSK", seed=2)
-        pos = NUM.dmrs_positions()[0]
-        body = slot.symbol_body(pos)
-        delayed = np.roll(body, 3)  # circular: exact phase ramp
-        h = estimate_user_csi(delayed, body, NUM)
+        delayed = slot.samples.copy()
+        for pos in NUM.dmrs_positions():  # circular: exact phase ramp
+            delayed[NUM.symbol_slice(pos, include_cp=False)] = np.roll(slot.symbol_body(pos), 3)
+        h = slot_user_csi(symbol_spectra(delayed, NUM), slot)
         bins = NUM.occupied_bins()
         expected = np.exp(-2j * np.pi * 3 * np.fft.fftfreq(NUM.fft_size)[bins])
         assert np.allclose(h, expected, atol=1e-9)
@@ -258,7 +256,7 @@ class TestUserCsi:
 class TestScoring:
     def test_noiseless_genie_is_perfect(self):
         slot = generate_slot(NUM, "64QAM", seed=11)
-        rx = np.array([slot.grid(p) for p in NUM.data_positions()])
+        rx = slot.grids
         csi = np.ones(768)
         out = demodulate_and_score(rx, slot, csi)
         assert out["evm_percent"] == pytest.approx(0.0, abs=1e-9)
@@ -271,13 +269,11 @@ class TestScoring:
         bins = NUM.occupied_bins()
         snr_db = 30.0
         sigma = 10 ** (-snr_db / 20.0)
-        rx = []
+        rx = slot.grids.copy()
         for p in NUM.data_positions():
-            g = slot.grid(p).copy()
             noise = sigma * (rng.standard_normal(768) + 1j * rng.standard_normal(768)) / np.sqrt(2)
-            g[bins] = g[bins] + noise
-            rx.append(g)
-        out = demodulate_and_score(np.array(rx), slot, np.ones(768))
+            rx[p, bins] = rx[p, bins] + noise
+        out = demodulate_and_score(rx, slot, np.ones(768))
         assert out["evm_percent"] == pytest.approx(100 * 10 ** (-snr_db / 20.0), abs=0.3)
         assert out["ber"] == 0.0  # 30 dB is far above the 64QAM threshold
 
@@ -287,15 +283,58 @@ class TestScoring:
         bins = NUM.occupied_bins()
         for snr_db in (0.0, 10.0, 20.0, 30.0):
             sigma = 10 ** (-snr_db / 20.0)
-            rx = []
+            rx = slot.grids.copy()
             for p in NUM.data_positions():
-                g = slot.grid(p).copy()
                 noise = sigma * (rng.standard_normal(768) + 1j * rng.standard_normal(768)) / np.sqrt(2)
-                g[bins] = g[bins] + noise
-                rx.append(g)
-            out = demodulate_and_score(np.array(rx), slot, np.ones(768))
+                rx[p, bins] = rx[p, bins] + noise
+            out = demodulate_and_score(rx, slot, np.ones(768))
             expected = 100 * 10 ** (-snr_db / 20.0)
             assert abs(out["evm_percent"] - expected) / expected < 0.10
+
+
+class TestUserReceiverMatchesPerSymbol:
+    """One ``symbol_spectra`` per slot, byte for byte against one FFT per symbol.
+
+    The received slot is the whole-slot downlink oracle: a per-sample
+    transmit amplitude, a path, a delay, and noise.
+    """
+
+    SCHEDULE = SubSymbolSchedule.for_numerology(NUM, 3)
+    FACTORS = PredistortionPlan(amplitude=np.array([1.0, 2.0, 0.5]))
+
+    @pytest.mark.parametrize("predistorted", [False, True])
+    @pytest.mark.parametrize("delay", [0, NUM.cp_length, NUM.slot_len, NUM.slot_len + 7])
+    @pytest.mark.parametrize("modulation", sorted(MODULATIONS))
+    def test_byte_equal(self, modulation, delay, predistorted):
+        levels, norm = constellation(modulation)
+        bins = NUM.occupied_bins()
+        data = NUM.data_positions()
+        for seed in range(3):
+            reference = generate_slot(NUM, modulation, seed=seed)
+            tx = reference
+            if predistorted:
+                tx = predistort_dmrs(reference, self.SCHEDULE, self.FACTORS)
+            rng = np.random.default_rng(seed)
+            amp = rng.uniform(0.5, 2.0, NUM.slot_len)
+            noise = 10.0 ** -(4.5 + 0.75 * seed)  # every case has bit errors to count
+            rx = whole_slot_downlink(tx.samples, amp, 0.8 * np.exp(0.4j), delay, noise, seed)
+            spectra = symbol_spectra(rx, NUM)
+            csi = slot_user_csi(spectra, reference)
+            want = per_symbol_user_csi(
+                rx, reference.samples, NUM.fft_size, NUM.cp_length, NUM.dmrs_positions(), bins
+            )
+            assert csi.tobytes() == want.tobytes()
+            rx_grids = [np.fft.fft(rx[NUM.symbol_slice(p, include_cp=False)]) for p in data]
+            for h in (csi, np.full(len(bins), 0.8 * np.exp(0.4j))):
+                assert demodulate_and_score(spectra, reference, h) == per_symbol_scores(
+                    rx_grids, reference.grids, h, data, bins, levels, norm,
+                    MODULATIONS[modulation] // 2,
+                )
+
+    @pytest.mark.parametrize("length", [NUM.slot_len - 1, NUM.slot_len + NUM.symbol_len])
+    def test_spectra_need_exactly_one_slot(self, length):
+        with pytest.raises(ValueError, match=f"{length} samples.*{NUM.slot_len}"):
+            symbol_spectra(np.zeros(length, dtype=complex), NUM)
 
 
 def test_iq_file_round_trip(tmp_path):
