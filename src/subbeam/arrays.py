@@ -24,6 +24,12 @@ __all__ = [
 # Angular field of view of the simulated front end (degrees, symmetric).
 FIELD_OF_VIEW_DEG = 60.0
 
+
+def in_field_of_view(angle: float) -> bool:
+    """Whether ``angle`` (radians) lies within +/-``FIELD_OF_VIEW_DEG``; the one such test."""
+    return abs(angle) <= math.radians(FIELD_OF_VIEW_DEG) + 1e-12
+
+
 LAYOUTS = ("ula", "planar")
 
 

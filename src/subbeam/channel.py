@@ -5,15 +5,18 @@ and an integer sample delay. The transmit gain seen by a delayed sample is
 the gain of the beamformer that was active when that sample left the array,
 so reflections straddling a beam switch are modeled faithfully.
 
-The co-located sensing receiver is a fixed 4x4 half-wavelength planar
-array with a broadside conjugate beam; ``rx_gain`` is its power gain toward
-a direction. ``monostatic_echoes`` takes each reflector's transmit and
-receive gains once per scene and beam plan. A user's path is one more
-``Echo`` (unit receive gain, the plan's transmit amplitude toward the
-user). Both receivers capture through one code path: ``apply_monostatic``
-and ``apply_downlink`` sum their echoes only on the slot's signal spans
-(its runs of non-zero symbols, each extended by the largest echo delay)
-over a whole-slot noise draw; elsewhere the capture is the noise alone.
+A ``SlotBeamPlan`` says how a slot is sent: the beam of every sample and,
+optionally, each DMRS window's pre-distortion amplitude (``send``). The
+co-located sensing receiver is a fixed 4x4 half-wavelength planar array
+with a broadside conjugate beam; ``rx_gain`` is its power gain toward a
+direction and ``round_trip_gain`` a beam's transmit gain times it. Every
+path is an ``Echo`` taken once per beam plan: ``monostatic_echoes`` gives
+each reflector's, ``downlink_echo`` a user's (unit receive gain, the plan's
+transmit amplitude toward the user). Both receivers capture through one
+code path: ``apply_monostatic`` and ``apply_downlink`` sum their echoes
+only on the slot's signal spans (its runs of non-zero symbols, each
+extended by the largest echo delay) over a whole-slot noise draw;
+elsewhere the capture is the noise alone.
 
 This module holds only the physics; scene configs are read and converted
 to these types in ``subbeam.cli``.
@@ -22,16 +25,16 @@ to these types in ``subbeam.cli``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .arrays import (
-    FIELD_OF_VIEW_DEG,
     ArrayGeometry,
     Beamformer,
     beamforming_gain,
     conjugate_beam,
+    in_field_of_view,
 )
 from .codebook import UserLink
 from .waveform import Numerology, SlotWaveform, SubSymbolSchedule
@@ -44,10 +47,12 @@ __all__ = [
     "Scene",
     "SlotBeamPlan",
     "Echo",
+    "downlink_echo",
     "apply_downlink",
     "monostatic_echoes",
     "apply_monostatic",
     "rx_gain",
+    "round_trip_gain",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
@@ -80,10 +85,9 @@ class Reflector:
     label: str = ""
 
     def __post_init__(self):
-        fov = math.radians(FIELD_OF_VIEW_DEG)
-        if abs(self.azimuth) > fov + 1e-12:
+        if not in_field_of_view(self.azimuth):
             raise ValueError("reflector azimuth outside the field of view")
-        if abs(self.elevation) > fov + 1e-12:
+        if not in_field_of_view(self.elevation):
             raise ValueError("reflector elevation outside the field of view")
 
 
@@ -109,7 +113,7 @@ class Scene:
 
 @dataclass(frozen=True)
 class SlotBeamPlan:
-    """Which beamformer is active for every sample of a slot.
+    """How a slot is sent: the active beamformer of every sample, and the DMRS pre-distortion.
 
     ``dmrs_beams`` holds one beam list per DMRS symbol (in ascending symbol
     order), all of one length; data symbols use the fixed ``data_beam``. The
@@ -117,11 +121,15 @@ class SlotBeamPlan:
     (``SubSymbolSchedule.for_numerology``): one window per beam of a list.
     CP samples inherit the beam of the body sample they duplicate, and
     samples in the schedule's unused tail keep the last window's beam.
+    ``dmrs_amplitude``, when given, holds one positive amplitude per window
+    (``waveform.build_predistortion_plan``): ``send`` scales each window of
+    every DMRS symbol by it, and the sensing receiver divides it back out.
     """
 
     numerology: Numerology
     dmrs_beams: tuple  # tuple[tuple[Beamformer, ...], ...]
     data_beam: Beamformer
+    dmrs_amplitude: np.ndarray | None = None
     schedule: SubSymbolSchedule = field(init=False)
 
     def __post_init__(self):
@@ -133,12 +141,38 @@ class SlotBeamPlan:
         object.__setattr__(self, "dmrs_beams", per_symbol)
         schedule = SubSymbolSchedule.for_numerology(self.numerology, len(per_symbol[0]))
         object.__setattr__(self, "schedule", schedule)
+        if self.dmrs_amplitude is not None:
+            amp = np.asarray(self.dmrs_amplitude, dtype=float)
+            if amp.shape != (schedule.num_beams,) or not np.all(amp > 0):
+                raise ValueError(f"dmrs_amplitude {amp.tolist()} needs one value > 0 "
+                                 f"for each of the {schedule.num_beams} windows")
+            object.__setattr__(self, "dmrs_amplitude", amp)
 
     @classmethod
-    def uniform(cls, numerology, beams, data_beam) -> "SlotBeamPlan":
+    def uniform(cls, numerology, beams, data_beam, dmrs_amplitude=None) -> "SlotBeamPlan":
         """Same beam sweep on every DMRS symbol of the slot."""
         reps = len(numerology.dmrs_positions())
-        return cls(numerology, tuple(tuple(beams) for _ in range(reps)), data_beam)
+        return cls(numerology, (tuple(beams),) * reps, data_beam, dmrs_amplitude)
+
+    def send(self, reference: SlotWaveform) -> SlotWaveform:
+        """``reference`` as transmitted: each DMRS window scaled by its ``dmrs_amplitude``.
+
+        Data symbols, the schedule's unused tail and a plan without amplitudes
+        leave the samples bit-exact; each scaled body's CP is rebuilt from it.
+        """
+        if self.dmrs_amplitude is None:
+            return reference
+        num = self.numerology
+        samples = reference.samples.copy()
+        grids = reference.grids.copy()
+        factors = self.dmrs_amplitude.astype(complex)
+        for pos in num.dmrs_positions():
+            body = reference.symbol_body(pos).copy()
+            for m in range(self.schedule.num_beams):
+                body[self.schedule.window(m)] *= factors[m]
+            samples[num.symbol_slice(pos)] = num.with_cp(body)
+            grids[pos] = np.fft.fft(body)
+        return replace(reference, samples=samples, grids=grids)
 
     def tx_amplitude(self, geometry: ArrayGeometry, azimuth: float,
                      elevation: float | None = None) -> np.ndarray:
@@ -188,12 +222,18 @@ def rx_gain(azimuth: float, elevation: float = 0.0) -> float:
     return beamforming_gain(_RX_BEAM, _RX_GEOMETRY, azimuth, elevation)
 
 
+def round_trip_gain(beam, geometry: ArrayGeometry, azimuth: float, elevation=None) -> float:
+    """``beam``'s transmit power gain toward a direction times ``rx_gain`` (elevation 0 if None)."""
+    rx = rx_gain(azimuth, 0.0 if elevation is None else elevation)
+    return beamforming_gain(beam, geometry, azimuth, elevation) * rx
+
+
 @dataclass(frozen=True)
 class Echo:
     """One path under a beam plan, as its receiver sees it.
 
     A reflector's round trip to the sensing receiver (``monostatic_echoes``)
-    or a user's downlink path (``apply_downlink``, with ``rx_amp`` 1).
+    or a user's downlink path (``downlink_echo``, with ``rx_amp`` 1).
     ``tx_amp`` is sqrt(tx gain) toward the far end for every slot sample
     (``SlotBeamPlan.tx_amplitude``), ``rx_amp`` sqrt(``rx_gain``) from it.
     """
@@ -261,17 +301,14 @@ def _capture(
     return rx
 
 
-def apply_downlink(
-    slot: SlotWaveform,
-    plan: SlotBeamPlan,
-    user: SceneUser,
-    geometry: ArrayGeometry,
-    noise_power: float,
-    seed: int,
-) -> np.ndarray:
-    """Received samples at one user: its dominant path as one ``Echo`` plus AWGN, no leakage."""
+def downlink_echo(plan: SlotBeamPlan, user: SceneUser, geometry: ArrayGeometry) -> Echo:
+    """A user's dominant path as the ``Echo`` every slot sent under ``plan`` shares."""
     amp = plan.tx_amplitude(geometry, user.link.angle)
-    echo = Echo(user.path.coefficient, 1.0, amp, user.path.delay_samples)
+    return Echo(user.path.coefficient, 1.0, amp, user.path.delay_samples)
+
+
+def apply_downlink(slot: SlotWaveform, echo: Echo, noise_power: float, seed: int) -> np.ndarray:
+    """Received samples at one user: its ``downlink_echo`` plus AWGN from ``seed``, no leakage."""
     return _capture(slot, (echo,), noise_power, 0.0, seed)
 
 

@@ -136,7 +136,9 @@ _CONFIG = {
                         lambda x: bool(x) and all(map(_NUMBER.test, x))), _RANGE),
     "grid_deg": _RANGE,
     "pattern_grid_deg": {
-        "start": _GIVEN_NUMBER, "stop": _GIVEN_NUMBER,
+        **dict.fromkeys(("start", "stop"), _Kind(
+            "a number in [-90, 90]", lambda x: _NUMBER.test(x) and -90 <= x <= 90, required=True
+        )),
         "step": _Kind("a number > 0", lambda x: _NUMBER.test(x) and x > 0, required=True),
     },
     "scene": _SCENE,

@@ -57,7 +57,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .arrays import FIELD_OF_VIEW_DEG, ArrayGeometry, Beamformer, steering_vector
+from .arrays import ArrayGeometry, Beamformer, in_field_of_view, steering_vector
 
 __all__ = [
     "UserLink",
@@ -105,7 +105,7 @@ class UserLink:
     def __post_init__(self):
         if self.base_snr <= 0:
             raise ValueError("base_snr must be > 0")
-        if abs(self.angle) > math.radians(FIELD_OF_VIEW_DEG) + 1e-12:
+        if not in_field_of_view(self.angle):
             raise ValueError("user angle outside the array field of view")
 
 
@@ -683,19 +683,24 @@ def build_codebook(
     from its anchor, added to this entry's anchor and projected back into
     the feasible set. Neighbouring sweep angles have near-identical optima
     relative to their anchors, so the warm solve (carried weights plus the
-    ``near`` restart) replaces the three cold starts.
+    ``near`` restart) replaces the three cold starts. Every anchor is taken
+    before the first solve, so a sweep angle no steering vector accepts
+    fails before any work, named in degrees.
     """
     if len(sweep) == 0:
         raise ValueError("sweep must be non-empty")
-    entries = []
-    warm = prev_anchor = None
+    anchors = []
     for angle in sweep:
-        anchor = np.conj(steering_vector(geometry, angle))
-        if entries:
-            carried = anchor + entries[-1].weights.weights - prev_anchor
+        try:
+            anchors.append(np.conj(steering_vector(geometry, angle)))
+        except ValueError as err:
+            raise ValueError(f"sweep angle {math.degrees(angle):.9g} deg: {err}") from None
+    entries, warm = [], None
+    for i, (angle, anchor) in enumerate(zip(sweep, anchors)):
+        if i:
+            carried = anchor + entries[-1].weights.weights - anchors[i - 1]
             warm = Beamformer(_project_ball_then_disk(carried, anchor, cfg.epsilon))
         entries.append(optimize_max_min(users, angle, geometry, cfg, warm_start=warm))
-        prev_anchor = anchor
     return Codebook(entries=tuple(entries), users=tuple(users))
 
 

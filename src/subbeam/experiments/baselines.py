@@ -13,15 +13,15 @@ import math
 
 import numpy as np
 
-from ..arrays import ArrayGeometry, beamforming_gain, conjugate_beam
-from ..channel import Scene, SlotBeamPlan, monostatic_echoes, rx_gain
+from ..arrays import ArrayGeometry, conjugate_beam
+from ..channel import Scene, SlotBeamPlan, downlink_echo, monostatic_echoes, round_trip_gain
 from ..codebook import OptimizerConfig, build_codebook, design_data_beam
 from ..runio import Table
 from ..sensing import DelaySearchConfig
-from ..waveform import (
-    Numerology, SubSymbolSchedule, build_predistortion_plan, generate_slot, predistort_dmrs,
+from ..waveform import Numerology, SubSymbolSchedule, build_predistortion_plan, generate_slot
+from .link import (
+    check_reflector_delays, genie_csi, noise_power_for_user_snr, score_user, sense_dmrs,
 )
-from .link import check_reflector_delays, noise_power_for_user_snr, score_user, sense_dmrs
 
 __all__ = ["run_baseline", "BASELINE_MODES"]
 
@@ -35,7 +35,7 @@ def _sensing_profile(res, beam, geometry, angle):
     does not illuminate the angle reports its noise level rather than an
     unbounded number.
     """
-    g = max(beamforming_gain(beam, geometry, angle) * rx_gain(angle), 1.0)
+    g = max(round_trip_gain(beam, geometry, angle), 1.0)
     amps = np.abs(res.csi[res.valid]) / math.sqrt(g)
     return 20.0 * math.log10(float(np.mean(amps)) + 1e-30)
 
@@ -77,7 +77,7 @@ def run_baseline(
         "{sensing_amplitude_db:.2f} dB; {beam_switches_per_dmrs} switch(es)/DMRS",
     )
     for mode in modes:
-        plan = None
+        amplitude = None
         if mode == "subf":
             beam = conjugate_beam(geometry, users[0].angle)
             dmrs_beams = [beam]
@@ -89,17 +89,16 @@ def run_baseline(
             codebook = build_codebook(users, sweep, geometry, cfg)
             dmrs_beams = codebook.beams()
             data_beam = design_data_beam(users, geometry, cfg)
-            plan = build_predistortion_plan(dmrs_beams, data_beam, users, geometry)
+            amplitude = build_predistortion_plan(dmrs_beams, data_beam, users, geometry)
 
-        bplan = SlotBeamPlan.uniform(numerology, dmrs_beams, data_beam)
-
+        plan = SlotBeamPlan.uniform(numerology, dmrs_beams, data_beam, amplitude)
         reference = generate_slot(numerology, modulation, seed=seed)
-        tx = reference if plan is None else predistort_dmrs(reference, bplan.schedule, plan)
+        tx = plan.send(reference)
 
         # Sensing: estimate at the DMRS beam matching the requested angle,
         # on the slot's first DMRS symbol.
-        echoes = monostatic_echoes(bplan, scene, geometry)
-        results = sense_dmrs(tx, reference, bplan, echoes, scene, search, plan, seed + 97)[0]
+        echoes = monostatic_echoes(plan, scene, geometry)
+        results = sense_dmrs(tx, reference, plan, echoes, scene, search, seed + 97)[0]
         if mode == "switched":
             beam_idx = int(np.argmin([abs(a - sensing_angle) for a in sweep]))
         else:
@@ -112,7 +111,9 @@ def run_baseline(
             # snr_db under dedicated conjugate beamforming (gain N^2), the same
             # floor in every mode so beamformer quality differences show up.
             noise = noise_power_for_user_snr(snr_db, geometry.num_elements**2, su, numerology)
-            est, gen = score_user(tx, reference, bplan, su, geometry, noise, seed + u_idx)
+            echo = downlink_echo(plan, su, geometry)
+            genie = genie_csi(data_beam, geometry, su, numerology)
+            est, gen = score_user(tx, reference, echo, genie, noise, seed + u_idx)
             table.add(
                 mode, u_idx, est["evm_percent"], gen["evm_percent"], est["ber"],
                 level_db, len(dmrs_beams),

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..arrays import ArrayGeometry, Beamformer, beamforming_gain, conjugate_beam, steering_vector
-from ..channel import Scene, SlotBeamPlan, monostatic_echoes, rx_gain
+from ..arrays import ArrayGeometry, Beamformer, conjugate_beam, steering_vector
+from ..channel import Scene, SlotBeamPlan, monostatic_echoes, round_trip_gain
 from ..codebook import OptimizerConfig, build_codebook
 from ..runio import Table, fmt
 from ..sensing import DelaySearchConfig
@@ -137,17 +137,12 @@ def run_imaging(
             slot_seed = seed + 31 * slot_idx + 1_000_003 * sweep_idx
             slot = generate_slot(numerology, "QPSK", seed=slot_seed, dmrs_seed=slot_seed)
             echoes = monostatic_echoes(bplan, scene, geometry)
-            captures = sense_dmrs(slot, slot, bplan, echoes, scene, search, None, slot_seed + 7919)
+            captures = sense_dmrs(slot, slot, bplan, echoes, scene, search, slot_seed + 7919)
             powers += [r.power for results in captures for r in results]
         raw_power += powers[: len(pixels)]
     raw_power /= repeats
 
-    norm = np.array(
-        [
-            beamforming_gain(b, geometry, az, el) * rx_gain(az, el)
-            for b, (az, el) in zip(beams, pixels)
-        ]
-    )
+    norm = np.array([round_trip_gain(b, geometry, az, el) for b, (az, el) in zip(beams, pixels)])
     shape = (len(el_angles), len(az_angles))
     norm_db = 10.0 * np.log10(raw_power / norm + 1e-30).reshape(shape)
     slots, air_ms, air_ms_dmrs = air_time(len(pixels), beams_per_symbol, numerology)

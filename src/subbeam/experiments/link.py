@@ -3,9 +3,11 @@
 This is the piece the `simulate` command and the baseline comparisons build
 on: optimize the codebook for the scene's users, transmit one or more
 pre-distorted slots, estimate the communication CSI at each user and the
-sensing CSI at the base station, and score both sides. Users capture
-through the sensing receiver's echo sum, and each user slot is transformed
-once (``symbol_spectra``) for both its CSI estimate and its demodulation.
+sensing CSI at the base station, and score both sides. One beam plan
+(``channel.SlotBeamPlan``) sends every slot, DMRS pre-distortion included,
+and each user's path (``channel.downlink_echo``), genie CSI and noise power
+are taken once per plan. Users capture through the sensing receiver's echo
+sum, and each user slot is transformed once (``symbol_spectra``).
 """
 
 from __future__ import annotations
@@ -23,21 +25,20 @@ from ..channel import (
     SlotBeamPlan,
     apply_downlink,
     apply_monostatic,
+    downlink_echo,
     monostatic_echoes,
-    rx_gain,
+    round_trip_gain,
 )
 from ..codebook import Codebook, OptimizerConfig, build_codebook, design_data_beam
 from ..runio import Table
 from ..sensing import DelaySearchConfig, SensingCsi, estimate_symbol_csi
 from ..waveform import (
     Numerology,
-    PredistortionPlan,
     SlotWaveform,
     SubSymbolSchedule,
     build_predistortion_plan,
     demodulate_and_score,
     generate_slot,
-    predistort_dmrs,
     slot_user_csi,
     symbol_spectra,
 )
@@ -94,24 +95,22 @@ def check_reflector_delays(scene: Scene, search: DelaySearchConfig) -> None:
 def score_user(
     tx: SlotWaveform,
     reference: SlotWaveform,
-    plan: SlotBeamPlan,
-    user: SceneUser,
-    geometry: ArrayGeometry,
+    echo: Echo,
+    genie: np.ndarray,
     noise_power: float,
     seed: int,
 ) -> tuple[dict, dict]:
     """Receive one slot at one user and score its data symbols.
 
-    The downlink adds AWGN of ``noise_power`` drawn from ``seed``. Returns
-    the ``demodulate_and_score`` results with the CSI estimated from the
-    slot's DMRS and with genie CSI for the plan's data beam, both on the
-    same received spectra.
+    The user's ``echo`` (``downlink_echo``) and ``genie`` CSI (``genie_csi``)
+    are taken once per beam plan; the downlink adds AWGN of ``noise_power``
+    drawn from ``seed``. Returns the ``demodulate_and_score`` results with
+    the CSI estimated from the slot's DMRS and with the genie CSI, both on
+    the same received spectra.
     """
-    numerology = reference.numerology
-    rx = apply_downlink(tx, plan, user, geometry, noise_power, seed=seed)
-    spectra = symbol_spectra(rx, numerology)
+    rx = apply_downlink(tx, echo, noise_power, seed)
+    spectra = symbol_spectra(rx, reference.numerology)
     est = demodulate_and_score(spectra, reference, slot_user_csi(spectra, reference))
-    genie = genie_csi(plan.data_beam, geometry, user, numerology)
     return est, demodulate_and_score(spectra, reference, genie)
 
 
@@ -122,19 +121,18 @@ def sense_dmrs(
     echoes: tuple[Echo, ...],
     scene: Scene,
     search: DelaySearchConfig,
-    predistortion: PredistortionPlan | None,
     seed: int,
 ) -> list[list[SensingCsi]]:
     """Capture one slot at the sensing receiver and search each DMRS symbol.
 
-    The monostatic capture applies the scene's ``echoes`` under ``plan``
-    (``monostatic_echoes``, computed once per scene and plan) and adds the
-    scene's noise drawn from ``seed``. Returns, per DMRS symbol in slot
-    order, the delay-search result of every beam window of
-    ``plan.schedule``, searched on the CP-stripped body against
-    ``reference``'s body. A body reads only its own symbol's samples while
-    every echo delay is at most ``cp_length``, so ``tx`` may then be a
-    ``sensing_slot``.
+    ``tx`` is ``plan.send(reference)``. The monostatic capture applies the
+    scene's ``echoes`` under ``plan`` (``monostatic_echoes``, computed once
+    per scene and plan) and adds the scene's noise drawn from ``seed``.
+    Returns, per DMRS symbol in slot order, the delay-search result of every
+    beam window of ``plan.schedule``, searched on the CP-stripped body
+    against ``reference``'s body with the plan's ``dmrs_amplitude`` divided
+    out. A body reads only its own symbol's samples while every echo delay
+    is at most ``cp_length``, so ``tx`` may then be a ``sensing_slot``.
     """
     numerology = reference.numerology
     rx = apply_monostatic(tx, echoes, scene, seed=seed)
@@ -144,7 +142,7 @@ def sense_dmrs(
             reference.symbol_body(pos),
             plan.schedule,
             search,
-            predistortion,
+            plan.dmrs_amplitude,
         )
         for pos in numerology.dmrs_positions()
     ]
@@ -176,12 +174,18 @@ def run_link(
     codebook = build_codebook(users, sweep, geometry, cfg)
     beams = codebook.beams()
     data_beam = design_data_beam(users, geometry, cfg) if users else beams[0]
-    plan = build_predistortion_plan(beams, data_beam, users, geometry) if predistort else None
-    bplan = SlotBeamPlan.uniform(numerology, beams, data_beam)
-    echoes = monostatic_echoes(bplan, scene, geometry)
+    amplitude = build_predistortion_plan(beams, data_beam, users, geometry) if predistort else None
+    plan = SlotBeamPlan.uniform(numerology, beams, data_beam, amplitude)
+    echoes = monostatic_echoes(plan, scene, geometry)
     g_norm = [  # each beam's round-trip gain toward its sensing angle
-        beamforming_gain(beam, geometry, entry.sensing_angle) * rx_gain(entry.sensing_angle)
+        round_trip_gain(beam, geometry, entry.sensing_angle)
         for beam, entry in zip(beams, codebook.entries)
+    ]
+    downlinks = [  # each user's echo, genie CSI and noise power
+        (downlink_echo(plan, su, geometry), genie_csi(data_beam, geometry, su, numerology),
+         noise_power_for_user_snr(snr_db, beamforming_gain(data_beam, geometry, su.link.angle),
+                                  su, numerology))
+        for su in scene.users
     ]
 
     per_user_acc = [
@@ -195,14 +199,12 @@ def run_link(
 
     for slot_idx in range(num_slots):
         reference = generate_slot(numerology, modulation, seed=seed + 1000 * slot_idx)
-        tx = reference if plan is None else predistort_dmrs(reference, bplan.schedule, plan)
+        tx = plan.send(reference)
         if slot_idx == 0:
             first_tx = tx
 
         # Sensing side (monostatic, scene noise)
-        captures = sense_dmrs(
-            tx, reference, bplan, echoes, scene, search, plan, seed + 7919 * slot_idx
-        )
+        captures = sense_dmrs(tx, reference, plan, echoes, scene, search, seed + 7919 * slot_idx)
         for sym_row, results in enumerate(captures):
             for m, res in enumerate(results):
                 power = res.power
@@ -214,11 +216,9 @@ def run_link(
                 )
 
         # Communication side (per-user noise)
-        for u_idx, su in enumerate(scene.users):
-            gain = beamforming_gain(data_beam, geometry, su.link.angle)
-            noise = noise_power_for_user_snr(snr_db, gain, su, numerology)
+        for u_idx, (echo, genie, noise) in enumerate(downlinks):
             est, gen = score_user(
-                tx, reference, bplan, su, geometry, noise, seed + 104729 * slot_idx + u_idx
+                tx, reference, echo, genie, noise, seed + 104729 * slot_idx + u_idx
             )
             acc = per_user_acc[u_idx]
             acc["evm_sq_est"] += (est["evm_percent"] / 100.0) ** 2

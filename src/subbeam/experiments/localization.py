@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from ..arrays import FIELD_OF_VIEW_DEG, ArrayGeometry, conjugate_beam
+from ..arrays import ArrayGeometry, conjugate_beam, in_field_of_view
 from ..channel import (
     SPEED_OF_LIGHT,
     PathModel,
@@ -122,7 +122,7 @@ def run_localization(
     if not len(sweep_deg):
         raise ValueError("sweep_deg [] names no beam")
     for angle_deg in angles_deg:  # the bound the angle task's Reflector applies
-        if abs(math.radians(angle_deg)) > math.radians(FIELD_OF_VIEW_DEG) + 1e-12:
+        if not in_field_of_view(math.radians(angle_deg)):
             raise ValueError(f"angles_deg {float(angle_deg)} outside the field of view")
     columns = 3 * len(sweep_deg) + 1
     captures = slots_per_position * len(numerology.dmrs_positions())
@@ -174,8 +174,7 @@ def run_localization(
             for slot_idx in range(slots_per_position):
                 slot = sensing_slot(numerology, dmrs_seed=position_seed + 613 * slot_idx)
                 captures = sense_dmrs(
-                    slot, slot, bplan, echoes, scene, cfg_search, None,
-                    position_seed + 7919 * slot_idx,
+                    slot, slot, bplan, echoes, scene, cfg_search, position_seed + 7919 * slot_idx
                 )
                 stacks.extend((feature_stack(r, bplan.schedule.sub_len), truth) for r in captures)
             samples.append(stacks)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..arrays import (
-    FIELD_OF_VIEW_DEG,
     ArrayGeometry,
     beamforming_gain,
     effective_snr,
+    in_field_of_view,
     steering_vector,
 )
 from ..codebook import (
@@ -53,7 +53,7 @@ class MobilityScenario:
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError(f"waypoint times {times} must strictly increase")
             for _, deg in user_wp:
-                if abs(deg) > FIELD_OF_VIEW_DEG + 1e-9:
+                if not in_field_of_view(math.radians(deg)):
                     raise ValueError("trajectory leaves the field of view")
 
     @property

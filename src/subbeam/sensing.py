@@ -20,6 +20,9 @@ the gathered CSI, because the least-squares sums round by memory layout:
 the phase sums run over the bins in order (the CSI is gathered bin-major),
 and the residual sums pairwise over each contiguous row.
 
+A window sent pre-distorted has its ``SlotBeamPlan.dmrs_amplitude`` divided
+out of the CSI and folded into the fit weights.
+
 Each beam's result is one ``SensingCsi``: the CSI at the best delay, that
 delay, the phase line's slope, intercept and weighted MSE, the usable-bin
 mask, and the received power over the usable bins. Imaging, localization,
@@ -37,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .waveform import PredistortionPlan, SubSymbolSchedule
+from .waveform import SubSymbolSchedule
 
 __all__ = [
     "DelaySearchConfig",
@@ -87,7 +90,8 @@ class SensingCsi:
     The phase of ``csi`` over the usable bins is fit by the line
     ``slope * k + intercept`` (radians per bin, radians), each residual
     weighted by its bin's transmitted magnitude |c*X[k]| (c the window's
-    pre-distortion factor); ``mse`` is the weighted mean squared residual.
+    DMRS amplitude, ``SlotBeamPlan.dmrs_amplitude``, or 1 without one);
+    ``mse`` is the weighted mean squared residual.
     """
 
     csi: np.ndarray  # zero on unusable bins
@@ -189,7 +193,7 @@ def _delay_search(
     schedule: SubSymbolSchedule,
     beams: np.ndarray,
     cfg: DelaySearchConfig,
-    plan: PredistortionPlan | None,
+    amplitude: np.ndarray | None,
     counter: OpCounter | None,
     accelerated: bool = True,
 ) -> _CandidateFits:
@@ -208,7 +212,8 @@ def _delay_search(
     offsets = np.arange(length)
     starts = beams * length
     x_f = np.fft.fft(tx_symbol[starts[:, None] + offsets], axis=1)
-    factors = plan.factors[beams] if plan is not None else np.ones(n_beams, dtype=complex)
+    amplitude = np.ones(schedule.num_beams) if amplitude is None else amplitude
+    factors = np.asarray(amplitude, dtype=complex)[beams]
     weights = np.abs(factors[:, None] * x_f)
     mag = np.abs(x_f)
     rms = np.sqrt(np.add.reduce(mag**2, axis=1, keepdims=True) / length)  # np.mean's arithmetic
@@ -294,7 +299,7 @@ def estimate_beam_csi(
     schedule: SubSymbolSchedule,
     beam_index: int,
     cfg: DelaySearchConfig,
-    plan: PredistortionPlan | None = None,
+    amplitude: np.ndarray | None = None,
     counter: OpCounter | None = None,
     accelerated: bool = True,
 ) -> SensingCsi:
@@ -305,10 +310,12 @@ def estimate_beam_csi(
     update (unless ``accelerated`` is off, which recomputes the FFT per
     candidate; useful for benchmarking). Ties break toward smaller delay.
     Receive windows running past the end of the buffer are zero-filled.
+    ``amplitude`` is the DMRS amplitude of every window of ``schedule``
+    (``SlotBeamPlan.dmrs_amplitude``), ``None`` for a DMRS sent unscaled.
     """
     schedule.window(beam_index)  # IndexError for a beam outside the schedule
     return _delay_search(
-        rx_symbol, tx_symbol, schedule, np.array([beam_index]), cfg, plan, counter, accelerated
+        rx_symbol, tx_symbol, schedule, np.array([beam_index]), cfg, amplitude, counter, accelerated
     ).best()[0]
 
 
@@ -317,7 +324,7 @@ def estimate_symbol_csi(
     tx_symbol: np.ndarray,
     schedule: SubSymbolSchedule,
     cfg: DelaySearchConfig,
-    plan: PredistortionPlan | None = None,
+    amplitude: np.ndarray | None = None,
     counter: OpCounter | None = None,
 ) -> list[SensingCsi]:
     """Delay search for every beam window of one DMRS symbol.
@@ -325,8 +332,7 @@ def estimate_symbol_csi(
     The same search as ``estimate_beam_csi`` per beam (the per-beam
     searches are independent), run for all beams at once. Results come in
     schedule order, so a result's beam is its position in the list.
+    ``amplitude`` is as for ``estimate_beam_csi``.
     """
-    if plan is not None and len(plan) != schedule.num_beams:
-        raise ValueError("plan length does not match the schedule")
     beams = np.arange(schedule.num_beams)
-    return _delay_search(rx_symbol, tx_symbol, schedule, beams, cfg, plan, counter).best()
+    return _delay_search(rx_symbol, tx_symbol, schedule, beams, cfg, amplitude, counter).best()

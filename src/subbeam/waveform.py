@@ -1,10 +1,12 @@
-"""Slot waveform generation, DMRS pre-distortion, and user-side demodulation.
+"""Slot waveform generation, DMRS pre-distortion amplitudes, and user-side demodulation.
 
 A slot holds 14 OFDM symbols (CP + body each); four of them carry known
 reference (DMRS) grids used for channel estimation and sensing, the rest
 carry random QAM data (zeros in a sensing-only slot). Only the middle block
 of subcarriers is occupied. Frequency grids use the natural FFT bin order;
 "occupied" bins are the centered block around DC after fftshift.
+``build_predistortion_plan`` gives each DMRS window's amplitude; the beam
+plan that carries them (``channel.SlotBeamPlan``) applies them to a slot.
 A user receiver transforms each slot once (``symbol_spectra``, one batched
 FFT of the bodies); ``slot_user_csi`` and ``demodulate_and_score`` read it.
 """
@@ -12,7 +14,7 @@ FFT of the bodies); ``slot_user_csi`` and ``demodulate_and_score`` read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +25,10 @@ __all__ = [
     "Numerology",
     "SubSymbolSchedule",
     "SlotWaveform",
-    "PredistortionPlan",
     "MODULATIONS",
     "generate_slot",
     "sensing_slot",
     "build_predistortion_plan",
-    "predistort_dmrs",
     "symbol_spectra",
     "slot_user_csi",
     "demodulate_and_score",
@@ -261,44 +261,19 @@ def sensing_slot(numerology: Numerology, dmrs_seed: int | None = None) -> SlotWa
     )
 
 
-@dataclass(frozen=True)
-class PredistortionPlan:
-    """Per-sub-symbol amplitude scaling applied to the DMRS waveform at the transmitter.
-
-    ``amplitude[m]`` is the gain-ratio sqrt(sum_u g_data_u / sum_u g_dmrs_mu)
-    that equalizes the received DMRS power with the data symbols. A slot
-    sent without pre-distortion has no plan: callers pass ``None``.
-    """
-
-    amplitude: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=float)
-        if np.any(amp <= 0):
-            raise ValueError("pre-distortion amplitudes must be > 0")
-        object.__setattr__(self, "amplitude", amp)
-
-    def __len__(self) -> int:
-        return len(self.amplitude)
-
-    @property
-    def factors(self) -> np.ndarray:
-        """The amplitudes as complex factors, the form the sensing kernel divides by."""
-        return self.amplitude.astype(complex)
-
-
 def build_predistortion_plan(
     dmrs_beams: list[Beamformer],
     data_beam: Beamformer,
     users,
     geometry: ArrayGeometry,
-) -> PredistortionPlan | None:
-    """Gain-ratio factors for each sub-symbol beam.
+) -> np.ndarray | None:
+    """Gain-ratio amplitude of each sub-symbol beam, the beam plan's ``dmrs_amplitude``.
 
-    The simulated channel applies magnitude beam gains, so amplitude-only
-    factors make the received DMRS level match the data symbols exactly.
-    With no users there is nothing to compensate and no plan (``None``) is
-    returned.
+    ``amplitude[m]`` is sqrt(sum_u g_data_u / sum_u g_dmrs_mu), which
+    equalizes the received DMRS power with the data symbols: the simulated
+    channel applies magnitude beam gains, so amplitude-only factors make the
+    received DMRS level match the data symbols exactly. With no users there
+    is nothing to compensate and ``None`` is returned.
     """
     if not users:
         return None
@@ -316,35 +291,7 @@ def build_predistortion_plan(
                 "cannot form the pre-distortion ratio"
             )
         amplitude[m] = math.sqrt(float(np.sum(g_data)) / g_sum)
-    return PredistortionPlan(amplitude=amplitude)
-
-
-def predistort_dmrs(
-    slot: SlotWaveform,
-    schedule: SubSymbolSchedule,
-    plan: PredistortionPlan,
-) -> SlotWaveform:
-    """Scale each DMRS sub-symbol window by its plan factor.
-
-    Data symbols are untouched (bit-exact). The CP of each DMRS symbol is
-    rebuilt from the scaled body so it stays a true cyclic prefix; samples
-    in the unused tail of the schedule keep unit scaling.
-    """
-    if len(plan) != schedule.num_beams:
-        raise ValueError("plan length does not match the schedule")
-    num = slot.numerology
-    if schedule.fft_size != num.fft_size:
-        raise ValueError("schedule does not match the slot numerology")
-    samples = slot.samples.copy()
-    grids = slot.grids.copy()
-    factors = plan.factors
-    for pos in num.dmrs_positions():
-        body = slot.symbol_body(pos).copy()
-        for m in range(schedule.num_beams):
-            body[schedule.window(m)] *= factors[m]
-        samples[num.symbol_slice(pos)] = num.with_cp(body)
-        grids[pos] = np.fft.fft(body)
-    return replace(slot, samples=samples, grids=grids)
+    return amplitude
 
 
 def symbol_spectra(samples: np.ndarray, numerology: Numerology) -> np.ndarray:

@@ -12,7 +12,8 @@ before echoes were applied only on the signal spans and feature rows were
 built per beam, kept to pin the current code byte for byte. So are the
 whole-slot user downlink and the per-symbol user CSI and scoring loops, as
 they stood before users captured through the sensing echo sum and the
-user receiver transformed each slot once.
+user receiver transformed each slot once, and the DMRS pre-distortion as
+it stood before the beam plan carried its amplitudes.
 """
 
 import math
@@ -289,3 +290,24 @@ def per_symbol_scores(rx_grids, tx_grids, csi, data_positions, bins, levels, nor
         "ber": bit_errors / bit_total,
         "bits": bit_total,
     }
+
+
+def predistorted_slot(samples, grids, fft_size, cp_length, dmrs_positions, sub_len, amplitude):
+    """(samples, grids) of a slot with window m of every DMRS body scaled by ``amplitude[m]``.
+
+    The amplitudes multiply as complex factors, one window at a time; each
+    DMRS symbol's CP is rebuilt from its scaled body and its grid row is the
+    body's FFT. Samples past the last window keep unit scaling.
+    """
+    samples = samples.copy()
+    grids = grids.copy()
+    factors = np.asarray(amplitude, dtype=float).astype(complex)
+    symbol_len = fft_size + cp_length
+    for pos in dmrs_positions:
+        start = pos * symbol_len
+        body = samples[start + cp_length : start + symbol_len].copy()
+        for m, factor in enumerate(factors):
+            body[m * sub_len : (m + 1) * sub_len] *= factor
+        samples[start : start + symbol_len] = np.concatenate([body[fft_size - cp_length :], body])
+        grids[pos] = np.fft.fft(body)
+    return samples, grids

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subbeam.arrays import ArrayGeometry, Beamformer, conjugate_beam
+from subbeam.arrays import ArrayGeometry, Beamformer, beamforming_gain, conjugate_beam
 from subbeam.codebook import UserLink
 from subbeam.channel import (
     Echo,
@@ -20,21 +20,21 @@ from subbeam.channel import (
     _complex_noise,
     apply_downlink,
     apply_monostatic,
+    downlink_echo,
     monostatic_echoes,
+    round_trip_gain,
     rx_gain,
 )
 from subbeam.cli import load_scene, scene_from_dict
 from subbeam.waveform import (
     MODULATIONS,
     Numerology,
-    PredistortionPlan,
     SubSymbolSchedule,
     generate_slot,
-    predistort_dmrs,
     sensing_slot,
 )
 
-from reference import whole_slot_downlink, whole_slot_monostatic
+from reference import predistorted_slot, whole_slot_downlink, whole_slot_monostatic
 
 NUM = Numerology()
 GEO = ArrayGeometry.ula(8)
@@ -57,7 +57,7 @@ def test_identity_path_is_passthrough():
     slot = generate_slot(NUM, "QPSK", seed=0)
     su = SceneUser(UserLink(0.0, 1.0), PathModel(1.0, 0.0, 0))
     scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
-    rx = apply_downlink(slot, plan, su, geo1, scene.noise_power, seed=1)
+    rx = apply_downlink(slot, downlink_echo(plan, su, geo1), scene.noise_power, seed=1)
     assert np.allclose(rx, slot.samples, atol=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_gain_four_doubles_amplitude():
     slot = generate_slot(NUM, "QPSK", seed=2)
     su = SceneUser(UserLink(0.0, 1.0), PathModel(1.0, 0.0, 0))
     scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
-    rx = apply_downlink(slot, plan, su, geo2, scene.noise_power, seed=1)
+    rx = apply_downlink(slot, downlink_echo(plan, su, geo2), scene.noise_power, seed=1)
     assert np.allclose(rx, 2.0 * slot.samples, atol=1e-12)
 
 
@@ -78,7 +78,7 @@ def test_delay_peaks_cross_correlation():
     d = 5
     su = SceneUser(UserLink(0.0, 1.0), PathModel(0.8, 0.4, d))
     scene = Scene(users=(su,), noise_power=1e-12, self_interference_inr_db=None)
-    rx = apply_downlink(slot, plan, su, geo1, scene.noise_power, seed=7)
+    rx = apply_downlink(slot, downlink_echo(plan, su, geo1), scene.noise_power, seed=7)
     lags = range(0, 12)
     corr = [abs(np.vdot(slot.samples[: -lag or None], rx[lag:])) for lag in lags]
     assert int(np.argmax(corr)) == d
@@ -89,7 +89,7 @@ def test_phase_and_attenuation_applied():
     slot = generate_slot(NUM, "QPSK", seed=4)
     su = SceneUser(UserLink(0.0, 1.0), PathModel(0.25, 1.1, 0))
     scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
-    rx = apply_downlink(slot, plan, su, geo1, scene.noise_power, seed=1)
+    rx = apply_downlink(slot, downlink_echo(plan, su, geo1), scene.noise_power, seed=1)
     assert np.allclose(rx, 0.25 * np.exp(1.1j) * slot.samples, atol=1e-12)
 
 
@@ -330,20 +330,20 @@ class TestDownlinkMatchesWholeSlot:
 
     BEAMS = [conjugate_beam(GEO, math.radians(a)) for a in (-20, 0, 20)]
     PLAN = SlotBeamPlan.uniform(NUM, BEAMS, conjugate_beam(GEO, math.radians(5)))
+    SENT = replace(PLAN, dmrs_amplitude=np.array([1.0, 2.0, 0.5]))
 
     @pytest.mark.parametrize("predistorted", [False, True])
     @pytest.mark.parametrize("delay", [0, NUM.cp_length, NUM.slot_len, NUM.slot_len + 7])
     @pytest.mark.parametrize("modulation", sorted(MODULATIONS))
     def test_byte_equal(self, modulation, delay, predistorted):
-        factors = PredistortionPlan(amplitude=np.array([1.0, 2.0, 0.5]))
         for seed in range(3):
             slot = generate_slot(NUM, modulation, seed=seed)
             if predistorted:
-                slot = predistort_dmrs(slot, self.PLAN.schedule, factors)
+                slot = self.SENT.send(slot)
             su = SceneUser(UserLink(math.radians(-12 + 9 * seed), 1.0),
                            PathModel(0.7, 0.3 + seed, delay))
             noise = 10.0 ** -(3 + seed)
-            got = apply_downlink(slot, self.PLAN, su, GEO, noise, seed=seed + 11)
+            got = apply_downlink(slot, downlink_echo(self.PLAN, su, GEO), noise, seed=seed + 11)
             amp = self.PLAN.tx_amplitude(GEO, su.link.angle)
             want = whole_slot_downlink(
                 slot.samples, amp, su.path.coefficient, delay, noise, seed + 11
@@ -488,3 +488,67 @@ class TestTxAmplitude:
             SlotBeamPlan(NUM, (beams, beams, beams, beams[:4]), beams[0])
         with pytest.raises(ValueError, match="one beam list per DMRS symbol"):
             SlotBeamPlan(NUM, (beams,), beams[0])
+
+
+class TestPlanSend:
+    """``SlotBeamPlan.send`` byte for byte against ``reference.predistorted_slot``."""
+
+    @staticmethod
+    def _plan(num_beams, seed):
+        beam = Beamformer(np.ones(1))
+        amplitude = np.random.default_rng([num_beams, seed]).uniform(0.5, 2.0, num_beams)
+        return SlotBeamPlan.uniform(NUM, [beam] * num_beams, beam, amplitude)
+
+    # 34 beams leave 1024 - 34*30 = 4 samples in the unused tail, 3 beams 1.
+    @pytest.mark.parametrize("num_beams", [3, 4, 34])
+    @pytest.mark.parametrize("kind", ["64QAM", "sensing"])
+    def test_byte_equal(self, kind, num_beams):
+        for seed in range(3):
+            plan = self._plan(num_beams, seed)
+            if kind == "sensing":
+                slot = sensing_slot(NUM, dmrs_seed=seed)
+            else:
+                slot = generate_slot(NUM, kind, seed=seed)
+            got = plan.send(slot)
+            samples, grids = predistorted_slot(
+                slot.samples, slot.grids, NUM.fft_size, NUM.cp_length, NUM.dmrs_positions(),
+                plan.schedule.sub_len, plan.dmrs_amplitude,
+            )
+            assert got.samples.tobytes() == samples.tobytes()
+            assert got.grids.tobytes() == grids.tobytes()
+            assert (got.numerology, got.modulation) == (slot.numerology, slot.modulation)
+
+    def test_unchanged_without_amplitudes(self):
+        slot = generate_slot(NUM, "QPSK", seed=1)
+        geo1, plan = unity_plan(3)
+        assert plan.dmrs_amplitude is None
+        assert plan.send(slot) is slot
+
+    @pytest.mark.parametrize("amplitude", [
+        [1.0, 2.0], [1.0, 2.0, 0.5, 3.0], [[1.0, 2.0, 0.5]],
+        [1.0, 0.0, 0.5], [1.0, -2.0, 0.5], [1.0, float("nan"), 0.5],
+    ], ids=["short", "long", "two_dim", "zero", "negative", "nan"])
+    def test_amplitudes_checked_when_the_plan_is_built(self, amplitude):
+        beam = Beamformer(np.ones(1))
+        message = f"dmrs_amplitude {amplitude} needs one value > 0 for each of the 3 windows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SlotBeamPlan.uniform(NUM, [beam] * 3, beam, amplitude)
+
+
+def test_round_trip_gain_is_the_product():
+    # The link and the baselines multiplied inline, imaging with an elevation.
+    ula, planar = ArrayGeometry.ula(8), ArrayGeometry.planar(4, 2)
+    for az, el in ((-0.3, 0.1), (0.0, 0.0), (0.4, -0.2)):
+        beam = conjugate_beam(ula, 0.1)
+        assert round_trip_gain(beam, ula, az) == beamforming_gain(beam, ula, az) * rx_gain(az)
+        beam = conjugate_beam(planar, 0.1, 0.05)
+        want = beamforming_gain(beam, planar, az, el) * rx_gain(az, el)
+        assert round_trip_gain(beam, planar, az, el) == want
+
+
+def test_downlink_echo_is_the_users_path_under_the_plan():
+    plan = TestDownlinkMatchesWholeSlot.PLAN
+    su = SceneUser(UserLink(math.radians(17), 1.0), PathModel(0.6, -0.4, 9))
+    echo = downlink_echo(plan, su, GEO)
+    assert (echo.coefficient, echo.rx_amp, echo.delay) == (su.path.coefficient, 1.0, 9)
+    assert echo.tx_amp.tobytes() == plan.tx_amplitude(GEO, su.link.angle).tobytes()

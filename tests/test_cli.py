@@ -277,6 +277,10 @@ BAD_VALUES = [
     ("pattern_negative_step", "pattern",
      {**CODEBOOK_CFG, "pattern_grid_deg": {"start": -60, "stop": 60, "step": -1}},
      "pattern_grid_deg.step: expected a number > 0, got -1"),
+    *[(f"pattern_grid_{key}_beyond_90", "pattern",
+       {**CODEBOOK_CFG, "pattern_grid_deg": {"start": -60, "stop": 60, "step": 1, key: sign * 91}},
+       f"pattern_grid_deg.{key}: expected a number in [-90, 90], got {sign * 91}")
+      for key, sign in (("start", -1), ("stop", 1))],
     ("mobility_negative_validate_ticks", "mobility",
      {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "validate_ticks": -2}},
      "validate_ticks -2"),

@@ -572,6 +572,14 @@ class TestCodebookBuildUpdate:
         with pytest.raises(ValueError):
             build_codebook(TWO_USERS, [], GEO16, OptimizerConfig())
 
+    def test_sweep_beyond_ninety_degrees_fails_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(codebook, "optimize_max_min", lambda *a, **k: calls.append(a))
+        sweep = [math.radians(a) for a in np.linspace(0.0, 100.0, 34)]
+        with pytest.raises(ValueError, match=r"sweep angle 90\.9090909 deg: azimuth must lie in"):
+            build_codebook(TWO_USERS, sweep, GEO16, OptimizerConfig())
+        assert calls == []
+
     def test_empty_users_conjugate_codebook(self):
         sweep = [0.0, math.radians(5.0)]
         cb = build_codebook([], sweep, GEO16, OptimizerConfig())

@@ -27,10 +27,8 @@ from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenari
 from subbeam.sensing import DelaySearchConfig, estimate_symbol_csi
 from subbeam.waveform import (
     Numerology,
-    SubSymbolSchedule,
     build_predistortion_plan,
     generate_slot,
-    predistort_dmrs,
     sensing_slot,
 )
 
@@ -113,7 +111,7 @@ class TestImaging:
 
         built, pixel_beams = [], []
         build = imaging.build_codebook
-        gain = imaging.beamforming_gain
+        gain = imaging.round_trip_gain
 
         def recorded_build(*args, **kwargs):
             built.append(build(*args, **kwargs))
@@ -124,7 +122,7 @@ class TestImaging:
             return gain(beam, geometry, az, el)
 
         monkeypatch.setattr(imaging, "build_codebook", recorded_build)
-        monkeypatch.setattr(imaging, "beamforming_gain", recorded_gain)
+        monkeypatch.setattr(imaging, "round_trip_gain", recorded_gain)
         users = (
             SceneUser(UserLink(math.radians(-30), 1.0), PathModel(1.0, 0.2, 3)),
             SceneUser(UserLink(math.radians(30), 1.0), PathModel(1.0, -0.4, 4)),
@@ -228,7 +226,7 @@ class TestLocalization:
         )
         slot = sensing_slot(NUM, dmrs_seed=seed)
         echoes = monostatic_echoes(bplan, scene, geo)
-        for results in sense_dmrs(slot, slot, bplan, echoes, scene, SEARCH, None, seed):
+        for results in sense_dmrs(slot, slot, bplan, echoes, scene, SEARCH, seed):
             assert len({int(r.valid.sum()) for r in results}) > 1  # beams of unequal width
             want = column_stacked_features(results, bplan.schedule.sub_len)
             assert feature_stack(results, bplan.schedule.sub_len).tobytes() == want.tobytes()
@@ -409,6 +407,46 @@ class TestMobility:
             MobilityScenario(waypoints=(((0.0, 80.0),),), duration=1.0)
 
 
+class TestFieldOfView:
+    """Every field-of-view check accepts and rejects the same angles.
+
+    5e-10 deg past the edge is 8.7e-12 rad, past the rounding slack: a
+    trajectory ending there must fail when the scenario is built, not at
+    its final tick when the user is.
+    """
+
+    class Simulated(Exception):
+        pass
+
+    @pytest.mark.parametrize("deg, inside", [
+        (60.0, True), (-60.0, True), (60.0000000005, False), (-60.0000000005, False),
+    ])
+    def test_one_bound_at_every_site(self, monkeypatch, deg, inside):
+        def simulated(*args, **kwargs):
+            raise self.Simulated
+
+        monkeypatch.setattr("subbeam.experiments.localization.sense_dmrs", simulated)
+        rad = math.radians(deg)
+        checks = [
+            lambda: UserLink(rad, 1.0),
+            lambda: Reflector(rad, PathModel(0.5)),
+            lambda: Reflector(0.0, PathModel(0.5), elevation=rad),
+            lambda: MobilityScenario(waypoints=(((0.0, 0.0), (0.01, deg)),), duration=0.01),
+        ]
+        for check in checks:
+            if inside:
+                check()
+            else:
+                with pytest.raises(ValueError, match="field of view"):
+                    check()
+        # Localization checks its angles before the first capture.
+        with pytest.raises(self.Simulated if inside else ValueError):
+            run_localization(
+                ArrayGeometry.ula(16), NUM, SEARCH, seed=1, distances_m=[1.0, 2.0],
+                angles_deg=[0.0, deg], slots_per_position=4, sweep_deg=[0.0],
+            )
+
+
 class TestBaselines:
     GEO = ArrayGeometry.ula(16)
 
@@ -575,6 +613,27 @@ class TestLinkPipeline:
         for u_on, u_off in zip(res.per_user.rows, res_off.per_user.rows):
             assert u_off["evm_percent"] > u_on["evm_percent"] + 1.0
 
+    def test_paths_taken_once_per_plan(self, monkeypatch):
+        calls = []
+        tx_amplitude = SlotBeamPlan.tx_amplitude
+
+        def counted(plan, *args):
+            calls.append(plan)
+            return tx_amplitude(plan, *args)
+
+        monkeypatch.setattr(SlotBeamPlan, "tx_amplitude", counted)
+        users = (
+            SceneUser(UserLink(math.radians(-30), 1.0), PathModel(1.0, 0.1, 3)),
+            SceneUser(UserLink(math.radians(30), 1.0), PathModel(1.0, -0.2, 4)),
+        )
+        scene = Scene(users=users, reflectors=(Reflector(0.0, PathModel(0.8, 0.0, 5)),),
+                      noise_power=1e-8, self_interference_inr_db=None)
+        sweep = [math.radians(a) for a in (-10, 0, 10)]
+        run_link(scene, ArrayGeometry.ula(16), sweep, NUM, OptimizerConfig(), SEARCH,
+                 snr_db=30.0, modulation="QPSK", seed=4, num_slots=3)
+        # one reflector and two users under one plan, however many slots
+        assert len(calls) == 3 and len({id(plan) for plan in calls}) == 1
+
     def test_sensing_rows_cover_all_beams(self):
         geo = ArrayGeometry.ula(16)
         scene = Scene(
@@ -612,7 +671,7 @@ class TestSenseDmrs:
     )
 
     @staticmethod
-    def inline(tx, reference, bplan, scene, geometry, predistortion, seed):
+    def inline(tx, reference, bplan, scene, geometry, amplitude, seed):
         rx = apply_monostatic(tx, monostatic_echoes(bplan, scene, geometry), scene, seed=seed)
         return [
             estimate_symbol_csi(
@@ -620,7 +679,7 @@ class TestSenseDmrs:
                 reference.symbol_body(pos),
                 bplan.schedule,
                 SEARCH,
-                predistortion,
+                amplitude,
             )
             for pos in NUM.dmrs_positions()
         ]
@@ -639,20 +698,21 @@ class TestSenseDmrs:
         users = [su.link for su in self.SCENE.users]
         beams = [conjugate_beam(self.GEO, math.radians(a)) for a in (-12, -4, 4, 12)]
         data_beam = conjugate_beam(self.GEO, 0.0)
-        schedule = SubSymbolSchedule.for_numerology(NUM, len(beams))
-        plan = build_predistortion_plan(beams, data_beam, users, self.GEO)
-        bplan = SlotBeamPlan.uniform(NUM, beams, data_beam)
+        amplitude = build_predistortion_plan(beams, data_beam, users, self.GEO)
+        bplan = SlotBeamPlan.uniform(NUM, beams, data_beam, amplitude)
         reference = generate_slot(NUM, "64QAM", seed=3)
-        tx = predistort_dmrs(reference, schedule, plan)
+        tx = bplan.send(reference)
         echoes = monostatic_echoes(bplan, self.SCENE, self.GEO)
-        got = sense_dmrs(tx, reference, bplan, echoes, self.SCENE, SEARCH, plan, 11)
-        self.assert_same(got, self.inline(tx, reference, bplan, self.SCENE, self.GEO, plan, 11))
+        got = sense_dmrs(tx, reference, bplan, echoes, self.SCENE, SEARCH, 11)
+        self.assert_same(
+            got, self.inline(tx, reference, bplan, self.SCENE, self.GEO, amplitude, 11)
+        )
 
     def test_identity_plan_slot(self):
-        # Imaging, localization and the link without pre-distortion pass None.
+        # Imaging, localization and the link without pre-distortion carry no amplitudes.
         beams = [conjugate_beam(self.GEO, math.radians(a)) for a in np.linspace(-15, 15, 7)]
         bplan = SlotBeamPlan.uniform(NUM, beams, beams[0])
         slot = generate_slot(NUM, "QPSK", seed=5, dmrs_seed=5)
         echoes = monostatic_echoes(bplan, self.SCENE, self.GEO)
-        got = sense_dmrs(slot, slot, bplan, echoes, self.SCENE, SEARCH, None, 12)
+        got = sense_dmrs(slot, slot, bplan, echoes, self.SCENE, SEARCH, 12)
         self.assert_same(got, self.inline(slot, slot, bplan, self.SCENE, self.GEO, None, 12))

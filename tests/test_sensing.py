@@ -27,13 +27,7 @@ from subbeam.channel import (
     apply_monostatic,
     monostatic_echoes,
 )
-from subbeam.waveform import (
-    Numerology,
-    PredistortionPlan,
-    SubSymbolSchedule,
-    generate_slot,
-    predistort_dmrs,
-)
+from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot
 
 from reference import brute_force_delay_search, stepwise_delay_search
 
@@ -45,7 +39,7 @@ def random_window_signal(length, extra, seed):
     return rng.standard_normal(length + extra) + 1j * rng.standard_normal(length + extra)
 
 
-def candidate_csi(rx, tx, sched, beam, delay, plan=None):
+def candidate_csi(rx, tx, sched, beam, delay, amplitude=None):
     """CSI and validity of one beam window under one assumed delay.
 
     Read from the search kernel's per-candidate output. A zero
@@ -55,7 +49,7 @@ def candidate_csi(rx, tx, sched, beam, delay, plan=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sensing, "MIN_TX_FRACTION", 0.0)
         cfg = DelaySearchConfig(delay + 1)
-        fits = _delay_search(rx, tx, sched, np.array([beam]), cfg, plan, None)
+        fits = _delay_search(rx, tx, sched, np.array([beam]), cfg, amplitude, None)
     return fits.csi[delay, 0], fits.valid[0]
 
 
@@ -176,13 +170,13 @@ class TestSubSymbolCsi:
 
     def test_plan_factor_removed(self):
         tx = self._tx(3)
-        plan = PredistortionPlan(amplitude=np.array([1.0, 2.0, 1.5, 3.0]))
+        amplitude = np.array([1.0, 2.0, 1.5, 3.0])
         rx = np.zeros_like(tx)
         sl = self.SCHED.window(1)
         rx[sl] = 2.0 * tx[sl]  # the transmitter scaled this window by 2
-        csi, valid = candidate_csi(rx, tx, self.SCHED, 1, 0, plan)
+        csi, valid = candidate_csi(rx, tx, self.SCHED, 1, 0, amplitude)
         assert np.allclose(csi[valid], 1.0, atol=1e-9)
-        res = estimate_beam_csi(rx, tx, self.SCHED, 1, DelaySearchConfig(10), plan)
+        res = estimate_beam_csi(rx, tx, self.SCHED, 1, DelaySearchConfig(10), amplitude)
         assert np.allclose(res.csi[res.valid], 1.0, atol=1e-9)
 
 
@@ -420,13 +414,13 @@ def _seed_fit_csi_phase(csi, valid, weights):
     return _seed_weighted_line_fit(k.astype(float), phases, weights[k])
 
 
-def _seed_beam_search(rx_symbol, tx_symbol, schedule, beam_index, cfg, plan=None,
+def _seed_beam_search(rx_symbol, tx_symbol, schedule, beam_index, cfg, amplitude=None,
                       accelerated=True):
     """(best_delay, fit, csi, valid) of the seed's per-beam candidate loop."""
     length = schedule.sub_len
     start = beam_index * length
     x_f = np.fft.fft(tx_symbol[schedule.window(beam_index)])
-    factor = plan.factors[beam_index] if plan is not None else 1.0
+    factor = complex(amplitude[beam_index]) if amplitude is not None else 1.0
     weights = np.abs(factor * x_f)
     valid = _seed_valid_bins(x_f)
     if not np.any(valid & (weights > 0)):
@@ -453,7 +447,7 @@ def _seed_beam_search(rx_symbol, tx_symbol, schedule, beam_index, cfg, plan=None
 class TestKernelEquivalence:
     """The batched kernel against the seed's per-beam loop and the oracle.
 
-    Variants: ``plain``; ``plan``, random pre-distortion amplitudes; ``weights``,
+    Variants: ``plain``; ``plan``, random DMRS amplitudes; ``weights``,
     uneven fit weights |X[k]| from a transmit spectrum scaled bin by bin in
     every window, with a quarter of each window's bins zeroed (unusable).
     """
@@ -474,10 +468,10 @@ class TestKernelEquivalence:
         rx = np.zeros(len(tx) + 32, dtype=complex)
         rx[d : d + len(tx)] = 0.6 * np.exp(1j * rng.uniform(-np.pi, np.pi)) * tx
         rx += 0.1 * (rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
-        plan = None
+        amplitude = None
         if variant == "plan":
-            plan = PredistortionPlan(amplitude=rng.uniform(0.5, 2.0, num_beams))
-        return rx, tx, sched, plan, DelaySearchConfig(10)
+            amplitude = rng.uniform(0.5, 2.0, num_beams)
+        return rx, tx, sched, amplitude, DelaySearchConfig(10)
 
     @staticmethod
     def _assert_same(res, ref):
@@ -493,12 +487,12 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("num_beams", [1, 8, 15, 34])
     def test_symbol_matches_seed_loop_and_oracle(self, num_beams, variant):
         for seed in range(3):
-            rx, tx, sched, plan, cfg = self._capture(num_beams, variant, seed)
-            batch = estimate_symbol_csi(rx, tx, sched, cfg, plan)
+            rx, tx, sched, amplitude, cfg = self._capture(num_beams, variant, seed)
+            batch = estimate_symbol_csi(rx, tx, sched, cfg, amplitude)
             assert len(batch) == num_beams
             for m, res in enumerate(batch):
-                self._assert_same(res, _seed_beam_search(rx, tx, sched, m, cfg, plan))
-                factor = plan.factors[m] if plan is not None else 1.0
+                self._assert_same(res, _seed_beam_search(rx, tx, sched, m, cfg, amplitude))
+                factor = complex(amplitude[m]) if amplitude is not None else 1.0
                 ref_dn, ref_mse, _ = brute_force_delay_search(
                     {"rx": rx, "tx": tx}, m * sched.sub_len, sched.sub_len, 10, factor
                 )
@@ -508,19 +502,19 @@ class TestKernelEquivalence:
     def test_unequal_usable_counts_are_padded(self):
         # The equivalence tests above take the padded path: beams differ in
         # their usable-bin counts even on a plain capture.
-        rx, tx, sched, plan, cfg = self._capture(15, "plain", 0)
-        usable = _delay_search(rx, tx, sched, np.arange(15), cfg, plan, None).valid.sum(axis=1)
+        rx, tx, sched, amplitude, cfg = self._capture(15, "plain", 0)
+        usable = _delay_search(rx, tx, sched, np.arange(15), cfg, amplitude, None).valid.sum(axis=1)
         assert usable.min() < usable.max()
 
     @pytest.mark.parametrize("accelerated", [True, False])
     @pytest.mark.parametrize("variant", ["plain", "plan", "weights"])
     @pytest.mark.parametrize("num_beams", [1, 8, 15, 34])
     def test_beam_matches_seed_loop(self, num_beams, variant, accelerated):
-        rx, tx, sched, plan, cfg = self._capture(num_beams, variant, 7)
+        rx, tx, sched, amplitude, cfg = self._capture(num_beams, variant, 7)
         for m in sorted({0, num_beams // 2, num_beams - 1}):
-            res = estimate_beam_csi(rx, tx, sched, m, cfg, plan, accelerated=accelerated)
+            res = estimate_beam_csi(rx, tx, sched, m, cfg, amplitude, accelerated=accelerated)
             self._assert_same(
-                res, _seed_beam_search(rx, tx, sched, m, cfg, plan, accelerated=accelerated)
+                res, _seed_beam_search(rx, tx, sched, m, cfg, amplitude, accelerated=accelerated)
             )
 
     def test_single_usable_bin_takes_the_flat_fit(self):
@@ -543,7 +537,8 @@ class TestKernelMatchesStepwise:
     Captures go through the monostatic channel as in ``sense_dmrs``: a
     conjugate-beam sweep on a 16-element ULA, two reflectors inside the
     delay search, noise and TX leakage drawn from the seed. With a plan the
-    DMRS is pre-distorted by random per-window amplitudes.
+    beam plan carries random per-window DMRS amplitudes and sends the slot
+    pre-distorted by them.
     """
 
     GEO = ArrayGeometry.ula(16)
@@ -560,17 +555,15 @@ class TestKernelMatchesStepwise:
         rng = np.random.default_rng([num_beams, seed])
         sched = SubSymbolSchedule.for_numerology(NUM, num_beams)
         beams = [conjugate_beam(self.GEO, a) for a in np.radians(np.linspace(-14, 14, num_beams))]
-        bplan = SlotBeamPlan.uniform(NUM, beams, beams[0])
+        amplitude = rng.uniform(0.5, 2.0, num_beams) if with_plan else None
+        bplan = SlotBeamPlan.uniform(NUM, beams, beams[0], amplitude)
         reference = generate_slot(NUM, "QPSK", seed=30 + seed)
-        plan = None
-        if with_plan:
-            plan = PredistortionPlan(amplitude=rng.uniform(0.5, 2.0, num_beams))
-        tx = predistort_dmrs(reference, sched, plan) if plan is not None else reference
+        tx = bplan.send(reference)
         echoes = monostatic_echoes(bplan, self.SCENE, self.GEO)
         rx = apply_monostatic(tx, echoes, self.SCENE, seed=seed)
         for pos in NUM.dmrs_positions():
             body = rx[NUM.symbol_slice(pos, include_cp=False)]
-            yield body, reference.symbol_body(pos), sched, plan
+            yield body, reference.symbol_body(pos), sched, bplan.dmrs_amplitude
 
     @pytest.mark.parametrize("with_plan", [False, True], ids=["no_plan", "plan"])
     @pytest.mark.parametrize("num_beams", [15, 34])
@@ -585,11 +578,11 @@ class TestKernelMatchesStepwise:
 
     def assert_byte_equal(self, num_beams, with_plan, cfg):
         for seed in range(3):
-            for rx, tx, sched, plan in self._captures(num_beams, with_plan, seed):
-                got = _delay_search(rx, tx, sched, np.arange(num_beams), cfg, plan, None)
+            for rx, tx, sched, amplitude in self._captures(num_beams, with_plan, seed):
+                got = _delay_search(rx, tx, sched, np.arange(num_beams), cfg, amplitude, None)
                 want = stepwise_delay_search(
                     rx, tx, sched.sub_len, num_beams, cfg.num_candidates,
-                    plan.factors if plan is not None else None,
+                    amplitude.astype(complex) if amplitude is not None else None,
                 )
                 for name, a, b in zip(("csi", "valid", "slope", "intercept", "mse"), got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape, name

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from subbeam.arrays import ArrayGeometry, Beamformer, beamforming_gain, conjugate_beam
+from subbeam.channel import SlotBeamPlan
 from subbeam.codebook import UserLink
 from subbeam.waveform import (
     MODULATIONS,
     Numerology,
-    PredistortionPlan,
-    SubSymbolSchedule,
     _dmrs_grids,
     build_predistortion_plan,
     constellation,
     demodulate_and_score,
     generate_slot,
-    predistort_dmrs,
     read_iq,
     sensing_slot,
     slot_user_csi,
@@ -28,6 +26,12 @@ from subbeam.waveform import (
 from reference import per_symbol_scores, per_symbol_user_csi, whole_slot_downlink
 
 NUM = Numerology()
+
+
+def amplitude_plan(amplitude):
+    """A beam plan carrying only DMRS amplitudes: one unit beam per window."""
+    beam = Beamformer(np.ones(1))
+    return SlotBeamPlan.uniform(NUM, [beam] * len(amplitude), beam, np.array(amplitude))
 
 
 def test_same_seed_bit_identical():
@@ -134,8 +138,8 @@ class TestPredistortion:
         users = [UserLink(0.0, 1.0)]
         data = Beamformer(np.array([1.0, 1.0]))  # gain 4 at broadside
         dmrs = Beamformer(np.array([1.0, 0.0]))  # gain 1 at broadside
-        plan = build_predistortion_plan([dmrs], data, users, geo)
-        assert plan.amplitude[0] == pytest.approx(2.0, rel=1e-12)
+        amplitude = build_predistortion_plan([dmrs], data, users, geo)
+        assert amplitude[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_two_user_average_form(self):
         # data gains (4,4), dmrs gains (1,1) -> sqrt(8/2) = 2
@@ -143,8 +147,8 @@ class TestPredistortion:
         users = [UserLink(0.0, 1.0), UserLink(math.radians(0.001), 1.0)]
         data = Beamformer(np.array([1.0, 1.0]))
         dmrs = Beamformer(np.array([1.0, 0.0]))
-        plan = build_predistortion_plan([dmrs], data, users, geo)
-        assert plan.amplitude[0] == pytest.approx(2.0, rel=1e-6)
+        amplitude = build_predistortion_plan([dmrs], data, users, geo)
+        assert amplitude[0] == pytest.approx(2.0, rel=1e-6)
 
     def test_amplitude_recomputable_from_gains(self):
         from subbeam.codebook import OptimizerConfig, build_codebook, design_data_beam
@@ -152,11 +156,11 @@ class TestPredistortion:
         cfg = OptimizerConfig(epsilon=0.5)
         cb = build_codebook(self.USERS, [0.0, math.radians(8)], self.GEO, cfg)
         data = design_data_beam(self.USERS, self.GEO, cfg)
-        plan = build_predistortion_plan(cb.beams(), data, self.USERS, self.GEO)
+        amplitude = build_predistortion_plan(cb.beams(), data, self.USERS, self.GEO)
         g_data = sum(beamforming_gain(data, self.GEO, u.angle) for u in self.USERS)
         for m, beam in enumerate(cb.beams()):
             g_dmrs = sum(beamforming_gain(beam, self.GEO, u.angle) for u in self.USERS)
-            assert plan.amplitude[m] == pytest.approx(math.sqrt(g_data / g_dmrs), rel=1e-9)
+            assert amplitude[m] == pytest.approx(math.sqrt(g_data / g_dmrs), rel=1e-9)
 
     def test_null_gain_raises_with_entry_name(self):
         geo = ArrayGeometry.ula(2)
@@ -168,9 +172,9 @@ class TestPredistortion:
 
     def test_data_symbols_bit_exact_and_windows_scaled(self):
         slot = generate_slot(NUM, "64QAM", seed=9)
-        sched = SubSymbolSchedule.for_numerology(NUM, 4)
-        plan = PredistortionPlan(amplitude=np.array([1.0, 2.0, 0.5, 3.0]))
-        out = predistort_dmrs(slot, sched, plan)
+        plan = amplitude_plan([1.0, 2.0, 0.5, 3.0])
+        sched = plan.schedule
+        out = plan.send(slot)
         for pos in NUM.data_positions():
             assert np.array_equal(
                 out.samples[NUM.symbol_slice(pos)], slot.samples[NUM.symbol_slice(pos)]
@@ -180,28 +184,28 @@ class TestPredistortion:
         body_out = out.symbol_body(pos)
         for m in range(4):
             sl = sched.window(m)
-            assert np.allclose(body_out[sl], plan.amplitude[m] * body_in[sl])
+            assert np.allclose(body_out[sl], plan.dmrs_amplitude[m] * body_in[sl])
         # grid invariant still holds after scaling
         assert np.allclose(np.fft.fft(body_out), out.grids[pos], atol=1e-9)
 
     def test_received_dmrs_power_ratio(self):
         # after pre-distortion the received DMRS power per window equals the
         # data power scaled by (g_mu / mean g_m) * (mean g_d / g_du)
-        from subbeam.channel import PathModel, Scene, SceneUser, SlotBeamPlan, apply_downlink
+        from subbeam.channel import PathModel, Scene, SceneUser, apply_downlink, downlink_echo
         from subbeam.codebook import OptimizerConfig, build_codebook, design_data_beam
 
         cfg = OptimizerConfig(epsilon=0.5)
         sweep = [0.0, math.radians(6), math.radians(12)]
         cb = build_codebook(self.USERS, sweep, self.GEO, cfg)
         data = design_data_beam(self.USERS, self.GEO, cfg)
-        plan = build_predistortion_plan(cb.beams(), data, self.USERS, self.GEO)
-        sched = SubSymbolSchedule.for_numerology(NUM, len(sweep))
+        amplitude = build_predistortion_plan(cb.beams(), data, self.USERS, self.GEO)
+        bplan = SlotBeamPlan.uniform(NUM, cb.beams(), data, amplitude)
+        sched = bplan.schedule
         slot = generate_slot(NUM, "64QAM", seed=4)
-        tx = predistort_dmrs(slot, sched, plan)
+        tx = bplan.send(slot)
         su = SceneUser(self.USERS[0], PathModel(1.0, 0.0, 0))
         scene = Scene(users=(su,), noise_power=1e-30, self_interference_inr_db=None)
-        bplan = SlotBeamPlan.uniform(NUM, cb.beams(), data)
-        rx = apply_downlink(tx, bplan, su, self.GEO, scene.noise_power, seed=0)
+        rx = apply_downlink(tx, downlink_echo(bplan, su, self.GEO), scene.noise_power, seed=0)
 
         g_du = beamforming_gain(data, self.GEO, su.link.angle)
         mean_gd = np.mean([beamforming_gain(data, self.GEO, u.angle) for u in self.USERS])
@@ -299,8 +303,7 @@ class TestUserReceiverMatchesPerSymbol:
     transmit amplitude, a path, a delay, and noise.
     """
 
-    SCHEDULE = SubSymbolSchedule.for_numerology(NUM, 3)
-    FACTORS = PredistortionPlan(amplitude=np.array([1.0, 2.0, 0.5]))
+    PLAN = amplitude_plan([1.0, 2.0, 0.5])
 
     @pytest.mark.parametrize("predistorted", [False, True])
     @pytest.mark.parametrize("delay", [0, NUM.cp_length, NUM.slot_len, NUM.slot_len + 7])
@@ -313,7 +316,7 @@ class TestUserReceiverMatchesPerSymbol:
             reference = generate_slot(NUM, modulation, seed=seed)
             tx = reference
             if predistorted:
-                tx = predistort_dmrs(reference, self.SCHEDULE, self.FACTORS)
+                tx = self.PLAN.send(reference)
             rng = np.random.default_rng(seed)
             amp = rng.uniform(0.5, 2.0, NUM.slot_len)
             noise = 10.0 ** -(4.5 + 0.75 * seed)  # every case has bit errors to count
