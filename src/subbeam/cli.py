@@ -52,7 +52,7 @@ from .experiments.localization import run_localization
 from .experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
 from .experiments.tradeoff import beam_patterns, epsilon_sweep
 from .runio import RunDir, Table, write_json, write_pgm, write_table
-from .sensing import DelaySearchConfig, OpCounter, estimate_beam_csi
+from .sensing import DelaySearchConfig, OpCounter, estimate_symbol_csi
 from .waveform import MODULATIONS, Numerology, SubSymbolSchedule, generate_slot, write_iq
 
 DEFAULT_SEED = 1
@@ -299,12 +299,12 @@ def _sweep(cfg: dict, default_count: int = 4) -> list[float]:
     return [math.radians(d) for d in degs]
 
 
-def _one_source(cfg: dict, file_key: str, *inline_keys: str) -> None:
-    """Raise ValueError when ``file_key`` is set together with any of the
-    ``inline_keys`` it replaces: their values would be checked and ignored."""
-    both = [k for k in inline_keys if k in cfg]
-    if file_key in cfg and both:
-        raise ValueError(f"{file_key} is set together with {', '.join(both)}, which it replaces")
+def _one_source(cfg: dict, key: str, *replaced: str) -> None:
+    """Raise ValueError when ``key`` is set together with any of the
+    ``replaced`` keys it stands in for: their values would be checked and ignored."""
+    both = [k for k in replaced if k in cfg]
+    if key in cfg and both:
+        raise ValueError(f"{key} is set together with {', '.join(both)}, which it replaces")
 
 
 def _scene(cfg: dict, numerology: Numerology) -> Scene:
@@ -376,6 +376,7 @@ def cmd_simulate(args, cfg: dict, seed: int, run: RunDir) -> None:
     opt = _optimizer(cfg)
     search = _search(cfg)
     scene = _scene(cfg, numerology)
+    _one_source(cfg, "sweep_deg", "num_beams")
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
     result = run_link(
         scene,
@@ -405,6 +406,7 @@ def cmd_baseline(args, cfg: dict, seed: int, run: RunDir) -> None:
     opt = _optimizer(cfg)
     search = _search(cfg)
     scene = _scene(cfg, numerology)
+    _one_source(cfg, "sweep_deg", "num_beams")
     sweep = _sweep(cfg, default_count=cfg.get("num_beams", 8))
     sensing_angle = math.radians(cfg.get("sensing_angle_deg", 0.0))
     table = run_baseline(
@@ -424,7 +426,9 @@ def cmd_image(args, cfg: dict, seed: int, run: RunDir) -> None:
     g = cfg.get("grid_deg", {"start": -15.0, "stop": 15.0, "count": 31})
     az = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
     el = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
-    grid = run_imaging(scene, az, el, numerology, geometry, num_beams, opt, search, seed)
+    grid = run_imaging(
+        scene, az, el, numerology, geometry, num_beams, opt, search, seed, **_given(cfg, "repeats")
+    )
     write_table(run.file("heatmap.csv"), grid.heatmap())
     write_pgm(run.file("heatmap.pgm"), grid.power_db)
     write_json(
@@ -487,7 +491,8 @@ def cmd_mobility(args, cfg: dict, seed: int, run: RunDir) -> None:
 
 def cmd_bench(args, cfg: dict, seed: int, run: RunDir) -> None:
     numerology = _numerology(cfg)
-    schedule = SubSymbolSchedule.for_numerology(numerology, cfg.get("num_beams", 34))
+    sub_len = SubSymbolSchedule.for_numerology(numerology, cfg.get("num_beams", 34)).sub_len
+    window = SubSymbolSchedule(1, sub_len, numerology.fft_size)  # the first window alone
     searches = [DelaySearchConfig(n) for n in cfg.get("candidate_grid", [2, 4, 6, 8, 10, 12, 16])]
     repeats = cfg.get("repeats", 20)
     slot = generate_slot(numerology, "QPSK", seed=seed)
@@ -503,9 +508,8 @@ def cmd_bench(args, cfg: dict, seed: int, run: RunDir) -> None:
             counter = OpCounter()
             t0 = time.perf_counter()
             for _ in range(repeats):
-                estimate_beam_csi(
-                    rx, body, schedule, 0, search,
-                    counter=counter, accelerated=accelerated,
+                estimate_symbol_csi(
+                    rx, body, window, search, counter=counter, accelerated=accelerated
                 )
             secs[accelerated] = (time.perf_counter() - t0) / repeats
             ops[accelerated] = counter.total // repeats

@@ -105,13 +105,13 @@ def score_user(
     The user's ``echo`` (``downlink_echo``) and ``genie`` CSI (``genie_csi``)
     are taken once per beam plan; the downlink adds AWGN of ``noise_power``
     drawn from ``seed``. Returns the ``demodulate_and_score`` results with
-    the CSI estimated from the slot's DMRS and with the genie CSI, both on
-    the same received spectra.
+    the CSI estimated from the slot's DMRS and with the genie CSI, both from
+    one call on the same received spectra.
     """
     rx = apply_downlink(tx, echo, noise_power, seed)
     spectra = symbol_spectra(rx, reference.numerology)
-    est = demodulate_and_score(spectra, reference, slot_user_csi(spectra, reference))
-    return est, demodulate_and_score(spectra, reference, genie)
+    est, gen = demodulate_and_score(spectra, reference, [slot_user_csi(spectra, reference), genie])
+    return est, gen
 
 
 def sense_dmrs(

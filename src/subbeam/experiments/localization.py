@@ -14,9 +14,10 @@ DMRS bodies equal those of a full data slot bit for bit as long as every
 round-trip delay is at most the numerology's ``cp_length``, which
 ``run_localization`` checks up front.
 
-The feature stack uses power in dB and the *total* phase slope
-(fit slope minus 2*pi*best_delay/window), which folds the integer window
-alignment back into the slope so one linear feature carries the full
+The feature stack reads each beam's result as the delay search finished it:
+the power (``SensingCsi.power``) in dB, the fit MSE, and the *total* phase
+slope (fit slope minus 2*pi*best_delay/window), which folds the integer
+window alignment back into the slope so one linear feature carries the full
 propagation delay.
 """
 
@@ -49,21 +50,15 @@ ANGLE_TASK_DISTANCE_M = 3.0
 def feature_stack(results: list[SensingCsi], sub_len: int) -> np.ndarray:
     """Per beam, power (dB), total phase slope and fit MSE in one regression row.
 
-    The power is each beam's ``SensingCsi.power``: |H|^2 summed over its
-    usable bins, compacted and in bin order, one pairwise sum per beam (a
-    masked or padded sum over all beams, or ``np.add.reduceat``, which sums
-    each segment sequentially, would round differently).
+    The power is each beam's ``SensingCsi.power``, as the search returns it.
     """
-    valid = np.array([r.valid for r in results])
-    squares = np.abs(np.array([r.csi for r in results])[valid]) ** 2
-    ends = np.cumsum(valid.sum(axis=1)).tolist()
     return np.array([
         (
-            10.0 * math.log10(np.add.reduce(squares[start:end]) + 1e-30),
+            10.0 * math.log10(r.power + 1e-30),
             r.slope - 2.0 * math.pi * r.best_delay / sub_len,
             r.mse,
         )
-        for r, start, end in zip(results, [0, *ends], ends)
+        for r in results
     ]).ravel()
 
 

@@ -7,26 +7,28 @@ window by one sample updates its spectrum in O(N') via the sliding DFT
 (Jacobsen & Lyons, "The sliding DFT", IEEE SP Magazine 2003) instead of
 recomputing an O(N' log N') FFT.
 
-One kernel runs the search for any set of beams as (candidate x beam x bin)
-arrays: the spectra of all beams advance together, each beam's usable bins
-are compacted to the front and padded to the widest beam by repeating its
-last usable bin at zero weight, and a single unwrap plus array reductions
-fit every candidate of every beam. ``estimate_symbol_csi`` (all beams) and
-``estimate_beam_csi`` (one beam) both call it. The spectra of all candidates
-come from one ``sliding_dft`` run, and the unwrap computes numpy's
-correction only at the steps that wrap (|jump| >= pi), so its phases equal
-``np.unwrap``'s bit for bit. The unwrapped phases keep the memory order of
-the gathered CSI, because the least-squares sums round by memory layout:
-the phase sums run over the bins in order (the CSI is gathered bin-major),
-and the residual sums pairwise over each contiguous row.
+One kernel runs the search for every beam window of a DMRS symbol as
+(candidate x beam x bin) arrays: the spectra of all beams advance together,
+each beam's usable bins are compacted to the front and padded to the widest
+beam by repeating its last usable bin at zero weight, and a single unwrap
+plus array reductions fit every candidate of every beam.
+``estimate_symbol_csi`` is its one entry point; a single window is searched
+through a one-window schedule. The spectra of all candidates come from one
+``sliding_dft`` run, and the unwrap computes numpy's correction only at the
+steps that wrap (|jump| >= pi), so its phases equal ``np.unwrap``'s bit for
+bit. The unwrapped phases keep the memory order of the gathered CSI,
+because the least-squares sums round by memory layout: the phase sums run
+over the bins in order (the CSI is gathered bin-major), and the residual
+sums pairwise over each contiguous row.
 
 A window sent pre-distorted has its ``SlotBeamPlan.dmrs_amplitude`` divided
 out of the CSI and folded into the fit weights.
 
-Each beam's result is one ``SensingCsi``: the CSI at the best delay, that
-delay, the phase line's slope, intercept and weighted MSE, the usable-bin
-mask, and the received power over the usable bins. Imaging, localization,
-the link's sensing rows and the baselines read these fields directly.
+Each beam's result is one ``SensingCsi``, finished once by the search: the
+CSI at the best delay, that delay, the phase line's slope and weighted MSE,
+the usable-bin mask, and the received power over the usable bins. Imaging,
+localization, the link's sensing rows and the baselines read these fields
+directly.
 
 DFT convention: forward transform uses exp(-j*2*pi*k*n/N), so advancing the
 window one sample multiplies each bin by exp(+j*2*pi*k/N).
@@ -47,7 +49,6 @@ __all__ = [
     "SensingCsi",
     "OpCounter",
     "sliding_dft",
-    "estimate_beam_csi",
     "estimate_symbol_csi",
 ]
 
@@ -83,28 +84,23 @@ class DelaySearchConfig:
             )
 
 
-@dataclass(frozen=True)
-class SensingCsi:
+class SensingCsi(NamedTuple):
     """Recovered CSI for one beam window at its best-fitting delay.
 
-    The phase of ``csi`` over the usable bins is fit by the line
-    ``slope * k + intercept`` (radians per bin, radians), each residual
-    weighted by its bin's transmitted magnitude |c*X[k]| (c the window's
-    DMRS amplitude, ``SlotBeamPlan.dmrs_amplitude``, or 1 without one);
-    ``mse`` is the weighted mean squared residual.
+    The phase of ``csi`` over the usable bins is fit by a line of ``slope``
+    radians per bin, each residual weighted by its bin's transmitted
+    magnitude |c*X[k]| (c the window's DMRS amplitude,
+    ``SlotBeamPlan.dmrs_amplitude``, or 1 without one); ``mse`` is the
+    weighted mean squared residual. ``power`` is the received power, |H|^2
+    summed over the usable bins, linear.
     """
 
     csi: np.ndarray  # zero on unusable bins
     best_delay: int
     slope: float
-    intercept: float
     mse: float
     valid: np.ndarray  # per-bin usability mask
-
-    @property
-    def power(self) -> float:
-        """Received power: sum of |H|^2 over the usable bins, linear."""
-        return float(np.sum(np.abs(self.csi[self.valid]) ** 2))
+    power: float
 
 
 class OpCounter:
@@ -172,32 +168,38 @@ class _CandidateFits(NamedTuple):
     csi: np.ndarray  # (C, B, L), zero on invalid bins
     valid: np.ndarray  # (B, L) per-bin usability mask
     slope: np.ndarray  # (C, B)
-    intercept: np.ndarray  # (C, B)
     mse: np.ndarray  # (C, B)
 
     def best(self) -> list[SensingCsi]:
-        """Per beam, the least-MSE candidate; argmin ties go to the smaller delay."""
+        """Per beam, the least-MSE candidate; argmin ties go to the smaller delay.
+
+        Each beam's power sums its usable |H|^2 pairwise, in bin order: one
+        ``abs()**2`` over the usable values of every beam, beam-major, then
+        one reduction per beam's contiguous segment (a masked or padded sum
+        over all beams, or ``np.add.reduceat``, which sums each segment
+        sequentially, would round differently).
+        """
         picks = np.argmin(self.mse, axis=0)
         cols = np.arange(len(picks))
         csi = self.csi[picks, cols]
-        fits = zip(*(a[picks, cols].tolist() for a in (self.slope, self.intercept, self.mse)))
-        return [
-            SensingCsi(csi[b], int(dn), *fit, self.valid[b])
-            for b, (dn, fit) in enumerate(zip(picks, fits))
-        ]
+        squares = np.abs(csi[self.valid]) ** 2
+        ends = np.cumsum(self.valid.sum(axis=1)).tolist()
+        power = [np.add.reduce(squares[start:end]).item() for start, end in zip([0, *ends], ends)]
+        slope = self.slope[picks, cols].tolist()
+        mse = self.mse[picks, cols].tolist()
+        return list(map(SensingCsi, csi, picks.tolist(), slope, mse, self.valid, power))
 
 
 def _delay_search(
     rx_symbol: np.ndarray,
     tx_symbol: np.ndarray,
     schedule: SubSymbolSchedule,
-    beams: np.ndarray,
     cfg: DelaySearchConfig,
     amplitude: np.ndarray | None,
     counter: OpCounter | None,
     accelerated: bool = True,
 ) -> _CandidateFits:
-    """The (candidate x beam x bin) delay-search kernel.
+    """The (candidate x beam x bin) delay-search kernel over every window of ``schedule``.
 
     Receive windows running past the end of the buffer are zero-filled.
     Each beam's usable bins (valid and of positive weight) are compacted to
@@ -208,12 +210,12 @@ def _delay_search(
     """
     length = schedule.sub_len
     n_cand = cfg.num_candidates
-    n_beams = len(beams)
+    n_beams = schedule.num_beams
     offsets = np.arange(length)
-    starts = beams * length
+    starts = np.arange(n_beams) * length
     x_f = np.fft.fft(tx_symbol[starts[:, None] + offsets], axis=1)
     amplitude = np.ones(schedule.num_beams) if amplitude is None else amplitude
-    factors = np.asarray(amplitude, dtype=complex)[beams]
+    factors = np.asarray(amplitude, dtype=complex)
     weights = np.abs(factors[:, None] * x_f)
     mag = np.abs(x_f)
     rms = np.sqrt(np.add.reduce(mag**2, axis=1, keepdims=True) / length)  # np.mean's arithmetic
@@ -290,33 +292,7 @@ def _delay_search(
     np.square(resid, out=resid)
     resid *= w2
     mse = np.add.reduce(resid, axis=-1) / norm
-    return _CandidateFits(csi, valid, slope, intercept, mse)
-
-
-def estimate_beam_csi(
-    rx_symbol: np.ndarray,
-    tx_symbol: np.ndarray,
-    schedule: SubSymbolSchedule,
-    beam_index: int,
-    cfg: DelaySearchConfig,
-    amplitude: np.ndarray | None = None,
-    counter: OpCounter | None = None,
-    accelerated: bool = True,
-) -> SensingCsi:
-    """Delay search for one beam window: best linear-phase fit wins.
-
-    Candidate delays 0..num_candidates-1 are scanned; the first window's
-    spectrum comes from a full FFT, each subsequent one from a sliding-DFT
-    update (unless ``accelerated`` is off, which recomputes the FFT per
-    candidate; useful for benchmarking). Ties break toward smaller delay.
-    Receive windows running past the end of the buffer are zero-filled.
-    ``amplitude`` is the DMRS amplitude of every window of ``schedule``
-    (``SlotBeamPlan.dmrs_amplitude``), ``None`` for a DMRS sent unscaled.
-    """
-    schedule.window(beam_index)  # IndexError for a beam outside the schedule
-    return _delay_search(
-        rx_symbol, tx_symbol, schedule, np.array([beam_index]), cfg, amplitude, counter, accelerated
-    ).best()[0]
+    return _CandidateFits(csi, valid, slope, mse)
 
 
 def estimate_symbol_csi(
@@ -326,13 +302,22 @@ def estimate_symbol_csi(
     cfg: DelaySearchConfig,
     amplitude: np.ndarray | None = None,
     counter: OpCounter | None = None,
+    accelerated: bool = True,
 ) -> list[SensingCsi]:
-    """Delay search for every beam window of one DMRS symbol.
+    """Delay search for every beam window of one DMRS symbol: best linear-phase fit wins.
 
-    The same search as ``estimate_beam_csi`` per beam (the per-beam
-    searches are independent), run for all beams at once. Results come in
-    schedule order, so a result's beam is its position in the list.
-    ``amplitude`` is as for ``estimate_beam_csi``.
+    Candidate delays 0..num_candidates-1 are scanned; the first window's
+    spectrum comes from a full FFT, each subsequent one from a sliding-DFT
+    update (unless ``accelerated`` is off, which recomputes the FFT per
+    candidate; useful for benchmarking). Ties break toward the smaller
+    delay. Receive windows running past the end of the buffer are
+    zero-filled. ``amplitude`` is the DMRS amplitude of every window of
+    ``schedule`` (``SlotBeamPlan.dmrs_amplitude``), ``None`` for a DMRS sent
+    unscaled. The per-beam searches are independent, so window m alone is
+    searched as ``estimate_symbol_csi(rx[m*L:], tx[m*L:],
+    SubSymbolSchedule(1, L, fft_size), cfg, amplitude[m:m+1])[0]`` for a
+    window of L samples. Results come in schedule order, so a result's beam
+    is its position in the list.
     """
-    beams = np.arange(schedule.num_beams)
-    return _delay_search(rx_symbol, tx_symbol, schedule, beams, cfg, amplitude, counter).best()
+    fits = _delay_search(rx_symbol, tx_symbol, schedule, cfg, amplitude, counter, accelerated)
+    return fits.best()

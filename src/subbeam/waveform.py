@@ -322,35 +322,38 @@ def slot_user_csi(rx_spectra: np.ndarray, reference: SlotWaveform) -> np.ndarray
 def demodulate_and_score(
     rx_spectra: np.ndarray,
     tx_slot: SlotWaveform,
-    csi: np.ndarray,
-) -> dict:
-    """Equalize the data symbols, slice, and report EVM (%) and uncoded BER.
+    csis: list[np.ndarray],
+) -> list[dict]:
+    """Equalize the data symbols by each of ``csis``, slice, and report EVM (%) and uncoded BER.
 
     ``rx_spectra`` holds the received frequency grid of every symbol of the
     slot (``symbol_spectra``); only the data rows are read. EVM is the RMS
     error vector relative to the transmitted constellation points, in
-    percent, sliced with the slot's own modulation.
+    percent, sliced with the slot's own modulation. The transmitted points
+    are sliced once for all of ``csis``; returns one result per CSI, in order.
     """
     levels, norm = constellation(tx_slot.modulation)
     bits_axis = MODULATIONS[tx_slot.modulation] // 2
     num = tx_slot.numerology
     bins = num.occupied_bins()
     rows = num.data_positions()
-    eq = np.take(rx_spectra[rows], bins, axis=1) / csi
+    rx = np.take(rx_spectra[rows], bins, axis=1)
     ref = np.take(tx_slot.grids[rows], bins, axis=1)
     # Each row's power sums pairwise, and the rows add in slot order.
-    err_power = sum(np.sum(np.abs(eq - ref) ** 2, axis=1).tolist())
     ref_power = sum(np.sum(np.abs(ref) ** 2, axis=1).tolist())
-    idx = _slice_axis(np.stack([ref.real, ref.imag, eq.real, eq.imag]), levels, norm)
-    gray = idx ^ (idx >> 1)
-    flips = gray[:2] ^ gray[2:]
-    bit_errors = sum(int(np.count_nonzero((flips >> b) & 1)) for b in range(bits_axis))
-    bit_total = flips.size * bits_axis
-    return {
-        "evm_percent": 100.0 * math.sqrt(err_power / ref_power),
-        "ber": bit_errors / bit_total,
-        "bits": bit_total,
-    }
+    ref_idx = _slice_axis(np.stack([ref.real, ref.imag]), levels, norm)
+    ref_gray = ref_idx ^ (ref_idx >> 1)
+    bit_total = ref_gray.size * bits_axis
+    scores = []
+    for csi in csis:
+        eq = rx / csi
+        err_power = sum(np.sum(np.abs(eq - ref) ** 2, axis=1).tolist())
+        idx = _slice_axis(np.stack([eq.real, eq.imag]), levels, norm)
+        flips = ref_gray ^ idx ^ (idx >> 1)
+        bit_errors = sum(int(np.count_nonzero((flips >> b) & 1)) for b in range(bits_axis))
+        scores.append({"evm_percent": 100.0 * math.sqrt(err_power / ref_power),
+                       "ber": bit_errors / bit_total, "bits": bit_total})
+    return scores
 
 
 # ---------------------------------------------------------------------------

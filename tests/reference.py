@@ -12,8 +12,9 @@ before echoes were applied only on the signal spans and feature rows were
 built per beam, kept to pin the current code byte for byte. So are the
 whole-slot user downlink and the per-symbol user CSI and scoring loops, as
 they stood before users captured through the sensing echo sum and the
-user receiver transformed each slot once, and the DMRS pre-distortion as
-it stood before the beam plan carried its amplitudes.
+user receiver transformed each slot once, the DMRS pre-distortion as
+it stood before the beam plan carried its amplitudes, and a beam's received
+power as it stood before the delay search summed it for all beams at once.
 """
 
 import math
@@ -212,6 +213,11 @@ def whole_slot_monostatic(samples, echoes, scene, seed):
     noise.imag = rng.standard_normal(n)
     noise *= math.sqrt(scene.noise_power / 2.0)
     return out + noise
+
+
+def beam_power(csi, valid):
+    """A beam's received power: |H|^2 summed over its usable bins, linear."""
+    return float(np.sum(np.abs(csi[valid]) ** 2))
 
 
 def column_stacked_features(results, sub_len):

@@ -30,7 +30,7 @@ from subbeam.experiments.tradeoff import epsilon_sweep
 from subbeam.sensing import (
     DelaySearchConfig,
     OpCounter,
-    estimate_beam_csi,
+    estimate_symbol_csi,
     sliding_dft,
 )
 from subbeam.waveform import Numerology, SubSymbolSchedule, generate_slot
@@ -121,10 +121,11 @@ def test_accept_04_sliding_dft():
             worst = max(worst, float(np.max(np.abs(spec - direct)) / np.max(np.abs(direct))))
     tx = generate_slot(NUM, "QPSK", seed=0).symbol_body(NUM.dmrs_positions()[0])
     sched = SubSymbolSchedule.for_numerology(NUM, 34)
+    window = SubSymbolSchedule(1, sched.sub_len, NUM.fft_size)  # beam 0 alone
     fast, slow = OpCounter(), OpCounter()
-    estimate_beam_csi(np.roll(tx, 3), tx, sched, 0, DelaySearchConfig(10), counter=fast)
-    estimate_beam_csi(
-        np.roll(tx, 3), tx, sched, 0, DelaySearchConfig(10), counter=slow, accelerated=False
+    estimate_symbol_csi(np.roll(tx, 3), tx, window, DelaySearchConfig(10), counter=fast)
+    estimate_symbol_csi(
+        np.roll(tx, 3), tx, window, DelaySearchConfig(10), counter=slow, accelerated=False
     )
     ok = worst < 1e-7 and fast.total * 2 <= slow.total
     report(
@@ -137,6 +138,8 @@ def test_accept_04_sliding_dft():
 
 def test_accept_05_delay_recovery():
     sched = SubSymbolSchedule.for_numerology(NUM, 34)
+    length = sched.sub_len
+    window = SubSymbolSchedule(1, length, NUM.fft_size)  # beam m alone, from sample m*length
     cfg = DelaySearchConfig(10)
     tx = generate_slot(NUM, "QPSK", seed=1).symbol_body(NUM.dmrs_positions()[0])
 
@@ -144,7 +147,7 @@ def test_accept_05_delay_recovery():
     for true_delay in range(10):
         rx = np.zeros(len(tx) + 32, dtype=complex)
         rx[true_delay : true_delay + len(tx)] = 0.7 * np.exp(0.3j) * tx
-        res = estimate_beam_csi(rx, tx, sched, 5, cfg)
+        res = estimate_symbol_csi(rx[5 * length :], tx[5 * length :], window, cfg)[0]
         exact &= res.best_delay == true_delay
 
     hits = 0
@@ -164,7 +167,7 @@ def test_accept_05_delay_recovery():
         rx += sigma / math.sqrt(2) * (
             rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx))
         )
-        res = estimate_beam_csi(rx, tx_t, sched, m, cfg)
+        res = estimate_symbol_csi(rx[m * length :], tx_t[m * length :], window, cfg)[0]
         hits += abs(res.best_delay - d) <= 1
     rate = hits / trials
     ok = exact and rate >= 0.95

@@ -11,8 +11,10 @@ import re
 import numpy as np
 import pytest
 
-from subbeam.cli import CONFIG_SECTIONS, _users, load_config, main
+from subbeam.arrays import ArrayGeometry
+from subbeam.cli import CONFIG_SECTIONS, _users, load_config, main, scene_from_dict
 from subbeam.codebook import OptimizerConfig
+from subbeam.experiments.imaging import run_imaging
 from subbeam.experiments.localization import run_localization
 from subbeam.experiments.mobility import MobilityScenario, default_sweep_scenario, run_mobility
 from subbeam.runio import Table, write_table
@@ -93,6 +95,23 @@ def test_mobility_no_reopt_keeps_codebook_stable(tmp_path):
     rows = (out / "timeseries.csv").read_text().strip().split("\n")[1:]
     reopt_col = [int(r.split(",")[-3]) for r in rows]
     assert all(v == 0 for v in reopt_col)
+
+
+def test_image_reads_repeats(tmp_path):
+    twice = run_cmd(tmp_path, "image", {**IMG_CFG, "repeats": 2}, "twice")
+    once = run_cmd(tmp_path, "image", {**IMG_CFG, "repeats": 1}, "once")
+    g = IMG_CFG["grid_deg"]
+    angles = np.radians(np.linspace(g["start"], g["stop"], g["count"]))
+    num = Numerology()
+    grid = run_imaging(
+        scene_from_dict(IMG_CFG["scene"], num.sample_rate), angles, angles, num,
+        ArrayGeometry(64, layout="planar", planar_shape=(8, 8)), IMG_CFG["num_beams"],
+        OptimizerConfig(), DelaySearchConfig(), IMG_CFG["seed"], repeats=2,
+    )
+    write_table(tmp_path / "want.csv", grid.heatmap())
+    heatmap = (twice / "heatmap.csv").read_bytes()
+    assert heatmap == (tmp_path / "want.csv").read_bytes()
+    assert heatmap != (once / "heatmap.csv").read_bytes()
 
 
 def test_image_pgm_well_formed(tmp_path):
@@ -269,6 +288,10 @@ BAD_VALUES = [
     *[(f"{name}_scene_file_and_scene", name, {**cfg, "scene_file": "scene.json"},
        "scene_file is set together with scene, which it replaces")
       for name, cfg in (("simulate", SIM_CFG), ("baseline", BASE_CFG), ("image", IMG_CFG))],
+    # num_beams only sizes the default sweep.
+    *[(f"{name}_sweep_and_num_beams", name, {**cfg, "sweep_deg": [0, 5], "num_beams": 34},
+       "sweep_deg is set together with num_beams, which it replaces")
+      for name, cfg in (("simulate", SIM_CFG), ("baseline", BASE_CFG))],
     ("tradeoff_negative_radius", "tradeoff", {**TRADE_CFG, "epsilons": [0.5, -1.0]},
      "epsilon must be >= 0"),
     ("pattern_zero_step", "pattern",

@@ -32,7 +32,7 @@ from subbeam.waveform import (
     sensing_slot,
 )
 
-from reference import column_stacked_features
+from reference import beam_power, column_stacked_features
 
 NUM = Numerology()
 SEARCH = DelaySearchConfig(10)
@@ -691,7 +691,7 @@ class TestSenseDmrs:
             for a, b in zip(row_got, row_want):
                 assert np.array_equal(a.csi, b.csi)
                 assert a.best_delay == b.best_delay
-                assert (a.slope, a.intercept, a.mse) == (b.slope, b.intercept, b.mse)
+                assert (a.slope, a.mse, a.power) == (b.slope, b.mse, b.power)
                 assert np.array_equal(a.valid, b.valid)
 
     def test_predistorted_link_slot(self):
@@ -716,3 +716,62 @@ class TestSenseDmrs:
         echoes = monostatic_echoes(bplan, self.SCENE, self.GEO)
         got = sense_dmrs(slot, slot, bplan, echoes, self.SCENE, SEARCH, 12)
         self.assert_same(got, self.inline(slot, slot, bplan, self.SCENE, self.GEO, None, 12))
+
+
+class TestBeamPower:
+    """``SensingCsi.power`` against ``reference.beam_power``, byte for byte.
+
+    Captures are taken as the link (a pre-distorted data slot), imaging (a
+    planar array with its own sweep on each DMRS symbol) and localization (a
+    sensing-only slot) take them; the beams of a symbol differ in their
+    usable widths.
+    """
+
+    GEO = ArrayGeometry.ula(16)
+
+    def link(self, seed):
+        scene = TestSenseDmrs.SCENE
+        beams = [conjugate_beam(self.GEO, math.radians(a)) for a in np.linspace(-14, 14, 15)]
+        data_beam = conjugate_beam(self.GEO, 0.0)
+        amplitude = build_predistortion_plan(
+            beams, data_beam, [su.link for su in scene.users], self.GEO
+        )
+        bplan = SlotBeamPlan.uniform(NUM, beams, data_beam, amplitude)
+        reference = generate_slot(NUM, "64QAM", seed=seed)
+        return bplan.send(reference), reference, bplan, scene, self.GEO
+
+    def imaging(self, seed):
+        geo = ArrayGeometry(64, layout="planar", planar_shape=(8, 8))
+        elevations = np.radians(np.linspace(-8, 8, len(NUM.dmrs_positions())))
+        bplan = SlotBeamPlan(NUM, [
+            [conjugate_beam(geo, az, el) for az in np.radians(np.linspace(-8, 8, 9))]
+            for el in elevations
+        ], conjugate_beam(geo, 0.0, 0.0))
+        scene = Scene(
+            reflectors=(Reflector(math.radians(4), PathModel(1.0, 0.0, 3), math.radians(2)),),
+            noise_power=1e-7,
+            self_interference_inr_db=None,
+        )
+        slot = generate_slot(NUM, "QPSK", seed=seed, dmrs_seed=seed)
+        return slot, slot, bplan, scene, geo
+
+    def localize(self, seed):
+        beams = [conjugate_beam(self.GEO, math.radians(a)) for a in np.linspace(-12, 12, 9)]
+        scene = Scene(
+            reflectors=(Reflector(math.radians(3 * seed - 5), PathModel(0.3, 0.0, 2 + seed)),),
+            noise_power=1e-5,
+            self_interference_inr_db=None,
+        )
+        slot = sensing_slot(NUM, dmrs_seed=seed)
+        return slot, slot, SlotBeamPlan.uniform(NUM, beams, beams[0]), scene, self.GEO
+
+    @pytest.mark.parametrize("style", ["link", "imaging", "localize"])
+    def test_byte_equal(self, style):
+        for seed in range(3):
+            tx, reference, bplan, scene, geo = getattr(self, style)(seed)
+            echoes = monostatic_echoes(bplan, scene, geo)
+            for results in sense_dmrs(tx, reference, bplan, echoes, scene, SEARCH, seed):
+                assert len({int(r.valid.sum()) for r in results}) > 1  # beams of unequal width
+                for r in results:
+                    assert type(r.power) is float
+                    assert r.power.hex() == beam_power(r.csi, r.valid).hex()

@@ -143,3 +143,43 @@ def test_detects_an_unread_export():
 def test_every_export_has_a_reader():
     sources = {".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text() for p in MODULES}
     assert sorted(unread_exports(sources)) == sorted(READER_ALLOWLIST)
+
+
+def class_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(class, field)`` for each annotated field of each class."""
+    return [
+        (node.name, stmt.target.id)
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.field`` for each annotated class field whose name no
+    module reads as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {
+        n.attr for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return [
+        f"{module}.{cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name in class_fields(tree)
+        if name not in read
+    ]
+
+
+def test_detects_an_unread_field():
+    sources = {
+        "a": "class P:\n    x: int\n    y: int\n    z: int = 0\n    w = 1\n"
+             "def f(p): return p.x\n",
+        "b": "def g(p):\n    p.z = 1\n    return p.y, y\n",
+    }
+    assert unread_fields(sources) == ["a.P.z"]
+
+
+def test_every_field_has_a_reader():
+    sources = {".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text() for p in MODULES}
+    assert unread_fields(sources) == []

@@ -1,6 +1,5 @@
 """Sliding-DFT, delay search, and per-beam result tests."""
 
-import dataclasses
 import math
 from collections import namedtuple
 
@@ -12,9 +11,8 @@ from subbeam.sensing import (
     TX_MAGNITUDE_FLOOR,
     DelaySearchConfig,
     OpCounter,
-    SensingCsi,
+    _CandidateFits,
     _delay_search,
-    estimate_beam_csi,
     estimate_symbol_csi,
     sliding_dft,
 )
@@ -39,6 +37,20 @@ def random_window_signal(length, extra, seed):
     return rng.standard_normal(length + extra) + 1j * rng.standard_normal(length + extra)
 
 
+def one_window(rx, tx, sched, beam, amplitude=None):
+    """``(rx, tx, schedule, amplitude)`` that search window ``beam`` of ``sched``
+    alone: both buffers from the window's start, under a one-window schedule."""
+    start = beam * sched.sub_len
+    window = SubSymbolSchedule(1, sched.sub_len, sched.fft_size)
+    return rx[start:], tx[start:], window, None if amplitude is None else amplitude[beam : beam + 1]
+
+
+def search_window(rx, tx, sched, beam, cfg, amplitude=None, **kwargs):
+    """The delay-search result of window ``beam`` of ``sched`` alone."""
+    rx, tx, window, amplitude = one_window(rx, tx, sched, beam, amplitude)
+    return estimate_symbol_csi(rx, tx, window, cfg, amplitude, **kwargs)[0]
+
+
 def candidate_csi(rx, tx, sched, beam, delay, amplitude=None):
     """CSI and validity of one beam window under one assumed delay.
 
@@ -49,7 +61,8 @@ def candidate_csi(rx, tx, sched, beam, delay, amplitude=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sensing, "MIN_TX_FRACTION", 0.0)
         cfg = DelaySearchConfig(delay + 1)
-        fits = _delay_search(rx, tx, sched, np.array([beam]), cfg, amplitude, None)
+        rx, tx, window, amplitude = one_window(rx, tx, sched, beam, amplitude)
+        fits = _delay_search(rx, tx, window, cfg, amplitude, None)
     return fits.csi[delay, 0], fits.valid[0]
 
 
@@ -141,7 +154,7 @@ class TestSubSymbolCsi:
         csi, valid = candidate_csi(tx, tx, self.SCHED, 1, 0)
         assert np.array_equal(valid, np.abs(np.fft.fft(tx[30:60])) > TX_MAGNITUDE_FLOOR)
         assert np.allclose(csi[valid], 1.0, atol=1e-9)
-        res = estimate_beam_csi(tx, tx, self.SCHED, 1, DelaySearchConfig(10))
+        res = search_window(tx, tx, self.SCHED, 1, DelaySearchConfig(10))
         assert res.best_delay == 0
         assert np.allclose(res.csi[res.valid], 1.0, atol=1e-9)
 
@@ -152,7 +165,7 @@ class TestSubSymbolCsi:
         rx[7 : 7 + len(tx)] = c * tx
         csi, valid = candidate_csi(rx, tx, self.SCHED, 2, 7)
         assert np.allclose(csi[valid], c, atol=1e-9)
-        res = estimate_beam_csi(rx, tx, self.SCHED, 2, DelaySearchConfig(10))
+        res = search_window(rx, tx, self.SCHED, 2, DelaySearchConfig(10))
         assert res.best_delay == 7
         assert np.allclose(res.csi[res.valid], c, atol=1e-9)
 
@@ -176,7 +189,7 @@ class TestSubSymbolCsi:
         rx[sl] = 2.0 * tx[sl]  # the transmitter scaled this window by 2
         csi, valid = candidate_csi(rx, tx, self.SCHED, 1, 0, amplitude)
         assert np.allclose(csi[valid], 1.0, atol=1e-9)
-        res = estimate_beam_csi(rx, tx, self.SCHED, 1, DelaySearchConfig(10), amplitude)
+        res = search_window(rx, tx, self.SCHED, 1, DelaySearchConfig(10), amplitude)
         assert np.allclose(res.csi[res.valid], 1.0, atol=1e-9)
 
 
@@ -191,7 +204,7 @@ class TestDelaySearch:
         for true_delay in range(10):
             rx = np.zeros(len(tx) + 32, dtype=complex)
             rx[true_delay : true_delay + len(tx)] = 0.8 * np.exp(0.4j) * tx
-            res = estimate_beam_csi(rx, tx, self.SCHED, 2, DelaySearchConfig(10))
+            res = search_window(rx, tx, self.SCHED, 2, DelaySearchConfig(10))
             assert res.best_delay == true_delay
             assert res.mse < 1e-12
 
@@ -199,9 +212,9 @@ class TestDelaySearch:
         tx = self._symbol(5)
         theta = math.pi / 4
         rx = np.exp(1j * theta) * tx
-        res = estimate_beam_csi(rx, tx, self.SCHED, 1, DelaySearchConfig(10))
+        res = search_window(rx, tx, self.SCHED, 1, DelaySearchConfig(10))
         assert res.best_delay == 0
-        assert res.intercept == pytest.approx(theta, abs=1e-6)
+        assert np.angle(res.csi[res.valid]) == pytest.approx(theta, abs=1e-6)
         assert res.slope == pytest.approx(0.0, abs=1e-6)
 
     def test_loss_profile_has_unique_minimum(self):
@@ -209,12 +222,13 @@ class TestDelaySearch:
         d = 4
         rx = np.zeros(len(tx) + 32, dtype=complex)
         rx[d : d + len(tx)] = tx
-        fits = _delay_search(rx, tx, self.SCHED, np.array([3]), DelaySearchConfig(10), None, None)
+        rx3, tx3, window, _ = one_window(rx, tx, self.SCHED, 3)
+        fits = _delay_search(rx3, tx3, window, DelaySearchConfig(10), None, None)
         losses = fits.mse[:, 0]
         assert int(np.argmin(losses)) == d
         # loss grows monotonically-ish away from the minimum
         assert losses[d] < min(losses[d - 1], losses[d + 1]) / 10
-        res = estimate_beam_csi(rx, tx, self.SCHED, 3, DelaySearchConfig(10))
+        res = search_window(rx, tx, self.SCHED, 3, DelaySearchConfig(10))
         assert res.mse == losses[d]
 
     def test_matches_brute_force_oracle(self):
@@ -226,7 +240,7 @@ class TestDelaySearch:
             rx[d : d + len(tx)] = 0.7 * np.exp(1j * rng.uniform(-3, 3)) * tx
             rx += 0.02 * (rng.standard_normal(len(rx)) + 1j * rng.standard_normal(len(rx)))
             m = int(rng.integers(0, 8))
-            res = estimate_beam_csi(rx, tx, self.SCHED, m, DelaySearchConfig(10))
+            res = search_window(rx, tx, self.SCHED, m, DelaySearchConfig(10))
             ref_dn, ref_mse, _ = brute_force_delay_search(
                 {"rx": rx, "tx": tx}, m * 30, 30, 10
             )
@@ -238,7 +252,7 @@ class TestDelaySearch:
         # weighted fit of zeros -> phases of zeros are zeros); delay 0 wins
         tx = self._symbol(8)
         rx = np.zeros(len(tx), dtype=complex)
-        res = estimate_beam_csi(rx, tx, self.SCHED, 0, DelaySearchConfig(10))
+        res = search_window(rx, tx, self.SCHED, 0, DelaySearchConfig(10))
         assert res.best_delay == 0
 
     def test_zero_weight_bins_excluded_exactly(self):
@@ -254,7 +268,7 @@ class TestDelaySearch:
         x_f[corrupted] = 0.0
         notched = tx.copy()
         notched[sl] = np.fft.ifft(x_f)
-        res = estimate_beam_csi(rx, notched, self.SCHED, 1, DelaySearchConfig(10))
+        res = search_window(rx, notched, self.SCHED, 1, DelaySearchConfig(10))
         assert not res.valid[corrupted].any()
         assert np.all(res.csi[corrupted] == 0)
         # closed-form weighted fit on the clean bins only
@@ -264,13 +278,12 @@ class TestDelaySearch:
         a = np.vstack([k, np.ones_like(k)]).T
         wls = np.linalg.solve(a.T @ (w2[:, None] * a), a.T @ (w2 * phases))
         assert res.slope == pytest.approx(wls[0], abs=1e-12)
-        assert res.intercept == pytest.approx(wls[1], abs=1e-12)
 
     def test_all_invalid_raises(self):
         tx = np.zeros(1024, dtype=complex)
         rx = np.zeros(1024, dtype=complex)
         with pytest.raises(ValueError, match="no usable subcarriers"):
-            estimate_beam_csi(rx, tx, self.SCHED, 0, DelaySearchConfig(10))
+            search_window(rx, tx, self.SCHED, 0, DelaySearchConfig(10))
 
 
 class TestSymbolBatch:
@@ -285,7 +298,7 @@ class TestSymbolBatch:
         batch = estimate_symbol_csi(rx, tx, sched, cfg)
         assert len(batch) == 34
         for m, res in enumerate(batch):
-            single = estimate_beam_csi(rx, tx, sched, m, cfg)
+            single = search_window(rx, tx, sched, m, cfg)
             assert res.best_delay == single.best_delay
             assert np.allclose(res.csi, single.csi, atol=1e-12)
             assert res.mse == pytest.approx(single.mse, rel=1e-12)
@@ -302,24 +315,22 @@ class TestSymbolBatch:
 
 class TestFeatures:
     def test_flat_unit_csi(self):
-        csi = SensingCsi(
-            csi=np.ones(30, dtype=complex),
-            best_delay=0,
-            slope=0.0,
-            intercept=0.0,
-            mse=0.0,
-            valid=np.ones(30, dtype=bool),
+        fits = _CandidateFits(
+            csi=np.ones((1, 1, 30), dtype=complex),
+            valid=np.ones((1, 30), dtype=bool),
+            slope=np.zeros((1, 1)),
+            mse=np.zeros((1, 1)),
         )
-        assert csi.power == pytest.approx(30.0)
+        assert fits.best()[0].power == pytest.approx(30.0)
         # only usable bins carry power
-        assert dataclasses.replace(csi, valid=np.arange(30) < 12).power == pytest.approx(12.0)
+        assert fits._replace(valid=(np.arange(30) < 12)[None]).best()[0].power == pytest.approx(12.0)
 
     def test_single_path_zero_loss(self):
         tx = generate_slot(NUM, "QPSK", seed=12).symbol_body(NUM.dmrs_positions()[0])
         sched = SubSymbolSchedule(num_beams=8, sub_len=30, fft_size=1024)
         rx = np.zeros(len(tx) + 16, dtype=complex)
         rx[6 : 6 + len(tx)] = 0.4 * np.exp(-1.2j) * tx
-        res = estimate_beam_csi(rx, tx, sched, 4, DelaySearchConfig(10))
+        res = search_window(rx, tx, sched, 4, DelaySearchConfig(10))
         assert res.mse < 1e-9
 
     def test_two_paths_increase_loss(self):
@@ -330,8 +341,8 @@ class TestFeatures:
         two = one.copy()
         two[7 : 7 + len(tx)] += tx  # equal-power path 5 samples later
         cfg = DelaySearchConfig(10)
-        loss_one = estimate_beam_csi(one, tx, sched, 3, cfg).mse
-        loss_two = estimate_beam_csi(two, tx, sched, 3, cfg).mse
+        loss_one = search_window(one, tx, sched, 3, cfg).mse
+        loss_two = search_window(two, tx, sched, 3, cfg).mse
         assert loss_two > loss_one * 100
 
 
@@ -341,8 +352,8 @@ class TestOpCounting:
         rx = np.roll(tx, 3)
         sched = SubSymbolSchedule.for_numerology(NUM, 34)
         fast, slow = OpCounter(), OpCounter()
-        estimate_beam_csi(rx, tx, sched, 0, DelaySearchConfig(10), counter=fast)
-        estimate_beam_csi(
+        search_window(rx, tx, sched, 0, DelaySearchConfig(10), counter=fast)
+        search_window(
             rx, tx, sched, 0, DelaySearchConfig(10), counter=slow, accelerated=False
         )
         assert fast.total * 2 <= slow.total
@@ -478,7 +489,6 @@ class TestKernelEquivalence:
         ref_delay, ref_fit, ref_csi, ref_valid = ref
         assert res.best_delay == ref_delay
         assert res.slope == pytest.approx(ref_fit.slope, rel=1e-9)
-        assert res.intercept == pytest.approx(ref_fit.intercept, rel=1e-9)
         assert res.mse == pytest.approx(ref_fit.mse, rel=1e-9)
         assert np.allclose(res.csi, ref_csi, rtol=0, atol=1e-12)
         assert np.array_equal(res.valid, ref_valid)
@@ -503,7 +513,7 @@ class TestKernelEquivalence:
         # The equivalence tests above take the padded path: beams differ in
         # their usable-bin counts even on a plain capture.
         rx, tx, sched, amplitude, cfg = self._capture(15, "plain", 0)
-        usable = _delay_search(rx, tx, sched, np.arange(15), cfg, amplitude, None).valid.sum(axis=1)
+        usable = _delay_search(rx, tx, sched, cfg, amplitude, None).valid.sum(axis=1)
         assert usable.min() < usable.max()
 
     @pytest.mark.parametrize("accelerated", [True, False])
@@ -512,7 +522,7 @@ class TestKernelEquivalence:
     def test_beam_matches_seed_loop(self, num_beams, variant, accelerated):
         rx, tx, sched, amplitude, cfg = self._capture(num_beams, variant, 7)
         for m in sorted({0, num_beams // 2, num_beams - 1}):
-            res = estimate_beam_csi(rx, tx, sched, m, cfg, amplitude, accelerated=accelerated)
+            res = search_window(rx, tx, sched, m, cfg, amplitude, accelerated=accelerated)
             self._assert_same(
                 res, _seed_beam_search(rx, tx, sched, m, cfg, amplitude, accelerated=accelerated)
             )
@@ -524,7 +534,7 @@ class TestKernelEquivalence:
         tone[5] = 1.0
         tx = tx.copy()
         tx[sched.window(2)] = np.fft.ifft(tone)
-        res = estimate_beam_csi(rx, tx, sched, 2, cfg)
+        res = search_window(rx, tx, sched, 2, cfg)
         assert np.flatnonzero(res.valid).tolist() == [5]
         ref = _seed_beam_search(rx, tx, sched, 2, cfg)
         self._assert_same(res, ref)
@@ -579,11 +589,12 @@ class TestKernelMatchesStepwise:
     def assert_byte_equal(self, num_beams, with_plan, cfg):
         for seed in range(3):
             for rx, tx, sched, amplitude in self._captures(num_beams, with_plan, seed):
-                got = _delay_search(rx, tx, sched, np.arange(num_beams), cfg, amplitude, None)
-                want = stepwise_delay_search(
+                got = _delay_search(rx, tx, sched, cfg, amplitude, None)
+                want = dict(zip(("csi", "valid", "slope", "intercept", "mse"), stepwise_delay_search(
                     rx, tx, sched.sub_len, num_beams, cfg.num_candidates,
                     amplitude.astype(complex) if amplitude is not None else None,
-                )
-                for name, a, b in zip(("csi", "valid", "slope", "intercept", "mse"), got, want):
+                )))
+                for name, a in got._asdict().items():
+                    b = want[name]
                     assert a.dtype == b.dtype and a.shape == b.shape, name
                     assert a.tobytes() == b.tobytes(), name

@@ -262,7 +262,7 @@ class TestScoring:
         slot = generate_slot(NUM, "64QAM", seed=11)
         rx = slot.grids
         csi = np.ones(768)
-        out = demodulate_and_score(rx, slot, csi)
+        out = demodulate_and_score(rx, slot, [csi])[0]
         assert out["evm_percent"] == pytest.approx(0.0, abs=1e-9)
         assert out["ber"] == 0.0
 
@@ -277,7 +277,7 @@ class TestScoring:
         for p in NUM.data_positions():
             noise = sigma * (rng.standard_normal(768) + 1j * rng.standard_normal(768)) / np.sqrt(2)
             rx[p, bins] = rx[p, bins] + noise
-        out = demodulate_and_score(rx, slot, np.ones(768))
+        out = demodulate_and_score(rx, slot, [np.ones(768)])[0]
         assert out["evm_percent"] == pytest.approx(100 * 10 ** (-snr_db / 20.0), abs=0.3)
         assert out["ber"] == 0.0  # 30 dB is far above the 64QAM threshold
 
@@ -291,7 +291,7 @@ class TestScoring:
             for p in NUM.data_positions():
                 noise = sigma * (rng.standard_normal(768) + 1j * rng.standard_normal(768)) / np.sqrt(2)
                 rx[p, bins] = rx[p, bins] + noise
-            out = demodulate_and_score(rx, slot, np.ones(768))
+            out = demodulate_and_score(rx, slot, [np.ones(768)])[0]
             expected = 100 * 10 ** (-snr_db / 20.0)
             assert abs(out["evm_percent"] - expected) / expected < 0.10
 
@@ -328,8 +328,10 @@ class TestUserReceiverMatchesPerSymbol:
             )
             assert csi.tobytes() == want.tobytes()
             rx_grids = [np.fft.fft(rx[NUM.symbol_slice(p, include_cp=False)]) for p in data]
-            for h in (csi, np.full(len(bins), 0.8 * np.exp(0.4j))):
-                assert demodulate_and_score(spectra, reference, h) == per_symbol_scores(
+            csis = [csi, np.full(len(bins), 0.8 * np.exp(0.4j))]
+            scores = demodulate_and_score(spectra, reference, csis)
+            for h, score in zip(csis, scores, strict=True):
+                assert score == per_symbol_scores(
                     rx_grids, reference.grids, h, data, bins, levels, norm,
                     MODULATIONS[modulation] // 2,
                 )
