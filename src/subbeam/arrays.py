@@ -17,7 +17,6 @@ __all__ = [
     "Beamformer",
     "steering_vector",
     "beamforming_gain",
-    "effective_snr",
     "conjugate_beam",
 ]
 
@@ -165,19 +164,6 @@ def beamforming_gain(
         )
     s = steering_vector(geometry, azimuth, elevation)
     return float(np.abs(s @ w) ** 2)
-
-
-def effective_snr(
-    base_snr: float,
-    weights: Beamformer | np.ndarray,
-    geometry: ArrayGeometry,
-    azimuth: float,
-    elevation: float | None = None,
-) -> float:
-    """Linear SNR after beamforming: base_snr * gain(w, angle)."""
-    if base_snr < 0:
-        raise ValueError("base_snr must be >= 0")
-    return base_snr * beamforming_gain(weights, geometry, azimuth, elevation)
 
 
 def conjugate_beam(

@@ -41,6 +41,7 @@ from .waveform import Numerology, SlotWaveform, SubSymbolSchedule
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "meters_to_samples",
     "PathModel",
     "Reflector",
     "SceneUser",
@@ -56,6 +57,11 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0
+
+
+def meters_to_samples(meters: float, sample_rate: float, trips: float) -> int:
+    """Delay in whole samples of a path travelled ``trips`` times over ``meters``."""
+    return round(sample_rate * trips * meters / SPEED_OF_LIGHT)
 
 
 @dataclass(frozen=True)

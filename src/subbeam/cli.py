@@ -35,7 +35,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .arrays import LAYOUTS, ArrayGeometry, beamforming_gain
-from .channel import SPEED_OF_LIGHT, PathModel, Reflector, Scene, SceneUser
+from .channel import PathModel, Reflector, Scene, SceneUser, meters_to_samples
 from .codebook import (
     Codebook,
     OptimizerConfig,
@@ -239,8 +239,7 @@ def _path_from_dict(d: dict, sample_rate: float, round_trip: bool) -> PathModel:
     if "delay_samples" in d:
         delay = d["delay_samples"]
     else:
-        trips = 2.0 if round_trip else 1.0
-        delay = round(sample_rate * trips * d["delay_meters"] / SPEED_OF_LIGHT)
+        delay = meters_to_samples(d["delay_meters"], sample_rate, 2.0 if round_trip else 1.0)
     return PathModel(
         attenuation=10.0 ** (d.get("attenuation_db", 0.0) / 20.0),
         phase_shift=math.radians(d.get("phase_deg", 0.0)),

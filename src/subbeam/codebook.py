@@ -2,8 +2,9 @@
 
 Two solvers are provided:
 
-* ``optimize_weighted_sum`` maximizes a weighted sum of the sensing SNR and
-  the mean user SNR over the unit polydisk (per-element |w_n| <= 1).
+* ``optimize_weighted_sum`` maximizes a weighted sum of the sensing gain and
+  the mean user SNR over the unit polydisk (per-element |w_n| <= 1); the
+  sensing row's base SNR is 1, so ``sensing_weight`` alone scales its term.
 * ``optimize_max_min`` maximizes the minimum user SNR while keeping every
   weight within a per-element radius ``epsilon`` of the conjugate beamformer
   for the sensing angle, so each codebook entry keeps a strong sensing beam.
@@ -42,8 +43,12 @@ or any probe improves (``stationary``), or when 50 consecutive iterations
 each gain less than 1e-4 relative (about 0.0004 dB) over the stall mark
 (``stalled``); otherwise it runs to ``max_iters``. Codebook entries record
 the winning start's iteration count and stop reason (``anchor`` when no
-ascent ran), and ``update_codebook`` sums both over the entries it
-re-optimizes.
+ascent ran), from which ``converged`` is read, and ``update_codebook`` sums
+both over the entries it re-optimizes.
+
+The solvers do not warn. ``warn_close_angles`` warns about users within one
+half-power beamwidth (HPBW) of each other, once per user layout:
+``build_codebook`` calls it, and so does ``experiments.tradeoff.epsilon_sweep``.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ from .arrays import ArrayGeometry, Beamformer, in_field_of_view, steering_vector
 
 __all__ = [
     "UserLink",
-    "SensingTarget",
     "OptimizerConfig",
     "CodebookEntry",
     "Codebook",
@@ -69,6 +73,7 @@ __all__ = [
     "optimize_weighted_sum",
     "optimize_max_min",
     "design_data_beam",
+    "warn_close_angles",
     "build_codebook",
     "update_codebook",
     "save_codebook",
@@ -110,19 +115,6 @@ class UserLink:
 
 
 @dataclass(frozen=True)
-class SensingTarget:
-    """Sensing direction and baseline round-trip SNR, the weighted-sum solver's
-    input; the max-min solver takes only the angle."""
-
-    angle: float
-    base_snr: float = 1.0
-
-    def __post_init__(self):
-        if self.base_snr <= 0:
-            raise ValueError("base_snr must be > 0")
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     epsilon: float = 0.5
     max_iters: int = 2000
@@ -142,16 +134,19 @@ class CodebookEntry:
     """One optimized beamformer: sensing angle, weights, achieved min user SNR.
 
     ``iterations`` and ``stop_reason`` describe the solver's winning start
-    (see ``_ascend``; ``anchor`` when no ascent ran). They are None for
-    entries loaded from files written before they were recorded.
+    (see ``_ascend``; ``anchor`` when no ascent ran).
     """
 
     sensing_angle: float
     weights: Beamformer
     min_snr: float  # +inf sentinel when there are no users
-    converged: bool
-    iterations: int | None = None
-    stop_reason: str | None = None
+    iterations: int
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether the winning start stopped before ``max_iters``."""
+        return self.stop_reason != "max_iters"
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,8 @@ def _check_weight_length(what, length, geometry):
         )
 
 
-def _warn_close_angles(users, geometry):
+def warn_close_angles(users: list[UserLink], geometry: ArrayGeometry) -> None:
+    """Warn once per pair of users within one HPBW, whose beams a solve may not separate."""
     hpbw = 0.886 / (geometry.num_elements * geometry.spacing)
     for i in range(len(users)):
         for j in range(i + 1, len(users)):
@@ -499,30 +495,26 @@ def _climb(w0, evaluate, gradient, project, cfg, probes):
 
 def optimize_weighted_sum(
     users: list[UserLink],
-    target: SensingTarget,
+    sensing_angle: float,
     geometry: ArrayGeometry,
     cfg: OptimizerConfig,
-    trace: list | None = None,
     *,
     sensing_weight: float = 1.0,
 ) -> Beamformer:
-    """Joint beamformer maximizing sensing_weight*sensing SNR + mean user SNR.
+    """Joint beamformer maximizing sensing_weight*sensing gain + mean user SNR.
 
-    Subject only to per-element |w_n| <= 1. ``trace``, when given, receives
-    the winning start's objective per iteration, which is non-decreasing
-    (a single value when the fair start wins).
+    Subject only to per-element |w_n| <= 1.
     """
     if not users:
         raise ValueError("at least one user is required")
     if sensing_weight < 0:
         raise ValueError("sensing_weight must be >= 0")
-    _warn_close_angles(users, geometry)
     s_users, gamma = _user_matrix(users, geometry)
-    s_t = steering_vector(geometry, target.angle)
+    s_t = steering_vector(geometry, sensing_angle)
     n_users = len(users)
 
     s_all = np.vstack([s_t[None, :], s_users])
-    gamma_all = np.concatenate([[target.base_snr], gamma])
+    gamma_all = np.concatenate([[1.0], gamma])
     coef = np.concatenate([[sensing_weight], np.full(n_users, 1.0 / n_users)])
     s_conj = np.conj(s_all)
 
@@ -551,19 +543,16 @@ def optimize_weighted_sum(
 
     starts = [mixture, phase_only, _dither(mixture, 0.05), _dither(phase_only, 0.05)]
     finals = [
-        (f_i, float(np.min(_snrs(w_i, s_act, gamma_act))), w_i, run_trace)
-        for w_i, f_i, _, _, run_trace in _ascend(starts, evaluate, gradient, _project_polydisk, cfg)
+        (f_i, float(np.min(_snrs(w_i, s_act, gamma_act))), w_i)
+        for w_i, f_i, _, _, _ in _ascend(starts, evaluate, gradient, _project_polydisk, cfg)
     ]
-    f_fair = evaluate(fair_start)[0]
-    finals.append((f_fair, fair_val, fair_start, [f_fair]))
+    finals.append((evaluate(fair_start)[0], fair_val, fair_start))
     f_best = max(cand[0] for cand in finals)
     # 5% objective window ~ 0.2 dB, the solver tolerance used throughout.
-    _, _, w, run_trace = max(
+    _, _, w = max(
         (cand for cand in finals if cand[0] >= f_best * 0.95),
         key=lambda cand: cand[1],
     )
-    if trace is not None:
-        trace[:] = run_trace
 
     # Remove the global-phase degeneracy: align the first element's phase
     # with the sensing-conjugate anchor (whose first element is real).
@@ -578,7 +567,6 @@ def optimize_max_min(
     geometry: ArrayGeometry,
     cfg: OptimizerConfig,
     warm_start: Beamformer | None = None,
-    trace: list | None = None,
 ) -> CodebookEntry:
     """Max-min user SNR around the sensing conjugate anchor.
 
@@ -593,8 +581,7 @@ def optimize_max_min(
         _check_weight_length("warm_start", len(warm_start), geometry)
     anchor = np.conj(steering_vector(geometry, sensing_angle))
     if not users:
-        return CodebookEntry(sensing_angle, Beamformer(anchor), math.inf, True, 0, "anchor")
-    _warn_close_angles(users, geometry)
+        return CodebookEntry(sensing_angle, Beamformer(anchor), math.inf, 0, "anchor")
     s_users, gamma = _user_matrix(users, geometry)
     s_conj = np.conj(s_users)
     eps = cfg.epsilon
@@ -638,9 +625,6 @@ def optimize_max_min(
                 _dither(anchor, min(eps, 0.3)),
             ]
         runs = _ascend(starts, evaluate, gradient, project, cfg, probes)
-        if trace is not None:
-            for run in runs:
-                trace.extend(run[4])
         # max() keeps the first of equal finals, so ties go to the earlier start.
         w, f, iterations, reason, _ = max(runs, key=lambda run: run[1])
         if f <= f_anchor + 1e-15:
@@ -650,14 +634,13 @@ def optimize_max_min(
         sensing_angle=sensing_angle,
         weights=Beamformer(w),
         min_snr=f,
-        converged=reason != "max_iters",
         iterations=iterations,
         stop_reason=reason,
     )
 
 
 def design_data_beam(
-    users: list[UserLink], geometry: ArrayGeometry, cfg: OptimizerConfig | None = None
+    users: list[UserLink], geometry: ArrayGeometry, cfg: OptimizerConfig
 ) -> Beamformer:
     """Fixed beamformer for the data symbols: max-min user SNR, no sensing beam.
 
@@ -665,7 +648,6 @@ def design_data_beam(
     """
     if not users:
         raise ValueError("at least one user is required")
-    cfg = cfg or OptimizerConfig()
     s_users, gamma = _user_matrix(users, geometry)
     return Beamformer(_fairest(s_users, gamma, _phase_only(gamma @ np.conj(s_users)), cfg)[0])
 
@@ -685,7 +667,8 @@ def build_codebook(
     relative to their anchors, so the warm solve (carried weights plus the
     ``near`` restart) replaces the three cold starts. Every anchor is taken
     before the first solve, so a sweep angle no steering vector accepts
-    fails before any work, named in degrees.
+    fails before any work, named in degrees. Users within one HPBW of each
+    other are warned about once, before the first solve.
     """
     if len(sweep) == 0:
         raise ValueError("sweep must be non-empty")
@@ -695,6 +678,7 @@ def build_codebook(
             anchors.append(np.conj(steering_vector(geometry, angle)))
         except ValueError as err:
             raise ValueError(f"sweep angle {math.degrees(angle):.9g} deg: {err}") from None
+    warn_close_angles(users, geometry)
     entries, warm = [], None
     for i, (angle, anchor) in enumerate(zip(sweep, anchors)):
         if i:
@@ -804,9 +788,8 @@ def codebook_from_dict(d: dict) -> tuple[Codebook, ArrayGeometry]:
                 sensing_angle=math.radians(e["sensing_angle_deg"]),
                 weights=Beamformer(w),
                 min_snr=min_snr,
-                converged=e["converged"],
-                iterations=e.get("iterations"),
-                stop_reason=e.get("stop_reason"),
+                iterations=e["iterations"],
+                stop_reason=e["stop_reason"],
             )
         )
     return Codebook(entries=tuple(entries), users=users), geometry

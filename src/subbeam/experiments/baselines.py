@@ -76,6 +76,18 @@ def run_baseline(
         line="{mode} user {user}: EVM {evm_percent:.2f}%; sensing level "
         "{sensing_amplitude_db:.2f} dB; {beam_switches_per_dmrs} switch(es)/DMRS",
     )
+    # Taken once for every mode: the max-min data beam of fixed and switched,
+    # the reference slot, and each user's noise power for snr_db under
+    # dedicated conjugate beamforming (gain N^2), the same floor in every mode
+    # so beamformer quality differences show up.
+    max_min_beam = None
+    if "fixed" in modes or "switched" in modes:
+        max_min_beam = design_data_beam(users, geometry, cfg)
+    reference = generate_slot(numerology, modulation, seed=seed)
+    noises = [
+        noise_power_for_user_snr(snr_db, geometry.num_elements**2, su, numerology)
+        for su in scene.users
+    ]
     for mode in modes:
         amplitude = None
         if mode == "subf":
@@ -84,15 +96,14 @@ def run_baseline(
             data_beam = beam
         elif mode == "fixed":
             dmrs_beams = [conjugate_beam(geometry, sensing_angle)]
-            data_beam = design_data_beam(users, geometry, cfg)
+            data_beam = max_min_beam
         else:
             codebook = build_codebook(users, sweep, geometry, cfg)
             dmrs_beams = codebook.beams()
-            data_beam = design_data_beam(users, geometry, cfg)
+            data_beam = max_min_beam
             amplitude = build_predistortion_plan(dmrs_beams, data_beam, users, geometry)
 
         plan = SlotBeamPlan.uniform(numerology, dmrs_beams, data_beam, amplitude)
-        reference = generate_slot(numerology, modulation, seed=seed)
         tx = plan.send(reference)
 
         # Sensing: estimate at the DMRS beam matching the requested angle,
@@ -107,10 +118,7 @@ def run_baseline(
             results[beam_idx], dmrs_beams[beam_idx], geometry, sensing_angle
         )
 
-        for u_idx, su in enumerate(scene.users):
-            # snr_db under dedicated conjugate beamforming (gain N^2), the same
-            # floor in every mode so beamformer quality differences show up.
-            noise = noise_power_for_user_snr(snr_db, geometry.num_elements**2, su, numerology)
+        for u_idx, (su, noise) in enumerate(zip(scene.users, noises)):
             echo = downlink_echo(plan, su, geometry)
             genie = genie_csi(data_beam, geometry, su, numerology)
             est, gen = score_user(tx, reference, echo, genie, noise, seed + u_idx)

@@ -29,11 +29,11 @@ import numpy as np
 
 from ..arrays import ArrayGeometry, conjugate_beam, in_field_of_view
 from ..channel import (
-    SPEED_OF_LIGHT,
     PathModel,
     Reflector,
     Scene,
     SlotBeamPlan,
+    meters_to_samples,
     monostatic_echoes,
 )
 from ..runio import Table
@@ -98,24 +98,25 @@ def run_localization(
     medians of absolute test errors and the calibrated weights as one
     ``Table``, ``weights``: a distance and an angle weight per row, 3 rows
     per beam, bias last. Raises ValueError before any simulation when a
-    task has fewer than 2 distinct truth values or fewer training rows than
-    regression columns, or a distance's round-trip delay falls
-    outside the delay search (it would land on the last candidate) or
-    exceeds ``numerology.cp_length`` (a DMRS body of a sensing-only slot
-    would then miss the data samples a full slot delays into it).
+    distance is not positive, a task has fewer than 2 distinct truth values
+    or fewer training rows than regression columns, or a distance's
+    round-trip delay falls outside the delay search (it would land on the
+    last candidate) or exceeds ``numerology.cp_length`` (a DMRS body of a
+    sensing-only slot would then miss the data samples a full slot delays
+    into it).
     """
     distances_m = np.round(np.arange(1.0, 8.0 + 1e-9, 0.1), 3) if distances_m is None else np.asarray(distances_m)
     angles_deg = np.arange(-15.0, 15.0 + 1e-9, 1.0) if angles_deg is None else np.asarray(angles_deg)
     sweep_deg = np.linspace(-15.0, 15.0, 31) if sweep_deg is None else np.asarray(sweep_deg)
-
-    def round_trip_delay(distance_m: float) -> int:
-        return round(numerology.sample_rate * 2.0 * distance_m / SPEED_OF_LIGHT)
 
     # Fail before simulating anything. Each task calibrates on half of every
     # position's captures, and its design matrix has 3 features per beam
     # plus a bias column.
     if not len(sweep_deg):
         raise ValueError("sweep_deg [] names no beam")
+    for distance_m in distances_m:  # _distance_attenuation divides by it
+        if distance_m <= 0:
+            raise ValueError(f"distances_m {float(distance_m)} must be > 0")
     for angle_deg in angles_deg:  # the bound the angle task's Reflector applies
         if not in_field_of_view(math.radians(angle_deg)):
             raise ValueError(f"angles_deg {float(angle_deg)} outside the field of view")
@@ -131,7 +132,7 @@ def run_localization(
                 f"{rows} training rows < {columns} columns (3*beams+1)"
             )
     for distance_m in (*distances_m, ANGLE_TASK_DISTANCE_M):
-        delay = round_trip_delay(distance_m)
+        delay = meters_to_samples(distance_m, numerology.sample_rate, 2.0)
         cfg_search.check_delay(delay, f"distance {float(distance_m)} m")
         if delay > numerology.cp_length:
             raise ValueError(
@@ -145,7 +146,7 @@ def run_localization(
     rng = np.random.default_rng(seed)
 
     def scene_for(distance_m: float, angle_deg: float) -> Scene:
-        delay = round_trip_delay(distance_m)
+        delay = meters_to_samples(distance_m, numerology.sample_rate, 2.0)
         return Scene(
             reflectors=(
                 Reflector(

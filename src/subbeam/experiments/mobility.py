@@ -8,19 +8,11 @@ still optimal (reuse) or needs a warm-started re-optimization.
 from __future__ import annotations
 
 import math
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..arrays import (
-    ArrayGeometry,
-    beamforming_gain,
-    effective_snr,
-    in_field_of_view,
-    steering_vector,
-)
+from ..arrays import ArrayGeometry, beamforming_gain, in_field_of_view, steering_vector
 from ..codebook import (
     OptimizerConfig,
     UpdateStats,
@@ -48,7 +40,9 @@ class MobilityScenario:
         if self.num_ticks < 1:
             raise ValueError(f"duration {self.duration} s is under half a tick_interval of "
                              f"{self.tick_interval} s: no ticks")
-        for user_wp in self.waypoints:
+        for i, user_wp in enumerate(self.waypoints):
+            if not user_wp:
+                raise ValueError(f"trajectory {i} has no waypoints")
             times = [t for t, _ in user_wp]
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError(f"waypoint times {times} must strictly increase")
@@ -82,15 +76,6 @@ def default_sweep_scenario(duration: float = 10.0, tick_interval: float = 5e-3) 
         tick_interval=tick_interval,
         duration=duration,
     )
-
-
-@contextmanager
-def _quiet_proximity_warnings():
-    # Trajectories legitimately cross other users; the per-solve proximity
-    # hint would fire thousands of times here.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*within one HPBW.*")
-        yield
 
 
 def run_mobility(
@@ -130,8 +115,7 @@ def run_mobility(
             for angle, snr in zip(scenario.angles_at(t), base_snrs)
         ]
 
-    with _quiet_proximity_warnings():
-        codebook = build_codebook(users_at(0.0), sweep, geometry, cfg)
+    codebook = build_codebook(users_at(0.0), sweep, geometry, cfg)
     records = Table([
         "tick", "t", *(f"user{i}_deg" for i in range(len(scenario.waypoints))),
         "reused", "reoptimized", "min_snr", "sensing_gain_db",
@@ -142,8 +126,7 @@ def run_mobility(
     for tick in range(1, scenario.num_ticks + 1):
         t = tick * scenario.tick_interval
         moved = users_at(t)
-        with _quiet_proximity_warnings():
-            codebook, stats = update_codebook(codebook, moved, geometry, cfg)
+        codebook, stats = update_codebook(codebook, moved, geometry, cfg)
         per_tick.append(stats)
         timing.add(tick, stats.seconds)
         entry = codebook.entries[0]
@@ -165,13 +148,12 @@ def run_mobility(
             entry = cb.entries[0]
             users_now = users_at(t)
             achieved = min(
-                effective_snr(u.base_snr, entry.weights, geometry, u.angle)
+                u.base_snr * beamforming_gain(entry.weights, geometry, u.angle)
                 for u in users_now
             )
             anchor = np.conj(steering_vector(geometry, entry.sensing_angle))
             deviation = np.abs(entry.weights.weights - anchor)
-            with _quiet_proximity_warnings():
-                fresh = optimize_max_min(users_now, entry.sensing_angle, geometry, cfg)
+            fresh = optimize_max_min(users_now, entry.sensing_angle, geometry, cfg)
             checks.append(
                 {
                     "tick": tick,

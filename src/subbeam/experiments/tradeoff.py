@@ -7,7 +7,7 @@ import math
 from dataclasses import replace
 
 from ..arrays import ArrayGeometry, beamforming_gain
-from ..codebook import Codebook, OptimizerConfig, UserLink, optimize_max_min
+from ..codebook import Codebook, OptimizerConfig, UserLink, optimize_max_min, warn_close_angles
 from ..runio import Table
 
 __all__ = ["epsilon_sweep", "beam_patterns"]
@@ -30,9 +30,10 @@ def epsilon_sweep(
     larger one), so each radius also tries the previous solution as a warm
     start and keeps the better result; the achieved minimum user SNR is then
     non-decreasing in the radius up to float noise. Every radius is checked
-    before the first solve.
+    before the first solve, and users within one HPBW are warned about once.
     """
     configs = [replace(cfg, epsilon=float(eps)) for eps in epsilons]
+    warn_close_angles(users, geometry)
     table = Table(
         ["epsilon", "sensing_gain_db", "min_snr_db",
          *(f"user{i}_gain_db" for i in range(len(users)))],

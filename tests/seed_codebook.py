@@ -12,11 +12,34 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from subbeam.arrays import ArrayGeometry, Beamformer, steering_vector
-from subbeam.codebook import CodebookEntry, OptimizerConfig, SensingTarget, UserLink
+from subbeam.codebook import OptimizerConfig, UserLink
+
+
+@dataclass(frozen=True)
+class SensingTarget:
+    """Sensing direction and baseline round-trip SNR (the first solvers' input)."""
+
+    angle: float
+    base_snr: float = 1.0
+
+    def __post_init__(self):
+        if self.base_snr <= 0:
+            raise ValueError("base_snr must be > 0")
+
+
+@dataclass(frozen=True)
+class CodebookEntry:
+    """One optimized beamformer as the first solvers returned it."""
+
+    sensing_angle: float
+    weights: Beamformer
+    min_snr: float  # +inf sentinel when there are no users
+    converged: bool
 
 # Solver constants (deterministic; see module docstring).
 _STEP_INIT = 0.1

@@ -17,7 +17,6 @@ from subbeam.channel import PathModel, Reflector, Scene, SceneUser
 from subbeam.cli import main as cli_main
 from subbeam.codebook import (
     OptimizerConfig,
-    SensingTarget,
     UserLink,
     optimize_max_min,
     optimize_weighted_sum,
@@ -73,9 +72,8 @@ def test_accept_02_solver_parity():
     for label, n, user_degs, alpha, eps in scenarios:
         geo = ArrayGeometry.ula(n)
         users = [UserLink(math.radians(a), 1.0) for a in user_degs]
-        target = SensingTarget(0.0, 1.0)
-        w_sum = optimize_weighted_sum(users, target, geo, OptimizerConfig(), sensing_weight=alpha)
-        entry = optimize_max_min(users, target.angle, geo, OptimizerConfig(epsilon=eps))
+        w_sum = optimize_weighted_sum(users, 0.0, geo, OptimizerConfig(), sensing_weight=alpha)
+        entry = optimize_max_min(users, 0.0, geo, OptimizerConfig(epsilon=eps))
         angles = [0.0] + [u.angle for u in users]
         diffs = [
             abs(db(beamforming_gain(w_sum, geo, a)) - db(beamforming_gain(entry.weights, geo, a)))

@@ -10,7 +10,6 @@ from subbeam.arrays import (
     Beamformer,
     beamforming_gain,
     conjugate_beam,
-    effective_snr,
     steering_vector,
 )
 
@@ -102,20 +101,6 @@ def test_gain_global_phase_invariance():
         g0 = beamforming_gain(w, geo, 0.4)
         g1 = beamforming_gain(Beamformer(w.weights * np.exp(1j * theta)), geo, 0.4)
         assert g1 == pytest.approx(g0, rel=1e-9)
-
-
-def test_effective_snr_composition():
-    geo = ArrayGeometry.ula(8)
-    angle = math.radians(-12.0)
-    w = conjugate_beam(geo, angle)
-    assert effective_snr(1.0, w, geo, angle) == pytest.approx(64.0, rel=1e-12)
-    assert effective_snr(0.0, w, geo, angle) == 0.0
-    null = Beamformer(np.ones(2))
-    assert effective_snr(10.0, null, ArrayGeometry.ula(2), math.pi / 2) == pytest.approx(
-        0.0, abs=1e-18
-    )
-    with pytest.raises(ValueError):
-        effective_snr(-1.0, w, geo, angle)
 
 
 def test_beamformer_amplitude_cap():

@@ -255,12 +255,20 @@ BAD_VALUES = [
     ("mobility_waypoints_backwards", "mobility",
      {**MOB_CFG, "mobility": {**MOB_CFG["mobility"], "waypoints": [[[1, -10], [0, 10]]]}},
      "waypoint times [1, 0] must strictly increase"),
+    ("mobility_waypoints_empty", "mobility",
+     {**MOB_CFG, "mobility": {**MOB_CFG["mobility"],
+                              "waypoints": [[[0, -30], [0.05, 30]], []]}},
+     "trajectory 1 has no waypoints"),
     ("localize_empty_sweep", "localize",
      {**LOC_CFG, "localization": {**LOC_CFG["localization"], "sweep_deg": []}},
      "sweep_deg [] names no beam"),
     ("localize_angle_outside_fov", "localize",
      {**LOC_CFG, "localization": {**LOC_CFG["localization"], "angles_deg": [-10, 0, 70]}},
      "angles_deg 70.0 outside the field of view"),
+    *[(f"localize_distance_{name}", "localize",
+       {**LOC_CFG, "localization": {**LOC_CFG["localization"], "distances_m": [1, 2, distance]}},
+       f"distances_m {float(distance)} must be > 0")
+      for name, distance in (("negative", -1), ("zero", 0))],
     *[(f"localize_one_{task}", "localize",
        {**LOC_CFG, "localization": {**LOC_CFG["localization"], key: [3] * 5}},
        f"{task} task: need 2 distinct truth values, got [3, 3, 3, 3, 3]")

@@ -1,6 +1,7 @@
 """Codebook solver, update rule, and serialization tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,8 @@ from subbeam.arrays import (
 from subbeam.codebook import (
     Codebook,
     OptimizerConfig,
-    SensingTarget,
     UserLink,
     build_codebook,
-    codebook_from_dict,
-    codebook_to_dict,
     design_data_beam,
     load_codebook,
     optimize_max_min,
@@ -29,45 +27,49 @@ from subbeam.codebook import (
     save_codebook,
     update_codebook,
 )
+from subbeam.experiments.tradeoff import epsilon_sweep
 
 from reference import min_user_snr, reference_max_min, steering
 
 GEO16 = ArrayGeometry.ula(16)
 TWO_USERS = [UserLink(math.radians(-30), 1.0), UserLink(math.radians(30), 1.0)]
-BROADSIDE = SensingTarget(0.0, 1.0)
+BROADSIDE = 0.0  # sensing angle
 
 
 def db(x):
     return 10 * math.log10(max(x, 1e-300))
 
 
+def _recorded_ascents(monkeypatch):
+    """Make ``_ascend`` record each call's per-start runs; returns the list of calls."""
+    ascend, calls = codebook._ascend, []
+
+    def recorded(*args):
+        calls.append(ascend(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(codebook, "_ascend", recorded)
+    return calls
+
+
 class TestWeightedSum:
     def test_coincident_user_and_sensing(self):
         angle = math.radians(10.0)
         users = [UserLink(angle, 2.0)]
-        trace = []
-        w = optimize_weighted_sum(
-            users, SensingTarget(angle, 2.0), GEO16, OptimizerConfig(), trace, sensing_weight=1.0
-        )
+        w = optimize_weighted_sum(users, angle, GEO16, OptimizerConfig(), sensing_weight=2.0)
         conj = conjugate_beam(GEO16, angle)
         align = abs(np.vdot(conj.weights, w.weights)) / 16
         assert align == pytest.approx(1.0, abs=1e-6)
-        # objective = (alpha + 1) * gamma * N^2
-        assert trace[-1] == pytest.approx(2.0 * 2.0 * 256.0, rel=1e-6)
+        # objective = (alpha + gamma) * N^2
+        objective = _weighted_sum_objective(w, users, angle, GEO16, 2.0)
+        assert objective == pytest.approx((2.0 + 2.0) * 256.0, rel=1e-6)
 
-    def test_objective_trace_non_decreasing(self):
-        trace = []
-        optimize_weighted_sum(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(), trace)
-        assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
-
-    @pytest.mark.parametrize("angles", [(-30, 30), (-20, 35), (-40, -10, 25)])
-    def test_trace_leaves_weights_unchanged(self, angles):
-        users = [UserLink(math.radians(a), 1.0) for a in angles]
-        cfg = OptimizerConfig(max_iters=500)
-        trace = []
-        traced = optimize_weighted_sum(users, BROADSIDE, GEO16, cfg, trace)
-        plain = optimize_weighted_sum(users, BROADSIDE, GEO16, cfg)
-        assert np.array_equal(traced.weights, plain.weights)
+    def test_objective_trace_non_decreasing(self, monkeypatch):
+        calls = _recorded_ascents(monkeypatch)
+        optimize_weighted_sum(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig())
+        [runs] = calls
+        for *_, trace in runs:
+            assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_alpha_zero_is_pure_multi_user(self):
         w = optimize_weighted_sum(
@@ -88,8 +90,8 @@ class TestWeightedSum:
         w = optimize_weighted_sum(
             TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(), sensing_weight=0.5
         )
-        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.9))
-        angles = [BROADSIDE.angle] + [u.angle for u in TWO_USERS]
+        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.9))
+        angles = [BROADSIDE] + [u.angle for u in TWO_USERS]
         for angle in angles:
             g_base = db(beamforming_gain(w, GEO16, angle))
             g_accel = db(beamforming_gain(entry.weights, GEO16, angle))
@@ -99,31 +101,31 @@ class TestWeightedSum:
 class TestMaxMin:
     def test_zero_radius_returns_conjugate(self):
         cfg = OptimizerConfig(epsilon=0.0)
-        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, cfg)
+        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, cfg)
         assert np.array_equal(entry.weights.weights, conjugate_beam(GEO16, 0.0).weights)
         assert beamforming_gain(entry.weights, GEO16, 0.0) == pytest.approx(256.0)
         assert entry.converged
 
     def test_large_radius_single_user_reaches_conjugate(self):
         users = [UserLink(math.radians(25), 1.0)]
-        entry = optimize_max_min(users, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=2.0))
+        entry = optimize_max_min(users, BROADSIDE, GEO16, OptimizerConfig(epsilon=2.0))
         assert entry.min_snr == pytest.approx(256.0, rel=1e-3)
 
     def test_empty_users_sentinel(self):
-        entry = optimize_max_min([], BROADSIDE.angle, GEO16, OptimizerConfig())
+        entry = optimize_max_min([], BROADSIDE, GEO16, OptimizerConfig())
         assert math.isinf(entry.min_snr)
         assert np.array_equal(entry.weights.weights, conjugate_beam(GEO16, 0.0).weights)
 
     def test_feasibility_at_return(self):
         for eps in (0.25, 0.5, 1.0):
-            entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=eps))
+            entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=eps))
             w = entry.weights.weights
             anchor = conjugate_beam(GEO16, 0.0).weights
             assert np.all(np.abs(w) <= 1.0 + 1e-9)
             assert np.all(np.abs(w - anchor) <= eps + 1e-9)
 
     def test_min_snr_recomputable(self):
-        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.5))
+        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
         recomputed = min(
             u.base_snr * beamforming_gain(entry.weights, GEO16, u.angle) for u in TWO_USERS
         )
@@ -131,7 +133,7 @@ class TestMaxMin:
 
     def test_against_random_restart_reference(self):
         # canonical scenario: the independent reference solver sets the bar
-        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.5))
+        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
         _, ref_val = reference_max_min(
             [u.angle for u in TWO_USERS], [1.0, 1.0], 0.0, 16, 0.5, seed=1
         )
@@ -145,14 +147,14 @@ class TestMaxMin:
 
     def test_anchor_entries_report_anchor(self):
         for users, cfg in ((TWO_USERS, OptimizerConfig(epsilon=0.0)), ([], OptimizerConfig())):
-            entry = optimize_max_min(users, BROADSIDE.angle, GEO16, cfg)
+            entry = optimize_max_min(users, BROADSIDE, GEO16, cfg)
             assert (entry.iterations, entry.stop_reason, entry.converged) == (0, "anchor", True)
 
     def test_stop_reason_matches_converged(self):
         cfg = OptimizerConfig(epsilon=0.5, max_iters=20)
-        capped = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, cfg)
+        capped = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, cfg)
         assert (capped.stop_reason, capped.iterations, capped.converged) == ("max_iters", 20, False)
-        entry = optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.5))
+        entry = optimize_max_min(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(epsilon=0.5))
         assert entry.stop_reason in ("grad", "stationary", "stalled")
         assert entry.converged and 0 < entry.iterations < 2000
 
@@ -160,13 +162,53 @@ class TestMaxMin:
         monkeypatch.setattr(codebook, "_ascend", _no_ascent)
         with pytest.raises(ValueError, match="1 weights but the array has 16 elements"):
             optimize_max_min(
-                TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(), warm_start=Beamformer([0.1])
+                TWO_USERS, BROADSIDE, GEO16, OptimizerConfig(), warm_start=Beamformer([0.1])
             )
 
     def test_close_user_angles_warn(self):
-        users = [UserLink(math.radians(10.0), 1.0), UserLink(math.radians(11.0), 1.0)]
-        with pytest.warns(UserWarning, match="HPBW"):
-            optimize_max_min(users, BROADSIDE.angle, GEO16, OptimizerConfig(epsilon=0.5))
+        # Once for a three-entry build, not once per solve.
+        sweep = [math.radians(a) for a in (-5.0, 0.0, 5.0)]
+        cfg = OptimizerConfig(epsilon=0.5)
+        _, caught = _warnings_of(lambda: build_codebook(CLOSE_USERS, sweep, GEO16, cfg))
+        assert caught == [CLOSE_WARNING]
+
+
+CLOSE_USERS = [UserLink(math.radians(10.0), 1.0), UserLink(math.radians(11.0), 1.0)]
+CLOSE_WARNING = (
+    "user angles 10.0 and 11.0 deg are within one HPBW; the solver may not separate their beams"
+)
+
+
+def _warnings_of(run):
+    """``run()``'s result and the message of every warning it emits, repeats included."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [str(w.message) for w in caught]
+
+
+class TestProximityWarning:
+    """Users within one HPBW are warned about once per layout, never per solve
+    (``TestMaxMin::test_close_user_angles_warn`` covers the codebook build)."""
+
+    def test_epsilon_sweep_warns_once(self):
+        _, caught = _warnings_of(
+            lambda: epsilon_sweep(CLOSE_USERS, BROADSIDE, GEO16, [0.0, 0.5], OptimizerConfig())
+        )
+        assert caught == [CLOSE_WARNING]
+
+    def test_solves_warn_nothing(self):
+        cfg = OptimizerConfig(epsilon=0.5, max_iters=500)
+        for solve in (optimize_max_min, optimize_weighted_sum):
+            _, caught = _warnings_of(lambda: solve(CLOSE_USERS, BROADSIDE, GEO16, cfg))
+            assert caught == []
+
+    def test_update_with_crossing_users_warns_nothing(self):
+        cfg = OptimizerConfig(epsilon=0.5)
+        cb = build_codebook(TWO_USERS, [0.0], GEO16, cfg)
+        (_, stats), caught = _warnings_of(lambda: update_codebook(cb, CLOSE_USERS, GEO16, cfg))
+        assert caught == []
+        assert stats.reoptimized == 1
 
 
 def _no_ascent(*args, **kwargs):
@@ -206,9 +248,9 @@ def _assert_feasible_weights(w, sensing_angle, geo, eps):
     assert np.all(np.abs(w - anchor) <= eps + 1e-9)
 
 
-def _weighted_sum_objective(w, users, target, geo, sensing_weight):
+def _weighted_sum_objective(w, users, sensing_angle, geo, sensing_weight):
     user_mean = np.mean([u.base_snr * beamforming_gain(w, geo, u.angle) for u in users])
-    return sensing_weight * target.base_snr * beamforming_gain(w, geo, target.angle) + user_mean
+    return sensing_weight * beamforming_gain(w, geo, sensing_angle) + user_mean
 
 
 class TestEngineEquivalence:
@@ -224,13 +266,16 @@ class TestEngineEquivalence:
     """
 
     @pytest.mark.parametrize("n_elements,n_users", [(16, 2), (32, 4), (48, 6)])
-    def test_max_min_cold_and_warm(self, n_elements, n_users):
+    def test_max_min_cold_and_warm(self, n_elements, n_users, monkeypatch):
         geo = ArrayGeometry.ula(n_elements)
         users = _layout(n_users, 1.0)
-        target = SensingTarget(math.radians(-4.0))
+        target = seed_codebook.SensingTarget(math.radians(-4.0))
         cfg = OptimizerConfig(epsilon=0.5)
-        trace_new, trace_old = [], []
-        new = optimize_max_min(users, target.angle, geo, cfg, trace=trace_new)
+        calls = _recorded_ascents(monkeypatch)
+        new = optimize_max_min(users, target.angle, geo, cfg)
+        # Each start's trace, in start order, as the first solver appends them.
+        trace_new = [f for *_, trace in calls[0] for f in trace]
+        trace_old = []
         old = seed_codebook.optimize_max_min(users, target, geo, cfg, trace=trace_old)
         k = _anneal_prefix()
         assert k == 60
@@ -253,22 +298,26 @@ class TestEngineEquivalence:
     def test_zero_radius_and_no_users(self):
         for users, cfg in ((TWO_USERS, OptimizerConfig(epsilon=0.0)), ([], OptimizerConfig())):
             _same_entry(
-                optimize_max_min(users, BROADSIDE.angle, GEO16, cfg),
-                seed_codebook.optimize_max_min(users, BROADSIDE, GEO16, cfg),
+                optimize_max_min(users, BROADSIDE, GEO16, cfg),
+                seed_codebook.optimize_max_min(
+                    users, seed_codebook.SensingTarget(BROADSIDE), GEO16, cfg
+                ),
             )
 
     @pytest.mark.parametrize("sensing_weight", [0.0, 1.0])
     def test_weighted_sum(self, sensing_weight):
-        # A short cap keeps the fair-point seeding cheap.
+        # A short cap keeps the fair-point seeding cheap. The first solver's
+        # sensing base SNR of 2 is the same objective as twice the weight.
         cfg = OptimizerConfig(max_iters=500)
-        target = SensingTarget(math.radians(6.0), 2.0)
+        angle = math.radians(6.0)
         users = _layout(2, -3.0)
-        new = optimize_weighted_sum(users, target, GEO16, cfg, sensing_weight=sensing_weight)
+        new = optimize_weighted_sum(users, angle, GEO16, cfg, sensing_weight=2.0 * sensing_weight)
         old = seed_codebook.optimize_weighted_sum(
-            users, target, GEO16, cfg, sensing_weight=sensing_weight
+            users, seed_codebook.SensingTarget(angle, 2.0), GEO16, cfg,
+            sensing_weight=sensing_weight,
         )
-        f_new = _weighted_sum_objective(new, users, target, GEO16, sensing_weight)
-        f_old = _weighted_sum_objective(old, users, target, GEO16, sensing_weight)
+        f_new = _weighted_sum_objective(new, users, angle, GEO16, 2.0 * sensing_weight)
+        f_old = _weighted_sum_objective(old, users, angle, GEO16, 2.0 * sensing_weight)
         assert abs(db(f_new) - db(f_old)) < 0.01
 
 
@@ -306,23 +355,11 @@ class TestLockstep:
 
     def test_weighted_sum(self, monkeypatch):
         counts = self._checked(monkeypatch)
-        target = SensingTarget(math.radians(6.0), 2.0)
-        optimize_weighted_sum(_layout(3, -3.0), target, GEO16, OptimizerConfig(max_iters=500))
+        optimize_weighted_sum(
+            _layout(3, -3.0), math.radians(6.0), GEO16, OptimizerConfig(max_iters=500),
+            sensing_weight=2.0,
+        )
         assert counts == [4]
-
-    def test_trace_is_each_start_in_order(self, monkeypatch):
-        runs = []
-        lockstep = codebook._ascend
-
-        def recorded(*args):
-            runs[:] = lockstep(*args)
-            return runs
-
-        monkeypatch.setattr(codebook, "_ascend", recorded)
-        trace = []
-        optimize_max_min(TWO_USERS, BROADSIDE.angle, GEO16, OptimizerConfig(), trace=trace)
-        assert len(runs) == 3
-        assert trace == [f for run in runs for f in run[4]]
 
 
 class TestStallStop:
@@ -331,7 +368,7 @@ class TestStallStop:
         # max-min kink to max_iters (a raw-gradient search with the stall
         # stop gives up as stalled); the projected-gradient search reaches
         # a point where no step improves.
-        target = SensingTarget(math.radians(-1.5))
+        target = seed_codebook.SensingTarget(math.radians(-1.5))
         users = [UserLink(math.radians(-30.0), 1.0), UserLink(math.radians(30.0), 1.0)]
         cfg = OptimizerConfig()
         old = seed_codebook.optimize_max_min(users, target, GEO16, cfg)
@@ -653,10 +690,8 @@ class TestCodebookBuildUpdate:
 
 class TestTradeoffProperties:
     def test_monotone_and_crossover(self):
-        from subbeam.experiments.tradeoff import epsilon_sweep
-
         rows = epsilon_sweep(
-            TWO_USERS, BROADSIDE.angle, GEO16,
+            TWO_USERS, BROADSIDE, GEO16,
             [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5], OptimizerConfig(),
         )
         sens = [r["sensing_gain_db"] for r in rows.rows]
@@ -676,17 +711,17 @@ class TestTradeoffProperties:
 
         monkeypatch.setattr(tradeoff, "optimize_max_min", fail)
         with pytest.raises(ValueError, match="epsilon must be >= 0"):
-            tradeoff.epsilon_sweep(TWO_USERS, BROADSIDE.angle, GEO16, [0.5, -1.0], OptimizerConfig())
+            tradeoff.epsilon_sweep(TWO_USERS, BROADSIDE, GEO16, [0.5, -1.0], OptimizerConfig())
 
 
 class TestDataBeam:
     def test_single_user_is_conjugate(self):
         users = [UserLink(math.radians(20.0), 1.0)]
-        w = design_data_beam(users, GEO16)
+        w = design_data_beam(users, GEO16, OptimizerConfig())
         assert beamforming_gain(w, GEO16, users[0].angle) == pytest.approx(256.0, rel=1e-3)
 
     def test_two_users_balanced(self):
-        w = design_data_beam(TWO_USERS, GEO16)
+        w = design_data_beam(TWO_USERS, GEO16, OptimizerConfig())
         g = [beamforming_gain(w, GEO16, u.angle) for u in TWO_USERS]
         assert min(g) > 80.0  # near the N^2/2 split
         assert abs(db(g[0]) - db(g[1])) < 0.5
@@ -713,16 +748,6 @@ class TestSerialization:
         for e1, e2 in zip(cb.entries, loaded.entries):
             assert (e2.iterations, e2.stop_reason) == (e1.iterations, e1.stop_reason)
             assert isinstance(e2.iterations, int) and e2.stop_reason is not None
-
-    def test_file_without_telemetry_loads(self):
-        cb = build_codebook(TWO_USERS, [0.0], GEO16, OptimizerConfig())
-        d = codebook_to_dict(cb, GEO16)
-        for e in d["entries"]:
-            del e["iterations"], e["stop_reason"]
-        loaded, _ = codebook_from_dict(d)
-        entry = loaded.entries[0]
-        assert entry.iterations is None and entry.stop_reason is None
-        assert entry.converged == cb.entries[0].converged
 
     def test_infinite_sentinel_round_trip(self, tmp_path):
         cb = build_codebook([], [0.0], GEO16, OptimizerConfig())

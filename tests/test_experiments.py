@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subbeam.arrays import ArrayGeometry, conjugate_beam, effective_snr, steering_vector
+from subbeam.arrays import ArrayGeometry, beamforming_gain, conjugate_beam, steering_vector
 from subbeam.channel import (
     PathModel,
     Reflector,
@@ -18,8 +18,8 @@ from subbeam.channel import (
     monostatic_echoes,
 )
 from subbeam.codebook import Codebook, OptimizerConfig, UpdateStats, UserLink
-from subbeam.experiments import mobility
-from subbeam.experiments.baselines import run_baseline
+from subbeam.experiments import baselines, mobility
+from subbeam.experiments.baselines import BASELINE_MODES, run_baseline
 from subbeam.experiments.imaging import air_time, run_imaging
 from subbeam.experiments.link import run_link, sense_dmrs
 from subbeam.experiments.localization import calibrate_sp, feature_stack, run_localization
@@ -387,7 +387,9 @@ class TestMobility:
                 weights = conjugate_beam(geometry, e.sensing_angle)
                 # Set past Beamformer's own amplitude check.
                 object.__setattr__(weights, "weights", 1.2 * weights.weights)
-                min_snr = min(effective_snr(u.base_snr, weights, geometry, u.angle) for u in moved)
+                min_snr = min(
+                    u.base_snr * beamforming_gain(weights, geometry, u.angle) for u in moved
+                )
                 entries.append(replace(e, weights=weights, min_snr=min_snr))
             return Codebook(tuple(entries), tuple(moved)), UpdateStats(reused=len(entries))
 
@@ -483,6 +485,22 @@ class TestBaselines:
         # switching-rate arithmetic
         assert first["switched"]["beam_switches_per_dmrs"] == 8
         assert first["fixed"]["beam_switches_per_dmrs"] == 1
+
+    def test_data_beam_solved_once(self, monkeypatch):
+        # fixed and switched send the same max-min data beam.
+        calls = []
+        solve = baselines.design_data_beam
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr("subbeam.experiments.baselines.design_data_beam", counted)
+        run_baseline(
+            BASELINE_MODES, self._scene(), 0.0, [0.0], self.GEO, NUM,
+            OptimizerConfig(), SEARCH, 30.0, "QPSK", seed=5,
+        )
+        assert len(calls) == 1
 
     def test_unknown_mode_rejected(self, monkeypatch):
         def fail(*args, **kwargs):

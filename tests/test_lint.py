@@ -183,3 +183,96 @@ def test_detects_an_unread_field():
 def test_every_field_has_a_reader():
     sources = {".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text() for p in MODULES}
     assert unread_fields(sources) == []
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """``(qualified name, parameter, position)`` for each defaulted parameter of
+    a public function or method; ``position`` counts a call's positional
+    arguments (a method's ``self`` or ``cls`` left out) and is None for a
+    keyword-only parameter."""
+    out = []
+
+    def visit(body, prefix, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+                )
+                if in_class and not static:
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                out.extend(
+                    (prefix + node.name, arg.arg, i)
+                    for i, arg in enumerate(positional) if i >= first
+                )
+                out.extend(
+                    (prefix + node.name, arg.arg, None)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                )
+
+    visit(tree.body, "", False)
+    return out
+
+
+def unset_defaults(sources: dict[str, str]) -> list[str]:
+    """``module.function.parameter`` for each defaulted parameter of a public
+    function or method that no call in ``sources`` passes, by position or by
+    keyword. Calls match by the called name; one with ``*args`` or
+    ``**kwargs`` passes every parameter."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    passed = {}  # called name -> (most positional arguments, keywords), or None for all
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if passed.get(name, ()) is None:
+                continue
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                passed[name] = None
+                continue
+            count, keywords = passed.get(name, (0, set()))
+            passed[name] = (max(count, len(call.args)), keywords | {k.arg for k in call.keywords})
+    flagged = []
+    for module, tree in trees.items():
+        for qualname, param, position in _defaulted_parameters(tree):
+            calls = passed.get(qualname.rsplit(".", 1)[-1], (0, set()))
+            if calls is None or param in calls[1] or (position is not None and position < calls[0]):
+                continue
+            flagged.append(f"{module}.{qualname}.{param}")
+    return sorted(flagged)
+
+
+# Defaulted parameters that no call in the package passes, each with its reason.
+DEFAULT_ALLOWLIST = {
+    "cli.main.argv": "the console script passes none; the benchmark and the tests pass argv",
+}
+
+
+def test_detects_an_unset_default():
+    sources = {
+        "a": "def f(x, y=1, z=2, *, k=3, m=4): pass\ndef _p(q=1): pass\n"
+             "class C:\n    def g(self, u=1, v=2): pass\n"
+             "    @staticmethod\n    def s(u=1): pass\n"
+             "def h(n=1): pass\n",
+        "b": "from a import f, C, h\n"
+             "def run(c, args):\n    f(0, 1, m=2)\n    c.g(1)\n    C.s(5)\n    h(*args)\n",
+    }
+    assert unset_defaults(sources) == ["a.C.g.v", "a.f.k", "a.f.z"]
+
+
+def test_every_defaulted_parameter_is_set():
+    sources = {".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text() for p in MODULES}
+    flagged = [
+        name for name in unset_defaults(sources)
+        if name.rsplit(".", 1)[0] not in READER_ALLOWLIST
+    ]
+    assert flagged == sorted(DEFAULT_ALLOWLIST)
