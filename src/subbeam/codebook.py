@@ -9,35 +9,31 @@ Two solvers are provided:
   weight within a per-element radius ``epsilon`` of the conjugate beamformer
   for the sensing angle, so each codebook entry keeps a strong sensing beam.
 
-Both run on one engine, ``_ascend``: monotone projected gradient ascent
-with deterministic backtracking (halving from 0.1, or from twice the last
-accepted step). The max-min objective is smoothed by a softmin whose
-temperature anneals toward zero, which makes the kinked objective
-differentiable during early iterations and exact at convergence. While the
-temperature anneals, the line search runs along the gradient ``g``; at the
-final temperature it runs along the feasible direction
-``P(w + 0.1 g) - w`` (gradient projection along the feasible direction,
-Bertsekas, Nonlinear Programming, 2nd ed., sec. 2.3), the same vector the
-``grad`` stop test measures, so the search costs no extra projection. Each
-line search projects and evaluates its whole halving ladder in one batch
-and takes the first improving step, and the starts of a solve climb in
-lockstep, one stacked projection and evaluation per step for all their
-ladders; each pick is bit for bit that of one start alone trying one step
-at a time. Each objective
-evaluation hands back the inner products ``s @ w`` and SNRs it computed,
-and the next gradient and probe directions reuse them. Max-min user SNR
-(max-min-fair multicast) has many local optima, so a max-min solve runs
-each start, warm or cold, through the same anneal and keeps the best: the
-old weights and one anchored restart when warm, three anchored starts when
-cold. ``build_codebook`` solves its first entry cold; each later entry starts
-warm from the previous entry carried onto its own anchor (the previous
-offset from its anchor, added to the new anchor and projected), so a sweep
-of neighbouring angles costs two starts per entry instead of three.
-``design_data_beam`` and the weighted-sum seeding share ``_fairest``, the
-fairest ``_fair_point`` (fixed-temperature softmin rounds without step
-memory) over one start set.
+Three solves run on one lockstep driver, ``_ascend``: the max-min and
+weighted-sum solves climb by ``_climb``, and the anchor-free max-min solve
+``_fairest`` (``design_data_beam`` and the weighted-sum seeding) by
+``_fair_point``. Each line search takes the first improving step of a
+halving ladder from 0.1 (in ``_climb``, from twice the last accepted step).
+Each driver step projects and measures every live start's ladder in one
+stacked call and scores it (in one call where the score is shared), so each
+start takes, bit for bit, its path alone. A measurement keeps the inner
+products ``s @ w`` and SNRs for the next gradient and probe directions.
+The max-min objective is smoothed by a softmin whose temperature anneals
+toward zero (differentiable early, exact at convergence). In ``_climb`` the
+line search runs along the gradient ``g`` while the temperature anneals and
+along the feasible direction ``P(w + 0.1 g) - w`` at the final temperature
+(gradient projection, Bertsekas, Nonlinear Programming, 2nd ed., sec. 2.3),
+the vector the ``grad`` stop test measures. ``_fair_point`` runs 14 rounds
+at fixed, halving temperatures, each until no direction improves. Max-min
+user SNR (max-min-fair multicast) has many local optima, so each solve keeps
+the best of several starts: the old weights and one anchored restart when
+warm, three anchored starts when cold. ``build_codebook`` solves its first
+entry cold; each later entry starts warm from the previous entry carried
+onto its own anchor (the previous offset from its anchor, added to the new
+anchor and projected), so a sweep of neighbouring angles costs two starts
+per entry instead of three.
 
-At the final temperature an ascent stops when the projected gradient is
+At the final temperature a ``_climb`` stops when the projected gradient is
 below ``_GRAD_TOL`` (``grad``), when no step along the feasible direction
 or any probe improves (``stationary``), or when 50 consecutive iterations
 each gain less than 1e-4 relative (about 0.0004 dB) over the stall mark
@@ -59,6 +55,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -134,7 +131,7 @@ class CodebookEntry:
     """One optimized beamformer: sensing angle, weights, achieved min user SNR.
 
     ``iterations`` and ``stop_reason`` describe the solver's winning start
-    (see ``_ascend``; ``anchor`` when no ascent ran).
+    (see ``_climb``; ``anchor`` when no ascent ran).
     """
 
     sensing_angle: float
@@ -189,26 +186,23 @@ def _snrs(w, s, gamma):
     return gamma * np.abs(s @ w) ** 2
 
 
-def _evaluator(s, gamma, score):
-    """``evaluate(w) -> (score(x), (inner, x))`` with ``inner = s @ w``, ``x`` the SNRs.
+def _measure(s, gamma):
+    """``measure(w) -> (inner, x)`` with ``inner = s @ w`` and ``x`` the SNRs.
 
-    ``w`` is one point (N,) or a stack of points (M, N); ``score`` reduces
-    over the last axis, so a stack gets one score per row (a float for one
-    point). The stacked inner products are one batched ``matmul``, which
-    gives each row bit for bit the ``s @ w`` of a one-point call, so a line
-    search evaluates its whole halving ladder in one call and still picks
-    what a sequential search would. The inner products and SNRs of an
-    evaluated point are handed back so the gradient and probe directions at
-    that point reuse them.
+    ``w`` is one point (N,) or a stack of points (M, N), measured row by
+    row. The stacked inner products are one batched ``matmul``, which gives
+    each row bit for bit the ``s @ w`` of a one-point call, so ``_ascend``
+    measures every pending halving ladder in one call and still picks what a
+    sequential search would. A point's measurement is its cache ``ev``: a
+    score reduces its SNRs over the last axis, one score per row, and the
+    gradient and probe directions at that point reuse it.
     """
 
-    def evaluate(w):
+    def measure(w):
         inner = np.matmul(s, w[..., None])[..., 0]
-        x = gamma * np.abs(inner) ** 2
-        f = score(x)
-        return (f if w.ndim > 1 else float(f)), (inner, x)
+        return inner, gamma * np.abs(inner) ** 2
 
-    return evaluate
+    return measure
 
 
 def _softmin_ascent(ev, t, gamma, s_conj):
@@ -256,10 +250,11 @@ def _check_weight_length(what, length, geometry):
 
 def warn_close_angles(users: list[UserLink], geometry: ArrayGeometry) -> None:
     """Warn once per pair of users within one HPBW, whose beams a solve may not separate."""
+    # The HPBW holds in sine space: off broadside a beam is wider in angle.
     hpbw = 0.886 / (geometry.num_elements * geometry.spacing)
     for i in range(len(users)):
         for j in range(i + 1, len(users)):
-            if abs(users[i].angle - users[j].angle) < hpbw:
+            if abs(math.sin(users[i].angle) - math.sin(users[j].angle)) < hpbw:
                 warnings.warn(
                     f"user angles {math.degrees(users[i].angle):.1f} and "
                     f"{math.degrees(users[j].angle):.1f} deg are within one HPBW; "
@@ -275,30 +270,14 @@ def _normalized_direction(g):
     return g / peak
 
 
-def _line_search(w, f, d, evaluate, project, step0=_STEP_INIT):
-    """Halving backtracking along direction d; accept strict improvement.
-
-    The whole ladder of steps, ``min(step0, _STEP_INIT)`` halved down to
-    ``_STEP_MIN``, is projected and evaluated in one batch, and the first
-    improving step in ladder order wins: the same pick, bit for bit, as
-    trying the steps one by one. Returns ``(w, f, ev, step)`` at that step
-    (``ev`` is the new point's evaluation cache), or None when no step
-    improves. ``step0`` carries the last accepted step across iterations so
-    the search rarely has to halve far.
-    """
-    steps = _LADDERS[step0]
-    w_try = project(w + steps * d)
-    return _pick(f, steps, w_try, *evaluate(w_try))
-
-
-def _pick(f, steps, w_try, f_try, ev, lo=0):
-    """``(w, f, ev, step)`` at the first rung (row ``lo`` on) that beats ``f``, or None."""
-    better = f_try[lo : lo + len(steps)] > f * (1.0 + 1e-12) + 1e-15
+def _pick(f, steps, w_try, f_try, ev, lo):
+    """``(w, f, ev, step)`` at the first rung (row ``lo`` on) whose score beats ``f``, or None."""
+    better = f_try > f * (1.0 + 1e-12) + 1e-15
     k = better.argmax()
     if not better[k]:
         return None
     i = lo + k
-    return w_try[i], float(f_try[i]), (ev[0][i], ev[1][i]), float(steps[k, 0])
+    return w_try[i], float(f_try[k]), (ev[0][i], ev[1][i]), float(steps[k, 0])
 
 
 def _dither(w0, scale):
@@ -325,12 +304,13 @@ def _softmin(x, t):
     return -t * (zmax + np.reshape(logs, np.shape(total)))
 
 
-def _fair_point(s_all, gamma_all, w0, cfg):
-    """Max-min over all targets by annealed softmin ascent (anchor-free).
+def _fair_point(w0, s_all, gamma_all, measure, cfg):
+    """One anchor-free max-min start for ``_ascend``: 14 fixed-temperature softmin rounds.
 
-    Steps (combined direction and per-target probes) are accepted when they
-    improve the softmin at the current temperature; the temperature then
-    anneals toward zero so the final iterate maximizes the true minimum.
+    A round's temperature follows the mean SNR it starts at, and it climbs
+    until no direction (combined, then each target's, weakest first) has an
+    improving step from ``_STEP_INIT``. Returns the round end with the
+    highest minimum SNR, the first on ties.
     """
     s_conj = np.conj(s_all)
     w = _project_polydisk(w0)
@@ -339,14 +319,15 @@ def _fair_point(s_all, gamma_all, w0, cfg):
     tau = _TAU_INIT
     for _ in range(14):
         t = tau * max(float(x.sum() / len(x)), 1e-30)
-        evaluate = _evaluator(s_all, gamma_all, lambda x, t=t: _softmin(x, t))
-        f, ev = evaluate(w)
+        score = partial(_softmin, t=t)
+        ev = measure(w)
+        f = float(score(ev[1]))
         for _ in range(max(cfg.max_iters // 10, 50)):
             dirs = [_softmin_ascent(ev, t, gamma_all, s_conj)]
             dirs += _single_target_directions(ev, gamma_all, s_conj)
             for g in dirs:
                 d = _normalized_direction(g)
-                hit = None if d is None else _line_search(w, f, d, evaluate, _project_polydisk)
+                hit = None if d is None else (yield w, f, d, _STEP_INIT, score)
                 if hit is not None:
                     break
             if hit is None:
@@ -375,48 +356,32 @@ def _fairest(s, gamma, mixture, cfg):
     """
     starts = [mixture, _dither(mixture, 0.05), _dither(mixture, 0.3)]
     starts += [np.conj(t) + 0.05 * mixture for t in s]
+    measure = _measure(s, gamma)
     best_w, best_val = None, -math.inf
-    for w0 in starts:
-        w = _fair_point(s, gamma, w0, cfg)
+    for w in _ascend(
+        starts, lambda w0: _fair_point(w0, s, gamma, measure, cfg), measure, _project_polydisk
+    ):
         val = float(np.min(_snrs(w, s, gamma)))
         if val > best_val:
             best_w, best_val = w, val
     return best_w, best_val
 
 
-def _ascend(starts, evaluate, gradient, project, cfg, probes=None):
-    """Monotone projected gradient ascent with halving backtracking, from each start.
+def _ascend(starts, climb, measure, project):
+    """Run ``climb(w0)`` from each start in lockstep: the one line-search loop.
 
-    ``evaluate(w)`` returns ``(f, ev)`` as built by ``_evaluator``, for one
-    point or row-wise for a stack; ``gradient(ev, tau)`` and ``probes(ev)``
-    read the cache ``ev`` of the current iterate, so it is not evaluated
-    again. Each line search takes the first improving step of its halving
-    ladder. ``gradient`` may depend on an annealed temperature. When the
-    combined direction yields no improving step, the ``probes`` directions
-    are tried before annealing further; kinked or symmetric objectives need
-    these because the combined (sub)gradient can vanish at saddle points
-    that single-target directions escape.
-
-    Until the temperature reaches ``_TAU_MIN`` the line search runs along
-    the gradient; from then on it runs along the feasible direction
-    ``project(w + _STEP_INIT * g) - w``, the vector whose norm the ``grad``
-    stop tests. Both directions are scaled to a unit largest element.
-
-    The starts climb in lockstep: each step stacks every live start's
-    pending ladder into one ``project`` and one ``evaluate`` call. Both act
-    row by row with the bits of a one-point call, so each start takes, bit
-    for bit, the path it would take alone.
-
-    Returns one ``(w, f, iterations, stop_reason, trace)`` per start, in
-    start order; ``trace`` holds the start's objective at its first point
-    and after every iteration. Every stop but ``max_iters`` happens at the
-    final temperature: ``grad`` (projected gradient norm below
-    ``_GRAD_TOL``), ``stationary`` (no improving step along the gradient or
-    any probe) or ``stalled`` (``_STALL_ITERS`` consecutive iterations each
-    within ``_STALL_REL`` relative of the stall mark, the last value that
-    beat it by more).
+    A climb is a generator that yields each line search as ``(w, f, d,
+    step0, score)``: from ``w``, scored ``f``, along ``d`` over the halving
+    ladder from ``step0``, each rung judged by ``score``. It is sent its
+    pick (``_pick``, or None) and returns its result; the results come back
+    in start order. Each step projects and measures every pending ladder in
+    one stacked call. Searches sharing one score are scored in one call;
+    each other search (a ``_fair_point`` round has its own temperature)
+    scores its own rows. All of these act row by row with the bits of a
+    one-point call, so each start takes, bit for bit, the path it would
+    take alone, trying one step at a time.
     """
-    climbs = [_climb(w0, evaluate, gradient, project, cfg, probes) for w0 in starts]
+    climbs = [climb(w0) for w0 in starts]
     runs = [None] * len(climbs)
     pending = {}
 
@@ -431,22 +396,44 @@ def _ascend(starts, evaluate, gradient, project, cfg, probes=None):
         advance(i, None)
     while pending:
         searches = list(pending.items())
-        ladders = [_LADDERS[step0] for _, (_, _, _, step0) in searches]
-        rows = [w + steps * d for (_, (w, _, d, _)), steps in zip(searches, ladders)]
+        ladders = [_LADDERS[step0] for _, (_, _, _, step0, _) in searches]
+        rows = [w + steps * d for (_, (w, _, d, _, _)), steps in zip(searches, ladders)]
         w_try = project(rows[0] if len(rows) == 1 else np.concatenate(rows))
-        f_try, ev = evaluate(w_try)
+        ev = measure(w_try)
+        first = searches[0][1][4]
+        shared = first(ev[1]) if all(search[4] is first for _, search in searches) else None
         lo = 0
-        for (i, (_, f, _, _)), steps in zip(searches, ladders):
+        for (i, (_, f, _, _, score)), steps in zip(searches, ladders):
+            hi = lo + len(steps)
+            f_try = score(ev[1][lo:hi]) if shared is None else shared[lo:hi]
             advance(i, _pick(f, steps, w_try, f_try, ev, lo))
-            lo += len(steps)
+            lo = hi
     return runs
 
 
-def _climb(w0, evaluate, gradient, project, cfg, probes):
-    """One start's ascent for ``_ascend``: yields each line search as
-    ``(w, f, d, step0)``, is sent its pick, and returns the start's result."""
+def _climb(w0, measure, score, gradient, project, cfg, probes):
+    """Monotone projected gradient ascent from one start: a climb for ``_ascend``.
+
+    ``gradient(ev, tau)`` (``tau`` the annealed temperature) and
+    ``probes(ev)`` read the cache ``ev`` of the current iterate. When the
+    combined direction has no improving step, the ``probes`` (if any) are
+    tried before annealing further: at saddle points of kinked or symmetric
+    objectives the combined (sub)gradient can vanish, and single-target
+    directions escape. The search runs along the gradient until the
+    temperature reaches ``_TAU_MIN``, then along the feasible direction
+    ``project(w + _STEP_INIT * g) - w``, whose norm the ``grad`` stop tests.
+
+    Returns ``(w, f, iterations, stop_reason, trace)``, ``trace`` the score
+    at the first point and after every iteration. Every stop but
+    ``max_iters`` happens at the final temperature: ``grad`` (projected
+    gradient norm below ``_GRAD_TOL``), ``stationary`` (no improving step
+    along the gradient or any probe) or ``stalled`` (``_STALL_ITERS``
+    consecutive iterations each within ``_STALL_REL`` relative of the stall
+    mark, the last value that beat it by more).
+    """
     w = project(w0)
-    f, ev = evaluate(w)
+    ev = measure(w)
+    f = float(score(ev[1]))
     trace = [f]
     tau = _TAU_INIT
     at_final_tau = False
@@ -463,13 +450,13 @@ def _climb(w0, evaluate, gradient, project, cfg, probes):
             if math.sqrt(g.real.dot(g.real) + g.imag.dot(g.imag)) / _STEP_INIT < _GRAD_TOL:
                 return w, f, it, "grad", trace
         d = _normalized_direction(g)
-        hit = None if d is None else (yield w, f, d, step_mem)
+        hit = None if d is None else (yield w, f, d, step_mem, score)
         if hit is not None:
             step_mem = hit[3] * 2.0
         elif probes is not None:
             for p in probes(ev):
                 d = _normalized_direction(p)
-                hit = None if d is None else (yield w, f, d, _STEP_INIT)
+                hit = None if d is None else (yield w, f, d, _STEP_INIT, score)
                 if hit is not None:
                     break
         if hit is not None:
@@ -517,12 +504,17 @@ def optimize_weighted_sum(
     gamma_all = np.concatenate([[1.0], gamma])
     coef = np.concatenate([[sensing_weight], np.full(n_users, 1.0 / n_users)])
     s_conj = np.conj(s_all)
+    measure = _measure(s_all, gamma_all)
 
-    evaluate = _evaluator(s_all, gamma_all, lambda x: (coef * x).sum(axis=-1))
+    def score(x):
+        return (coef * x).sum(axis=-1)
 
     def gradient(ev, tau):
         # d/dw* of sum_u coef_u * gamma_u * |s_u^T w|^2
         return (coef * gamma_all * ev[0]) @ s_conj
+
+    def climb(w0):
+        return _climb(w0, measure, score, gradient, _project_polydisk, cfg, None)
 
     # For well-separated targets the achievable gains trade off along a
     # near-flat frontier (sum of gains <= N^2 by Parseval), so the objective
@@ -544,9 +536,9 @@ def optimize_weighted_sum(
     starts = [mixture, phase_only, _dither(mixture, 0.05), _dither(phase_only, 0.05)]
     finals = [
         (f_i, float(np.min(_snrs(w_i, s_act, gamma_act))), w_i)
-        for w_i, f_i, _, _, _ in _ascend(starts, evaluate, gradient, _project_polydisk, cfg)
+        for w_i, f_i, _, _, _ in _ascend(starts, climb, measure, _project_polydisk)
     ]
-    finals.append((evaluate(fair_start)[0], fair_val, fair_start))
+    finals.append((float(score(measure(fair_start)[1])), fair_val, fair_start))
     f_best = max(cand[0] for cand in finals)
     # 5% objective window ~ 0.2 dB, the solver tolerance used throughout.
     _, _, w = max(
@@ -589,7 +581,10 @@ def optimize_max_min(
     def project(w):
         return _project_ball_then_disk(w, anchor, eps)
 
-    evaluate = _evaluator(s_users, gamma, lambda x: np.minimum.reduce(x, axis=-1))
+    measure = _measure(s_users, gamma)
+
+    def score(x):
+        return np.minimum.reduce(x, axis=-1)
 
     def gradient(ev, tau):
         x = ev[1]
@@ -602,7 +597,10 @@ def optimize_max_min(
         # the combined subgradient vanishes.
         return _single_target_directions(ev, gamma, s_conj)
 
-    f_anchor = evaluate(anchor)[0]
+    def climb(w0):
+        return _climb(w0, measure, score, gradient, project, cfg, probes)
+
+    f_anchor = float(score(measure(anchor)[1]))
     if eps == 0.0:
         w, f, iterations, reason = anchor, f_anchor, 0, "anchor"
     else:
@@ -624,7 +622,7 @@ def optimize_max_min(
                 _dither(anchor + min(eps, 0.5) * nudge, min(eps, 0.4)),
                 _dither(anchor, min(eps, 0.3)),
             ]
-        runs = _ascend(starts, evaluate, gradient, project, cfg, probes)
+        runs = _ascend(starts, climb, measure, project)
         # max() keeps the first of equal finals, so ties go to the earlier start.
         w, f, iterations, reason, _ = max(runs, key=lambda run: run[1])
         if f <= f_anchor + 1e-15:

@@ -26,6 +26,7 @@ from subbeam.codebook import (
     optimize_weighted_sum,
     save_codebook,
     update_codebook,
+    warn_close_angles,
 )
 from subbeam.experiments.tradeoff import epsilon_sweep
 
@@ -67,7 +68,7 @@ class TestWeightedSum:
     def test_objective_trace_non_decreasing(self, monkeypatch):
         calls = _recorded_ascents(monkeypatch)
         optimize_weighted_sum(TWO_USERS, BROADSIDE, GEO16, OptimizerConfig())
-        [runs] = calls
+        [_fair_runs, runs] = calls
         for *_, trace in runs:
             assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
@@ -203,6 +204,24 @@ class TestProximityWarning:
             _, caught = _warnings_of(lambda: solve(CLOSE_USERS, BROADSIDE, GEO16, cfg))
             assert caught == []
 
+    @pytest.mark.parametrize(
+        "angles_deg,warned",
+        # The 16-element HPBW, 0.886 / (N d) = 0.111, holds in sine space.
+        # 50/57 deg differ by 0.073 in sine though by 0.122 rad, and the
+        # 50 deg conjugate beam is only 5.5 dB down at 57 deg; 0/6 deg
+        # differ by 0.105 in sine, 0/7 deg by 0.122.
+        [((50.0, 57.0), True), ((0.0, 6.0), True), ((0.0, 7.0), False)],
+    )
+    def test_beamwidth_is_compared_in_sine_space(self, angles_deg, warned):
+        users = [UserLink(math.radians(a), 1.0) for a in angles_deg]
+        _, caught = _warnings_of(lambda: warn_close_angles(users, GEO16))
+        a, b = angles_deg
+        expected = (
+            f"user angles {a:.1f} and {b:.1f} deg are within one HPBW; "
+            "the solver may not separate their beams"
+        )
+        assert caught == ([expected] if warned else [])
+
     def test_update_with_crossing_users_warns_nothing(self):
         cfg = OptimizerConfig(epsilon=0.5)
         cb = build_codebook(TWO_USERS, [0.0], GEO16, cfg)
@@ -334,8 +353,12 @@ class TestLockstep:
             runs = lockstep(starts, *args)
             for run, w0 in zip(runs, starts, strict=True):
                 [alone] = lockstep([w0], *args)
-                assert run[0].tobytes() == alone[0].tobytes()
-                assert run[1:] == alone[1:]  # f, iterations, stop reason, trace
+                # A _climb returns (w, f, iterations, stop reason, trace), a
+                # _fair_point its weights alone.
+                w, *rest = run if isinstance(run, tuple) else (run,)
+                w_alone, *rest_alone = alone if isinstance(alone, tuple) else (alone,)
+                assert w.tobytes() == w_alone.tobytes()
+                assert rest == rest_alone
             counts.append(len(starts))
             return runs
 
@@ -359,7 +382,16 @@ class TestLockstep:
             _layout(3, -3.0), math.radians(6.0), GEO16, OptimizerConfig(max_iters=500),
             sensing_weight=2.0,
         )
-        assert counts == [4]
+        # The fair seeding over the sensing row and 3 users, then the 4 starts.
+        assert counts == [7, 4]
+
+    def test_data_beam(self, monkeypatch):
+        # 3 mixture starts and 4 anchored ones; each fair start's rounds are
+        # scored at its own temperature, so a start alone must match. A
+        # short cap (50 iterations per round) keeps it cheap.
+        counts = self._checked(monkeypatch)
+        design_data_beam(_layout(4, 1.0), ArrayGeometry.ula(32), OptimizerConfig(max_iters=500))
+        assert counts == [7]
 
 
 class TestStallStop:
@@ -383,16 +415,22 @@ class TestStallStop:
         # _STALL_REL, while the gradient stays too large for the grad stop.
         # The stall count passes _STALL_ITERS during the anneal, but the
         # stop waits for the first final-temperature iteration.
-        def evaluate(w):
-            # Row-wise for a stack of points, with an (inner, x)-shaped cache.
-            return 1.0 + 1e-9 * w.real.sum(axis=-1), (w, w.real)
+        def measure(w):
+            # Row-wise for a stack of points, an (inner, x)-shaped cache.
+            return w, w.real
+
+        def score(x):
+            return 1.0 + 1e-9 * x.sum(axis=-1)
 
         def gradient(ev, tau):
             return np.ones(4, dtype=complex)
 
+        def climb(w0):
+            return codebook._climb(w0, measure, score, gradient, lambda w: w, cfg, None)
+
         cfg = OptimizerConfig()
         [(w, f, iterations, reason, _)] = codebook._ascend(
-            [np.zeros(4, dtype=complex)], evaluate, gradient, lambda w: w, cfg
+            [np.zeros(4, dtype=complex)], climb, measure, lambda w: w
         )
         assert reason == "stalled"
         assert iterations == _anneal_prefix() > codebook._STALL_ITERS
@@ -431,8 +469,19 @@ def _one_point_softmin(x, t):
     return -t * (zmax + math.log(np.exp(z - zmax).sum()))
 
 
+def _driven_search(w, f, d, step0, score, measure, project):
+    """One line search driven through ``_ascend``: a climb that yields it once
+    and returns its pick."""
+
+    def climb(w0):
+        return (yield w0, f, d, step0, score)
+
+    [hit] = codebook._ascend([w], climb, measure, project)
+    return hit
+
+
 class TestBatchedLineSearch:
-    """The batched halving ladder against the sequential search, bit for bit."""
+    """The driver's batched halving ladder against the sequential search, bit for bit."""
 
     # (batched row-wise score, one-point score of the sequential solver)
     # for the max-min, weighted-sum and fair-point objectives.
@@ -475,8 +524,8 @@ class TestBatchedLineSearch:
                 return codebook._project_ball_then_disk(w, anchor, 0.5)
 
         picked_steps = set()
+        measure = codebook._measure(s, gamma)
         for score, one_point_score in self.SCORES:
-            batched_eval = codebook._evaluator(s, gamma, score)
             sequential_eval = _one_point_evaluator(s, gamma, one_point_score)
             w = project(anchor + 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
             f, ev = sequential_eval(w)
@@ -488,8 +537,8 @@ class TestBatchedLineSearch:
                 d = codebook._normalized_direction(
                     codebook._softmin_ascent(ev, t, gamma, np.conj(s))
                 )
-                assert batched_eval(w)[0] == f
-                batched = codebook._line_search(w, f, d, batched_eval, project, step_mem)
+                assert score(measure(w)[1]) == f
+                batched = _driven_search(w, f, d, step_mem, score, measure, project)
                 sequential = _sequential_line_search(w, f, d, sequential_eval, project, step_mem)
                 self._assert_same(batched, sequential)
                 if sequential is None:
@@ -509,10 +558,11 @@ class TestBatchedLineSearch:
             return codebook._project_ball_then_disk(w, anchor, 0.0)
 
         d = np.ones(16, dtype=complex)
-        batched_eval = codebook._evaluator(s, gamma, lambda x: x.min(axis=-1))
+        measure = codebook._measure(s, gamma)
         sequential_eval = _one_point_evaluator(s, gamma, lambda x: float(x.min()))
         f, _ = sequential_eval(anchor)
-        assert codebook._line_search(anchor, f, d, batched_eval, project, step0) is None
+        hit = _driven_search(anchor, f, d, step0, lambda x: x.min(axis=-1), measure, project)
+        assert hit is None
         assert _sequential_line_search(anchor, f, d, sequential_eval, project, step0) is None
 
     def test_ladders_are_the_sequential_steps(self):
@@ -526,11 +576,12 @@ class TestBatchedLineSearch:
         assert codebook._STEP_INIT in codebook._LADDERS
         assert all(2.0 * step in codebook._LADDERS for step in codebook._STEPS)
 
-    # m up to the tallest lockstep batch: 4 weighted-sum starts x 20 rungs.
-    @pytest.mark.parametrize("n_users", [2, 4, 6])
-    @pytest.mark.parametrize("m", [1, 20, 47, 80])
+    # m up to the tallest lockstep batch: acceptance 02's weighted-sum
+    # seeding, 3 + 7 fair starts (6 users and the sensing row) x 20 rungs.
+    @pytest.mark.parametrize("n_users", [2, 4, 6, 7])
+    @pytest.mark.parametrize("m", [1, 20, 47, 80, 200])
     def test_batched_matmul_matches_one_point_products(self, n_users, m):
-        # _evaluator relies on this: a stacked matmul gives every row the
+        # _measure relies on this: a stacked matmul gives every row the
         # same bits as its own s @ w (plain W @ s.T does not).
         rng = np.random.default_rng(n_users * 100 + m)
         for n in (16, 32, 48):

@@ -171,6 +171,46 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level ``_name`` functions, classes and assigned names (dunders left out)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level private name that no module in
+    ``sources`` reads, as a name or an attribute, outside its own definition;
+    a name only tests read is flagged."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_read_outside_own_definition, trees.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    )
+
+
+def test_detects_an_unread_private_name():
+    sources = {
+        "a": "_K = 1\n_T: int = 2\n_J = 3\ndef _f(): return _f()\ndef _g(): pass\n"
+             "class _C: pass\ndef run(): return _g() + _T\n__all__ = ['run']\n",
+        "b": "import a\nfrom a import _C\ndef use(): return a._J, _C\n",
+    }
+    assert unread_private_names(sources) == ["a._K", "a._f"]
+
+
+def test_every_private_name_is_read():
+    sources = {".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text() for p in MODULES}
+    assert unread_private_names(sources) == []
+
+
 def test_detects_an_unread_field():
     sources = {
         "a": "class P:\n    x: int\n    y: int\n    z: int = 0\n    w = 1\n"
